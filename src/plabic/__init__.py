@@ -17,6 +17,7 @@ from .errors import (
     PlabicError,
     SizeMismatch,
     TooLarge,
+    TripDoesNotTerminate,
     UndecoratableFixedPoint,
 )
 from .graph import (

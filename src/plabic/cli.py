@@ -194,6 +194,8 @@ def cmd_perm(args) -> int:
         for s in sorted(sorted(x) for x in sets):
             print(format_subset(s, p.b))
     elif args.op == "dab":
+        if args.extra is None:
+            raise ValueError("perm dab needs two integers: a and b")
         a, b = int(args.arg), int(args.extra)
         print(count_dab(a, b))
     else:  # pragma: no cover
@@ -203,7 +205,7 @@ def cmd_perm(args) -> int:
 
 def cmd_ws(args) -> int:
     p = DecoratedPermutation.parse(args.perm)
-    colls = enumerate_ws(p, limit=args.limit, threads=args.threads)
+    colls = enumerate_ws(p, limit=args.limit)
     for coll in sorted(sorted(format_subset(s, p.b) for s in c) for c in colls):
         print(" ".join(coll))
     return 0
@@ -269,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     ws.add_argument("op", choices=["enumerate"])
     ws.add_argument("perm")
     ws.add_argument("--limit", type=int, default=None)
-    ws.add_argument("--threads", type=int, default=1)
     ws.set_defaults(func=cmd_ws)
 
     exp = sub.add_parser("export", help="DOT / TikZ display export")

@@ -73,5 +73,9 @@ class FrozenVertex(PlabicError):
     """Quiver mutation requested at a frozen vertex."""
 
 
+class TripDoesNotTerminate(PlabicError):
+    """A trip that never reaches the boundary (corrupt rotation data)."""
+
+
 class TooLarge(PlabicError):
     """Enumeration exceeded its budget."""

@@ -150,7 +150,14 @@ class PlabicGraph:
         return self._edge_ids[d >> 1]
 
     def darts_of_edge(self, edge_id: int):
-        k = self._edge_ids.index(edge_id)
+        """The two darts of an edge; ValueError for an unknown edge id."""
+        index = self._cache.get("edge_index")
+        if index is None:
+            index = {e: k for k, e in enumerate(self._edge_ids)}
+            self._cache["edge_index"] = index
+        k = index.get(edge_id)
+        if k is None:
+            raise ValueError(f"no edge with id {edge_id!r}")
         return 2 * k, 2 * k + 1
 
     def edge_endpoints(self, edge_id: int):
@@ -214,71 +221,59 @@ class PlabicGraph:
     def faces(self):
         """All faces of the rim-augmented graph, deterministic order.
 
-        The face walk follows ``next(d) = clockwise successor of twin(d)``,
-        which keeps the traced face on the left of every dart.  Rim darts are
-        pairs ``("fwd", i)`` / ``("bwd", i)`` for the arc joining boundary
-        labels i and i+1.
+        The rim adds one arc per boundary label i, joining boundary labels i
+        and i+1, as two more integer darts: with E edges, the backward dart
+        of arc i (based at label i+1) is ``2E + i - 1`` and its forward dart
+        (based at label i) is ``2E + b + i - 1``; they are twins of each
+        other.  At boundary label i the clockwise rotation is: forward dart
+        of arc i, the graph dart, backward dart of arc i-1.
+
+        Faces are the orbits of ``next(d) = clockwise successor of twin(d)``,
+        which keeps the traced face on the left of every dart.  Orbits are
+        started from every dart in increasing order (graph darts, then
+        backward arcs, then forward arcs), which fixes the face order that
+        ``MoveSpec.face`` indexes into.
         """
         if "faces" in self._cache:
             return self._cache["faces"]
         b = self.b
-        rim_fwd = [("fwd", i) for i in range(1, b + 1)]
-        rim_bwd = [("bwd", i) for i in range(1, b + 1)]
-
-        def aug_rotation(label):
-            # clockwise at boundary vertex: arc to label+1, graph dart, arc from label-1
-            prev_arc = ("bwd", label - 1 if label > 1 else b)
-            entries = [("fwd", label)]
-            entries.extend(self._rot[-label])
-            entries.append(prev_arc)
-            return entries
-
-        def aug_twin(d):
-            if isinstance(d, tuple):
-                kind, i = d
-                return ("bwd", i) if kind == "fwd" else ("fwd", i)
-            return d ^ 1
-
-        def base_vertex(d):
-            if isinstance(d, tuple):
-                kind, i = d
-                # fwd arc i is based at label i, bwd arc i at label i+1
-                return -(i if kind == "fwd" else (i % b) + 1)
-            return self._dart_vertex[d]
-
-        rotations = {}
+        rim = self.num_darts()  # the first rim dart
+        fwd = rim + b  # the first forward rim dart
+        n = fwd + b
+        nxt = [0] * n
+        # next(twin(ds[j])) = ds[j + 1]; ds[j + 1 - m] wraps around
+        for v, ds in self._rot.items():
+            if v >= 0:
+                m = len(ds)
+                for j in range(m):
+                    nxt[ds[j] ^ 1] = ds[j + 1 - m]
         for label in range(1, b + 1):
-            rotations[-label] = aug_rotation(label)
-        for v in self._colors:
-            rotations[v] = list(self._rot[v])
+            arc_out = fwd + label - 1  # forward dart of arc label
+            arc_in = rim + (label - 2) % b  # backward dart of arc label-1
+            ds = (arc_out, *self._rot[-label], arc_in)
+            twins = (arc_out - b, *(d ^ 1 for d in self._rot[-label]), arc_in + b)
+            m = len(ds)
+            for j in range(m):
+                nxt[twins[j]] = ds[j + 1 - m]
 
-        def next_dart(d):
-            t = aug_twin(d)
-            ds = rotations[base_vertex(t)]
-            return ds[(ds.index(t) + 1) % len(ds)]
-
-        all_darts = list(range(self.num_darts())) + rim_bwd + rim_fwd
-        seen = set()
+        seen = bytearray(n)
         faces = []
-        for start in all_darts:
-            if start in seen:
+        for start in range(n):
+            if seen[start]:
                 continue
             walk = []
             d = start
-            while d not in seen:
-                seen.add(d)
+            while not seen[d]:
+                seen[d] = 1
                 walk.append(d)
-                d = next_dart(d)
-            graph_darts = tuple(x for x in walk if not isinstance(x, tuple))
-            arcs = tuple(i for (k, i) in (x for x in walk if isinstance(x, tuple)))
-            fwd = any(isinstance(x, tuple) and x[0] == "fwd" for x in walk)
-            bwd = any(isinstance(x, tuple) and x[0] == "bwd" for x in walk)
-            if fwd and not graph_darts and not bwd:
-                kind = "outer"
-            elif fwd or bwd:
-                kind = "boundary"
-            else:
-                kind = "internal"
+                d = nxt[d]
+            if max(walk) < rim:
+                faces.append(Face("internal", tuple(walk), ()))
+                continue
+            graph_darts = tuple(x for x in walk if x < rim)
+            arcs = tuple((x - rim) % b + 1 for x in walk if x >= rim)
+            # only forward rim darts: the face outside the disk
+            kind = "outer" if min(walk) >= fwd else "boundary"
             faces.append(Face(kind, graph_darts, arcs))
         if b == 0:
             faces.append(Face("outer", (), ()))
@@ -741,6 +736,27 @@ class Builder:
 # tree collapsing
 
 
+def _pendant_vertices(g: PlabicGraph) -> set:
+    """Internal vertices that lie on no cycle and hang off the core.
+
+    Peels leaves with a queue: a vertex goes once at most one of its darts
+    still leads to the boundary or to an internal vertex not yet peeled.
+    A vertex with a loop keeps both loop darts and is never peeled.
+    """
+    live = {v: g.degree(v) for v in g.internal_vertices()}
+    queue = [v for v, n in live.items() if n <= 1]
+    peeled = set(queue)
+    for v in queue:
+        for d in g.rotation(v):
+            u = g.dart_vertex(d ^ 1)
+            if u >= 0 and u not in peeled:
+                live[u] -= 1
+                if live[u] <= 1:
+                    peeled.add(u)
+                    queue.append(u)
+    return peeled
+
+
 def collapse_trees(g: PlabicGraph) -> PlabicGraph:
     """Collapse every collapsible pendant tree of the graph.
 
@@ -750,21 +766,7 @@ def collapse_trees(g: PlabicGraph) -> PlabicGraph:
     opposite color stuck on a trivalent vertex) are left in place.
     Idempotent, and preserves the trip permutation.
     """
-    # peel: internal vertices that lie on no cycle and hang off the core
-    deg = {v: g.degree(v) for v in g.internal_vertices()}
-    adj = {v: [u for u in g.neighbors(v)] for v in g.internal_vertices()}
-    peeled = set()
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(deg):
-            if v in peeled:
-                continue
-            live = sum(1 for u in adj[v] if u >= 0 and u not in peeled)
-            bdry = sum(1 for u in adj[v] if u < 0)
-            if live + bdry <= 1:
-                peeled.add(v)
-                changed = True
+    peeled = _pendant_vertices(g)
     if not peeled:
         return g
 

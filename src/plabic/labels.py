@@ -2,15 +2,17 @@
 
 A face picks up the source label i (resp. target label i) when it lies to
 the left of the trip starting (resp. ending) at boundary vertex i.  Trips
-in a reduced graph cut the disk in two, so "left" is computed by seeding
-the faces adjacent to the trip on its left and flooding across every edge
-the trip does not use.  Fixed-point trips contribute to every face when
-their lollipop is white and to none when it is black.
+in a reduced graph cut the disk in two, and every dart lies on exactly one
+trip, with its face on the trip's left.  So two faces across an edge differ
+only in the marks of the two trips on that edge (Oh--Postnikov--Speyer):
+crossing from the face of dart d to the face of its twin drops the mark of
+the trip on d and adds the mark of the trip on the twin.  All labels
+follow from one boundary face by a breadth-first search across edges.
+Fixed-point trips contribute to every face when their lollipop is white
+and to none when it is black.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 from .bridges import bridge_graph
 from .errors import NotReducedError, TooLarge
@@ -27,33 +29,15 @@ from .perms import (
 from .trips import all_trips, decorated_trip_permutation
 
 
-def _left_faces(g: PlabicGraph, trip) -> set:
-    """Indices of the non-outer faces on the left of a one-way trip."""
-    fmap = g.face_of_dart()
-    used_edges = {g.edge_id(d) for d in trip.darts}
-    seeds = {fmap[d] for d in trip.darts}
-    # flood across edges the trip does not traverse
-    adjacency = {}
-    for e in g.edge_ids:
-        if e in used_edges:
-            continue
-        d0, d1 = g.darts_of_edge(e)
-        f0, f1 = fmap[d0], fmap[d1]
-        adjacency.setdefault(f0, set()).add(f1)
-        adjacency.setdefault(f1, set()).add(f0)
-    out = set()
-    stack = list(seeds)
-    while stack:
-        f = stack.pop()
-        if f in out:
-            continue
-        out.add(f)
-        stack.extend(adjacency.get(f, ()))
-    return out
-
-
 def face_labels(g: PlabicGraph, mode: str = "target", check: bool = True) -> dict:
-    """Map each non-outer face index to its label set.
+    """Map each non-outer face index to its label set, in face-index order.
+
+    The search starts at the first boundary face, holding rim arc i (which
+    joins boundary labels i and i+1).  That face lies left of the trip
+    s -> t, s != t, exactly when ``(i - s) mod b < (t - s) mod b``, and of
+    no roundtrip; fixed points decorated "over" mark every face.  Crossing
+    an edge from the face of dart d to the face of ``d ^ 1`` then swaps the
+    mark of the trip on d for the mark of the trip on ``d ^ 1``.
 
     Requires a reduced graph (labels are only well-sized there); pass
     ``check=False`` to skip the reducedness test when the caller already
@@ -70,20 +54,43 @@ def face_labels(g: PlabicGraph, mode: str = "target", check: bool = True) -> dic
         return g._cache[cache_key]
     decorated = decorated_trip_permutation(g)
     faces = g.faces()
-    nonouter = [idx for idx, f in enumerate(faces) if f.kind != "outer"]
-    labels = {idx: set() for idx in nonouter}
-    for t in all_trips(g):
-        if t.kind != "oneway":
-            continue
-        mark = t.source if mode == "source" else t.target
-        if t.source == t.target:
-            if decorated.decorations[t.source] == "over":
-                for idx in nonouter:
-                    labels[idx].add(mark)
-            continue
-        for idx in _left_faces(g, t):
-            labels[idx].add(mark)
-    labels = {idx: frozenset(s) for idx, s in labels.items()}
+    start = next((idx for idx, f in enumerate(faces) if f.kind == "boundary"), None)
+    if start is None:
+        labels = {}
+    else:
+        b = g.b
+        arc = faces[start].rim_arcs[0]
+        # mark[d]: the mark of the one-way, non-fixed trip on dart d
+        mark = [None] * g.num_darts()
+        seed = {i for i, dec in decorated.decorations.items() if dec == "over"}
+        for t in all_trips(g):
+            if t.kind != "oneway" or t.source == t.target:
+                continue
+            m = t.source if mode == "source" else t.target
+            for d in t.darts:
+                mark[d] = m
+            if (arc - t.source) % b < (t.target - t.source) % b:
+                seed.add(m)
+        fmap = g.face_of_dart()
+        found = {start: frozenset(seed)}
+        queue = [start]
+        for f in queue:
+            label = found[f]
+            for d in faces[f].darts:
+                h = fmap[d ^ 1]
+                if h in found:
+                    continue
+                out, into = mark[d], mark[d ^ 1]
+                if out != into:
+                    label_h = set(label)
+                    label_h.discard(out)
+                    if into is not None:
+                        label_h.add(into)
+                    found[h] = frozenset(label_h)
+                else:
+                    found[h] = label
+                queue.append(h)
+        labels = {idx: found[idx] for idx in sorted(found)}
     g._cache[cache_key] = labels
     return labels
 
@@ -150,7 +157,7 @@ def _quads(ground):
                     yield (ground[i], ground[j], ground[k], ground[l])
 
 
-def enumerate_ws(p: DecoratedPermutation, limit: int = None, threads: int = 1):
+def enumerate_ws(p: DecoratedPermutation, limit: int = None):
     """All maximal weakly separated collections attached to the permutation.
 
     Starts from the target labels of a bridge graph and closes under square
@@ -184,14 +191,9 @@ def enumerate_ws(p: DecoratedPermutation, limit: int = None, threads: int = 1):
     seen = {seed}
     frontier = [seed]
     while frontier:
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                batches = list(pool.map(expand, frontier))
-        else:
-            batches = [expand(c) for c in frontier]
         nxt = []
-        for batch in batches:
-            for cand in batch:
+        for coll in frontier:
+            for cand in expand(coll):
                 if cand not in seen:
                     seen.add(cand)
                     nxt.append(cand)

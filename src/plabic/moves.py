@@ -61,8 +61,21 @@ class MoveSpec:
 
     @staticmethod
     def from_json_obj(obj):
+        """Parse a spec object; raises IllegalMove on any malformed field."""
+        if not isinstance(obj, dict):
+            raise IllegalMove(f"a move spec must be a JSON object, got {obj!r}")
         if obj.get("kind") not in KINDS:
             raise IllegalMove(f"unknown move kind {obj.get('kind')!r}")
+        for k in ("face", "vertex", "edge", "start", "length"):
+            v = obj.get(k)
+            if v is not None and (not isinstance(v, int) or isinstance(v, bool)):
+                raise IllegalMove(f"move field {k!r} must be an integer, got {v!r}")
+        if obj.get("color") is not None and not isinstance(obj["color"], str):
+            raise IllegalMove(f"move field 'color' must be a string, got {obj['color']!r}")
+        if obj.get("condition_ok") is not None and not isinstance(obj["condition_ok"], bool):
+            raise IllegalMove(
+                f"move field 'condition_ok' must be a boolean, got {obj['condition_ok']!r}"
+            )
         return MoveSpec(
             kind=obj["kind"],
             face=obj.get("face"),

@@ -15,7 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BadLabel, HasInternalLeaf, NotNormal, UndecoratableFixedPoint
+from .errors import (
+    BadLabel,
+    HasInternalLeaf,
+    NotNormal,
+    TripDoesNotTerminate,
+    UndecoratableFixedPoint,
+)
 from .graph import BLACK, WHITE, PlabicGraph, classify, collapse_trees
 from .perms import DecoratedPermutation
 
@@ -38,48 +44,69 @@ class Trip:
         }
 
 
-def next_dart(g: PlabicGraph, d: int):
-    """The dart traversed after d, or None when d runs into the boundary."""
-    t = g.twin(d)
-    w = g.dart_vertex(t)
-    if w < 0:
-        return None
-    return g.rot_prev(t) if g.color(w) == BLACK else g.rot_next(t)
+def _trip_successors(g: PlabicGraph):
+    """The trip-successor table: ``nxt[d]`` is the dart traversed after d,
+    or -1 when d runs into the boundary.
+
+    For an in-dart t at internal vertex w (so the trip arrived along
+    ``t ^ 1``) the trip leaves along the clockwise predecessor of t when w
+    is black and along its clockwise successor when w is white.
+    """
+    nxt = [-1] * g.num_darts()
+    for v in g.internal_vertices():
+        ds = g.rotation(v)
+        m = len(ds)
+        if g.color(v) == BLACK:
+            for j in range(m):
+                nxt[ds[j] ^ 1] = ds[j - 1]
+        else:
+            for j in range(m):
+                nxt[ds[j] ^ 1] = ds[j + 1 - m]
+    return nxt
+
+
+def _trace(nxt, d0, limit):
+    """Darts from d0 along the trip up to the boundary (or back to d0)."""
+    darts = [d0]
+    d = nxt[d0]
+    while d != -1 and d != d0:
+        darts.append(d)
+        if len(darts) > limit:
+            raise TripDoesNotTerminate(f"trip from dart {d0} runs past {limit} darts")
+        d = nxt[d]
+    return darts
 
 
 def trip_from(g: PlabicGraph, i: int) -> Trip:
-    """Trace the trip entering the disk at boundary label i."""
+    """The trip entering the disk at boundary label i."""
     if not 1 <= i <= g.b:
         raise BadLabel(f"boundary label {i} not in 1..{g.b}")
-    d = g.boundary_dart(i)
-    darts = []
-    limit = 2 * g.num_darts() + 1
-    while d is not None:
-        darts.append(d)
-        d = next_dart(g, d)
-        if len(darts) > limit:
-            raise RuntimeError("trip failed to terminate")  # pragma: no cover
-    target = -g.dart_vertex(g.twin(darts[-1]))
-    return Trip("oneway", i, target, tuple(darts))
+    return all_trips(g)[i - 1]
 
 
 def all_trips(g: PlabicGraph):
-    """Every trip: the b one-way trips followed by all roundtrips."""
+    """Every trip: the b one-way trips followed by all roundtrips.
+
+    All of them are traced from one trip-successor table, in O(darts).
+    """
     if "trips" in g._cache:
         return g._cache["trips"]
-    trips = [trip_from(g, i) for i in range(1, g.b + 1)]
-    used = {d for t in trips for d in t.darts}
-    for d0 in range(g.num_darts()):
-        if d0 in used:
+    nxt = _trip_successors(g)
+    limit = g.num_darts()
+    used = bytearray(limit)
+    trips = []
+    for i in range(1, g.b + 1):
+        darts = _trace(nxt, g.boundary_dart(i), limit)
+        for d in darts:
+            used[d] = 1
+        target = -g.dart_vertex(darts[-1] ^ 1)
+        trips.append(Trip("oneway", i, target, tuple(darts)))
+    for d0 in range(limit):
+        if used[d0]:
             continue
-        cyc = []
-        d = d0
-        while True:
-            cyc.append(d)
-            used.add(d)
-            d = next_dart(g, d)
-            if d == d0:
-                break
+        cyc = _trace(nxt, d0, limit)
+        for d in cyc:
+            used[d] = 1
         trips.append(Trip("roundtrip", None, None, tuple(cyc)))
     g._cache["trips"] = trips
     return trips
@@ -91,26 +118,31 @@ def roundtrips(g: PlabicGraph):
 
 def trip_permutation(g: PlabicGraph):
     """The boundary connectivity of one-way trips, as a list of targets."""
-    return [trip_from(g, i).target for i in range(1, g.b + 1)]
+    return [t.target for t in all_trips(g)[: g.b]]
 
 
 def decorated_trip_permutation(g: PlabicGraph) -> DecoratedPermutation:
     """Trip permutation with fixed points decorated by collapsed lollipop color.
 
     Raises UndecoratableFixedPoint when a fixed point's component does not
-    collapse to a lollipop (which signals a non-reduced graph).
+    collapse to a lollipop (which signals a non-reduced graph).  The values
+    and decorations are computed once per graph; every call returns a new
+    permutation object.
     """
-    values = trip_permutation(g)
-    fixed = [i for i in range(1, g.b + 1) if values[i - 1] == i]
-    decorations = {}
-    if fixed:
-        gbar = collapse_trees(g)
-        for i in fixed:
-            v = gbar.dart_vertex(gbar.twin(gbar.boundary_dart(i)))
-            if v < 0 or gbar.degree(v) != 1:
-                raise UndecoratableFixedPoint(i)
-            decorations[i] = "over" if gbar.color(v) == WHITE else "under"
-    return DecoratedPermutation(values, decorations)
+    cached = g._cache.get("decorated")
+    if cached is None:
+        values = trip_permutation(g)
+        fixed = [i for i in range(1, g.b + 1) if values[i - 1] == i]
+        decorations = {}
+        if fixed:
+            gbar = collapse_trees(g)
+            for i in fixed:
+                v = gbar.dart_vertex(gbar.twin(gbar.boundary_dart(i)))
+                if v < 0 or gbar.degree(v) != 1:
+                    raise UndecoratableFixedPoint(i)
+                decorations[i] = "over" if gbar.color(v) == WHITE else "under"
+        cached = g._cache["decorated"] = (tuple(values), decorations)
+    return DecoratedPermutation(*cached)
 
 
 # ----------------------------------------------------------------------

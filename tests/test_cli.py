@@ -110,6 +110,32 @@ def test_move_error_exit_code(capsys, monkeypatch):
     assert json.loads(err)["error"] == "IllegalMove"
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"kind": "RemoveBivalentM2", "vertex": "x"},
+        {"kind": "SplitM3", "vertex": 0, "start": "a", "length": 2},
+        {"kind": "SquareM1", "face": True},
+        {"kind": "InsertBivalentM2", "edge": 5, "color": 1},
+        {"kind": "SquareM1", "face": 1, "condition_ok": "yes"},
+        ["SquareM1"],
+    ],
+    ids=["vertex-str", "start-str", "face-bool", "color-int", "condition-str", "not-object"],
+)
+def test_move_spec_type_errors_exit_1(spec, capsys, monkeypatch):
+    path = str(FIXDIR / "square_fan_b5.json")
+    code, out, err = run(["move", path, "--spec", json.dumps(spec)], capsys=capsys)
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "IllegalMove" and "must be" in payload["message"]
+
+
+def test_perm_dab_missing_argument_exit_1(capsys, monkeypatch):
+    code, out, err = run(["perm", "dab", "3"], capsys=capsys)
+    assert code == 1 and out == ""
+    assert set(json.loads(err)) == {"error", "message"}
+
+
 def test_equiv_subcommand(capsys, monkeypatch):
     g1 = str(FIXDIR / "square_fan_b5_lollipop.json")
     g2 = str(FIXDIR / "square_path_b6.json")

@@ -60,6 +60,15 @@ def test_fan_target_collection():
     assert sorted(internal, key=sorted) == [{1, 4}, {2, 4}]
 
 
+def test_pendant_tree_keeps_the_collapsed_labels():
+    """A trip running out and back through a pendant tree does not put the
+    tree's face on its left: labels equal those of the collapsed graph."""
+    g, gbar = F.collapsible_tree_b3(), F.collapsed_tree_b3()
+    for mode in ("source", "target"):
+        assert _by_arc(g, face_labels(g, mode)) == _by_arc(gbar, face_labels(gbar, mode))
+        assert all(len(s) == 2 for s in face_labels(g, mode).values())
+
+
 def test_white_lollipop_only_face():
     g = lollipop_graph("w")
     for mode in ("source", "target"):
@@ -147,9 +156,11 @@ def test_enumerate_respects_limit():
         enumerate_ws(cyclic_rotation(2, 6), limit=3)
 
 
-def test_enumerate_threads_agree():
-    p = cyclic_rotation(2, 5)
-    assert enumerate_ws(p, threads=3) == enumerate_ws(p)
+def test_enumerate_is_deterministic():
+    p = DecoratedPermutation.parse("3 4 5 1 2 6^")
+    first, second = enumerate_ws(p), enumerate_ws(p)
+    assert first == second
+    assert list(first) == list(second)
 
 
 def test_enumerate_nontrivial_decorated():

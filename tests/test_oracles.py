@@ -1,0 +1,303 @@
+"""Slow, independent reference implementations of the fast paths.
+
+Each oracle below is the straightforward version of a routine the library
+computes faster: the face walker over tuple-tagged rim darts, the
+step-by-step trip tracer over ``rot_next``/``rot_prev``, the fixed-point
+peel of pendant trees and the left-of-trip flood fill for face labels.
+The tests require the library to agree with them exactly on the fixtures
+and on many bridge and move-walk graphs, some with loops and digons.
+"""
+
+import random
+
+import pytest
+
+from plabic import (
+    BLACK,
+    Face,
+    all_trips,
+    apply_move,
+    bridge_graph,
+    decorated_trip_permutation,
+    face_labels,
+    is_reduced,
+    legal_moves,
+    trip_permutation,
+)
+from plabic import fixtures as F
+from plabic.graph import _pendant_vertices
+from plabic.trips import Trip
+from conftest import insert_loop, insert_parallel_digon, random_decorated_permutation
+
+PRIMITIVE = ("SquareM1", "InsertBivalentM2", "RemoveBivalentM2",
+             "ContractM3", "SplitM3", "FlipM4")
+
+
+# ----------------------------------------------------------------------
+# oracles
+
+
+def faces_with_tuple_rim_darts(g):
+    """Faces walked over graph darts plus rim darts ("fwd", i)/("bwd", i)."""
+    b = g.b
+
+    def aug_twin(d):
+        if isinstance(d, tuple):
+            kind, i = d
+            return ("bwd", i) if kind == "fwd" else ("fwd", i)
+        return d ^ 1
+
+    def base_vertex(d):
+        if isinstance(d, tuple):
+            kind, i = d
+            # fwd arc i is based at label i, bwd arc i at label i+1
+            return -(i if kind == "fwd" else (i % b) + 1)
+        return g.dart_vertex(d)
+
+    rotations = {}
+    for label in range(1, b + 1):
+        prev_arc = ("bwd", label - 1 if label > 1 else b)
+        rotations[-label] = [("fwd", label), *g.rotation(-label), prev_arc]
+    for v in g.internal_vertices():
+        rotations[v] = list(g.rotation(v))
+
+    def next_dart(d):
+        t = aug_twin(d)
+        ds = rotations[base_vertex(t)]
+        return ds[(ds.index(t) + 1) % len(ds)]
+
+    all_darts = (list(range(g.num_darts()))
+                 + [("bwd", i) for i in range(1, b + 1)]
+                 + [("fwd", i) for i in range(1, b + 1)])
+    seen = set()
+    faces = []
+    for start in all_darts:
+        if start in seen:
+            continue
+        walk = []
+        d = start
+        while d not in seen:
+            seen.add(d)
+            walk.append(d)
+            d = next_dart(d)
+        graph_darts = tuple(x for x in walk if not isinstance(x, tuple))
+        arcs = tuple(x[1] for x in walk if isinstance(x, tuple))
+        fwd = any(isinstance(x, tuple) and x[0] == "fwd" for x in walk)
+        bwd = any(isinstance(x, tuple) and x[0] == "bwd" for x in walk)
+        if fwd and not graph_darts and not bwd:
+            kind = "outer"
+        elif fwd or bwd:
+            kind = "boundary"
+        else:
+            kind = "internal"
+        faces.append(Face(kind, graph_darts, arcs))
+    if b == 0:
+        faces.append(Face("outer", (), ()))
+    return faces
+
+
+def trips_stepwise(g):
+    """All trips traced one dart at a time with rot_next/rot_prev."""
+
+    def step(d):
+        t = g.twin(d)
+        w = g.dart_vertex(t)
+        if w < 0:
+            return None
+        return g.rot_prev(t) if g.color(w) == BLACK else g.rot_next(t)
+
+    trips = []
+    for i in range(1, g.b + 1):
+        darts = [g.boundary_dart(i)]
+        while (d := step(darts[-1])) is not None:
+            darts.append(d)
+        target = -g.dart_vertex(g.twin(darts[-1]))
+        trips.append(Trip("oneway", i, target, tuple(darts)))
+    used = {d for t in trips for d in t.darts}
+    for d0 in range(g.num_darts()):
+        if d0 in used:
+            continue
+        cyc = [d0]
+        while (d := step(cyc[-1])) != d0:
+            cyc.append(d)
+        used.update(cyc)
+        trips.append(Trip("roundtrip", None, None, tuple(cyc)))
+    return trips
+
+
+def pendant_vertices_fixed_point(g):
+    """Peel internal vertices with at most one live neighbor until stable."""
+    adj = {v: g.neighbors(v) for v in g.internal_vertices()}
+    peeled = set()
+    changed = True
+    while changed:
+        changed = False
+        for v in sorted(adj):
+            if v in peeled:
+                continue
+            live = sum(1 for u in adj[v] if u >= 0 and u not in peeled)
+            bdry = sum(1 for u in adj[v] if u < 0)
+            if live + bdry <= 1:
+                peeled.add(v)
+                changed = True
+    return peeled
+
+
+def left_faces_flood(g, trip):
+    """Non-outer faces left of a one-way trip: seed the faces on its left,
+    then flood across every edge the trip does not use.
+
+    Where the trip runs out and back along a pendant edge, the face holding
+    that edge lies on both sides of the detour, so those darts seed nothing.
+    """
+    fmap = g.face_of_dart()
+    used_darts = set(trip.darts)
+    used_edges = {g.edge_id(d) for d in trip.darts}
+    adjacency = {}
+    for e in g.edge_ids:
+        if e in used_edges:
+            continue
+        d0, d1 = g.darts_of_edge(e)
+        adjacency.setdefault(fmap[d0], set()).add(fmap[d1])
+        adjacency.setdefault(fmap[d1], set()).add(fmap[d0])
+    out = set()
+    stack = [fmap[d] for d in trip.darts if d ^ 1 not in used_darts]
+    while stack:
+        f = stack.pop()
+        if f not in out:
+            out.add(f)
+            stack.extend(adjacency.get(f, ()))
+    return out
+
+
+def face_labels_flood(g, mode):
+    """Face labels with one left-of-trip flood fill per trip."""
+    decorated = decorated_trip_permutation(g)
+    nonouter = [idx for idx, f in enumerate(g.faces()) if f.kind != "outer"]
+    labels = {idx: set() for idx in nonouter}
+    for t in trips_stepwise(g):
+        if t.kind != "oneway":
+            continue
+        mark = t.source if mode == "source" else t.target
+        if t.source == t.target:
+            if decorated.decorations[t.source] == "over":
+                for idx in nonouter:
+                    labels[idx].add(mark)
+            continue
+        for idx in left_faces_flood(g, t):
+            labels[idx].add(mark)
+    return {idx: frozenset(s) for idx, s in labels.items()}
+
+
+# ----------------------------------------------------------------------
+# graphs
+
+
+def _walk(g, steps, rng, kinds=None):
+    """The graphs visited by a random walk of legal moves."""
+    out = []
+    for _ in range(steps):
+        moves = [m for m in legal_moves(g) if kinds is None or m.kind in kinds]
+        g = apply_move(g, rng.choice(moves))
+        out.append(g)
+    return out
+
+
+def _reduced_walk_graphs(rng, count):
+    starts = [F.square_fan_b5, F.square_fan_b5_lollipop, F.two_trees_b6,
+              F.normal_b5, F.square_path_b6]
+    graphs = []
+    walk = 0
+    while len(graphs) < count:
+        if walk % 3 == 0:
+            g = starts[walk // 3 % len(starts)]()
+        else:
+            g = bridge_graph(random_decorated_permutation(rng.randint(2, 7), rng))
+        graphs.extend(_walk(g, rng.randint(1, 25), rng, PRIMITIVE))
+        walk += 1
+    return graphs[:count]
+
+
+@pytest.fixture(scope="module")
+def reduced_walk_graphs():
+    return _reduced_walk_graphs(random.Random(71), 300)
+
+
+@pytest.fixture(scope="module")
+def mixed_graphs(reduced_walk_graphs):
+    """Fixtures, bridge graphs, move-walk graphs, and graphs with digons or
+    loops (some walked further): over a thousand in all."""
+    rng = random.Random(72)
+    graphs = [make() for make in F.ALL_NAMED.values()]
+    graphs.extend(reduced_walk_graphs)
+    for _ in range(350):
+        graphs.append(bridge_graph(random_decorated_permutation(rng.randint(1, 8), rng)))
+    for g in list(graphs[-350:]):
+        if rng.random() < 0.5:
+            graphs.append(insert_parallel_digon(g, rng))
+        else:
+            graphs.append(insert_loop(g, rng))
+    for _ in range(30):
+        g = bridge_graph(random_decorated_permutation(rng.randint(2, 6), rng))
+        graphs.extend(_walk(insert_parallel_digon(g, rng), 5, rng))
+    for g in rng.sample(reduced_walk_graphs, 60):
+        graphs.append(insert_loop(insert_parallel_digon(g, rng), rng))
+    return graphs
+
+
+# ----------------------------------------------------------------------
+# agreement
+
+
+def _has_digon(g):
+    ends = [tuple(sorted(g.edge_endpoints(e))) for e in g.edge_ids]
+    ends = [(u, v) for u, v in ends if u != v]
+    return len(set(ends)) < len(ends)
+
+
+def test_mixed_graphs_cover_loops_digons_and_trees(mixed_graphs):
+    assert len(mixed_graphs) >= 1000
+    loops = sum(any(g.is_loop(e) for e in g.edge_ids) for g in mixed_graphs)
+    digons = sum(_has_digon(g) for g in mixed_graphs)
+    trees = sum(bool(pendant_vertices_fixed_point(g)) for g in mixed_graphs)
+    assert loops >= 100 and digons >= 100 and trees >= 100
+
+
+def test_faces_match_tuple_rim_walker(mixed_graphs):
+    for g in mixed_graphs:
+        assert g.faces() == faces_with_tuple_rim_darts(g), g.to_json()
+
+
+def test_trips_match_stepwise_tracer(mixed_graphs):
+    for g in mixed_graphs:
+        expected = trips_stepwise(g)
+        assert all_trips(g) == expected, g.to_json()
+        assert trip_permutation(g) == [t.target for t in expected[: g.b]]
+
+
+def test_leaf_queue_peel_matches_fixed_point_peel(mixed_graphs):
+    for g in mixed_graphs:
+        assert _pendant_vertices(g) == pendant_vertices_fixed_point(g), g.to_json()
+
+
+@pytest.mark.parametrize("mode", ["source", "target"])
+def test_bfs_labels_match_flood_fill_on_fixtures(mode):
+    checked = 0
+    for make in F.ALL_NAMED.values():
+        g = make()
+        if not is_reduced(g).reduced:
+            continue
+        labels = face_labels(g, mode)
+        assert labels == face_labels_flood(g, mode)
+        assert list(labels) == list(face_labels_flood(g, mode))
+        checked += 1
+    assert checked >= 10
+
+
+@pytest.mark.parametrize("mode", ["source", "target"])
+def test_bfs_labels_match_flood_fill_on_walks(reduced_walk_graphs, mode):
+    assert len(reduced_walk_graphs) >= 200
+    for g in reduced_walk_graphs:
+        labels = face_labels(g, mode)
+        expected = face_labels_flood(g, mode)
+        assert list(labels.items()) == list(expected.items()), g.to_json()

@@ -1,7 +1,11 @@
 import pytest
 
 from plabic import (
+    WHITE,
     BadLabel,
+    PlabicError,
+    PlabicGraph,
+    TripDoesNotTerminate,
     HasInternalLeaf,
     NotNormal,
     UndecoratableFixedPoint,
@@ -31,6 +35,22 @@ def test_black_lollipop_trip_returns_home():
 def test_bad_label():
     with pytest.raises(BadLabel):
         trip_from(lollipop_graph("b"), 2)
+
+
+def test_corrupt_rotation_stops_the_trip_tracer():
+    # dart 2 listed twice at white vertex 0: the trip from label 1 is
+    # sent into a cycle that never returns to the boundary
+    g = PlabicGraph(1, {0: WHITE}, {-1: (0,), 0: (1, 2, 3, 2)}, (0, 1))
+    with pytest.raises(TripDoesNotTerminate) as err:
+        trip_permutation(g)
+    assert isinstance(err.value, PlabicError)
+
+
+def test_decorated_permutation_is_a_fresh_object():
+    g = lollipop_graph("wb")
+    p = decorated_trip_permutation(g)
+    p.decorations[1] = "under"
+    assert decorated_trip_permutation(g).decorations == {1: "over", 2: "under"}
 
 
 def test_square_fan_trips():
