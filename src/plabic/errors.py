@@ -74,7 +74,7 @@ class FrozenVertex(PlabicError):
 
 
 class TripDoesNotTerminate(PlabicError):
-    """A trip that never reaches the boundary (corrupt rotation data)."""
+    """A trip or face orbit that never closes (corrupt rotation data)."""
 
 
 class TooLarge(PlabicError):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .errors import InvalidGraph
+from .errors import InvalidGraph, TripDoesNotTerminate
 
 BLACK = "black"
 WHITE = "white"
@@ -23,6 +23,45 @@ WHITE = "white"
 
 def other_color(c: str) -> str:
     return WHITE if c == BLACK else BLACK
+
+
+def _int_id(x):
+    """A vertex or edge id from JSON: an integer, and not a boolean."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise TypeError(f"ids must be integers, got {x!r}")
+    return x
+
+
+def _parse_json_obj(obj):
+    """``(b, colors, rotation, declared edge ids)`` of a graph JSON object.
+
+    Raises InvalidGraph when the object does not have the format's shape;
+    ``validate_raw`` checks the values.
+    """
+    try:
+        b = obj["b"]
+        colors = {_int_id(v["id"]): v["color"] for v in obj.get("vertices", [])}
+        rotation = {int(v): list(es) for v, es in obj.get("rotation", {}).items()}
+        declared = {_int_id(e["id"]) for e in obj.get("edges", [])}
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise InvalidGraph([f"malformed graph object: {exc}"])
+    return b, colors, rotation, declared
+
+
+def _orbit(nxt, d0, limit):
+    """Darts from d0 along ``nxt`` until it returns to d0 or reaches -1.
+
+    Faces and trips are both orbits of a successor table over darts; an
+    orbit longer than ``limit`` means the table is corrupt.
+    """
+    darts = [d0]
+    d = nxt[d0]
+    while d != -1 and d != d0:
+        darts.append(d)
+        if len(darts) > limit:
+            raise TripDoesNotTerminate(f"orbit from dart {d0} runs past {limit} darts")
+        d = nxt[d]
+    return darts
 
 
 @dataclass(frozen=True)
@@ -108,18 +147,12 @@ class PlabicGraph:
     @staticmethod
     def from_json(text_or_obj):
         obj = json.loads(text_or_obj) if isinstance(text_or_obj, str) else text_or_obj
-        try:
-            b = obj["b"]
-            colors = {int(v["id"]): v["color"] for v in obj.get("vertices", [])}
-            rotation = {int(v): list(es) for v, es in obj.get("rotation", {}).items()}
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidGraph([f"malformed graph object: {exc}"])
-        declared = [int(e["id"]) for e in obj.get("edges", [])]
-        used = {e for ds in rotation.values() for e in ds}
-        extra = sorted(set(declared) - used)
+        b, colors, rotation, declared = _parse_json_obj(obj)
+        g = PlabicGraph.from_rotation(b, colors, rotation)
+        extra = sorted(declared - set(g.edge_ids))
         if extra:
             raise InvalidGraph([f"declared edges never used in rotation: {extra}"])
-        return PlabicGraph.from_rotation(b, colors, rotation)
+        return g
 
     def to_json_obj(self):
         rotation = {}
@@ -221,60 +254,46 @@ class PlabicGraph:
     def faces(self):
         """All faces of the rim-augmented graph, deterministic order.
 
-        The rim adds one arc per boundary label i, joining boundary labels i
-        and i+1, as two more integer darts: with E edges, the backward dart
-        of arc i (based at label i+1) is ``2E + i - 1`` and its forward dart
-        (based at label i) is ``2E + b + i - 1``; they are twins of each
-        other.  At boundary label i the clockwise rotation is: forward dart
-        of arc i, the graph dart, backward dart of arc i-1.
+        The rim adds one arc per boundary label i, joining labels i and i+1,
+        as two more darts that pair like graph darts: with E edges, arc i's
+        forward dart (based at label i) is ``2E + 2(i - 1)`` and its
+        backward dart (based at label i+1) is that dart ``^ 1``.  At boundary
+        label i the clockwise rotation is: forward dart of arc i, the graph
+        dart, backward dart of arc i-1.
 
-        Faces are the orbits of ``next(d) = clockwise successor of twin(d)``,
+        Faces are the orbits of ``next(d) = clockwise successor of d ^ 1``,
         which keeps the traced face on the left of every dart.  Orbits are
-        started from every dart in increasing order (graph darts, then
-        backward arcs, then forward arcs), which fixes the face order that
-        ``MoveSpec.face`` indexes into.
+        started from every dart in increasing order.  Every face but the
+        outer one (the forward rim darts) holds a graph dart, so graph darts
+        fix the face order that ``MoveSpec.face`` indexes into.
         """
         if "faces" in self._cache:
             return self._cache["faces"]
         b = self.b
-        rim = self.num_darts()  # the first rim dart
-        fwd = rim + b  # the first forward rim dart
-        n = fwd + b
+        rim = self.num_darts()  # arc 1's forward dart
+        n = rim + 2 * b
         nxt = [0] * n
-        # next(twin(ds[j])) = ds[j + 1]; ds[j + 1 - m] wraps around
         for v, ds in self._rot.items():
-            if v >= 0:
-                m = len(ds)
-                for j in range(m):
-                    nxt[ds[j] ^ 1] = ds[j + 1 - m]
-        for label in range(1, b + 1):
-            arc_out = fwd + label - 1  # forward dart of arc label
-            arc_in = rim + (label - 2) % b  # backward dart of arc label-1
-            ds = (arc_out, *self._rot[-label], arc_in)
-            twins = (arc_out - b, *(d ^ 1 for d in self._rot[-label]), arc_in + b)
+            if v < 0:  # (forward arc -v, graph dart, backward arc -v-1)
+                ds = (rim - 2 * v - 2, *ds, (rim + 2 * ((-v - 2) % b)) ^ 1)
             m = len(ds)
-            for j in range(m):
-                nxt[twins[j]] = ds[j + 1 - m]
+            for j in range(m):  # ds[j + 1 - m] wraps around
+                nxt[ds[j] ^ 1] = ds[j + 1 - m]
 
         seen = bytearray(n)
         faces = []
         for start in range(n):
             if seen[start]:
                 continue
-            walk = []
-            d = start
-            while not seen[d]:
+            walk = _orbit(nxt, start, n)
+            for d in walk:
                 seen[d] = 1
-                walk.append(d)
-                d = nxt[d]
             if max(walk) < rim:
                 faces.append(Face("internal", tuple(walk), ()))
                 continue
             graph_darts = tuple(x for x in walk if x < rim)
-            arcs = tuple((x - rim) % b + 1 for x in walk if x >= rim)
-            # only forward rim darts: the face outside the disk
-            kind = "outer" if min(walk) >= fwd else "boundary"
-            faces.append(Face(kind, graph_darts, arcs))
+            arcs = tuple((x - rim) // 2 + 1 for x in walk if x >= rim)
+            faces.append(Face("boundary" if graph_darts else "outer", graph_darts, arcs))
         if b == 0:
             faces.append(Face("outer", (), ()))
         self._cache["faces"] = faces
@@ -440,7 +459,7 @@ def validate_raw(b, colors, rotation) -> ValidationReport:
     Accepts raw data (as decoded from JSON); reports every violation found.
     """
     rep = ValidationReport()
-    if not isinstance(b, int) or b < 0:
+    if isinstance(b, bool) or not isinstance(b, int) or b < 0:
         rep.add(f"b must be a nonnegative integer, got {b!r}")
         return rep
     for v, c in colors.items():
@@ -457,7 +476,10 @@ def validate_raw(b, colors, rotation) -> ValidationReport:
     counts = {}
     for v, ds in rotation.items():
         for e in ds:
-            counts[e] = counts.get(e, 0) + 1
+            if isinstance(e, bool) or not isinstance(e, int):
+                rep.add(f"vertex {v} lists edge id {e!r}, which is not an integer")
+            else:
+                counts[e] = counts.get(e, 0) + 1
     for e, c in sorted(counts.items()):
         if c == 1:
             rep.add(f"edge {e} has only one dart (twin involution violated)")
@@ -501,13 +523,13 @@ def validate_raw(b, colors, rotation) -> ValidationReport:
 
 def validate(g) -> ValidationReport:
     """Validate a graph (or raw JSON-style dict)."""
-    if isinstance(g, PlabicGraph):
-        obj = g.to_json_obj()
-    else:
-        obj = g
-    colors = {int(v["id"]): v["color"] for v in obj.get("vertices", [])}
-    rotation = {int(v): list(es) for v, es in obj.get("rotation", {}).items()}
-    return validate_raw(obj.get("b", -1), colors, rotation)
+    try:
+        b, colors, rotation, _ = _parse_json_obj(
+            g.to_json_obj() if isinstance(g, PlabicGraph) else g
+        )
+    except InvalidGraph as exc:
+        return ValidationReport(exc.problems)
+    return validate_raw(b, colors, rotation)
 
 
 # ----------------------------------------------------------------------
@@ -515,31 +537,25 @@ def validate(g) -> ValidationReport:
 
 
 class Builder:
-    """Mutable half-edge structure for graph surgery.
+    """Mutable copy of a graph's rotation system, for graph surgery.
 
-    Darts here are opaque integers private to the builder; ``freeze``
-    produces an immutable PlabicGraph.  All operations keep rotations
-    planar-consistent (splices preserve the cyclic order).
+    Darts follow the frozen graph's convention: dart ``d`` belongs to edge
+    index ``d >> 1`` and its twin is ``d ^ 1``.  A builder starts from a
+    graph's rotations, dart -> vertex map ``dv`` and public edge ids ``ids``
+    (edge index -> id); surgery moves darts between slots so that the
+    pairing stays ``d ^ 1``, and new edges take the next unused index.
+    ``freeze`` produces an immutable PlabicGraph with the public ids.  All
+    operations keep rotations planar-consistent (splices preserve the
+    cyclic order).
     """
 
-    def __init__(self, g: PlabicGraph = None):
-        self.rot = {}
-        self.twin = {}
-        self.dv = {}
-        self.colors = {}
-        self.eid = {}  # dart -> public edge id (same for both darts)
-        self.b = 0
-        self._next_dart = 0
-        if g is not None:
-            self.b = g.b
-            self.colors = dict(g._colors)
-            for v, ds in g._rot.items():
-                self.rot[v] = list(ds)
-                for d in ds:
-                    self.dv[d] = v
-                    self.twin[d] = d ^ 1
-                    self.eid[d] = g.edge_id(d)
-            self._next_dart = g.num_darts()
+    def __init__(self, g: PlabicGraph):
+        self.b = g.b
+        self.colors = dict(g._colors)
+        self.rot = {v: list(ds) for v, ds in g._rot.items()}
+        self.dv = dict(g._dart_vertex)
+        self.ids = dict(enumerate(g._edge_ids))
+        self._next_dart = g.num_darts()
 
     # -- fresh ids ------------------------------------------------------
 
@@ -547,14 +563,13 @@ class Builder:
         return max(self.colors, default=-1) + 1
 
     def fresh_edge_id(self) -> int:
-        return max(self.eid.values(), default=-1) + 1
+        return max(self.ids.values(), default=-1) + 1
 
     def _new_dart_pair(self, eid):
-        d0, d1 = self._next_dart, self._next_dart + 1
+        d0 = self._next_dart
         self._next_dart += 2
-        self.twin[d0], self.twin[d1] = d1, d0
-        self.eid[d0] = self.eid[d1] = eid
-        return d0, d1
+        self.ids[d0 >> 1] = eid
+        return d0, d0 + 1
 
     # -- queries ---------------------------------------------------------
 
@@ -562,42 +577,27 @@ class Builder:
         return len(self.rot[v])
 
     def other_end(self, d):
-        return self.dv[self.twin[d]]
+        return self.dv[d ^ 1]
 
     def edge_darts(self):
-        seen = set()
-        for d in self.dv:
-            if d not in seen:
-                seen.add(d)
-                seen.add(self.twin[d])
-                yield d
+        """The even dart of every edge, in edge-index order."""
+        return [2 * k for k in self.ids]
 
     # -- surgery ---------------------------------------------------------
 
-    def add_vertex(self, color, vid=None):
-        v = self.fresh_vertex() if vid is None else vid
+    def add_vertex(self, color):
+        v = self.fresh_vertex()
         self.colors[v] = color
         self.rot[v] = []
         return v
 
-    def add_edge(self, u, v, eid=None):
-        """Append an edge at the end of both rotations; returns its darts."""
-        if eid is None:
-            eid = self.fresh_edge_id()
-        d0, d1 = self._new_dart_pair(eid)
-        self.rot[u].append(d0)
-        self.dv[d0] = u
-        self.rot[v].append(d1)
-        self.dv[d1] = v
-        return d0, d1
-
     def contract(self, d):
-        """Contract the edge of dart d, merging vertex(twin(d)) into vertex(d).
+        """Contract the edge of dart d, merging vertex(d ^ 1) into vertex(d).
 
         The absorbed vertex's fan replaces d in the survivor's rotation,
         preserving the clockwise order.  The edge must not be a loop.
         """
-        t = self.twin[d]
+        t = d ^ 1
         u, v = self.dv[d], self.dv[t]
         assert u != v, "cannot contract a loop"
         rv = self.rot[v]
@@ -610,50 +610,44 @@ class Builder:
             self.dv[dd] = u
         del self.rot[v]
         del self.colors[v]
-        self._drop_dart(d)
-        self._drop_dart(t)
+        self._drop_edge(d)
         return u
 
     def remove_bivalent(self, v):
         """Remove a degree-2 vertex, merging its two edges into one.
 
-        The surviving edge keeps the smaller of the two public ids.  If both
-        edges join v to the same vertex, the merged edge is a loop.
+        The edge of v's first dart survives: that dart moves into the far
+        slot of the other edge, which is dropped, and the survivor keeps the
+        smaller of the two public ids.  If both edges join v to the same
+        vertex, the merged edge is a loop.
         """
         d1, d2 = self.rot[v]
-        t1, t2 = self.twin[d1], self.twin[d2]
-        keep = min(self.eid[d1], self.eid[d2])
-        # t1 and t2 remain, now twins of each other
-        self.twin[t1], self.twin[t2] = t2, t1
-        self.eid[t1] = self.eid[t2] = keep
+        t2 = d2 ^ 1
+        ry = self.rot[self.dv[t2]]
+        ry[ry.index(t2)] = d1
+        self.dv[d1] = self.dv[t2]
+        self.ids[d1 >> 1] = min(self.ids[d1 >> 1], self.ids[d2 >> 1])
         del self.rot[v]
         del self.colors[v]
-        for d in (d1, d2):
-            del self.dv[d]
-            del self.eid[d]
-            del self.twin[d]
+        self._drop_edge(d2)
 
     def insert_bivalent(self, d, color):
         """Insert a new vertex of the given color in the middle of d's edge.
 
-        The half toward ``vertex(d)`` keeps the public edge id; the other
-        half gets a fresh id.  Returns the new vertex id.
+        The half toward ``vertex(d)`` keeps the edge and its public id, with
+        ``d ^ 1`` moved to the new vertex; the other half is a new edge with
+        a fresh id, whose far dart takes the old slot of ``d ^ 1``.  Returns
+        the new vertex id.
         """
-        t = self.twin[d]
+        t = d ^ 1
+        rx = self.rot[self.dv[t]]
         w = self.add_vertex(color)
-        eid_new = self.fresh_edge_id()
-        nd0, nd1 = self._new_dart_pair(eid_new)
-        # d keeps its id and now pairs with nd0 at w; t pairs with nd1 at w
-        self.twin[d] = nd0
-        self.twin[nd0] = d
-        self.eid[nd0] = self.eid[d]
-        self.twin[t] = nd1
-        self.twin[nd1] = t
-        self.eid[nd1] = eid_new
-        self.eid[t] = eid_new
-        self.rot[w] = [nd0, nd1]
-        self.dv[nd0] = w
-        self.dv[nd1] = w
+        n0, n1 = self._new_dart_pair(self.fresh_edge_id())
+        rx[rx.index(t)] = n1
+        self.rot[w] = [t, n0]
+        self.dv[n0] = w
+        self.dv[n1] = self.dv[t]
+        self.dv[t] = w
         return w
 
     def split(self, v, start, length, color=None):
@@ -661,7 +655,7 @@ class Builder:
 
         The new vertex takes ``rotation(v)[start:start+length]`` (cyclically)
         and is joined to v by a fresh edge placed where the arc was.
-        Returns the new vertex id.
+        Returns the new edge's dart at v, which is last in v's rotation.
         """
         ds = self.rot[v]
         m = len(ds)
@@ -676,24 +670,22 @@ class Builder:
         self.dv[d1] = w
         for dd in arc:
             self.dv[dd] = w
-        return w
+        return d0
 
     def delete_leaf_edge(self, v):
         """Delete a degree-1 internal vertex together with its edge."""
         (d,) = self.rot[v]
-        t = self.twin[d]
-        u = self.dv[t]
-        self.rot[u].remove(t)
+        u = self.dv[d ^ 1]
+        self.rot[u].remove(d ^ 1)
         del self.rot[v]
         del self.colors[v]
-        self._drop_dart(d)
-        self._drop_dart(t)
+        self._drop_edge(d)
         return u
 
-    def _drop_dart(self, d):
+    def _drop_edge(self, d):
         del self.dv[d]
-        del self.eid[d]
-        del self.twin[d]
+        del self.dv[d ^ 1]
+        del self.ids[d >> 1]
 
     def relabel_boundary(self, keep_labels):
         """Keep only the listed boundary labels, renumbering 1..b' in order."""
@@ -726,7 +718,7 @@ class Builder:
         """Produce the immutable graph; public ids are preserved."""
         rotation = {}
         for v in sorted(self.rot):
-            rotation[v] = [self.eid[d] for d in self.rot[v]]
+            rotation[v] = [self.ids[d >> 1] for d in self.rot[v]]
         for i in range(1, self.b + 1):
             rotation.setdefault(-i, [])
         return PlabicGraph._from_rotation_unchecked(self.b, self.colors, rotation)
@@ -799,7 +791,7 @@ def collapse_trees(g: PlabicGraph) -> PlabicGraph:
                 peeled.discard(v)
                 changed = True
             elif u in peeled:
-                bld.contract(bld.twin[d])
+                bld.contract(d ^ 1)
                 peeled.discard(u)
                 changed = True
     return bld.freeze()

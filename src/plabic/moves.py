@@ -157,7 +157,7 @@ def _is_normal_flip_site(g: PlabicGraph, v) -> bool:
 # enumeration
 
 
-def legal_moves(g: PlabicGraph, include_inserts: bool = True):
+def legal_moves(g: PlabicGraph):
     """All applicable move sites.
 
     SplitM3 sites are enumerated for arcs of length 2..deg-2 (splits that
@@ -192,9 +192,8 @@ def legal_moves(g: PlabicGraph, include_inserts: bool = True):
             out.append(MoveSpec("NormalFlip", vertex=v))
     for e in g.edge_ids:
         u, v = g.edge_endpoints(e)
-        if include_inserts:
-            out.append(MoveSpec("InsertBivalentM2", edge=e, color=BLACK))
-            out.append(MoveSpec("InsertBivalentM2", edge=e, color=WHITE))
+        out.append(MoveSpec("InsertBivalentM2", edge=e, color=BLACK))
+        out.append(MoveSpec("InsertBivalentM2", edge=e, color=WHITE))
         if u >= 0 and v >= 0 and u != v and g.color(u) == g.color(v):
             out.append(MoveSpec("ContractM3", edge=e))
             if g.degree(u) == 3 and g.degree(v) == 3:
@@ -265,19 +264,14 @@ def _apply_remove_bivalent(g, m):
     return bld.freeze(), MoveSpec("InsertBivalentM2", edge=kept, color=color)
 
 
-def _builder_dart_of_edge(bld: Builder, edge_id):
-    cands = [d for d, e in bld.eid.items() if e == edge_id]
-    if not cands:
-        raise IllegalMove(f"no edge with id {edge_id}")
-    cands.sort(key=lambda d: (bld.dv[d], bld.rot[bld.dv[d]].index(d)))
-    return cands[0]
-
-
 def _apply_insert_bivalent(g, m):
     if m.color not in (BLACK, WHITE):
         raise IllegalMove(f"insertion needs a color, got {m.color!r}")
+    try:
+        d, _ = g.darts_of_edge(m.edge)
+    except ValueError:
+        raise IllegalMove(f"no edge with id {m.edge}")
     bld = Builder(g)
-    d = _builder_dart_of_edge(bld, m.edge)
     w = bld.insert_bivalent(d, m.color)
     return bld.freeze(), MoveSpec("RemoveBivalentM2", vertex=w)
 
@@ -289,10 +283,9 @@ def _apply_contract(g, m):
         raise IllegalMove(f"no edge with id {m.edge}")
     if u < 0 or v < 0 or u == v or g.color(u) != g.color(v):
         raise IllegalMove(f"edge {m.edge} is not a contractible unicolored edge")
+    d0, d1 = g.darts_of_edge(m.edge)
+    d = d0 if u < v else d1
     bld = Builder(g)
-    d = _builder_dart_of_edge(bld, m.edge)
-    if bld.dv[d] != min(u, v):
-        d = bld.twin[d]
     survivor = bld.dv[d]
     j = bld.rot[survivor].index(d)
     fan = bld.degree(bld.other_end(d)) - 1
@@ -308,9 +301,8 @@ def _apply_split(g, m):
     if m.start is None or m.length is None or not 0 <= m.length <= deg:
         raise IllegalMove(f"bad split arc (start={m.start}, length={m.length})")
     bld = Builder(g)
-    w = bld.split(v, m.start % max(deg, 1), m.length)
-    new_edge = max(bld.eid.values())
-    return bld.freeze(), MoveSpec("ContractM3", edge=new_edge)
+    link = bld.split(v, m.start % max(deg, 1), m.length)
+    return bld.freeze(), MoveSpec("ContractM3", edge=bld.ids[link >> 1])
 
 
 def _apply_flip(g, m):
@@ -327,16 +319,14 @@ def _apply_flip(g, m):
         or g.degree(v) != 3
     ):
         raise IllegalMove(f"edge {m.edge} is not a flip site")
+    d0, d1 = g.darts_of_edge(m.edge)
+    d = d0 if u < v else d1
     bld = Builder(g)
-    d = _builder_dart_of_edge(bld, m.edge)
-    if bld.dv[d] != min(u, v):
-        d = bld.twin[d]
     survivor = bld.dv[d]
     j = bld.rot[survivor].index(d)
     bld.contract(d)
-    bld.split(survivor, (j + 1) % 4, 2)
-    new_edge = max(bld.eid.values())
-    return bld.freeze(), MoveSpec("FlipM4", edge=new_edge)
+    link = bld.split(survivor, (j + 1) % 4, 2)
+    return bld.freeze(), MoveSpec("FlipM4", edge=bld.ids[link >> 1])
 
 
 def _apply_urban(g, m):
@@ -403,15 +393,14 @@ def _apply_normal_flip(g, m):
         raise IllegalMove(f"vertex {v} is not a normal-flip site")
     bld = Builder(g)
     d1, _d2 = bld.rot[v]
-    dd = bld.twin[d1]  # survives the removal, becomes the white-white edge
+    dd = d1 ^ 1  # survives the removal, becomes the white-white edge
     bld.remove_bivalent(v)
-    if bld.dv[dd] != min(bld.dv[dd], bld.other_end(dd)):
-        dd = bld.twin[dd]
+    if bld.dv[dd] > bld.other_end(dd):
+        dd ^= 1
     survivor = bld.dv[dd]
     j = bld.rot[survivor].index(dd)
     bld.contract(dd)
-    bld.split(survivor, (j + 1) % 4, 2)
-    link = bld.rot[survivor][-1]  # the split leaves its fresh dart last
+    link = bld.split(survivor, (j + 1) % 4, 2)
     nb = bld.insert_bivalent(link, BLACK)
     return bld.freeze(), MoveSpec("NormalFlip", vertex=nb)
 

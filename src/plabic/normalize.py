@@ -64,16 +64,16 @@ def normalize(g: PlabicGraph) -> NormalizeResult:
         for v in sorted(bld.colors):
             if v in bld.rot and bld.degree(v) == 2:
                 d1, d2 = bld.rot[v]
-                if bld.twin[d1] == d2:
+                if d1 ^ 1 == d2:
                     return NormalizeResult(witness=Witness("loop", vertices=(v,)))
                 if bld.other_end(d1) == bld.other_end(d2) == v:
                     continue  # pragma: no cover
                 bld.remove_bivalent(v)
                 changed = True
     # a bivalent removal can create a loop (hollow digon input)
-    for d in list(bld.edge_darts()):
+    for d in bld.dv:
         if bld.dv[d] == bld.other_end(d):
-            return NormalizeResult(witness=Witness("loop", edges=(bld.eid[d],)))
+            return NormalizeResult(witness=Witness("loop", edges=(bld.ids[d >> 1],)))
 
     # stage 3: remove lollipops, dropping their boundary vertices
     removed = []
@@ -103,15 +103,12 @@ def normalize(g: PlabicGraph) -> NormalizeResult:
             if bld.colors[u] != BLACK or bld.colors[v] != BLACK:
                 continue
             if u == v:
-                return NormalizeResult(witness=Witness("loop", edges=(bld.eid[d],)))
-            if u > v:
-                d = bld.twin[d]
-                u, v = v, u
-            bld.contract(d)
+                return NormalizeResult(witness=Witness("loop", edges=(bld.ids[d >> 1],)))
+            bld.contract(d if u < v else d ^ 1)
             changed = True
-    for d in list(bld.edge_darts()):
+    for d in bld.dv:
         if bld.dv[d] == bld.other_end(d):
-            return NormalizeResult(witness=Witness("loop", edges=(bld.eid[d],)))
+            return NormalizeResult(witness=Witness("loop", edges=(bld.ids[d >> 1],)))
 
     # stage 6: split white vertices of degree >= 4 into left combs
     changed = True
@@ -124,7 +121,7 @@ def normalize(g: PlabicGraph) -> NormalizeResult:
 
     # stage 7: a black bivalent vertex on every edge with no black endpoint
     # (white-white, white-boundary, and boundary-boundary edges)
-    for d in sorted(bld.edge_darts()):
+    for d in bld.edge_darts():
         u, v = bld.dv[d], bld.other_end(d)
         black_u = u >= 0 and bld.colors[u] == BLACK
         black_v = v >= 0 and bld.colors[v] == BLACK

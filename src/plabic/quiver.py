@@ -41,9 +41,6 @@ class Quiver:
         m[u][v] + sign(m[u][k]) * max(0, m[u][k] * m[k][v])."""
         if self.frozen(k):
             raise FrozenVertex(f"vertex {k!r} is frozen")
-        return self._mutate_matrix(k)
-
-    def _mutate_matrix(self, k) -> "Quiver":
         keys = self.keys()
         frozen = dict(self.vertices)
         out = {}
@@ -137,7 +134,7 @@ def quiver_of(g: PlabicGraph, keys: str = "auto") -> Quiver:
 
 
 def mutate(q: Quiver, k) -> Quiver:
-    return q._mutate_matrix(k)
+    return q.mutate(k)
 
 
 # ----------------------------------------------------------------------

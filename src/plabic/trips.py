@@ -15,14 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    BadLabel,
-    HasInternalLeaf,
-    NotNormal,
-    TripDoesNotTerminate,
-    UndecoratableFixedPoint,
-)
-from .graph import BLACK, WHITE, PlabicGraph, classify, collapse_trees
+from .errors import BadLabel, HasInternalLeaf, NotNormal, UndecoratableFixedPoint
+from .graph import BLACK, WHITE, PlabicGraph, _orbit, classify, collapse_trees
 from .perms import DecoratedPermutation
 
 
@@ -65,18 +59,6 @@ def _trip_successors(g: PlabicGraph):
     return nxt
 
 
-def _trace(nxt, d0, limit):
-    """Darts from d0 along the trip up to the boundary (or back to d0)."""
-    darts = [d0]
-    d = nxt[d0]
-    while d != -1 and d != d0:
-        darts.append(d)
-        if len(darts) > limit:
-            raise TripDoesNotTerminate(f"trip from dart {d0} runs past {limit} darts")
-        d = nxt[d]
-    return darts
-
-
 def trip_from(g: PlabicGraph, i: int) -> Trip:
     """The trip entering the disk at boundary label i."""
     if not 1 <= i <= g.b:
@@ -96,7 +78,7 @@ def all_trips(g: PlabicGraph):
     used = bytearray(limit)
     trips = []
     for i in range(1, g.b + 1):
-        darts = _trace(nxt, g.boundary_dart(i), limit)
+        darts = _orbit(nxt, g.boundary_dart(i), limit)
         for d in darts:
             used[d] = 1
         target = -g.dart_vertex(darts[-1] ^ 1)
@@ -104,7 +86,7 @@ def all_trips(g: PlabicGraph):
     for d0 in range(limit):
         if used[d0]:
             continue
-        cyc = _trace(nxt, d0, limit)
+        cyc = _orbit(nxt, d0, limit)
         for d in cyc:
             used[d] = 1
         trips.append(Trip("roundtrip", None, None, tuple(cyc)))

@@ -25,7 +25,7 @@ def insert_parallel_digon(g, rng):
         return g
     d = rng.choice(cands)
     u, v = bld.dv[d], bld.other_end(d)
-    t = bld.twin[d]
+    t = d ^ 1
     e0, e1 = bld._new_dart_pair(bld.fresh_edge_id())
     bld.rot[u].insert(bld.rot[u].index(d) + 1, e0)
     bld.dv[e0] = u

@@ -130,6 +130,23 @@ def test_move_spec_type_errors_exit_1(spec, capsys, monkeypatch):
     assert payload["error"] == "IllegalMove" and "must be" in payload["message"]
 
 
+@pytest.mark.parametrize(
+    "graph",
+    [
+        {"b": 1, "vertices": [{"id": 0, "color": "white"}], "rotation": {"-1": [0], "0": ["0", 0]}},
+        {"b": True, "vertices": [{"id": 0, "color": "white"}], "rotation": {"-1": [0], "0": [0]}},
+        {"b": 1, "vertices": [], "edges": [{"x": 0}], "rotation": {"-1": [0]}},
+    ],
+    ids=["edge-id-str", "b-bool", "edge-without-id"],
+)
+def test_info_graph_type_errors_exit_1(graph, capsys, monkeypatch):
+    code, out, err = run(
+        ["info", "-"], stdin_text=json.dumps(graph), capsys=capsys, monkeypatch=monkeypatch
+    )
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "InvalidGraph"
+
+
 def test_perm_dab_missing_argument_exit_1(capsys, monkeypatch):
     code, out, err = run(["perm", "dab", "3"], capsys=capsys)
     assert code == 1 and out == ""

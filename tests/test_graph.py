@@ -242,3 +242,19 @@ def test_rotation_start_does_not_matter():
     rot["3"] = rot["3"][1:] + rot["3"][:1]  # same cyclic order
     h = PlabicGraph.from_json(json.dumps(obj))
     assert h == g
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"b": 1, "vertices": [{"color": "white"}], "rotation": {"-1": [0], "0": [0]}},
+        {"b": 1, "vertices": [{"id": True, "color": "white"}], "rotation": {"-1": [0], "1": [0]}},
+        {"b": True, "vertices": [{"id": 0, "color": "white"}], "rotation": {"-1": [0], "0": [0]}},
+        {"b": 2, "vertices": [], "rotation": {"-1": ["0"], "-2": ["0"]}},
+    ],
+    ids=["vertex-without-id", "vertex-id-bool", "b-bool", "edge-id-str"],
+)
+def test_malformed_json_objects_are_reported_not_raised(raw):
+    assert not validate(raw).ok
+    with pytest.raises(InvalidGraph):
+        PlabicGraph.from_json(raw)

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import plabic
+
 from plabic import (
     BadWord,
     FrozenVertex,
@@ -72,6 +74,13 @@ def test_frozen_vertex_mutation_rejected():
     frozen_key = next(k for k, fr in q.vertices if fr)
     with pytest.raises(FrozenVertex):
         q.mutate(frozen_key)
+
+
+def test_module_level_mutate_rejects_a_frozen_vertex():
+    q = quiver_of(F.square_fan_b5())
+    frozen_key = next(k for k, fr in q.vertices if fr)
+    with pytest.raises(FrozenVertex):
+        plabic.mutate(q, frozen_key)
 
 
 def test_square_move_is_mutation_on_grid():
