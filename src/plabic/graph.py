@@ -112,6 +112,20 @@ class PlabicGraph:
         self._dart_vertex = dv
         self._cache = {}
 
+    @staticmethod
+    def _from_parts(b, colors, rot, dart_vertex, edge_ids):
+        """A graph that holds the given parts without copying them: the
+        caller hands them over, or shares them with another immutable graph.
+        """
+        g = object.__new__(PlabicGraph)
+        g.b = b
+        g._colors = colors
+        g._rot = rot
+        g._dart_vertex = dart_vertex
+        g._edge_ids = edge_ids
+        g._cache = {}
+        return g
+
     # ------------------------------------------------------------------
     # construction
 
@@ -715,13 +729,32 @@ class Builder:
         self.rot.pop(-label, None)
 
     def freeze(self) -> PlabicGraph:
-        """Produce the immutable graph; public ids are preserved."""
-        rotation = {}
-        for v in sorted(self.rot):
-            rotation[v] = [self.ids[d >> 1] for d in self.rot[v]]
-        for i in range(1, self.b + 1):
-            rotation.setdefault(-i, [])
-        return PlabicGraph._from_rotation_unchecked(self.b, self.colors, rotation)
+        """Produce the immutable graph; public ids are preserved.
+
+        Edges are renumbered by public id: the edge of rank r gets darts
+        ``2r`` and ``2r + 1``, and of its two darts the first met in
+        (vertex id, rotation position) order takes ``2r``.  That is the
+        numbering ``from_rotation`` gives the same rotation written with
+        edge ids, so face order depends only on the ids and rotations.
+        """
+        ids = self.ids
+        order = sorted(ids, key=ids.__getitem__)
+        slot = [0] * (self._next_dart >> 1)  # edge index -> next new dart
+        for r, k in enumerate(order):
+            slot[k] = 2 * r
+        old_rot = self.rot
+        rot = {}
+        dv = {}
+        for v in sorted(old_rot.keys() | range(-self.b, 0)):
+            darts = []
+            for d in old_rot.get(v, ()):
+                nd = slot[d >> 1]
+                slot[d >> 1] = nd + 1
+                darts.append(nd)
+                dv[nd] = v
+            rot[v] = tuple(darts)
+        edge_ids = tuple([ids[k] for k in order])
+        return PlabicGraph._from_parts(self.b, dict(self.colors), rot, dv, edge_ids)
 
 
 # ----------------------------------------------------------------------

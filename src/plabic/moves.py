@@ -22,6 +22,7 @@ Faces are addressed by their index in ``graph.faces()``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import IllegalMove
 from .graph import BLACK, WHITE, Builder, PlabicGraph, other_color
@@ -37,9 +38,14 @@ KINDS = (
     "NormalFlip",
 )
 
+# kinds explored by the bounded search (inserts kept: they are needed to
+# undo contractions performed on the other side)
+_SEARCH_KINDS = ("SquareM1", "RemoveBivalentM2", "InsertBivalentM2", "ContractM3", "SplitM3")
 
-@dataclass(frozen=True)
-class MoveSpec:
+
+class MoveSpec(NamedTuple):
+    """One move site.  A tuple: immutable, hashable and cheap to build."""
+
     kind: str
     face: int = None
     vertex: int = None
@@ -51,10 +57,18 @@ class MoveSpec:
 
     def to_json_obj(self):
         out = {"kind": self.kind}
-        for k in ("face", "vertex", "edge", "color", "start", "length"):
-            v = getattr(self, k)
-            if v is not None:
-                out[k] = v
+        if self.face is not None:
+            out["face"] = self.face
+        if self.vertex is not None:
+            out["vertex"] = self.vertex
+        if self.edge is not None:
+            out["edge"] = self.edge
+        if self.color is not None:
+            out["color"] = self.color
+        if self.start is not None:
+            out["start"] = self.start
+        if self.length is not None:
+            out["length"] = self.length
         if self.condition_ok is not None:
             out["condition_ok"] = self.condition_ok
         return out
@@ -92,21 +106,20 @@ class MoveSpec:
 # site inspection helpers
 
 
-def _quad_face_vertices(g: PlabicGraph, face):
-    """Vertices of a quadrilateral internal face, in walk order."""
-    return [g.dart_vertex(d) for d in face.darts]
-
-
-def _is_square_site(g: PlabicGraph, face) -> bool:
+def _alternating_quad(g: PlabicGraph, face):
+    """The corners of an internal quadrilateral face, in walk order, when
+    they are four distinct vertices of alternating colors; else None."""
     if face.kind != "internal" or len(face.darts) != 4:
-        return False
-    vs = _quad_face_vertices(g, face)
+        return None
+    dv = g._dart_vertex
+    vs = [dv[d] for d in face.darts]
     if len(set(vs)) != 4:
-        return False
-    cols = [g.color(v) for v in vs]
-    if cols[0] == cols[1] or cols[1] != cols[3] or cols[0] != cols[2]:
-        return False
-    return all(g.degree(v) == 3 for v in vs)
+        return None
+    colors = g._colors
+    c0, c1, c2, c3 = [colors[v] for v in vs]
+    if c0 == c1 or c1 != c3 or c0 != c2:
+        return None
+    return vs
 
 
 def _square_condition_ok(g: PlabicGraph, face) -> bool:
@@ -116,41 +129,40 @@ def _square_condition_ok(g: PlabicGraph, face) -> bool:
     return all(around[k] != around[(k + 1) % 4] for k in range(4))
 
 
-def _is_urban_site(g: PlabicGraph, face) -> bool:
-    if face.kind != "internal" or len(face.darts) != 4:
-        return False
-    vs = _quad_face_vertices(g, face)
-    if len(set(vs)) != 4:
-        return False
-    cols = [g.color(v) for v in vs]
-    if cols[0] == cols[1] or cols[1] != cols[3] or cols[0] != cols[2]:
-        return False
-    square = set(vs)
+def _urban_corners_ok(g: PlabicGraph, face, vs) -> bool:
+    """Whether the white corners ``vs`` of an alternating quadrilateral are
+    trivalent, each with one edge off the square to a black vertex outside."""
+    side_edges = {d >> 1 for d in face.darts}
+    dv = g._dart_vertex
     for v in vs:
         if g.color(v) != WHITE:
             continue
         if g.degree(v) != 3:
             return False
-        side_edges = set()
-        for d in face.darts:
-            side_edges.add(d >> 1)
-            side_edges.add(g.twin(d) >> 1)
         outside = [d for d in g.rotation(v) if (d >> 1) not in side_edges]
         if len(outside) != 1:
             return False
-        x = g.dart_vertex(g.twin(outside[0]))
-        if x < 0 or x in square or g.color(x) != BLACK:
+        x = dv[outside[0] ^ 1]
+        if x < 0 or x in vs or g.color(x) != BLACK:
             return False
     return True
 
 
 def _is_normal_flip_site(g: PlabicGraph, v) -> bool:
-    if v < 0 or g.degree(v) != 2 or g.color(v) != BLACK:
+    """Whether v is a bivalent black vertex between two distinct trivalent
+    white vertices; false for a vertex id the graph does not have."""
+    colors, rot = g._colors, g._rot
+    if colors.get(v) != BLACK or len(rot[v]) != 2:
         return False
-    n1, n2 = (g.dart_vertex(g.twin(d)) for d in g.rotation(v))
-    if n1 == n2 or n1 < 0 or n2 < 0:
-        return False
-    return all(g.color(n) == WHITE and g.degree(n) == 3 for n in (n1, n2))
+    d1, d2 = rot[v]
+    n1, n2 = g._dart_vertex[d1 ^ 1], g._dart_vertex[d2 ^ 1]
+    return (
+        n1 != n2
+        and colors.get(n1) == WHITE  # boundary vertices have no color
+        and colors.get(n2) == WHITE
+        and len(rot[n1]) == 3
+        and len(rot[n2]) == 3
+    )
 
 
 # ----------------------------------------------------------------------
@@ -166,38 +178,43 @@ def legal_moves(g: PlabicGraph):
     ``condition_ok`` flag telling whether the four surrounding faces are
     consecutively distinct (square moves violating it are still legal, but
     they do not commute with quiver mutation).
+
+    Specs come in a fixed order: face sites by face index, then vertex
+    sites by vertex id, then edge sites by edge index.
     """
+    colors, rot, dv = g._colors, g._rot, g._dart_vertex
     out = []
-    faces = g.faces()
-    for idx, face in enumerate(faces):
-        if _is_square_site(g, face):
-            out.append(
-                MoveSpec(
-                    "SquareM1", face=idx, condition_ok=_square_condition_ok(g, face)
-                )
-            )
-        if _is_urban_site(g, face):
-            out.append(MoveSpec("UrbanRenewal", face=idx))
-    for v in g.internal_vertices():
-        deg = g.degree(v)
+    append = out.append
+    for idx, face in enumerate(g.faces()):
+        if len(face.darts) != 4 or face.kind != "internal":
+            continue
+        vs = _alternating_quad(g, face)
+        if vs is None:
+            continue
+        if all(len(rot[v]) == 3 for v in vs):  # trivalent, as _apply_square requires
+            append(MoveSpec("SquareM1", face=idx, condition_ok=_square_condition_ok(g, face)))
+        if _urban_corners_ok(g, face, vs):
+            append(MoveSpec("UrbanRenewal", face=idx))
+    for v in sorted(colors):
+        ds = rot[v]
+        deg = len(ds)
         if deg == 2:
-            d1, d2 = g.rotation(v)
-            if d1 != g.twin(d2):
-                out.append(MoveSpec("RemoveBivalentM2", vertex=v))
-        if deg >= 4:
+            if ds[0] != ds[1] ^ 1:
+                append(MoveSpec("RemoveBivalentM2", vertex=v))
+            if _is_normal_flip_site(g, v):
+                append(MoveSpec("NormalFlip", vertex=v))
+        elif deg >= 4:
             for start in range(deg):
                 for length in range(2, deg - 1):
-                    out.append(MoveSpec("SplitM3", vertex=v, start=start, length=length))
-        if _is_normal_flip_site(g, v):
-            out.append(MoveSpec("NormalFlip", vertex=v))
-    for e in g.edge_ids:
-        u, v = g.edge_endpoints(e)
-        out.append(MoveSpec("InsertBivalentM2", edge=e, color=BLACK))
-        out.append(MoveSpec("InsertBivalentM2", edge=e, color=WHITE))
-        if u >= 0 and v >= 0 and u != v and g.color(u) == g.color(v):
-            out.append(MoveSpec("ContractM3", edge=e))
-            if g.degree(u) == 3 and g.degree(v) == 3:
-                out.append(MoveSpec("FlipM4", edge=e))
+                    append(MoveSpec("SplitM3", vertex=v, start=start, length=length))
+    for k, e in enumerate(g._edge_ids):
+        u, w = dv[2 * k], dv[2 * k + 1]
+        append(MoveSpec("InsertBivalentM2", edge=e, color=BLACK))
+        append(MoveSpec("InsertBivalentM2", edge=e, color=WHITE))
+        if u >= 0 and w >= 0 and u != w and colors[u] == colors[w]:
+            append(MoveSpec("ContractM3", edge=e))
+            if len(rot[u]) == 3 and len(rot[w]) == 3:
+                append(MoveSpec("FlipM4", edge=e))
     return out
 
 
@@ -239,14 +256,14 @@ def _face_at(g, idx):
 
 
 def _apply_square(g, m):
-    face = _face_at(g, m.face)
-    if not _is_square_site(g, face):
+    vs = _alternating_quad(g, _face_at(g, m.face))
+    if vs is None or any(g.degree(v) != 3 for v in vs):
         raise IllegalMove(f"face {m.face} is not a square-move site")
-    vs = _quad_face_vertices(g, face)
     colors = dict(g._colors)
     for v in vs:
         colors[v] = other_color(colors[v])
-    out = PlabicGraph(g.b, colors, g._rot, g._edge_ids)
+    # the rotation system is unchanged, so the new graph shares it
+    out = PlabicGraph._from_parts(g.b, colors, g._rot, g._dart_vertex, g._edge_ids)
     return out, MoveSpec("SquareM1", face=m.face)
 
 
@@ -331,7 +348,8 @@ def _apply_flip(g, m):
 
 def _apply_urban(g, m):
     face = _face_at(g, m.face)
-    if not _is_urban_site(g, face):
+    vs = _alternating_quad(g, face)
+    if vs is None or not _urban_corners_ok(g, face, vs):
         raise IllegalMove(f"face {m.face} is not an urban renewal site")
     side_darts = set()
     for d in face.darts:
@@ -363,7 +381,7 @@ def _apply_urban(g, m):
         new_whites.append(w)
     # recolor the white corners black and absorb their outside neighbors
     merged = []
-    for v in _quad_face_vertices(g, face):
+    for v in vs:
         if g.color(v) != WHITE:
             continue
         bld.colors[v] = BLACK
@@ -421,14 +439,8 @@ class EquivalenceResult:
 
 
 def _search_moves(g: PlabicGraph):
-    """Moves explored by the bounded search (inserts kept: they are needed
-    to undo contractions performed on the other side)."""
-    return [
-        m
-        for m in legal_moves(g)
-        if m.kind
-        in ("SquareM1", "RemoveBivalentM2", "InsertBivalentM2", "ContractM3", "SplitM3")
-    ]
+    """Moves explored by the bounded search."""
+    return [m for m in legal_moves(g) if m.kind in _SEARCH_KINDS]
 
 
 def move_equivalent(

@@ -131,6 +131,19 @@ def test_move_spec_type_errors_exit_1(spec, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "spec",
+    [{"kind": "NormalFlip"}, {"kind": "NormalFlip", "vertex": 999}],
+    ids=["no-vertex", "unknown-vertex"],
+)
+def test_normal_flip_without_a_known_vertex_exits_1(spec, capsys, monkeypatch):
+    path = str(FIXDIR / "normal_b5.json")
+    code, out, err = run(["move", path, "--spec", json.dumps(spec)], capsys=capsys)
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "IllegalMove" and "normal-flip" in payload["message"]
+
+
+@pytest.mark.parametrize(
     "graph",
     [
         {"b": 1, "vertices": [{"id": 0, "color": "white"}], "rotation": {"-1": [0], "0": ["0", 0]}},

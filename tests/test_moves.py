@@ -1,6 +1,12 @@
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plabic import (
+    BLACK,
+    WHITE,
     IllegalMove,
     MoveSpec,
     apply_move,
@@ -10,11 +16,41 @@ from plabic import (
     lollipop_graph,
     move_equivalent,
     trip_permutation,
+    validate,
 )
 from plabic import DecoratedPermutation
 from plabic import fixtures as F
-from plabic.moves import _apply
+from plabic.errors import PlabicError
+from plabic.moves import KINDS, _apply
 from conftest import random_decorated_permutation
+
+
+FIELDS = ("kind", "face", "vertex", "edge", "color", "start", "length", "condition_ok")
+
+
+def test_move_spec_value_contract():
+    m = MoveSpec("SplitM3", vertex=3, start=1, length=2)
+    assert repr(m) == (
+        "MoveSpec(kind='SplitM3', face=None, vertex=3, edge=None, color=None, "
+        "start=1, length=2, condition_ok=None)"
+    )
+    same = MoveSpec("SplitM3", vertex=3, start=1, length=2)
+    assert m == same and hash(m) == hash(same) and m is not same
+    assert m != MoveSpec("SplitM3", vertex=3, start=1, length=3)
+    assert len({m, same, MoveSpec("SquareM1", face=0)}) == 2
+    with pytest.raises(AttributeError):
+        m.vertex = 4
+
+
+def test_move_spec_json_key_order_and_roundtrip():
+    kinds = set()
+    for make in F.ALL_NAMED.values():
+        for m in legal_moves(make()):
+            obj = m.to_json_obj()
+            assert list(obj) == [k for k in FIELDS if getattr(m, k) is not None]
+            assert MoveSpec.from_json_obj(json.loads(json.dumps(obj))) == m
+            kinds.add(m.kind)
+    assert kinds == set(KINDS)
 
 
 def test_square_sites_and_condition_flags():
@@ -270,3 +306,47 @@ def test_trivalent_connectivity_b4():
         g2 = apply_move(g2, flips[-1])
         moved += 1
     assert moved and _bfs_m1_m4(g1, g2, depth=3)
+
+
+GRAPHS = [make() for make in F.ALL_NAMED.values()]
+INTS = st.one_of(st.none(), st.integers(-3, 40), st.integers(-(2**40), 2**40))
+VALUES = {
+    "kind": st.sampled_from(KINDS),
+    "face": INTS,
+    "vertex": INTS,
+    "edge": INTS,
+    "color": st.sampled_from([None, BLACK, WHITE, "red"]),
+    "start": INTS,
+    "length": INTS,
+    "condition_ok": st.sampled_from([None, True, False]),
+}
+
+
+@st.composite
+def graph_and_spec_object(draw):
+    """A fixture and a spec object: either any kind with random fields, or a
+    legal spec of that fixture, of a kind drawn first, with at most one
+    field redrawn."""
+    g = draw(st.sampled_from(GRAPHS))
+    if draw(st.booleans()):
+        legal = legal_moves(g)
+        kind = draw(st.sampled_from(sorted({m.kind for m in legal})))
+        obj = draw(st.sampled_from([m for m in legal if m.kind == kind])).to_json_obj()
+        field = draw(st.sampled_from((None,) + FIELDS))
+        if field is not None:
+            obj[field] = draw(VALUES[field])
+    else:
+        optional = {k: v for k, v in VALUES.items() if k != "kind"}
+        obj = draw(st.fixed_dictionaries({"kind": VALUES["kind"]}, optional=optional))
+    return g, obj
+
+
+@settings(max_examples=800, deadline=None, derandomize=True, database=None)
+@given(graph_and_spec_object())
+def test_any_spec_gives_a_valid_graph_or_a_plabic_error(case):
+    g, obj = case
+    try:
+        h = apply_move(g, MoveSpec.from_json_obj(obj))
+    except PlabicError:
+        return
+    assert validate(h).ok, (g.to_json(), obj)

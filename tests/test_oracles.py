@@ -3,9 +3,11 @@
 Each oracle below is the straightforward version of a routine the library
 computes faster: the face walker over tuple-tagged rim darts, the
 step-by-step trip tracer over ``rot_next``/``rot_prev``, the fixed-point
-peel of pendant trees and the left-of-trip flood fill for face labels.
-The tests require the library to agree with them exactly on the fixtures
-and on many bridge and move-walk graphs, some with loops and digons.
+peel of pendant trees, the left-of-trip flood fill for face labels, the
+site-by-site move enumeration and the freeze through edge-id rotation
+lists.  The tests require the library to agree with them exactly on the
+fixtures and on many bridge and move-walk graphs, some with loops and
+digons.
 """
 
 import random
@@ -14,7 +16,9 @@ import pytest
 
 from plabic import (
     BLACK,
+    WHITE,
     Face,
+    MoveSpec,
     all_trips,
     apply_move,
     bridge_graph,
@@ -22,10 +26,11 @@ from plabic import (
     face_labels,
     is_reduced,
     legal_moves,
+    normalize,
     trip_permutation,
 )
 from plabic import fixtures as F
-from plabic.graph import _pendant_vertices
+from plabic.graph import Builder, PlabicGraph, _pendant_vertices, collapse_trees
 from plabic.trips import Trip
 from conftest import insert_loop, insert_parallel_digon, random_decorated_permutation
 
@@ -189,6 +194,98 @@ def face_labels_flood(g, mode):
     return {idx: frozenset(s) for idx, s in labels.items()}
 
 
+def _square_site_reference(g, face):
+    if face.kind != "internal" or len(face.darts) != 4:
+        return False
+    vs = [g.dart_vertex(d) for d in face.darts]
+    if len(set(vs)) != 4:
+        return False
+    cols = [g.color(v) for v in vs]
+    if cols[0] == cols[1] or cols[1] != cols[3] or cols[0] != cols[2]:
+        return False
+    return all(g.degree(v) == 3 for v in vs)
+
+
+def _urban_site_reference(g, face):
+    if face.kind != "internal" or len(face.darts) != 4:
+        return False
+    vs = [g.dart_vertex(d) for d in face.darts]
+    if len(set(vs)) != 4:
+        return False
+    cols = [g.color(v) for v in vs]
+    if cols[0] == cols[1] or cols[1] != cols[3] or cols[0] != cols[2]:
+        return False
+    for v in vs:
+        if g.color(v) != WHITE:
+            continue
+        if g.degree(v) != 3:
+            return False
+        side_edges = {g.edge_id(d) for d in face.darts}
+        outside = [d for d in g.rotation(v) if g.edge_id(d) not in side_edges]
+        if len(outside) != 1:
+            return False
+        x = g.dart_vertex(g.twin(outside[0]))
+        if x < 0 or x in vs or g.color(x) != BLACK:
+            return False
+    return True
+
+
+def _normal_flip_site_reference(g, v):
+    if g.degree(v) != 2 or g.color(v) != BLACK:
+        return False
+    n1, n2 = (g.dart_vertex(g.twin(d)) for d in g.rotation(v))
+    if n1 == n2 or n1 < 0 or n2 < 0:
+        return False
+    return all(g.color(n) == WHITE and g.degree(n) == 3 for n in (n1, n2))
+
+
+def legal_moves_reference(g):
+    """Every site tested on its own: each face for both square kinds, each
+    internal vertex for every vertex kind, each edge id through
+    ``edge_endpoints``."""
+    out = []
+    fmap = g.face_of_dart()
+    for idx, face in enumerate(g.faces()):
+        if _square_site_reference(g, face):
+            around = [fmap[g.twin(d)] for d in face.darts]
+            ok = all(around[k] != around[(k + 1) % 4] for k in range(4))
+            out.append(MoveSpec("SquareM1", face=idx, condition_ok=ok))
+        if _urban_site_reference(g, face):
+            out.append(MoveSpec("UrbanRenewal", face=idx))
+    for v in g.internal_vertices():
+        deg = g.degree(v)
+        if deg == 2:
+            d1, d2 = g.rotation(v)
+            if d1 != g.twin(d2):
+                out.append(MoveSpec("RemoveBivalentM2", vertex=v))
+        if deg >= 4:
+            for start in range(deg):
+                for length in range(2, deg - 1):
+                    out.append(MoveSpec("SplitM3", vertex=v, start=start, length=length))
+        if _normal_flip_site_reference(g, v):
+            out.append(MoveSpec("NormalFlip", vertex=v))
+    for e in g.edge_ids:
+        u, v = g.edge_endpoints(e)
+        out.append(MoveSpec("InsertBivalentM2", edge=e, color=BLACK))
+        out.append(MoveSpec("InsertBivalentM2", edge=e, color=WHITE))
+        if u >= 0 and v >= 0 and u != v and g.color(u) == g.color(v):
+            out.append(MoveSpec("ContractM3", edge=e))
+            if g.degree(u) == 3 and g.degree(v) == 3:
+                out.append(MoveSpec("FlipM4", edge=e))
+    return out
+
+
+def freeze_reference(bld):
+    """Write the builder's rotations as edge-id lists and rebuild the graph
+    from them, as ``from_rotation`` numbers darts."""
+    rotation = {}
+    for v in sorted(bld.rot):
+        rotation[v] = [bld.ids[d >> 1] for d in bld.rot[v]]
+    for i in range(1, bld.b + 1):
+        rotation.setdefault(-i, [])
+    return PlabicGraph._from_rotation_unchecked(bld.b, bld.colors, rotation)
+
+
 # ----------------------------------------------------------------------
 # graphs
 
@@ -301,3 +398,41 @@ def test_bfs_labels_match_flood_fill_on_walks(reduced_walk_graphs, mode):
         labels = face_labels(g, mode)
         expected = face_labels_flood(g, mode)
         assert list(labels.items()) == list(expected.items()), g.to_json()
+
+
+def _frozen_parts(g):
+    return (g.b, g._colors, list(g._rot.items()), list(g._dart_vertex.items()),
+            g._edge_ids)
+
+
+@pytest.fixture
+def checked_freeze(monkeypatch):
+    """Make every ``Builder.freeze`` also run the reference freeze and
+    require the same graph, dict orders included; yields the call count."""
+    real = Builder.freeze
+    calls = []
+
+    def freeze(bld):
+        g = real(bld)
+        assert _frozen_parts(g) == _frozen_parts(freeze_reference(bld))
+        calls.append(1)
+        return g
+
+    monkeypatch.setattr(Builder, "freeze", freeze)
+    return calls
+
+
+def test_legal_moves_and_freeze_match_references(mixed_graphs, checked_freeze):
+    fixtures = [make() for make in F.ALL_NAMED.values()]
+    moved = 0
+    for g in fixtures + mixed_graphs:
+        moves = legal_moves(g)
+        assert moves == legal_moves_reference(g), g.to_json()
+        Builder(g).freeze()
+        collapse_trees(g)
+        normalize(g)
+        for m in moves:
+            h = apply_move(g, m)
+            assert legal_moves(h) == legal_moves_reference(h), (g.to_json(), m)
+            moved += 1
+    assert moved >= 40_000 and len(checked_freeze) >= moved
