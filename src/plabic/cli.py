@@ -15,7 +15,7 @@ import sys
 
 from . import fixtures
 from .bridges import bridge_graph
-from .errors import PlabicError
+from .errors import NotATriangulation, PlabicError
 from .graph import PlabicGraph, classify, lollipop_graph, validate
 from .labels import enumerate_ws, face_labels
 from .moves import MoveSpec, apply_move, move_equivalent
@@ -60,15 +60,18 @@ def cmd_gen(args) -> int:
         if os.path.exists(text):
             text = open(text).read()
         data = json.loads(text)
-        if isinstance(data, dict):
+        if isinstance(data, dict) and data.keys() >= {"m", "triangles"}:
             m, tris = data["m"], data["triangles"]
+        elif isinstance(data, list):  # an m-gon has m - 2 triangles
+            m, tris = len(data) + 2, data
         else:
-            tris = data
-            m = max(max(t) for t in tris)
+            raise NotATriangulation(
+                'expected a list of triangles or {"m": ..., "triangles": [...]}'
+            )
         return _emit_graph(from_triangulation(m, tris))
     if args.what in ("word", "dword"):
         word = parse_word(args.arg)
-        n = args.wires or (max(i for i, _ in word) + 1)
+        n = args.wires if args.wires is not None else max(i for i, _ in word) + 1
         kind = "single" if args.what == "word" else "double"
         return _emit_graph(from_wiring(word, n, kind))
     raise PlabicError(f"unknown generator {args.what!r}")  # pragma: no cover

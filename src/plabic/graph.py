@@ -137,26 +137,10 @@ class PlabicGraph:
         to its clockwise list of incident edge ids; a loop's id appears twice
         in its vertex's list.
         """
-        report = validate_raw(b, colors, rotation)
+        report, g = _checked_graph(b, colors, rotation)
         if not report.ok:
             raise InvalidGraph(report.problems)
-        return PlabicGraph._from_rotation_unchecked(b, colors, rotation)
-
-    @staticmethod
-    def _from_rotation_unchecked(b, colors, rotation):
-        ids = sorted({e for ds in rotation.values() for e in ds})
-        index_of = {e: k for k, e in enumerate(ids)}
-        seen = {}
-        rot = {}
-        for v in sorted(rotation):
-            darts = []
-            for e in rotation[v]:
-                k = index_of[e]
-                side = seen.get(e, 0)
-                seen[e] = side + 1
-                darts.append(2 * k + side)
-            rot[v] = tuple(darts)
-        return PlabicGraph(b, colors, rot, ids)
+        return g
 
     @staticmethod
     def from_json(text_or_obj):
@@ -464,7 +448,37 @@ class PlabicGraph:
 
 
 # ----------------------------------------------------------------------
-# validation
+# construction and validation
+
+
+def _number_darts(b, colors, rot, ids, shift, n) -> PlabicGraph:
+    """The graph of per-vertex clockwise entries: the one place that
+    numbers darts.
+
+    ``rot`` maps vertices to clockwise lists of entries, entry ``x`` lies on
+    edge ``x >> shift`` (below ``n``), and ``ids`` maps each edge to its
+    public id.  The edge of id rank r gets darts ``2r`` and ``2r + 1``, and
+    of its two entries the first met in (vertex id, rotation position)
+    order takes ``2r``, so the numbering depends only on the ids and
+    rotations.
+    """
+    order = sorted(ids, key=ids.__getitem__)
+    slot = [0] * n  # edge -> next dart to hand out
+    for r, k in enumerate(order):
+        slot[k] = 2 * r
+    rot_out = {}
+    dv = {}
+    for v in sorted(rot.keys() | range(-b, 0)):
+        darts = []
+        for x in rot.get(v, ()):
+            k = x >> shift
+            nd = slot[k]
+            slot[k] = nd + 1
+            darts.append(nd)
+            dv[nd] = v
+        rot_out[v] = tuple(darts)
+    edge_ids = tuple([ids[k] for k in order])
+    return PlabicGraph._from_parts(b, dict(colors), rot_out, dv, edge_ids)
 
 
 def validate_raw(b, colors, rotation) -> ValidationReport:
@@ -472,10 +486,20 @@ def validate_raw(b, colors, rotation) -> ValidationReport:
 
     Accepts raw data (as decoded from JSON); reports every violation found.
     """
+    return _checked_graph(b, colors, rotation)[0]
+
+
+def _checked_graph(b, colors, rotation):
+    """``(report, graph)`` for rotation lists of edge ids.
+
+    The graph is built once the checks on the raw lists pass (else it is
+    None); connectivity and the Euler count then run on it, so the faces
+    traced for the count stay in its cache.
+    """
     rep = ValidationReport()
     if isinstance(b, bool) or not isinstance(b, int) or b < 0:
         rep.add(f"b must be a nonnegative integer, got {b!r}")
-        return rep
+        return rep, None
     for v, c in colors.items():
         if v < 0:
             rep.add(f"internal vertex id {v} must be nonnegative")
@@ -504,35 +528,27 @@ def validate_raw(b, colors, rotation) -> ValidationReport:
         if ds is not None and len(ds) != 1:
             rep.add(f"boundary vertex {i} has degree {len(ds)} (expected 1)")
     if not rep.ok:
-        return rep
+        return rep, None
+    ids = sorted(counts)
+    index_of = {e: k for k, e in enumerate(ids)}
+    by_index = {v: [index_of[e] for e in es] for v, es in rotation.items()}
+    g = _number_darts(b, colors, by_index, dict(enumerate(ids)), 0, len(ids))
     # connectivity to the boundary
-    adj = {v: [] for v in rotation}
-    place = {}
-    for v in sorted(rotation):
-        for e in rotation[v]:
-            if e in place:
-                u = place[e]
-                adj[u].append(v)
-                adj[v].append(u)
-            else:
-                place[e] = v
-    reached = set()
-    stack = [-i for i in range(1, b + 1)]
+    rot, dv = g._rot, g._dart_vertex
+    reached = set(range(-b, 0))
+    stack = list(reached)
     while stack:
-        v = stack.pop()
-        if v in reached:
-            continue
-        reached.add(v)
-        stack.extend(adj[v])
+        for d in rot[stack.pop()]:
+            u = dv[d ^ 1]
+            if u not in reached:
+                reached.add(u)
+                stack.append(u)
     for v in sorted(colors):
         if v not in reached:
             rep.add(f"internal vertex {v} has no path to the boundary")
-    if not rep.ok:
-        return rep
-    g = PlabicGraph._from_rotation_unchecked(b, colors, rotation)
-    if not g.euler_ok():
+    if rep.ok and not g.euler_ok():
         rep.add("rim-augmented Euler check V - E + F = 2 failed (graph not planar as drawn)")
-    return rep
+    return rep, g
 
 
 def validate(g) -> ValidationReport:
@@ -731,30 +747,11 @@ class Builder:
     def freeze(self) -> PlabicGraph:
         """Produce the immutable graph; public ids are preserved.
 
-        Edges are renumbered by public id: the edge of rank r gets darts
-        ``2r`` and ``2r + 1``, and of its two darts the first met in
-        (vertex id, rotation position) order takes ``2r``.  That is the
-        numbering ``from_rotation`` gives the same rotation written with
-        edge ids, so face order depends only on the ids and rotations.
+        Darts are renumbered as ``from_rotation`` numbers the same rotation
+        written with edge ids, so face order depends only on the ids and
+        rotations.
         """
-        ids = self.ids
-        order = sorted(ids, key=ids.__getitem__)
-        slot = [0] * (self._next_dart >> 1)  # edge index -> next new dart
-        for r, k in enumerate(order):
-            slot[k] = 2 * r
-        old_rot = self.rot
-        rot = {}
-        dv = {}
-        for v in sorted(old_rot.keys() | range(-self.b, 0)):
-            darts = []
-            for d in old_rot.get(v, ()):
-                nd = slot[d >> 1]
-                slot[d >> 1] = nd + 1
-                darts.append(nd)
-                dv[nd] = v
-            rot[v] = tuple(darts)
-        edge_ids = tuple([ids[k] for k in order])
-        return PlabicGraph._from_parts(self.b, dict(self.colors), rot, dv, edge_ids)
+        return _number_darts(self.b, self.colors, self.rot, self.ids, 1, self._next_dart >> 1)
 
 
 # ----------------------------------------------------------------------
@@ -866,6 +863,8 @@ def classify(g: PlabicGraph) -> dict:
 
 def lollipop_graph(decorations) -> PlabicGraph:
     """A graph of b lollipops; ``decorations`` is a string over {'w','b'}."""
+    if set(decorations) - {"w", "b"}:
+        raise InvalidGraph([f"lollipop colors must be 'w' or 'b', got {decorations!r}"])
     b = len(decorations)
     colors = {}
     rotation = {}

@@ -336,14 +336,21 @@ def _apply_flip(g, m):
         or g.degree(v) != 3
     ):
         raise IllegalMove(f"edge {m.edge} is not a flip site")
-    d0, d1 = g.darts_of_edge(m.edge)
-    d = d0 if u < v else d1
     bld = Builder(g)
+    link = _flip(bld, g.darts_of_edge(m.edge)[0])
+    return bld.freeze(), MoveSpec("FlipM4", edge=bld.ids[link >> 1])
+
+
+def _flip(bld, d):
+    """Flip the trivalent-trivalent edge of dart d: contract it into its
+    smaller endpoint, then split that vertex the other way.  Returns the new
+    edge's dart."""
+    if bld.dv[d] > bld.other_end(d):
+        d ^= 1
     survivor = bld.dv[d]
     j = bld.rot[survivor].index(d)
     bld.contract(d)
-    link = bld.split(survivor, (j + 1) % 4, 2)
-    return bld.freeze(), MoveSpec("FlipM4", edge=bld.ids[link >> 1])
+    return bld.split(survivor, (j + 1) % 4, 2)
 
 
 def _apply_urban(g, m):
@@ -363,22 +370,12 @@ def _apply_urban(g, m):
         bq = g.dart_vertex(g.twin(d))  # vertex the walk enters after dart d
         if g.color(bq) != BLACK:
             continue
-        t_in = g.twin(d)
-        d_out = walk[(k + 1) % 4]
         rot = bld.rot[bq]
-        i = rot.index(t_in)
-        assert rot[(i + 1) % len(rot)] == d_out
-        # replace the adjacent pair (t_in, d_out) by a link to a new white
-        w = bld.add_vertex(WHITE)
-        ld0, ld1 = bld._new_dart_pair(bld.fresh_edge_id())
-        rest = [rot[(i + 2 + s) % len(rot)] for s in range(len(rot) - 2)]
-        bld.rot[bq] = rest + [ld1]
-        bld.dv[ld1] = bq
-        bld.rot[w] = [t_in, d_out, ld0]
-        bld.dv[t_in] = w
-        bld.dv[d_out] = w
-        bld.dv[ld0] = w
-        new_whites.append(w)
+        i = rot.index(g.twin(d))
+        assert rot[(i + 1) % len(rot)] == walk[(k + 1) % 4]
+        # split the adjacent pair (twin(d), next walk dart) off to a new white
+        link = bld.split(bq, i, 2, WHITE)
+        new_whites.append(bld.other_end(link))
     # recolor the white corners black and absorb their outside neighbors
     merged = []
     for v in vs:
@@ -411,15 +408,9 @@ def _apply_normal_flip(g, m):
         raise IllegalMove(f"vertex {v} is not a normal-flip site")
     bld = Builder(g)
     d1, _d2 = bld.rot[v]
-    dd = d1 ^ 1  # survives the removal, becomes the white-white edge
     bld.remove_bivalent(v)
-    if bld.dv[dd] > bld.other_end(dd):
-        dd ^= 1
-    survivor = bld.dv[dd]
-    j = bld.rot[survivor].index(dd)
-    bld.contract(dd)
-    link = bld.split(survivor, (j + 1) % 4, 2)
-    nb = bld.insert_bivalent(link, BLACK)
+    # d1's edge survives the removal as the white-white edge
+    nb = bld.insert_bivalent(_flip(bld, d1), BLACK)
     return bld.freeze(), MoveSpec("NormalFlip", vertex=nb)
 
 

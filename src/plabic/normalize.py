@@ -57,19 +57,16 @@ def normalize(g: PlabicGraph) -> NormalizeResult:
             return NormalizeResult(witness=Witness("loop", edges=(e,)))
     bld = Builder(g)
 
-    # stage 2: bivalent removal (repeat: removals may chain)
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(bld.colors):
-            if v in bld.rot and bld.degree(v) == 2:
-                d1, d2 = bld.rot[v]
-                if d1 ^ 1 == d2:
-                    return NormalizeResult(witness=Witness("loop", vertices=(v,)))
-                if bld.other_end(d1) == bld.other_end(d2) == v:
-                    continue  # pragma: no cover
-                bld.remove_bivalent(v)
-                changed = True
+    # stage 2: bivalent removal; one pass, since a removal changes no other
+    # vertex's degree
+    for v in sorted(bld.colors):
+        if v in bld.rot and bld.degree(v) == 2:
+            d1, d2 = bld.rot[v]
+            if d1 ^ 1 == d2:
+                return NormalizeResult(witness=Witness("loop", vertices=(v,)))
+            if bld.other_end(d1) == bld.other_end(d2) == v:
+                continue  # pragma: no cover
+            bld.remove_bivalent(v)
     # a bivalent removal can create a loop (hollow digon input)
     for d in bld.dv:
         if bld.dv[d] == bld.other_end(d):
@@ -90,23 +87,21 @@ def normalize(g: PlabicGraph) -> NormalizeResult:
         if v in bld.rot and bld.degree(v) == 1:
             return NormalizeResult(witness=Witness("internal_leaf", vertices=(v,)))
 
-    # stage 5: contract black-black edges
-    changed = True
-    while changed:
-        changed = False
-        for d in sorted(bld.dv):
-            if d not in bld.dv:
-                continue
-            u, v = bld.dv[d], bld.other_end(d)
-            if u < 0 or v < 0:
-                continue
-            if bld.colors[u] != BLACK or bld.colors[v] != BLACK:
-                continue
-            if u == v:
-                return NormalizeResult(witness=Witness("loop", edges=(bld.ids[d >> 1],)))
-            bld.contract(d if u < v else d ^ 1)
-            changed = True
-    for d in bld.dv:
+    # stage 5: contract black-black edges; one pass, since colors do not
+    # change, so a contraction makes no new black-black edge (a parallel one
+    # becomes a loop, found below)
+    for d in sorted(bld.dv):
+        if d not in bld.dv:
+            continue
+        u, v = bld.dv[d], bld.other_end(d)
+        if u < 0 or v < 0:
+            continue
+        if bld.colors[u] != BLACK or bld.colors[v] != BLACK:
+            continue
+        if u == v:
+            return NormalizeResult(witness=Witness("loop", edges=(bld.ids[d >> 1],)))
+        bld.contract(d if u < v else d ^ 1)
+    for d in sorted(bld.dv):
         if bld.dv[d] == bld.other_end(d):
             return NormalizeResult(witness=Witness("loop", edges=(bld.ids[d >> 1],)))
 

@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import BadWord, FrozenVertex, NotATriangulation
-from .graph import BLACK, WHITE, PlabicGraph
+from .graph import BLACK, WHITE, PlabicGraph, _int_id
 
 
 @dataclass
@@ -147,7 +147,11 @@ def _triangulation_sides(m):
 
 def check_triangulation(m: int, triangles):
     """Validate a triangulation of a convex m-gon given as vertex triples."""
-    tris = [tuple(sorted(t)) for t in triangles]
+    try:
+        m = _int_id(m)
+        tris = [tuple(sorted(_int_id(x) for x in t)) for t in triangles]
+    except TypeError as exc:
+        raise NotATriangulation(f"m and the triangle corners must be integers: {exc}")
     if len(tris) != m - 2:
         raise NotATriangulation(f"expected {m - 2} triangles, got {len(tris)}")
     for t in tris:
@@ -291,6 +295,8 @@ def from_wiring(word, n: int, kind: str = "single") -> PlabicGraph:
     numbered from the bottom; boundary labels run 1..n up the left side
     then n+1..2n down the right side.
     """
+    if n < 1:
+        raise BadWord(f"a wiring diagram needs at least one wire, got {n}")
     letters = []
     for w in word:
         if isinstance(w, tuple):

@@ -1,18 +1,14 @@
 import json
-import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
 
+from plabic import fixtures
 from plabic.cli import main
 
-FIXDIR = pathlib.Path(
-    os.environ.get(
-        "PLABIC_FIXTURES", pathlib.Path(__file__).resolve().parents[1] / "fixtures"
-    )
-)
+FIXDIR = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 
 
 def run(argv, stdin_text=None, capsys=None, monkeypatch=None):
@@ -84,6 +80,26 @@ def test_gen_triangulation(capsys, monkeypatch):
     assert code == 0
     g = json.loads(out)
     assert g["b"] == 4
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["gen", "triangulation", '{"x":1}'], "NotATriangulation"),
+        (["gen", "triangulation", "5"], "NotATriangulation"),
+        (["gen", "triangulation", '[[1,2,"a"]]'], "NotATriangulation"),
+        (["gen", "triangulation", '{"m":"8","triangles":[]}'], "NotATriangulation"),
+        (["gen", "lollipops", "wxb"], "InvalidGraph"),
+        (["gen", "word", "s1", "--wires", "0"], "BadWord"),
+        (["gen", "dword", "", "--wires", "0"], "BadWord"),
+    ],
+    ids=["tri-no-keys", "tri-number", "tri-str-corner", "tri-str-m", "lollipop-x",
+         "wires-0", "empty-word-wires-0"],
+)
+def test_gen_bad_arguments_exit_1(argv, error, capsys, monkeypatch):
+    code, out, err = run(argv, capsys=capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == error
 
 
 def test_labels_subcommand(capsys, monkeypatch):
@@ -209,6 +225,13 @@ def test_every_fixture_roundtrips_through_info(path, capsys, monkeypatch):
     assert code == 0
     info = json.loads(out)
     assert info["valid"] is True
+
+
+def test_fixture_files_match_constructors():
+    files = {p.stem: json.loads(p.read_text()) for p in FIXDIR.glob("*.json")}
+    assert sorted(files) == sorted(fixtures.ALL_NAMED)
+    for name, obj in files.items():
+        assert obj == fixtures.ALL_NAMED[name]().to_json_obj(), name
 
 
 def test_cli_entry_point_subprocess():

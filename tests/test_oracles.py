@@ -4,10 +4,10 @@ Each oracle below is the straightforward version of a routine the library
 computes faster: the face walker over tuple-tagged rim darts, the
 step-by-step trip tracer over ``rot_next``/``rot_prev``, the fixed-point
 peel of pendant trees, the left-of-trip flood fill for face labels, the
-site-by-site move enumeration and the freeze through edge-id rotation
-lists.  The tests require the library to agree with them exactly on the
-fixtures and on many bridge and move-walk graphs, some with loops and
-digons.
+site-by-site move enumeration and the dart numbering of edge-id rotation
+lists, which also checks ``Builder.freeze``.  The tests require the library
+to agree with them exactly on the fixtures and on many bridge and move-walk
+graphs, some with loops and digons.
 """
 
 import random
@@ -30,6 +30,7 @@ from plabic import (
     trip_permutation,
 )
 from plabic import fixtures as F
+from plabic import graph as graph_module
 from plabic.graph import Builder, PlabicGraph, _pendant_vertices, collapse_trees
 from plabic.trips import Trip
 from conftest import insert_loop, insert_parallel_digon, random_decorated_permutation
@@ -275,15 +276,34 @@ def legal_moves_reference(g):
     return out
 
 
+def from_rotation_reference(b, colors, rotation):
+    """Number darts from rotation lists of edge ids with no validation: edge
+    ids sorted give the edge indices, and the first occurrence of an edge in
+    (vertex id, rotation position) order is its even dart."""
+    ids = sorted({e for ds in rotation.values() for e in ds})
+    index_of = {e: k for k, e in enumerate(ids)}
+    seen = {}
+    rot = {}
+    for v in sorted(rotation):
+        darts = []
+        for e in rotation[v]:
+            k = index_of[e]
+            side = seen.get(e, 0)
+            seen[e] = side + 1
+            darts.append(2 * k + side)
+        rot[v] = tuple(darts)
+    return PlabicGraph(b, colors, rot, ids)
+
+
 def freeze_reference(bld):
     """Write the builder's rotations as edge-id lists and rebuild the graph
-    from them, as ``from_rotation`` numbers darts."""
+    from them with the reference numbering."""
     rotation = {}
     for v in sorted(bld.rot):
         rotation[v] = [bld.ids[d >> 1] for d in bld.rot[v]]
     for i in range(1, bld.b + 1):
         rotation.setdefault(-i, [])
-    return PlabicGraph._from_rotation_unchecked(bld.b, bld.colors, rotation)
+    return from_rotation_reference(bld.b, bld.colors, rotation)
 
 
 # ----------------------------------------------------------------------
@@ -403,6 +423,37 @@ def test_bfs_labels_match_flood_fill_on_walks(reduced_walk_graphs, mode):
 def _frozen_parts(g):
     return (g.b, g._colors, list(g._rot.items()), list(g._dart_vertex.items()),
             g._edge_ids)
+
+
+def _rotation_of(g):
+    obj = g.to_json_obj()
+    return {int(v): es for v, es in obj["rotation"].items()}
+
+
+def test_from_rotation_and_from_json_match_reference(mixed_graphs):
+    fixtures = [make() for make in F.ALL_NAMED.values()]
+    for g in fixtures + mixed_graphs:
+        expected = _frozen_parts(from_rotation_reference(g.b, g._colors, _rotation_of(g)))
+        assert _frozen_parts(PlabicGraph.from_rotation(g.b, g._colors, _rotation_of(g))) == expected
+        assert _frozen_parts(PlabicGraph.from_json(g.to_json())) == expected, g.to_json()
+
+
+def test_from_json_numbers_darts_once(monkeypatch):
+    real = graph_module._number_darts
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(graph_module, "_number_darts", counted)
+    for make in F.ALL_NAMED.values():
+        text = make().to_json()
+        calls.clear()
+        g = PlabicGraph.from_json(text)
+        assert len(calls) == 1
+        g.faces()  # traced by the Euler check, so already cached
+        assert len(calls) == 1 and "faces" in g._cache
 
 
 @pytest.fixture
