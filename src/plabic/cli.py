@@ -15,8 +15,8 @@ import sys
 
 from . import fixtures
 from .bridges import bridge_graph
-from .errors import NotATriangulation, PlabicError
-from .graph import PlabicGraph, classify, lollipop_graph, validate
+from .errors import BadWord, NotATriangulation, PlabicError
+from .graph import PlabicGraph, classify, lollipop_graph
 from .labels import enumerate_ws, face_labels
 from .moves import MoveSpec, apply_move, move_equivalent
 from .normalize import is_reduced
@@ -71,6 +71,8 @@ def cmd_gen(args) -> int:
         return _emit_graph(from_triangulation(m, tris))
     if args.what in ("word", "dword"):
         word = parse_word(args.arg)
+        if not word and args.wires is None:
+            raise BadWord("the word is empty; give --wires")
         n = args.wires if args.wires is not None else max(i for i, _ in word) + 1
         kind = "single" if args.what == "word" else "double"
         return _emit_graph(from_wiring(word, n, kind))
@@ -78,30 +80,24 @@ def cmd_gen(args) -> int:
 
 
 def cmd_info(args) -> int:
-    g = _read_graph(args.graph)
-    rep = validate(g)
-    out = {"b": g.b, "valid": rep.ok}
-    if not rep.ok:
-        out["problems"] = rep.problems
-        print(json.dumps(out, sort_keys=True))
-        return 0
+    g = _read_graph(args.graph)  # from_json has validated it
     info = classify(g)
     red = is_reduced(g)
     faces = g.faces()
-    out.update(
-        {
-            "normal": info["normal"],
-            "bipartite": info["bipartite"],
-            "trivalent": info["trivalent"],
-            "reduced": red.reduced,
-            "trip_permutation": trip_permutation(g),
-            "faces": {
-                "internal": sum(1 for f in faces if f.kind == "internal"),
-                "boundary": sum(1 for f in faces if f.kind == "boundary"),
-                "nonouter": sum(1 for f in faces if f.kind != "outer"),
-            },
-        }
-    )
+    out = {
+        "b": g.b,
+        "valid": True,
+        "normal": info["normal"],
+        "bipartite": info["bipartite"],
+        "trivalent": info["trivalent"],
+        "reduced": red.reduced,
+        "trip_permutation": trip_permutation(g),
+        "faces": {
+            "internal": sum(1 for f in faces if f.kind == "internal"),
+            "boundary": sum(1 for f in faces if f.kind == "boundary"),
+            "nonouter": sum(1 for f in faces if f.kind != "outer"),
+        },
+    }
     if red.reduced:
         out["decorated_trip_permutation"] = str(decorated_trip_permutation(g))
     elif red.witness is not None:

@@ -38,7 +38,14 @@ class NotReducedError(PlabicError):
 
 
 class UndecoratableFixedPoint(PlabicError):
-    """A trip fixed point whose component does not collapse to a lollipop."""
+    """A trip fixed point whose pendant tree does not collapse to a lollipop.
+
+    The tree folds bottom up: a vertex keeps its own colour when no child
+    subtree folded to the other colour, takes the other colour when exactly
+    one did, and is stuck when two or more did or a child is stuck.  Raised
+    when the root is stuck, or when the vertex at the fixed point's boundary
+    edge is not pendant (it lies on a cycle or joins the rest of the graph).
+    """
 
     def __init__(self, label):
         self.label = label

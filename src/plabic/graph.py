@@ -36,7 +36,7 @@ def _parse_json_obj(obj):
     """``(b, colors, rotation, declared edge ids)`` of a graph JSON object.
 
     Raises InvalidGraph when the object does not have the format's shape;
-    ``validate_raw`` checks the values.
+    ``_checked_graph`` checks the values.
     """
     try:
         b = obj["b"]
@@ -145,11 +145,9 @@ class PlabicGraph:
     @staticmethod
     def from_json(text_or_obj):
         obj = json.loads(text_or_obj) if isinstance(text_or_obj, str) else text_or_obj
-        b, colors, rotation, declared = _parse_json_obj(obj)
-        g = PlabicGraph.from_rotation(b, colors, rotation)
-        extra = sorted(declared - set(g.edge_ids))
-        if extra:
-            raise InvalidGraph([f"declared edges never used in rotation: {extra}"])
+        report, g = _checked_json(obj)
+        if not report.ok:
+            raise InvalidGraph(report.problems)
         return g
 
     def to_json_obj(self):
@@ -481,16 +479,9 @@ def _number_darts(b, colors, rot, ids, shift, n) -> PlabicGraph:
     return PlabicGraph._from_parts(b, dict(colors), rot_out, dv, edge_ids)
 
 
-def validate_raw(b, colors, rotation) -> ValidationReport:
-    """Check the invariants of the rotation-system encoding.
-
-    Accepts raw data (as decoded from JSON); reports every violation found.
-    """
-    return _checked_graph(b, colors, rotation)[0]
-
-
 def _checked_graph(b, colors, rotation):
-    """``(report, graph)`` for rotation lists of edge ids.
+    """``(report, graph)`` for rotation lists of edge ids, as decoded from
+    JSON; the report lists every violation of the encoding found.
 
     The graph is built once the checks on the raw lists pass (else it is
     None); connectivity and the Euler count then run on it, so the faces
@@ -551,15 +542,25 @@ def _checked_graph(b, colors, rotation):
     return rep, g
 
 
+def _checked_json(obj):
+    """``(report, graph)`` for a graph JSON object: the format's shape, the
+    rotation lists, then the declared edges, each checked once the one
+    before passes."""
+    try:
+        b, colors, rotation, declared = _parse_json_obj(obj)
+    except InvalidGraph as exc:
+        return ValidationReport(exc.problems), None
+    rep, g = _checked_graph(b, colors, rotation)
+    if rep.ok:
+        extra = sorted(declared - set(g.edge_ids))
+        if extra:
+            rep.add(f"declared edges never used in rotation: {extra}")
+    return rep, g
+
+
 def validate(g) -> ValidationReport:
     """Validate a graph (or raw JSON-style dict)."""
-    try:
-        b, colors, rotation, _ = _parse_json_obj(
-            g.to_json_obj() if isinstance(g, PlabicGraph) else g
-        )
-    except InvalidGraph as exc:
-        return ValidationReport(exc.problems)
-    return validate_raw(b, colors, rotation)
+    return _checked_json(g.to_json_obj() if isinstance(g, PlabicGraph) else g)[0]
 
 
 # ----------------------------------------------------------------------

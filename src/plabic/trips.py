@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BadLabel, HasInternalLeaf, NotNormal, UndecoratableFixedPoint
-from .graph import BLACK, WHITE, PlabicGraph, _orbit, classify, collapse_trees
+from .graph import BLACK, WHITE, PlabicGraph, _orbit, _pendant_vertices, classify
 from .perms import DecoratedPermutation
 
 
@@ -94,22 +94,24 @@ def all_trips(g: PlabicGraph):
     return trips
 
 
-def roundtrips(g: PlabicGraph):
-    return [t for t in all_trips(g) if t.kind == "roundtrip"]
-
-
 def trip_permutation(g: PlabicGraph):
     """The boundary connectivity of one-way trips, as a list of targets."""
     return [t.target for t in all_trips(g)[: g.b]]
 
 
 def decorated_trip_permutation(g: PlabicGraph) -> DecoratedPermutation:
-    """Trip permutation with fixed points decorated by collapsed lollipop color.
+    """Trip permutation with each fixed point decorated by the colour of
+    the lollipop its pendant tree collapses to: "over" for white, "under"
+    for black.
 
-    Raises UndecoratableFixedPoint when a fixed point's component does not
-    collapse to a lollipop (which signals a non-reduced graph).  The values
-    and decorations are computed once per graph; every call returns a new
-    permutation object.
+    The tree at fixed point i hangs from boundary i alone and folds bottom
+    up: a vertex keeps its own colour when no child subtree folded to the
+    other colour, takes the other colour when exactly one did, and is stuck
+    when two or more did or a child is stuck.  A stuck root, or a root that
+    is not pendant, raises UndecoratableFixedPoint (which signals a
+    non-reduced graph); fixed points are checked in increasing order.  The
+    values and decorations are computed once per graph; every call returns
+    a new permutation object.
     """
     cached = g._cache.get("decorated")
     if cached is None:
@@ -117,14 +119,34 @@ def decorated_trip_permutation(g: PlabicGraph) -> DecoratedPermutation:
         fixed = [i for i in range(1, g.b + 1) if values[i - 1] == i]
         decorations = {}
         if fixed:
-            gbar = collapse_trees(g)
+            pendant = _pendant_vertices(g)
             for i in fixed:
-                v = gbar.dart_vertex(gbar.twin(gbar.boundary_dart(i)))
-                if v < 0 or gbar.degree(v) != 1:
+                root = g.dart_vertex(g.boundary_dart(i) ^ 1)
+                color = _fold_pendant_tree(g, root) if root in pendant else None
+                if color is None:
                     raise UndecoratableFixedPoint(i)
-                decorations[i] = "over" if gbar.color(v) == WHITE else "under"
+                decorations[i] = "over" if color == WHITE else "under"
         cached = g._cache["decorated"] = (tuple(values), decorations)
     return DecoratedPermutation(*cached)
+
+
+def _fold_pendant_tree(g: PlabicGraph, root: int):
+    """The colour the pendant tree below ``root`` collapses to, or None when
+    it is stuck; the tree hangs from a boundary vertex."""
+    order, kids = [root], {root: []}
+    for v in order:
+        for d in g.rotation(v):
+            u = g.dart_vertex(d ^ 1)
+            if u >= 0 and u not in kids:
+                kids[v].append(u)
+                kids[u] = []
+                order.append(u)
+    fold = {}
+    for v in reversed(order):
+        own = g.color(v)
+        other = [fold[u] for u in kids[v] if fold[u] != own]
+        fold[v] = own if not other else other[0] if len(other) == 1 else None
+    return fold[root]
 
 
 # ----------------------------------------------------------------------
@@ -162,33 +184,14 @@ def resonance(g: PlabicGraph) -> bool:
 
 
 def _is_resonant_ring(ring) -> bool:
+    """Whether the ring is a rotation of {a1,a2},{a2,a3},...,{am,a1}, where
+    a1 < ... < am are the labels of the ring's sets."""
     m = len(ring)
-    if any(len(s) != 2 for s in ring):
+    a = sorted(set().union(*ring))
+    if len(a) != m or any(len(s) != 2 for s in ring):
         return False
-    if m == 1:
-        return False
-    if m == 2:
-        return ring[0] == ring[1]
-    # chain values: consecutive sets must share exactly one element
-    for start in range(m):
-        seq = ring[start:] + ring[:start]
-        chain = []
-        ok = True
-        for k in range(m):
-            common = seq[k] & seq[(k + 1) % m]
-            if len(common) != 1:
-                ok = False
-                break
-            chain.append(next(iter(common)))
-        if not ok:
-            continue
-        # chain[k] is shared by seq[k] and seq[k+1]; the vertex sequence is
-        # a2, a3, ..., am, a1 when seq matches {a1a2},{a2a3},...,{a1am}
-        a = chain[-1:] + chain[:-1]
-        if all(a[k] < a[k + 1] for k in range(m - 1)):
-            if all(seq[k] == {a[k], a[(k + 1) % m]} for k in range(m)):
-                return True
-    return False
+    chain = [{a[k], a[k + 1 - m]} for k in range(m)]
+    return any(ring[j:] + ring[:j] == chain for j in range(m))
 
 
 # ----------------------------------------------------------------------
@@ -211,58 +214,29 @@ def bad_features(g: PlabicGraph):
     info = classify(g)
     if not info["normal"]:
         raise NotNormal("bad feature detection requires a normal plabic graph")
-    feats = []
-    for t in all_trips(g):
-        if t.kind == "roundtrip":
-            feats.append(
-                BadFeature("roundtrip", tuple(sorted({g.edge_id(d) for d in t.darts})))
-            )
-    oneway = [t for t in all_trips(g) if t.kind == "oneway"]
-    # positions of each edge along each trip
-    visits = {}  # edge id -> list of (source, time)
-    for t in oneway:
-        seen_edges = {}
+    trips = all_trips(g)
+    feats = [
+        BadFeature("roundtrip", tuple(sorted({g.edge_id(d) for d in t.darts})))
+        for t in trips[g.b :]
+    ]
+    first = {}  # (source, edge) -> when that trip first meets the edge
+    sources = {}  # edge -> the one-way trips through it, in source order
+    for t in trips[: g.b]:
         for time, d in enumerate(t.darts):
             e = g.edge_id(d)
-            visits.setdefault(e, []).append((t.source, time))
-            if e in seen_edges:
-                u, v = g.edge_endpoints(e)
-                leaf_edge = (u < 0 and g.degree(v) == 1) or (
-                    v < 0 and g.degree(u) == 1
-                )
-                if not leaf_edge:
-                    feats.append(BadFeature("essential_self_intersection", (e,)))
-            seen_edges[e] = time
-    # bad double crossings: two distinct trips through e1 then e2
-    order = {}  # (source, edge) -> first traversal time
-    for e, vs in visits.items():
-        for src, time in vs:
-            key = (src, e)
-            if key not in order or time < order[key]:
-                order[key] = time
-    shared = {}  # pair of sources -> edges both traverse
-    for e, vs in visits.items():
-        srcs = sorted({src for src, _ in vs})
+            if (t.source, e) not in first:
+                first[t.source, e] = time
+                sources.setdefault(e, []).append(t.source)
+            elif not any(g.is_lollipop(v) for v in g.edge_endpoints(e)):
+                feats.append(BadFeature("essential_self_intersection", (e,)))
+    shared = {}  # pair of sources -> edges both trips traverse
+    for e, srcs in sources.items():
         if len(srcs) == 2:
             shared.setdefault(tuple(srcs), []).append(e)
     for (s1, s2), edges in sorted(shared.items()):
-        for a in range(len(edges)):
-            for bidx in range(len(edges)):
-                if a == bidx:
-                    continue
-                e1, e2 = edges[a], edges[bidx]
-                if (
-                    order[(s1, e1)] < order[(s1, e2)]
-                    and order[(s2, e1)] < order[(s2, e2)]
-                    and (e1, e2) not in {(f.edges) for f in feats}
-                ):
+        # trip s1 meets the edges in list order, being the first to visit them
+        for k, e1 in enumerate(edges):
+            for e2 in edges[k + 1 :]:
+                if first[s2, e1] < first[s2, e2]:
                     feats.append(BadFeature("bad_double_crossing", (e1, e2)))
-    # deduplicate, stable order
-    out = []
-    seen = set()
-    for f in feats:
-        key = (f.kind, f.edges)
-        if key not in seen:
-            seen.add(key)
-            out.append(f)
-    return out
+    return list(dict.fromkeys(feats))

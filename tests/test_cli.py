@@ -92,9 +92,11 @@ def test_gen_triangulation(capsys, monkeypatch):
         (["gen", "lollipops", "wxb"], "InvalidGraph"),
         (["gen", "word", "s1", "--wires", "0"], "BadWord"),
         (["gen", "dword", "", "--wires", "0"], "BadWord"),
+        (["gen", "word", ""], "BadWord"),
+        (["gen", "dword", ""], "BadWord"),
     ],
     ids=["tri-no-keys", "tri-number", "tri-str-corner", "tri-str-m", "lollipop-x",
-         "wires-0", "empty-word-wires-0"],
+         "wires-0", "empty-word-wires-0", "empty-word", "empty-dword"],
 )
 def test_gen_bad_arguments_exit_1(argv, error, capsys, monkeypatch):
     code, out, err = run(argv, capsys=capsys)

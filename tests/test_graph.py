@@ -36,6 +36,16 @@ def test_self_twin_dart_is_reported():
         PlabicGraph.from_json(json.dumps(raw))
 
 
+def test_declared_but_unused_edge_is_reported():
+    obj = lollipop_graph("w").to_json_obj()
+    obj["edges"].append({"id": 99})
+    rep = validate(obj)
+    assert rep.problems == ["declared edges never used in rotation: [99]"]
+    with pytest.raises(InvalidGraph) as err:
+        PlabicGraph.from_json(obj)
+    assert err.value.problems == rep.problems
+
+
 def test_square_fan_is_valid_with_seven_nonouter_faces():
     g = F.square_fan_b5()
     assert validate(g).ok

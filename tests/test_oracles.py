@@ -4,10 +4,12 @@ Each oracle below is the straightforward version of a routine the library
 computes faster: the face walker over tuple-tagged rim darts, the
 step-by-step trip tracer over ``rot_next``/``rot_prev``, the fixed-point
 peel of pendant trees, the left-of-trip flood fill for face labels, the
-site-by-site move enumeration and the dart numbering of edge-id rotation
-lists, which also checks ``Builder.freeze``.  The tests require the library
-to agree with them exactly on the fixtures and on many bridge and move-walk
-graphs, some with loops and digons.
+site-by-site move enumeration, the dart numbering of edge-id rotation
+lists, which also checks ``Builder.freeze``, fixed-point decorations read
+off the fully collapsed graph, the bad-feature scan over every ordered edge
+pair and the resonance test over every rotation of a ring.  The tests
+require the library to agree with them exactly on the fixtures and on many
+bridge and move-walk graphs, some with loops, digons and pendant trees.
 """
 
 import random
@@ -17,12 +19,18 @@ import pytest
 from plabic import (
     BLACK,
     WHITE,
+    DecoratedPermutation,
     Face,
     MoveSpec,
+    NotNormal,
+    UndecoratableFixedPoint,
     all_trips,
     apply_move,
+    bad_features,
     bridge_graph,
+    classify,
     decorated_trip_permutation,
+    edge_labels,
     face_labels,
     is_reduced,
     legal_moves,
@@ -32,7 +40,7 @@ from plabic import (
 from plabic import fixtures as F
 from plabic import graph as graph_module
 from plabic.graph import Builder, PlabicGraph, _pendant_vertices, collapse_trees
-from plabic.trips import Trip
+from plabic.trips import BadFeature, Trip, _is_resonant_ring
 from conftest import insert_loop, insert_parallel_digon, random_decorated_permutation
 
 PRIMITIVE = ("SquareM1", "InsertBivalentM2", "RemoveBivalentM2",
@@ -306,6 +314,109 @@ def freeze_reference(bld):
     return from_rotation_reference(bld.b, bld.colors, rotation)
 
 
+def decorations_by_collapse(g):
+    """Collapse every pendant tree of the graph, then read the lollipop at
+    each fixed point; raise at the first fixed point that has none."""
+    values = trip_permutation(g)
+    fixed = [i for i in range(1, g.b + 1) if values[i - 1] == i]
+    decorations = {}
+    if fixed:
+        gbar = collapse_trees(g)
+        for i in fixed:
+            v = gbar.dart_vertex(gbar.twin(gbar.boundary_dart(i)))
+            if v < 0 or gbar.degree(v) != 1:
+                raise UndecoratableFixedPoint(i)
+            decorations[i] = "over" if gbar.color(v) == WHITE else "under"
+    return DecoratedPermutation(values, decorations)
+
+
+def bad_features_pairwise(g):
+    """Bad features from visit lists: every ordered pair of edges shared by
+    two trips is tested, skipping pairs already listed, then the whole list
+    is deduplicated."""
+    if not classify(g)["normal"]:
+        raise NotNormal("bad feature detection requires a normal plabic graph")
+    feats = []
+    for t in all_trips(g):
+        if t.kind == "roundtrip":
+            feats.append(
+                BadFeature("roundtrip", tuple(sorted({g.edge_id(d) for d in t.darts})))
+            )
+    oneway = [t for t in all_trips(g) if t.kind == "oneway"]
+    visits = {}  # edge id -> list of (source, time)
+    for t in oneway:
+        seen_edges = {}
+        for time, d in enumerate(t.darts):
+            e = g.edge_id(d)
+            visits.setdefault(e, []).append((t.source, time))
+            if e in seen_edges:
+                u, v = g.edge_endpoints(e)
+                leaf_edge = (u < 0 and g.degree(v) == 1) or (v < 0 and g.degree(u) == 1)
+                if not leaf_edge:
+                    feats.append(BadFeature("essential_self_intersection", (e,)))
+            seen_edges[e] = time
+    order = {}  # (source, edge) -> first traversal time
+    for e, vs in visits.items():
+        for src, time in vs:
+            key = (src, e)
+            if key not in order or time < order[key]:
+                order[key] = time
+    shared = {}  # pair of sources -> edges both traverse
+    for e, vs in visits.items():
+        srcs = sorted({src for src, _ in vs})
+        if len(srcs) == 2:
+            shared.setdefault(tuple(srcs), []).append(e)
+    for (s1, s2), edges in sorted(shared.items()):
+        for a in range(len(edges)):
+            for bidx in range(len(edges)):
+                if a == bidx:
+                    continue
+                e1, e2 = edges[a], edges[bidx]
+                if (
+                    order[(s1, e1)] < order[(s1, e2)]
+                    and order[(s2, e1)] < order[(s2, e2)]
+                    and (e1, e2) not in {f.edges for f in feats}
+                ):
+                    feats.append(BadFeature("bad_double_crossing", (e1, e2)))
+    out = []
+    seen = set()
+    for f in feats:
+        key = (f.kind, f.edges)
+        if key not in seen:
+            seen.add(key)
+            out.append(f)
+    return out
+
+
+def resonant_ring_by_rotations(ring):
+    """Try every rotation of the ring: consecutive sets must share exactly
+    one label, and the shared labels must rise around the ring."""
+    m = len(ring)
+    if any(len(s) != 2 for s in ring):
+        return False
+    if m == 1:
+        return False
+    if m == 2:
+        return ring[0] == ring[1]
+    for start in range(m):
+        seq = ring[start:] + ring[:start]
+        chain = []
+        ok = True
+        for k in range(m):
+            common = seq[k] & seq[(k + 1) % m]
+            if len(common) != 1:
+                ok = False
+                break
+            chain.append(next(iter(common)))
+        if not ok:
+            continue
+        a = chain[-1:] + chain[:-1]
+        if all(a[k] < a[k + 1] for k in range(m - 1)):
+            if all(seq[k] == {a[k], a[(k + 1) % m]} for k in range(m)):
+                return True
+    return False
+
+
 # ----------------------------------------------------------------------
 # graphs
 
@@ -359,6 +470,65 @@ def mixed_graphs(reduced_walk_graphs):
         graphs.extend(_walk(insert_parallel_digon(g, rng), 5, rng))
     for g in rng.sample(reduced_walk_graphs, 60):
         graphs.append(insert_loop(insert_parallel_digon(g, rng), rng))
+    return graphs
+
+
+def _grow_pendant_trees(g, rng):
+    """Grow random trees of leaves and bivalent vertices of random colours
+    from every lollipop and from at most one other internal vertex."""
+    bld = Builder(g)
+    roots = [v for v in g.internal_vertices() if g.is_lollipop(v)]
+    others = [v for v in g.internal_vertices() if v not in roots]
+    roots += rng.sample(others, min(len(others), rng.randint(0, 1)))
+    for root in roots:
+        tree = [root]
+        for _ in range(rng.randint(0, 6)):
+            v = rng.choice(tree)
+            # length 0 hangs a new leaf off v, length 1 puts a new
+            # bivalent vertex on one of v's edges
+            d = bld.split(v, rng.randrange(bld.degree(v)), rng.randint(0, 1),
+                          rng.choice((BLACK, WHITE)))
+            tree.append(bld.other_end(d))
+    return bld.freeze()
+
+
+def _white_digon(g, rng):
+    """Split a white vertex into two joined by a pair of parallel edges; in
+    the normal graph the face between them carries a roundtrip."""
+    bld = Builder(g)
+    whites = [v for v in sorted(bld.colors) if bld.colors[v] == WHITE and bld.degree(v) >= 2]
+    if not whites:
+        return g
+    v = rng.choice(whites)
+    m = bld.degree(v)
+    d = bld.split(v, rng.randrange(m), rng.randint(1, m - 1), WHITE)
+    w = bld.other_end(d)
+    e0, e1 = bld._new_dart_pair(bld.fresh_edge_id())
+    bld.rot[v].append(e0)  # right after d, which split put last
+    bld.rot[w].insert(len(bld.rot[w]) - 1, e1)  # right before d ^ 1
+    bld.dv[e0], bld.dv[e1] = v, w
+    return bld.freeze()
+
+
+@pytest.fixture(scope="module")
+def pendant_tree_graphs():
+    """Bridge graphs of permutations with many fixed points, two thirds of
+    them with parallel digons (some between two white vertices), with
+    random pendant trees grown on them."""
+    rng = random.Random(73)
+    graphs = []
+    for _ in range(800):
+        b = rng.randint(1, 7)
+        values = list(range(1, b + 1))
+        moving = [i for i in values if rng.random() < 0.5]
+        shuffled = rng.sample(moving, len(moving))
+        for i, j in zip(moving, shuffled):
+            values[i - 1] = j
+        dec = {i: rng.choice(["over", "under"]) for i in values if values[i - 1] == i}
+        g = bridge_graph(DecoratedPermutation(values, dec))
+        for _ in range(rng.randint(0, 2)):
+            g = rng.choice((insert_parallel_digon, _white_digon))(g, rng)
+        graphs.append(_grow_pendant_trees(g, rng))
     return graphs
 
 
@@ -487,3 +657,71 @@ def test_legal_moves_and_freeze_match_references(mixed_graphs, checked_freeze):
             assert legal_moves(h) == legal_moves_reference(h), (g.to_json(), m)
             moved += 1
     assert moved >= 40_000 and len(checked_freeze) >= moved
+
+
+def _outcome(read, g):
+    """What ``read(g)`` returns, or the label of the fixed point it cannot
+    decorate."""
+    try:
+        p = read(g)
+    except UndecoratableFixedPoint as exc:
+        return ("undecoratable", exc.label)
+    return (p.values, p.decorations)
+
+
+def test_decorations_match_collapse(mixed_graphs, pendant_tree_graphs):
+    fixed = stuck = 0
+    for g in mixed_graphs + pendant_tree_graphs:
+        expected = _outcome(decorations_by_collapse, g)
+        assert _outcome(decorated_trip_permutation, g) == expected, g.to_json()
+        values = trip_permutation(g)
+        fixed += sum(values[i - 1] == i for i in range(1, g.b + 1))
+        stuck += expected[0] == "undecoratable"
+    assert fixed >= 1000 and stuck >= 100, (fixed, stuck)
+
+
+def test_bad_features_match_pairwise_scan(mixed_graphs, pendant_tree_graphs):
+    kinds = {"roundtrip": 0, "essential_self_intersection": 0, "bad_double_crossing": 0}
+    normal = [normalize(g).normal for g in mixed_graphs + pendant_tree_graphs]
+    # normal inputs keep their black lollipops, which normalize removes
+    normal += [g for g in mixed_graphs + pendant_tree_graphs if classify(g)["normal"]]
+    for n in normal:
+        if n is None:
+            continue
+        expected = bad_features_pairwise(n)
+        assert bad_features(n) == expected, n.to_json()
+        for f in expected:
+            kinds[f.kind] += 1
+    assert min(kinds.values()) >= 100, kinds
+
+
+def _rings(g):
+    labels = edge_labels(g)
+    for v in g.internal_vertices():
+        yield [labels[g.edge_id(d)] for d in g.rotation(v)]
+
+
+def _random_ring(rng):
+    """A rotated chain {a1,a2},...,{am,a1} of rising labels, sometimes with
+    one set changed, or a ring of random sets."""
+    m = rng.randint(1, 6)
+    if rng.random() < 0.3:
+        return [set(rng.sample(range(1, 9), rng.randint(0, 3))) for _ in range(m)]
+    a = sorted(rng.sample(range(1, 12), m))
+    ring = [{a[k], a[(k + 1) % m]} for k in range(m)]
+    j = rng.randrange(m)
+    ring = ring[j:] + ring[:j]
+    if rng.random() < 0.5:
+        ring[rng.randrange(m)] = set(rng.sample(range(1, 12), rng.randint(1, 3)))
+    if rng.random() < 0.2:
+        ring.reverse()
+    return ring
+
+
+def test_resonant_rings_match_rotation_search(mixed_graphs, pendant_tree_graphs):
+    rng = random.Random(74)
+    rings = [r for g in mixed_graphs + pendant_tree_graphs for r in _rings(g)]
+    rings += [_random_ring(rng) for _ in range(20_000)]
+    verdicts = [resonant_ring_by_rotations(r) for r in rings]
+    assert [_is_resonant_ring(r) for r in rings] == verdicts
+    assert sum(verdicts) >= 1000 and verdicts.count(False) >= 1000
