@@ -359,11 +359,8 @@ class PlabicGraph:
                 queue.append(dd)
         for w, ordered in order:
             row = [self._colors[w]]
-            for dd in ordered:
-                k = dd >> 1
-                if k not in edge_new:
-                    edge_new[k] = len(edge_new)
-                row.append(edge_new[k])
+            for dd in ordered:  # each was queued, so its edge is numbered
+                row.append(edge_new[dd >> 1])
             out.append(tuple(row))
         # boundary attachments
         for label in range(1, self.b + 1):
@@ -792,15 +789,20 @@ def collapse_trees(g: PlabicGraph) -> PlabicGraph:
     peeled = _pendant_vertices(g)
     if not peeled:
         return g
-
     bld = Builder(g)
+    _collapse_pendant(bld, peeled)
+    return bld.freeze()
+
+
+def _collapse_pendant(bld: Builder, peeled: set) -> None:
+    """Collapse the pendant forest ``peeled`` of the builder in place.  Only
+    pendant vertices are removed or absorbed, so a dart with no pendant end
+    never changes its ends and no vertex becomes pendant."""
     changed = True
     while changed:
         changed = False
         # bivalent removals within the pendant forest
-        for v in sorted(bld.colors):
-            if v not in peeled or v not in bld.rot:
-                continue
+        for v in sorted(peeled):
             if bld.degree(v) == 2:
                 d1, d2 = bld.rot[v]
                 if bld.other_end(d1) == v or bld.other_end(d2) == v:
@@ -809,7 +811,8 @@ def collapse_trees(g: PlabicGraph) -> PlabicGraph:
                 peeled.discard(v)
                 changed = True
         # unicolored contractions with at least one pendant endpoint
-        for d in sorted(bld.dv):
+        at_pendant = {d for v in peeled for d in bld.rot[v]}
+        for d in sorted(at_pendant | {d ^ 1 for d in at_pendant}):
             if d not in bld.dv:
                 continue
             u, v = bld.dv[d], bld.other_end(d)
@@ -825,38 +828,35 @@ def collapse_trees(g: PlabicGraph) -> PlabicGraph:
                 bld.contract(d ^ 1)
                 peeled.discard(u)
                 changed = True
-    return bld.freeze()
 
 
 def classify(g: PlabicGraph) -> dict:
     """Structural classification: bipartite / trivalent / normal flags plus
     the lists of lollipops and internal leaves."""
-    bipartite = True
-    for e in g.edge_ids:
-        u, v = g.edge_endpoints(e)
-        if u >= 0 and v >= 0 and g.color(u) == g.color(v):
+    colors, rot, dv = g._colors, g._rot, g._dart_vertex
+    bipartite = trivalent = whites_trivalent = True
+    lollipops, internal_leaves = [], []
+    for v in sorted(colors):
+        ds, c = rot[v], colors[v]
+        if bipartite and any(colors.get(dv[d ^ 1]) == c for d in ds):
             bipartite = False
-            break
-    lollipops = [v for v in g.internal_vertices() if g.is_lollipop(v)]
-    internal_leaves = [v for v in g.internal_vertices() if g.degree(v) == 1]
-    trivalent = all(
-        g.degree(v) == 3
-        for v in g.internal_vertices()
-        if not g.is_lollipop(v)
-    )
-    whites_trivalent = all(
-        g.degree(v) == 3 for v in g.internal_vertices() if g.color(v) == WHITE
-    )
+        if len(ds) == 3:
+            continue
+        if c == WHITE:
+            whites_trivalent = False
+        if len(ds) == 1:
+            internal_leaves.append(v)
+            if dv[ds[0] ^ 1] < 0:
+                lollipops.append(v)
+                continue
+        trivalent = False
     boundary_black = all(
-        g.dart_vertex(g.twin(g.boundary_dart(i))) >= 0
-        and g.color(g.dart_vertex(g.twin(g.boundary_dart(i)))) == BLACK
-        for i in range(1, g.b + 1)
+        colors.get(dv[rot[-i][0] ^ 1]) == BLACK for i in range(1, g.b + 1)
     )
-    normal = bipartite and whites_trivalent and boundary_black
     return {
         "bipartite": bipartite,
         "trivalent": trivalent,
-        "normal": normal,
+        "normal": bipartite and whites_trivalent and boundary_black,
         "lollipops": lollipops,
         "internal_leaves": internal_leaves,
     }

@@ -188,20 +188,20 @@ def enumerate_ws(p: DecoratedPermutation, limit: int = None):
             found.append(cand)
         return found
 
-    seen = {seed}
-    frontier = [seed]
-    while frontier:
-        nxt = []
-        for coll in frontier:
-            for cand in expand(coll):
-                if cand not in seen:
-                    seen.add(cand)
-                    nxt.append(cand)
-                    if limit is not None and len(seen) > limit:
-                        raise TooLarge(
-                            f"more than {limit} collections; raise the limit"
-                        )
-        frontier = nxt
+    seen = set()
+    queue = []  # breadth first: the collections found, in order
+
+    def visit(coll):
+        if coll not in seen:
+            seen.add(coll)
+            queue.append(coll)
+            if limit is not None and len(seen) > limit:
+                raise TooLarge(f"more than {limit} collections; raise the limit")
+
+    visit(seed)
+    for coll in queue:
+        for cand in expand(coll):
+            visit(cand)
     return seen
 
 

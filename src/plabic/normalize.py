@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import BLACK, WHITE, Builder, PlabicGraph, collapse_trees
+from .graph import BLACK, WHITE, Builder, PlabicGraph, _collapse_pendant, _pendant_vertices
 from .trips import bad_features
 
 
@@ -51,11 +51,12 @@ def normalize(g: PlabicGraph) -> NormalizeResult:
     white vertices of degree >= 4 into left-comb trees;  7. insert a black
     bivalent vertex on every white-white and white-boundary edge.
     """
-    g = collapse_trees(g)
-    for e in g.edge_ids:  # loops certify non-reducedness immediately
-        if g.is_loop(e):
-            return NormalizeResult(witness=Witness("loop", edges=(e,)))
     bld = Builder(g)
+    _collapse_pendant(bld, _pendant_vertices(g))
+    # loops certify non-reducedness immediately; report the smallest edge id
+    loops = [e for k, e in bld.ids.items() if bld.dv[2 * k] == bld.dv[2 * k + 1]]
+    if loops:
+        return NormalizeResult(witness=Witness("loop", edges=(min(loops),)))
 
     # stage 2: bivalent removal; one pass, since a removal changes no other
     # vertex's degree
@@ -64,8 +65,6 @@ def normalize(g: PlabicGraph) -> NormalizeResult:
             d1, d2 = bld.rot[v]
             if d1 ^ 1 == d2:
                 return NormalizeResult(witness=Witness("loop", vertices=(v,)))
-            if bld.other_end(d1) == bld.other_end(d2) == v:
-                continue  # pragma: no cover
             bld.remove_bivalent(v)
     # a bivalent removal can create a loop (hollow digon input)
     for d in bld.dv:
@@ -87,9 +86,9 @@ def normalize(g: PlabicGraph) -> NormalizeResult:
         if v in bld.rot and bld.degree(v) == 1:
             return NormalizeResult(witness=Witness("internal_leaf", vertices=(v,)))
 
-    # stage 5: contract black-black edges; one pass, since colors do not
-    # change, so a contraction makes no new black-black edge (a parallel one
-    # becomes a loop, found below)
+    # stage 5: contract black-black edges in one pass.  Only a black-black edge
+    # can become a loop, and each one the scan passed was contracted, so a loop
+    # a contraction makes lies ahead, where the u == v test returns on it.
     for d in sorted(bld.dv):
         if d not in bld.dv:
             continue
@@ -101,9 +100,6 @@ def normalize(g: PlabicGraph) -> NormalizeResult:
         if u == v:
             return NormalizeResult(witness=Witness("loop", edges=(bld.ids[d >> 1],)))
         bld.contract(d if u < v else d ^ 1)
-    for d in sorted(bld.dv):
-        if bld.dv[d] == bld.other_end(d):
-            return NormalizeResult(witness=Witness("loop", edges=(bld.ids[d >> 1],)))
 
     # stage 6: split white vertices of degree >= 4 into left combs
     changed = True
@@ -145,16 +141,10 @@ def is_reduced(g: PlabicGraph) -> ReducednessResult:
     res = normalize(g)
     if not res.ok:
         out = ReducednessResult(False, res.witness)
+    # a normal form with b = 0 is the empty graph, which has no features
+    elif feats := bad_features(res.normal):
+        out = ReducednessResult(False, Witness(feats[0].kind, edges=feats[0].edges))
     else:
-        n = res.normal
-        if n.b == 0:
-            out = ReducednessResult(True)
-        else:
-            feats = bad_features(n)
-            if feats:
-                f = feats[0]
-                out = ReducednessResult(False, Witness(f.kind, edges=f.edges))
-            else:
-                out = ReducednessResult(True)
+        out = ReducednessResult(True)
     g._cache["is_reduced"] = out
     return out

@@ -111,12 +111,11 @@ def quiver_of(g: PlabicGraph, keys: str = "auto") -> Quiver:
     frozen_of = {idx: faces[idx].kind == "boundary" for idx in nonouter}
     fmap = g.face_of_dart()
     raw = {}
-    for e in g.edge_ids:
-        u, v = g.edge_endpoints(e)
+    for d0 in range(0, g.num_darts(), 2):  # edge-index order, as edge_ids
+        u, v = g.dart_vertex(d0), g.dart_vertex(d0 ^ 1)
         if u < 0 or v < 0 or u == v or g.color(u) == g.color(v):
             continue
-        d0, d1 = g.darts_of_edge(e)
-        d = d0 if g.color(g.dart_vertex(d0)) == WHITE else d1
+        d = d0 if g.color(u) == WHITE else d0 ^ 1
         left = fmap[d]
         right = fmap[g.twin(d)]
         if left == right:

@@ -227,7 +227,7 @@ def bad_features(g: PlabicGraph):
             if (t.source, e) not in first:
                 first[t.source, e] = time
                 sources.setdefault(e, []).append(t.source)
-            elif not any(g.is_lollipop(v) for v in g.edge_endpoints(e)):
+            elif not any(g.is_lollipop(g.dart_vertex(x)) for x in (d, d ^ 1)):
                 feats.append(BadFeature("essential_self_intersection", (e,)))
     shared = {}  # pair of sources -> edges both trips traverse
     for e, srcs in sources.items():
@@ -239,4 +239,4 @@ def bad_features(g: PlabicGraph):
             for e2 in edges[k + 1 :]:
                 if first[s2, e1] < first[s2, e2]:
                     feats.append(BadFeature("bad_double_crossing", (e1, e2)))
-    return list(dict.fromkeys(feats))
+    return feats

@@ -1,5 +1,4 @@
 import json
-import pathlib
 import subprocess
 import sys
 
@@ -8,7 +7,17 @@ import pytest
 from plabic import fixtures
 from plabic.cli import main
 
-FIXDIR = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
+
+@pytest.fixture
+def fixture_path(tmp_path):
+    """Write a named fixture's JSON to a file; returns its path."""
+
+    def write(name):
+        path = tmp_path / f"{name}.json"
+        path.write_text(fixtures.ALL_NAMED[name]().to_json())
+        return str(path)
+
+    return write
 
 
 def run(argv, stdin_text=None, capsys=None, monkeypatch=None):
@@ -104,24 +113,24 @@ def test_gen_bad_arguments_exit_1(argv, error, capsys, monkeypatch):
     assert json.loads(err)["error"] == error
 
 
-def test_labels_subcommand(capsys, monkeypatch):
-    path = str(FIXDIR / "square_fan_b5.json")
+def test_labels_subcommand(capsys, monkeypatch, fixture_path):
+    path = fixture_path("square_fan_b5")
     code, out, _ = run(["labels", path, "--mode", "target"], capsys=capsys)
     data = json.loads(out)
     labels = {row["label"] for row in data["labels"]}
     assert labels == {"12", "23", "34", "45", "15", "24", "14"}
 
 
-def test_move_subcommand(capsys, monkeypatch):
-    path = str(FIXDIR / "square_fan_b5.json")
+def test_move_subcommand(capsys, monkeypatch, fixture_path):
+    path = fixture_path("square_fan_b5")
     spec = json.dumps({"kind": "InsertBivalentM2", "edge": 5, "color": "black"})
     code, out, _ = run(["move", path, "--spec", spec], capsys=capsys)
     assert code == 0
     assert json.loads(out)["b"] == 5
 
 
-def test_move_error_exit_code(capsys, monkeypatch):
-    path = str(FIXDIR / "square_fan_b5.json")
+def test_move_error_exit_code(capsys, monkeypatch, fixture_path):
+    path = fixture_path("square_fan_b5")
     spec = json.dumps({"kind": "SquareM1", "face": 0})
     code, out, err = run(["move", path, "--spec", spec], capsys=capsys)
     assert code == 1
@@ -140,8 +149,8 @@ def test_move_error_exit_code(capsys, monkeypatch):
     ],
     ids=["vertex-str", "start-str", "face-bool", "color-int", "condition-str", "not-object"],
 )
-def test_move_spec_type_errors_exit_1(spec, capsys, monkeypatch):
-    path = str(FIXDIR / "square_fan_b5.json")
+def test_move_spec_type_errors_exit_1(spec, capsys, monkeypatch, fixture_path):
+    path = fixture_path("square_fan_b5")
     code, out, err = run(["move", path, "--spec", json.dumps(spec)], capsys=capsys)
     assert code == 1 and out == ""
     payload = json.loads(err)
@@ -153,8 +162,8 @@ def test_move_spec_type_errors_exit_1(spec, capsys, monkeypatch):
     [{"kind": "NormalFlip"}, {"kind": "NormalFlip", "vertex": 999}],
     ids=["no-vertex", "unknown-vertex"],
 )
-def test_normal_flip_without_a_known_vertex_exits_1(spec, capsys, monkeypatch):
-    path = str(FIXDIR / "normal_b5.json")
+def test_normal_flip_without_a_known_vertex_exits_1(spec, capsys, monkeypatch, fixture_path):
+    path = fixture_path("normal_b5")
     code, out, err = run(["move", path, "--spec", json.dumps(spec)], capsys=capsys)
     assert code == 1 and out == ""
     payload = json.loads(err)
@@ -184,15 +193,15 @@ def test_perm_dab_missing_argument_exit_1(capsys, monkeypatch):
     assert set(json.loads(err)) == {"error", "message"}
 
 
-def test_equiv_subcommand(capsys, monkeypatch):
-    g1 = str(FIXDIR / "square_fan_b5_lollipop.json")
-    g2 = str(FIXDIR / "square_path_b6.json")
+def test_equiv_subcommand(capsys, monkeypatch, fixture_path):
+    g1 = fixture_path("square_fan_b5_lollipop")
+    g2 = fixture_path("square_path_b6")
     code, out, _ = run(["equiv", g1, g2], capsys=capsys)
     assert json.loads(out)["verdict"] == "equivalent"
 
 
-def test_quiver_subcommand(capsys, monkeypatch):
-    path = str(FIXDIR / "square_fan_b5.json")
+def test_quiver_subcommand(capsys, monkeypatch, fixture_path):
+    path = fixture_path("square_fan_b5")
     code, out, _ = run(["quiver", path], capsys=capsys)
     data = json.loads(out)
     assert len(data["vertices"]) == 7
@@ -207,8 +216,14 @@ def test_ws_enumerate(capsys, monkeypatch):
     assert len(out.strip().splitlines()) == 5
 
 
-def test_export(capsys, monkeypatch):
-    path = str(FIXDIR / "two_trees_b6.json")
+def test_ws_enumerate_limit_counts_the_seed(capsys, monkeypatch):
+    code, out, err = run(["ws", "enumerate", "2 1", "--limit", "0"], capsys=capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "TooLarge"
+
+
+def test_export(capsys, monkeypatch, fixture_path):
+    path = fixture_path("two_trees_b6")
     code, out, _ = run(["export", "dot", path], capsys=capsys)
     assert "graph plabic" in out
     code, out, _ = run(["export", "tikz", path], capsys=capsys)
@@ -221,19 +236,12 @@ def test_usage_error_exit_2():
     assert e.value.code == 2
 
 
-@pytest.mark.parametrize("path", sorted(FIXDIR.glob("*.json")), ids=lambda p: p.stem)
-def test_every_fixture_roundtrips_through_info(path, capsys, monkeypatch):
-    code, out, _ = run(["info", str(path)], capsys=capsys)
+@pytest.mark.parametrize("name", sorted(fixtures.ALL_NAMED))
+def test_every_fixture_roundtrips_through_info(name, capsys, fixture_path):
+    code, out, _ = run(["info", fixture_path(name)], capsys=capsys)
     assert code == 0
     info = json.loads(out)
     assert info["valid"] is True
-
-
-def test_fixture_files_match_constructors():
-    files = {p.stem: json.loads(p.read_text()) for p in FIXDIR.glob("*.json")}
-    assert sorted(files) == sorted(fixtures.ALL_NAMED)
-    for name, obj in files.items():
-        assert obj == fixtures.ALL_NAMED[name]().to_json_obj(), name
 
 
 def test_cli_entry_point_subprocess():

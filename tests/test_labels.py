@@ -156,6 +156,13 @@ def test_enumerate_respects_limit():
         enumerate_ws(cyclic_rotation(2, 6), limit=3)
 
 
+def test_enumerate_limit_counts_the_seed():
+    p = DecoratedPermutation.parse("2 1")
+    with pytest.raises(TooLarge):
+        enumerate_ws(p, limit=0)
+    assert len(enumerate_ws(p, limit=1)) == 1
+
+
 def test_enumerate_is_deterministic():
     p = DecoratedPermutation.parse("3 4 5 1 2 6^")
     first, second = enumerate_ws(p), enumerate_ws(p)

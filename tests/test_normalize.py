@@ -1,4 +1,5 @@
 from plabic import (
+    PlabicGraph,
     bridge_graph,
     classify,
     is_reduced,
@@ -7,7 +8,9 @@ from plabic import (
     trip_permutation,
 )
 from plabic import fixtures as F
-from conftest import random_decorated_permutation
+from plabic import graph as graph_module
+from plabic.normalize import Witness
+from conftest import insert_loop, random_decorated_permutation
 
 
 def test_normalize_ladder_matches_expected():
@@ -66,6 +69,33 @@ def test_normalize_rejects_loops():
     g = PlabicGraph.from_json(json.dumps(raw))
     res = normalize(g)
     assert not res.ok and res.witness.kind == "loop"
+
+
+def test_normalize_rejects_loop_left_by_bivalent_removal():
+    # a bubble: black 0 joined to bivalent white 1 by two parallel edges
+    g = PlabicGraph.from_rotation(
+        1, {0: "black", 1: "white"}, {-1: [0], 0: [0, 1, 2], 1: [2, 1]}
+    )
+    assert normalize(g).witness == Witness("loop", edges=(1,))
+    assert is_reduced(g).reduced is False
+
+
+def test_normalize_numbers_darts_once_per_normal_form(monkeypatch, rng):
+    with_normal_form = [F.square_fan_b5_lollipop(), F.two_trees_b6(), F.collapsible_tree_b3()]
+    with_witness = [F.bad_leaf_b2(), F.fork_b1(), insert_loop(F.two_trees_b6(), rng)]
+    real = graph_module._number_darts
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(graph_module, "_number_darts", counted)
+    for graphs, ok in ((with_normal_form, True), (with_witness, False)):
+        for g in graphs:
+            calls.clear()
+            assert normalize(g).ok is ok
+            assert len(calls) == (1 if ok else 0)
 
 
 def test_normalize_black_black_contraction_loop():

@@ -7,9 +7,11 @@ peel of pendant trees, the left-of-trip flood fill for face labels, the
 site-by-site move enumeration, the dart numbering of edge-id rotation
 lists, which also checks ``Builder.freeze``, fixed-point decorations read
 off the fully collapsed graph, the bad-feature scan over every ordered edge
-pair and the resonance test over every rotation of a ring.  The tests
-require the library to agree with them exactly on the fixtures and on many
-bridge and move-walk graphs, some with loops, digons and pendant trees.
+pair, the resonance test over every rotation of a ring, and the tree
+collapse over all builder darts, normalization from a frozen collapse and
+classification over edge ids.  The tests require the library to agree with
+them exactly on the fixtures and on many bridge and move-walk graphs, some
+with loops, digons and pendant trees.
 """
 
 import random
@@ -35,11 +37,13 @@ from plabic import (
     is_reduced,
     legal_moves,
     normalize,
+    quiver_of,
     trip_permutation,
 )
 from plabic import fixtures as F
 from plabic import graph as graph_module
 from plabic.graph import Builder, PlabicGraph, _pendant_vertices, collapse_trees
+from plabic.normalize import NormalizeResult, Witness
 from plabic.trips import BadFeature, Trip, _is_resonant_ring
 from conftest import insert_loop, insert_parallel_digon, random_decorated_permutation
 
@@ -388,6 +392,179 @@ def bad_features_pairwise(g):
     return out
 
 
+def collapse_trees_reference(g: PlabicGraph) -> PlabicGraph:
+    """Collapse every collapsible pendant tree of the graph.
+
+    A pendant tree hangs off the rest of the graph (or off a boundary
+    vertex) and is collapsed by contracting unicolored edges and removing
+    bivalent vertices; pieces that cannot be collapsed (e.g. a leaf of the
+    opposite color stuck on a trivalent vertex) are left in place.
+    Idempotent, and preserves the trip permutation.
+    """
+    peeled = _pendant_vertices(g)
+    if not peeled:
+        return g
+
+    bld = Builder(g)
+    changed = True
+    while changed:
+        changed = False
+        # bivalent removals within the pendant forest
+        for v in sorted(bld.colors):
+            if v not in peeled or v not in bld.rot:
+                continue
+            if bld.degree(v) == 2:
+                d1, d2 = bld.rot[v]
+                if bld.other_end(d1) == v or bld.other_end(d2) == v:
+                    continue  # loop through v: not a tree situation
+                bld.remove_bivalent(v)
+                peeled.discard(v)
+                changed = True
+        # unicolored contractions with at least one pendant endpoint
+        for d in sorted(bld.dv):
+            if d not in bld.dv:
+                continue
+            u, v = bld.dv[d], bld.other_end(d)
+            if u < 0 or v < 0 or u == v:
+                continue
+            if bld.colors[u] != bld.colors[v]:
+                continue
+            if v in peeled:
+                bld.contract(d)  # absorb v into u
+                peeled.discard(v)
+                changed = True
+            elif u in peeled:
+                bld.contract(d ^ 1)
+                peeled.discard(u)
+                changed = True
+    return bld.freeze()
+
+
+def classify_reference(g: PlabicGraph) -> dict:
+    """Structural classification: bipartite / trivalent / normal flags plus
+    the lists of lollipops and internal leaves."""
+    bipartite = True
+    for e in g.edge_ids:
+        u, v = g.edge_endpoints(e)
+        if u >= 0 and v >= 0 and g.color(u) == g.color(v):
+            bipartite = False
+            break
+    lollipops = [v for v in g.internal_vertices() if g.is_lollipop(v)]
+    internal_leaves = [v for v in g.internal_vertices() if g.degree(v) == 1]
+    trivalent = all(
+        g.degree(v) == 3
+        for v in g.internal_vertices()
+        if not g.is_lollipop(v)
+    )
+    whites_trivalent = all(
+        g.degree(v) == 3 for v in g.internal_vertices() if g.color(v) == WHITE
+    )
+    boundary_black = all(
+        g.dart_vertex(g.twin(g.boundary_dart(i))) >= 0
+        and g.color(g.dart_vertex(g.twin(g.boundary_dart(i)))) == BLACK
+        for i in range(1, g.b + 1)
+    )
+    normal = bipartite and whites_trivalent and boundary_black
+    return {
+        "bipartite": bipartite,
+        "trivalent": trivalent,
+        "normal": normal,
+        "lollipops": lollipops,
+        "internal_leaves": internal_leaves,
+    }
+
+
+def normalize_reference(g: PlabicGraph) -> NormalizeResult:
+    """Run the normalization stages.
+
+    1. collapse collapsible trees;  2. remove bivalent vertices;
+    3. remove lollipops (recorded; their boundary vertices are dropped and
+    the remaining labels renumbered);  4. reject on a leftover internal
+    leaf;  5. contract black-black edges, rejecting on loops;  6. split
+    white vertices of degree >= 4 into left-comb trees;  7. insert a black
+    bivalent vertex on every white-white and white-boundary edge.
+    """
+    g = collapse_trees_reference(g)
+    for e in g.edge_ids:  # loops certify non-reducedness immediately
+        if g.is_loop(e):
+            return NormalizeResult(witness=Witness("loop", edges=(e,)))
+    bld = Builder(g)
+
+    # stage 2: bivalent removal; one pass, since a removal changes no other
+    # vertex's degree
+    for v in sorted(bld.colors):
+        if v in bld.rot and bld.degree(v) == 2:
+            d1, d2 = bld.rot[v]
+            if d1 ^ 1 == d2:
+                return NormalizeResult(witness=Witness("loop", vertices=(v,)))
+            if bld.other_end(d1) == bld.other_end(d2) == v:
+                continue  # pragma: no cover
+            bld.remove_bivalent(v)
+    # a bivalent removal can create a loop (hollow digon input)
+    for d in bld.dv:
+        if bld.dv[d] == bld.other_end(d):
+            return NormalizeResult(witness=Witness("loop", edges=(bld.ids[d >> 1],)))
+
+    # stage 3: remove lollipops, dropping their boundary vertices
+    removed = []
+    for v in sorted(bld.colors):
+        if v in bld.rot and bld.degree(v) == 1:
+            u = bld.other_end(bld.rot[v][0])
+            if u < 0:
+                removed.append((-u, bld.colors[v]))
+                bld.delete_leaf_edge(v)
+                bld.drop_isolated_boundary(-u)
+
+    # stage 4: leftover internal leaves certify non-reducedness
+    for v in sorted(bld.colors):
+        if v in bld.rot and bld.degree(v) == 1:
+            return NormalizeResult(witness=Witness("internal_leaf", vertices=(v,)))
+
+    # stage 5: contract black-black edges; one pass, since colors do not
+    # change, so a contraction makes no new black-black edge (a parallel one
+    # becomes a loop, found below)
+    for d in sorted(bld.dv):
+        if d not in bld.dv:
+            continue
+        u, v = bld.dv[d], bld.other_end(d)
+        if u < 0 or v < 0:
+            continue
+        if bld.colors[u] != BLACK or bld.colors[v] != BLACK:
+            continue
+        if u == v:
+            return NormalizeResult(witness=Witness("loop", edges=(bld.ids[d >> 1],)))
+        bld.contract(d if u < v else d ^ 1)
+    for d in sorted(bld.dv):
+        if bld.dv[d] == bld.other_end(d):
+            return NormalizeResult(witness=Witness("loop", edges=(bld.ids[d >> 1],)))
+
+    # stage 6: split white vertices of degree >= 4 into left combs
+    changed = True
+    while changed:
+        changed = False
+        for v in sorted(bld.colors):
+            if v in bld.rot and bld.colors[v] == WHITE and bld.degree(v) >= 4:
+                bld.split(v, 0, 2)
+                changed = True
+
+    # stage 7: a black bivalent vertex on every edge with no black endpoint
+    # (white-white, white-boundary, and boundary-boundary edges)
+    for d in bld.edge_darts():
+        u, v = bld.dv[d], bld.other_end(d)
+        black_u = u >= 0 and bld.colors[u] == BLACK
+        black_v = v >= 0 and bld.colors[v] == BLACK
+        if not black_u and not black_v:
+            bld.insert_bivalent(d, BLACK)
+
+    surviving = [i for i in range(1, g.b + 1) if i not in {lab for lab, _ in removed}]
+    label_map = bld.relabel_boundary(surviving)
+    return NormalizeResult(
+        normal=bld.freeze(),
+        lollipops_removed=removed,
+        label_map=label_map,
+    )
+
+
 def resonant_ring_by_rotations(ring):
     """Try every rotation of the ring: consecutive sets must share exactly
     one label, and the shared labels must rise around the ring."""
@@ -725,3 +902,38 @@ def test_resonant_rings_match_rotation_search(mixed_graphs, pendant_tree_graphs)
     verdicts = [resonant_ring_by_rotations(r) for r in rings]
     assert [_is_resonant_ring(r) for r in rings] == verdicts
     assert sum(verdicts) >= 1000 and verdicts.count(False) >= 1000
+
+
+def _normalize_fields(res):
+    return (res.witness, res.normal and res.normal.to_json(), res.lollipops_removed,
+            res.label_map)
+
+
+def test_normalize_collapse_and_classify_match_references(mixed_graphs, pendant_tree_graphs):
+    graphs = mixed_graphs + pendant_tree_graphs
+    graphs += [n for n in (normalize(g).normal for g in graphs) if n is not None]
+    witnesses = {"loop": 0, "internal_leaf": 0}
+    for g in graphs:
+        res = normalize(g)
+        assert _normalize_fields(res) == _normalize_fields(normalize_reference(g)), g.to_json()
+        assert collapse_trees(g).to_json() == collapse_trees_reference(g).to_json()
+        assert classify(g) == classify_reference(g)
+        if res.witness:
+            witnesses[res.witness.kind] += 1
+    assert len(graphs) >= 3000 and min(witnesses.values()) >= 200, (len(graphs), witnesses)
+
+
+def test_structural_reads_need_no_edge_ids(mixed_graphs, monkeypatch):
+    def refuse(g, edge_id):
+        raise AssertionError(f"darts_of_edge({edge_id}) called")
+
+    monkeypatch.setattr(PlabicGraph, "darts_of_edge", refuse)
+    for g in [make() for make in F.ALL_NAMED.values()] + mixed_graphs:
+        classify(g)
+        quiver_of(g, "ids")
+        res = normalize(g)
+        if res.ok:
+            bad_features(res.normal)
+            quiver_of(res.normal)
+        if classify(g)["normal"]:
+            bad_features(g)
