@@ -14,6 +14,8 @@ and to none when it is black.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from .bridges import bridge_graph
 from .errors import NotReducedError, TooLarge
 from .graph import PlabicGraph
@@ -109,52 +111,28 @@ def strongly_equivalent(g1: PlabicGraph, g2: PlabicGraph) -> bool:
 # enumeration of maximal weakly separated collections
 
 
-def _mutation_steps(collection):
-    """All square-move transformations of a collection of a-subsets.
+def _mutation_steps(collection, b):
+    """All square-move transformations of a collection of a-subsets of 1..b.
 
-    A member S+{c1,c3} flips to S+{c2,c4} when the four "sides" S+{c1,c2},
-    S+{c2,c3}, S+{c3,c4}, S+{c1,c4} are all present, for cyclically ordered
-    c1 < c2 < c3 < c4.
+    A member M flips to M - {i, j} + {c2, c4}, for i < c2 < j and c4 outside
+    [i, j], when the sides M - j + c2, M - i + c2, M - i + c4 and M - j + c4
+    are all present.  Sorted, {i, c2, j, c4} is the cyclic quad of these
+    sides, so each step is found once, from the member it removes.
     """
-    by_core = {}
-    for subset in collection:
-        for pair in _pairs(subset):
-            core = subset - pair
-            by_core.setdefault(core, set()).add(pair)
     out = []
-    for core, pairs in by_core.items():
-        ground = sorted({x for p in pairs for x in p})
-        for quad in _quads(ground):
-            c1, c2, c3, c4 = quad
-            sides = (
-                frozenset({c1, c2}),
-                frozenset({c2, c3}),
-                frozenset({c3, c4}),
-                frozenset({c1, c4}),
-            )
-            diag, anti = frozenset({c1, c3}), frozenset({c2, c4})
-            if all(s in pairs for s in sides):
-                if diag in pairs:
-                    out.append((core | diag, core | anti))
-                if anti in pairs:
-                    out.append((core | anti, core | diag))
+    for m in collection:
+        for i, j in combinations(sorted(m), 2):
+            mi, mj = m - {i}, m - {j}
+
+            def sides(cs):  # the c in cs with m - i + c and m - j + c present
+                return [c for c in cs if c not in m
+                        and mi | {c} in collection and mj | {c} in collection]
+
+            inner = sides(range(i + 1, j))
+            if inner:
+                for c4 in sides([*range(1, i), *range(j + 1, b + 1)]):
+                    out.extend((m, (mi - {j}) | {c2, c4}) for c2 in inner)
     return out
-
-
-def _pairs(subset):
-    xs = sorted(subset)
-    for i in range(len(xs)):
-        for j in range(i + 1, len(xs)):
-            yield frozenset((xs[i], xs[j]))
-
-
-def _quads(ground):
-    n = len(ground)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                for l in range(k + 1, n):
-                    yield (ground[i], ground[j], ground[k], ground[l])
 
 
 def enumerate_ws(p: DecoratedPermutation, limit: int = None):
@@ -171,11 +149,11 @@ def enumerate_ws(p: DecoratedPermutation, limit: int = None):
     posd = positroid(nk)
     size = a * (b - a) - length(affinize(p)) + 1
     seed = label_collection(bridge_graph(p), "target")
-    _check_collection(seed, b, nk, posd, size)
+    _check_collection(seed, nk, posd, size)
 
     def expand(coll):
         found = []
-        for old, new in _mutation_steps(coll):
+        for old, new in _mutation_steps(coll, b):
             cand = frozenset((coll - {old}) | {new})
             if len(cand) != size:
                 continue
@@ -205,7 +183,7 @@ def enumerate_ws(p: DecoratedPermutation, limit: int = None):
     return seen
 
 
-def _check_collection(coll, b, nk, posd, size):
+def _check_collection(coll, nk, posd, size):
     if len(coll) != size:
         raise AssertionError(
             f"seed collection has {len(coll)} labels, expected {size}"

@@ -384,11 +384,7 @@ def _apply_urban(g, m):
         bld.colors[v] = BLACK
         outside = [d for d in bld.rot[v] if d not in side_darts]
         (od,) = outside
-        x = bld.other_end(od)
-        if bld.colors.get(x) != BLACK:
-            raise IllegalMove(
-                "urban renewal needs the white corners' outside neighbors black"
-            )
+        # far end black: _urban_corners_ok checked it; splits move only side darts
         bld.contract(od)
         merged.append(v)
     out = bld.freeze()

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -137,6 +138,17 @@ def test_move_error_exit_code(capsys, monkeypatch, fixture_path):
     assert json.loads(err)["error"] == "IllegalMove"
 
 
+def test_move_urban_renewal_off_site_exits_1(capsys, monkeypatch, fixture_path):
+    path = fixture_path("square_fan_b5")
+    spec = json.dumps({"kind": "UrbanRenewal", "face": 5})
+    code, out, err = run(["move", path, "--spec", spec], capsys=capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "IllegalMove",
+        "message": "face 5 is not an urban renewal site",
+    }
+
+
 @pytest.mark.parametrize(
     "spec",
     [
@@ -245,10 +257,14 @@ def test_every_fixture_roundtrips_through_info(name, capsys, fixture_path):
 
 
 def test_cli_entry_point_subprocess():
+    # the child imports the same plabic as this test, installed or not
+    src = os.path.dirname(os.path.dirname(fixtures.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     res = subprocess.run(
         [sys.executable, "-m", "plabic.cli", "perm", "dab", "2", "5"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert res.returncode == 0
     assert res.stdout.strip() == str(__import__("plabic").count_dab(2, 5))

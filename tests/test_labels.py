@@ -141,6 +141,11 @@ def test_catalan_counts():
         assert len(enumerate_ws(cyclic_rotation(2, b))) == want
 
 
+def test_gr37_count():
+    # maximal weakly separated collections of 3-subsets of 1..7
+    assert len(enumerate_ws(cyclic_rotation(3, 7))) == 259
+
+
 def test_collections_satisfy_sandwich():
     p = cyclic_rotation(2, 5)
     nk = necklace_from_perm(p)

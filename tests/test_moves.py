@@ -165,6 +165,13 @@ def test_urban_renewal_preserves_trips_and_faces():
     assert len(h.nonouter_faces()) == len(g.nonouter_faces())
 
 
+@pytest.mark.parametrize("face", [5, 0], ids=["square", "boundary"])
+def test_urban_renewal_rejects_a_face_that_is_not_a_site(face):
+    # face 5 of the fan is its SquareM1 square, face 0 a boundary face
+    with pytest.raises(IllegalMove, match=f"^face {face} is not an urban renewal site$"):
+        apply_move(F.square_fan_b5(), MoveSpec("UrbanRenewal", face=face))
+
+
 def test_normal_flip_keeps_normal():
     from plabic import classify
 
@@ -205,6 +212,31 @@ def test_equivalence_one_step_certificate():
     assert cur == h
 
 
+def test_equivalence_search_skips_revisited_states():
+    # two insertions away: the depth-2 layer also reaches g again, by removal
+    g = F.square_fan_b5()
+    h1, _ = _apply(g, MoveSpec("InsertBivalentM2", edge=5, color="white"))
+    h, _ = _apply(h1, MoveSpec("InsertBivalentM2", edge=8, color="black"))
+    res = move_equivalent(g, h, budget=2, want_certificate=True)
+    assert res.verdict == "equivalent" and res.reason == "found by search"
+    assert len(res.certificate) == 2
+    cur = g
+    for mv in res.certificate:
+        cur = apply_move(cur, mv)
+    assert cur == h
+
+
+def test_equivalence_of_isomorphic_graphs_needs_no_search():
+    res = move_equivalent(F.fork_b1(), F.fork_b1())
+    assert (res.verdict, res.certificate, res.reason) == ("equivalent", [], "isomorphic")
+
+
+def test_not_equivalent_when_exactly_one_side_is_reduced():
+    res = move_equivalent(lollipop_graph("w"), F.fork_b1())
+    assert res.verdict == "not_equivalent"
+    assert res.reason == "exactly one side is reduced"
+
+
 def test_not_equivalent_different_permutations(rng):
     g1 = bridge_graph(DecoratedPermutation.parse("2 1 3_"))
     g2 = bridge_graph(DecoratedPermutation.parse("1_ 3 2"))
@@ -226,6 +258,14 @@ def test_unknown_for_nonreduced_beyond_budget():
     g2 = F.ALL_NAMED["black_digon_b2"]()
     res = move_equivalent(g1, g2, budget=1)
     assert res.verdict in ("equivalent", "unknown")
+
+
+def test_unknown_names_the_budget():
+    g1 = F.ALL_NAMED["white_digon_b2"]()
+    g2 = F.ALL_NAMED["black_digon_b2"]()
+    res = move_equivalent(g1, g2, budget=3)
+    assert res.verdict == "unknown"
+    assert res.reason == "no certificate within budget 3"
 
 
 def test_trivalent_connectivity_via_square_and_flip(rng):

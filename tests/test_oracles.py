@@ -8,13 +8,16 @@ site-by-site move enumeration, the dart numbering of edge-id rotation
 lists, which also checks ``Builder.freeze``, fixed-point decorations read
 off the fully collapsed graph, the bad-feature scan over every ordered edge
 pair, the resonance test over every rotation of a ring, and the tree
-collapse over all builder darts, normalization from a frozen collapse and
-classification over edge ids.  The tests require the library to agree with
-them exactly on the fixtures and on many bridge and move-walk graphs, some
-with loops, digons and pendant trees.
+collapse over all builder darts, normalization from a frozen collapse,
+classification over edge ids, and the square moves of a weakly separated
+collection found from a core-to-pairs index and a scan of every quad.  The
+tests require the library to agree with them exactly on the fixtures and on
+many bridge and move-walk graphs, some with loops, digons and pendant trees,
+and on the weakly separated collections of many permutations.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -31,8 +34,10 @@ from plabic import (
     bad_features,
     bridge_graph,
     classify,
+    cyclic_rotation,
     decorated_trip_permutation,
     edge_labels,
+    enumerate_ws,
     face_labels,
     is_reduced,
     legal_moves,
@@ -42,6 +47,7 @@ from plabic import (
 )
 from plabic import fixtures as F
 from plabic import graph as graph_module
+from plabic import labels as labels_module
 from plabic.graph import Builder, PlabicGraph, _pendant_vertices, collapse_trees
 from plabic.normalize import NormalizeResult, Witness
 from plabic.trips import BadFeature, Trip, _is_resonant_ring
@@ -594,6 +600,54 @@ def resonant_ring_by_rotations(ring):
     return False
 
 
+def mutation_steps_reference(collection):
+    """All square-move transformations of a collection of a-subsets.
+
+    A member S+{c1,c3} flips to S+{c2,c4} when the four "sides" S+{c1,c2},
+    S+{c2,c3}, S+{c3,c4}, S+{c1,c4} are all present, for cyclically ordered
+    c1 < c2 < c3 < c4.
+    """
+    by_core = {}
+    for subset in collection:
+        for pair in _pairs(subset):
+            core = subset - pair
+            by_core.setdefault(core, set()).add(pair)
+    out = []
+    for core, pairs in by_core.items():
+        ground = sorted({x for p in pairs for x in p})
+        for quad in _quads(ground):
+            c1, c2, c3, c4 = quad
+            sides = (
+                frozenset({c1, c2}),
+                frozenset({c2, c3}),
+                frozenset({c3, c4}),
+                frozenset({c1, c4}),
+            )
+            diag, anti = frozenset({c1, c3}), frozenset({c2, c4})
+            if all(s in pairs for s in sides):
+                if diag in pairs:
+                    out.append((core | diag, core | anti))
+                if anti in pairs:
+                    out.append((core | anti, core | diag))
+    return out
+
+
+def _pairs(subset):
+    xs = sorted(subset)
+    for i in range(len(xs)):
+        for j in range(i + 1, len(xs)):
+            yield frozenset((xs[i], xs[j]))
+
+
+def _quads(ground):
+    n = len(ground)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                for l in range(k + 1, n):
+                    yield (ground[i], ground[j], ground[k], ground[l])
+
+
 # ----------------------------------------------------------------------
 # graphs
 
@@ -937,3 +991,20 @@ def test_structural_reads_need_no_edge_ids(mixed_graphs, monkeypatch):
             quiver_of(res.normal)
         if classify(g)["normal"]:
             bad_features(g)
+
+
+def test_square_moves_read_off_members_match_quad_scan():
+    rng = random.Random(73)
+    perms = [cyclic_rotation(2, b) for b in range(4, 8)]
+    perms += [cyclic_rotation(3, 6), cyclic_rotation(3, 7)]
+    perms.append(DecoratedPermutation.parse("3 4 5 1 2 6^"))
+    perms += [random_decorated_permutation(rng.randint(3, 7), rng) for _ in range(40)]
+    collections = steps = 0
+    for p in perms:
+        for coll in enumerate_ws(p):
+            got = labels_module._mutation_steps(coll, p.b)
+            want = mutation_steps_reference(coll)
+            assert Counter(got) == Counter(want), sorted(map(sorted, coll))
+            collections += 1
+            steps += len(got)
+    assert collections >= 400 and steps >= 1600, (collections, steps)
