@@ -22,11 +22,12 @@ from .graph import PlabicGraph
 from .normalize import is_reduced
 from .perms import (
     DecoratedPermutation,
+    _mask,
+    _positroid_members,
+    _separated,
     affinize,
     length,
     necklace_from_perm,
-    positroid,
-    weakly_separated,
 )
 from .trips import all_trips, decorated_trip_permutation
 
@@ -108,30 +109,40 @@ def strongly_equivalent(g1: PlabicGraph, g2: PlabicGraph) -> bool:
 
 
 # ----------------------------------------------------------------------
-# enumeration of maximal weakly separated collections
+# enumeration of maximal weakly separated collections, on label masks
 
 
-def _mutation_steps(collection, b):
-    """All square-move transformations of a collection of a-subsets of 1..b.
+def _bits(m):
+    """The labels of a mask, in increasing order."""
+    return [x for x in range(m.bit_length()) if m >> x & 1]
 
-    A member M flips to M - {i, j} + {c2, c4}, for i < c2 < j and c4 outside
-    [i, j], when the sides M - j + c2, M - i + c2, M - i + c4 and M - j + c4
-    are all present.  Sorted, {i, c2, j, c4} is the cyclic quad of these
-    sides, so each step is found once, from the member it removes.
+
+def _mutation_steps(collection, labels):
+    """All square-move transformations of a collection of a-subset masks.
+
+    ``labels`` maps each member to its labels in increasing order.  A member
+    M flips to M - {i, j} + {c2, c4}, for i < c2 < j and c4 outside [i, j],
+    when the sides M - j + c2, M - i + c2, M - i + c4 and M - j + c4 are all
+    present.  Sorted, {i, c2, j, c4} is the cyclic quad of these sides, so
+    each step is found once, from the member it removes.  The sides are read
+    off one pass over the members: ``completions[K]`` is the mask of the x
+    with K + x a member, so the c with both M - i + c and M - j + c present
+    are the bits of ``completions[M - i] & completions[M - j]``.
     """
+    completions = {}
+    for m in collection:
+        for i in labels[m]:
+            k = m ^ 1 << i
+            completions[k] = completions.get(k, 0) | 1 << i
     out = []
     for m in collection:
-        for i, j in combinations(sorted(m), 2):
-            mi, mj = m - {i}, m - {j}
-
-            def sides(cs):  # the c in cs with m - i + c and m - j + c present
-                return [c for c in cs if c not in m
-                        and mi | {c} in collection and mj | {c} in collection]
-
-            inner = sides(range(i + 1, j))
-            if inner:
-                for c4 in sides([*range(1, i), *range(j + 1, b + 1)]):
-                    out.extend((m, (mi - {j}) | {c2, c4}) for c2 in inner)
+        for i, j in combinations(labels[m], 2):
+            both = completions[m ^ 1 << i] & completions[m ^ 1 << j]
+            inner = both & ((1 << j) - (2 << i))  # the c with i < c < j
+            if inner and inner != both:
+                core = m ^ 1 << i ^ 1 << j
+                out.extend((m, core | 1 << c2 | 1 << c4)
+                           for c4 in _bits(both ^ inner) for c2 in _bits(inner))
     return out
 
 
@@ -146,22 +157,23 @@ def enumerate_ws(p: DecoratedPermutation, limit: int = None):
     b = p.b
     a = p.anti_excedances()
     nk = necklace_from_perm(p)
-    posd = positroid(nk)
+    posd = {_mask(J, b): J for J in _positroid_members(nk)}  # mask -> labels
+    necklace = {_mask(s, b) for s in nk.sets}
     size = a * (b - a) - length(affinize(p)) + 1
-    seed = label_collection(bridge_graph(p), "target")
-    _check_collection(seed, nk, posd, size)
+    seed = frozenset(_mask(s, b) for s in label_collection(bridge_graph(p), "target"))
+    _check_collection(seed, necklace, posd, size)
 
     def expand(coll):
         found = []
-        for old, new in _mutation_steps(coll, b):
-            cand = frozenset((coll - {old}) | {new})
+        for old, new in _mutation_steps(coll, posd):
+            cand = coll - {old} | {new}
             if len(cand) != size:
                 continue
             if new not in posd:
                 continue
-            if not all(new == s or weakly_separated(new, s, b) for s in cand):
+            if not _separated(new, cand):
                 continue
-            if not all(s in cand for s in nk.sets):
+            if not necklace <= cand:
                 continue
             found.append(cand)
         return found
@@ -171,6 +183,9 @@ def enumerate_ws(p: DecoratedPermutation, limit: int = None):
 
     def visit(coll):
         if coll not in seen:
+            # a compact copy: a frozenset made by - and | keeps a table
+            # sized for twice its members, and the search holds every one
+            coll = frozenset(tuple(coll))
             seen.add(coll)
             queue.append(coll)
             if limit is not None and len(seen) > limit:
@@ -180,17 +195,28 @@ def enumerate_ws(p: DecoratedPermutation, limit: int = None):
     for coll in queue:
         for cand in expand(coll):
             visit(cand)
-    return seen
+    seen.clear()
+    # back to frozensets, one per distinct label, freeing each mask
+    # collection as it is converted
+    sets = {}
+    out = set()
+    while queue:
+        coll = queue.pop()
+        for m in coll:
+            if m not in sets:
+                sets[m] = frozenset(posd[m])
+        out.add(frozenset(map(sets.__getitem__, coll)))
+    return out
 
 
-def _check_collection(coll, nk, posd, size):
+def _check_collection(coll, necklace, posd, size):
     if len(coll) != size:
         raise AssertionError(
             f"seed collection has {len(coll)} labels, expected {size}"
         )
-    for s in nk.sets:
+    for s in necklace:
         if s not in coll:
-            raise AssertionError(f"necklace member {sorted(s)} missing from seed")
+            raise AssertionError(f"necklace member {_bits(s)} missing from seed")
     for s in coll:
         if s not in posd:
-            raise AssertionError(f"seed label {sorted(s)} outside the positroid")
+            raise AssertionError(f"seed label {_bits(s)} outside the positroid")

@@ -1,13 +1,22 @@
 """Decorated permutations, bounded affine permutations, Grassmann necklaces,
-positroids and weak separation."""
+positroids and weak separation.
+
+Inside this module and ``labels``, a label set S of 1..b is held as the
+``int`` mask with bit x set exactly when x is in S.  Masks never leave the
+two modules: public functions take and return frozensets (or any iterable
+of labels), and convert at the edge.
+"""
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import combinations
+from operator import le
 
 from .errors import (
+    BadLabel,
     MalformedPermutation,
     MalformedWindow,
     NotANecklace,
@@ -334,49 +343,83 @@ def gale_leq(ell: int, b: int, I, J) -> bool:
     """Componentwise comparison after sorting both sets in the ell-shifted order."""
     if len(I) != len(J):
         raise SizeMismatch(f"|{sorted(I)}| != |{sorted(J)}|")
+    _mask(I, b)  # raises BadLabel for a label outside 1..b
+    _mask(J, b)
     key = shifted_key(ell, b)
     si = sorted(I, key=key)
     sj = sorted(J, key=key)
     return all(key(x) <= key(y) for x, y in zip(si, sj))
 
 
+def _positroid_members(nk: GrassmannNecklace):
+    """Each a-subset J (a sorted tuple) with I_ell <= J in every shifted Gale order.
+
+    In the ell-shifted order, a sorted J reads J[r:] then J[:r] + b, where
+    r = bisect_left(J, ell); so J passes at ell when its window
+    (J + (J + b))[r:r + a] is componentwise at least I_ell's thresholds,
+    the ell-shifted keys of I_ell plus ell.  An I_ell equal to
+    {ell, ..., ell + a - 1} (keys 0..a-1) bounds nothing and is skipped.
+    """
+    b, a = nk.b, nk.a
+    tests = []
+    for ell in range(1, b + 1):
+        keys = sorted((x - ell) % b for x in nk[ell - 1])
+        if keys != list(range(a)):
+            tests.append((ell, [k + ell for k in keys]))
+    for J in combinations(range(1, b + 1), a):
+        J2 = J + tuple(x + b for x in J)
+        for ell, t in tests:
+            r = bisect_left(J, ell)
+            if not all(map(le, t, J2[r:r + a])):
+                break
+        else:
+            yield J
+
+
 def positroid(nk: GrassmannNecklace):
     """All a-subsets J with I_ell <= J in every shifted Gale order."""
-    b, a = nk.b, nk.a
-    out = set()
-    for J in combinations(range(1, b + 1), a):
-        if all(gale_leq(ell, b, nk[ell - 1], J) for ell in range(1, b + 1)):
-            out.add(frozenset(J))
-    return out
+    return {frozenset(J) for J in _positroid_members(nk)}
 
 
 # ----------------------------------------------------------------------
 # weak separation
 
 
+def _mask(labels, b: int) -> int:
+    """The mask of a set of labels; BadLabel for a label outside 1..b."""
+    m = 0
+    for x in labels:
+        if not 1 <= x <= b:
+            raise BadLabel(f"label {x} not in 1..{b}")
+        m |= 1 << x
+    return m
+
+
+def _separated(x: int, ys) -> bool:
+    """Whether the mask x is weakly separated from every mask in ys (all of
+    x's size).
+
+    With A = x - y and B = y - x both nonempty, the labels of A and B form
+    at most two cyclic blocks exactly when, read linearly, they follow the
+    pattern A*B*A* or B*A*B*: no bit of A lies within B's span from its
+    lowest to its highest bit, or no bit of B within A's.
+    """
+    for y in ys:
+        A, B = x & ~y, y & ~x
+        if (A and B and A & ((1 << B.bit_length()) - (B & -B))
+                and B & ((1 << A.bit_length()) - (A & -A))):
+            return False
+    return True
+
+
 def weakly_separated(I, J, b: int) -> bool:
     """Whether the symmetric-difference halves can be separated by a chord
-    of the circle 1..b, i.e. the elements of I-J and J-I do not interleave."""
-    I, J = set(I), set(J)
-    if len(I) != len(J):
-        raise SizeMismatch(f"|{sorted(I)}| != |{sorted(J)}|")
-    a_only = I - J
-    b_only = J - I
-    if not a_only or not b_only:
-        return True
-    marks = []
-    for x in range(1, b + 1):
-        if x in a_only:
-            marks.append("A")
-        elif x in b_only:
-            marks.append("B")
-    blocks = 1
-    for k in range(1, len(marks)):
-        if marks[k] != marks[k - 1]:
-            blocks += 1
-    if marks[0] == marks[-1] and blocks > 1:
-        blocks -= 1
-    return blocks <= 2
+    of the circle 1..b, i.e. the elements of I-J and J-I do not interleave.
+    Raises BadLabel for an element outside 1..b."""
+    x, y = _mask(I, b), _mask(J, b)
+    if x.bit_count() != y.bit_count():
+        raise SizeMismatch(f"|{sorted(set(I))}| != |{sorted(set(J))}|")
+    return _separated(x, (y,))
 
 
 def is_ws_collection(sets, b: int) -> bool:

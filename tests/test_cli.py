@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -226,6 +227,18 @@ def test_ws_enumerate(capsys, monkeypatch):
     code, out, _ = run(["ws", "enumerate", "3 4 5 1 2"], capsys=capsys)
     assert code == 0
     assert len(out.strip().splitlines()) == 5
+
+
+@pytest.mark.parametrize("argv, lines, digest", [
+    (["ws", "enumerate", "4 5 6 7 1 2 3"], 259,
+     "88862d352bb5051e75e8f787422c0d3c7cbb130269fa13c009f1c0c96d0231eb"),
+    (["perm", "positroid", "3 4 5 1 2 6^"], 10,
+     "03611a86bf97bd82df5a711c6906bb24fba3b6898e4f6d01b1045444c9357c67"),
+])
+def test_ws_and_positroid_output_is_pinned(argv, lines, digest, capsys):
+    code, out, _ = run(argv, capsys=capsys)
+    assert code == 0 and len(out.splitlines()) == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_ws_enumerate_limit_counts_the_seed(capsys, monkeypatch):

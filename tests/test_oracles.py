@@ -10,16 +10,22 @@ off the fully collapsed graph, the bad-feature scan over every ordered edge
 pair, the resonance test over every rotation of a ring, and the tree
 collapse over all builder darts, normalization from a frozen collapse,
 classification over edge ids, and the square moves of a weakly separated
-collection found from a core-to-pairs index and a scan of every quad.  The
-tests require the library to agree with them exactly on the fixtures and on
-many bridge and move-walk graphs, some with loops, digons and pendant trees,
-and on the weakly separated collections of many permutations.
+collection found from a core-to-pairs index and a scan of every quad, weak
+separation by counting cyclic blocks of marks, the positroid through
+``gale_leq`` and the square-move closure of weakly separated collections on
+frozensets.  The tests require the library to agree with them exactly on the
+fixtures and on many bridge and move-walk graphs, some with loops, digons and
+pendant trees, and on the weakly separated collections and positroids of
+many permutations.
 """
 
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from plabic import (
     BLACK,
@@ -28,7 +34,10 @@ from plabic import (
     Face,
     MoveSpec,
     NotNormal,
+    SizeMismatch,
+    TooLarge,
     UndecoratableFixedPoint,
+    affinize,
     all_trips,
     apply_move,
     bad_features,
@@ -40,16 +49,22 @@ from plabic import (
     enumerate_ws,
     face_labels,
     is_reduced,
+    label_collection,
     legal_moves,
+    length,
+    necklace_from_perm,
     normalize,
+    positroid,
     quiver_of,
     trip_permutation,
+    weakly_separated,
 )
 from plabic import fixtures as F
 from plabic import graph as graph_module
 from plabic import labels as labels_module
 from plabic.graph import Builder, PlabicGraph, _pendant_vertices, collapse_trees
 from plabic.normalize import NormalizeResult, Witness
+from plabic.perms import _mask, _separated, shifted_key
 from plabic.trips import BadFeature, Trip, _is_resonant_ring
 from conftest import insert_loop, insert_parallel_digon, random_decorated_permutation
 
@@ -648,6 +663,113 @@ def _quads(ground):
                     yield (ground[i], ground[j], ground[k], ground[l])
 
 
+def weakly_separated_marks(I, J, b):
+    """Weak separation by counting the cyclic blocks of I-J and J-I marks."""
+    I, J = set(I), set(J)
+    if len(I) != len(J):
+        raise SizeMismatch(f"|{sorted(I)}| != |{sorted(J)}|")
+    a_only = I - J
+    b_only = J - I
+    if not a_only or not b_only:
+        return True
+    marks = []
+    for x in range(1, b + 1):
+        if x in a_only:
+            marks.append("A")
+        elif x in b_only:
+            marks.append("B")
+    blocks = 1
+    for k in range(1, len(marks)):
+        if marks[k] != marks[k - 1]:
+            blocks += 1
+    if marks[0] == marks[-1] and blocks > 1:
+        blocks -= 1
+    return blocks <= 2
+
+
+def gale_leq_reference(ell, b, I, J):
+    """Componentwise comparison after sorting both sets in the ell-shifted order."""
+    if len(I) != len(J):
+        raise SizeMismatch(f"|{sorted(I)}| != |{sorted(J)}|")
+    key = shifted_key(ell, b)
+    si = sorted(I, key=key)
+    sj = sorted(J, key=key)
+    return all(key(x) <= key(y) for x, y in zip(si, sj))
+
+
+def positroid_reference(nk):
+    """All a-subsets J with I_ell <= J in every shifted Gale order."""
+    b, a = nk.b, nk.a
+    out = set()
+    for J in combinations(range(1, b + 1), a):
+        if all(gale_leq_reference(ell, b, nk[ell - 1], J) for ell in range(1, b + 1)):
+            out.add(frozenset(J))
+    return out
+
+
+def mutation_steps_on_frozensets(collection, b):
+    """Square moves read off each member, on frozensets of labels: M flips
+    to M - {i, j} + {c2, c4} when its four sides are all present."""
+    out = []
+    for m in collection:
+        for i, j in combinations(sorted(m), 2):
+            mi, mj = m - {i}, m - {j}
+
+            def sides(cs):  # the c in cs with m - i + c and m - j + c present
+                return [c for c in cs if c not in m
+                        and mi | {c} in collection and mj | {c} in collection]
+
+            inner = sides(range(i + 1, j))
+            if inner:
+                for c4 in sides([*range(1, i), *range(j + 1, b + 1)]):
+                    out.extend((m, (mi - {j}) | {c2, c4}) for c2 in inner)
+    return out
+
+
+def enumerate_ws_reference(p, limit=None):
+    """The square-move closure of the bridge graph's target labels, on
+    frozensets, checking each candidate with the reference positroid and
+    the marks test for weak separation."""
+    b = p.b
+    a = p.anti_excedances()
+    nk = necklace_from_perm(p)
+    posd = positroid_reference(nk)
+    size = a * (b - a) - length(affinize(p)) + 1
+    seed = label_collection(bridge_graph(p), "target")
+    assert len(seed) == size and set(nk.sets) <= seed <= posd
+
+    def expand(coll):
+        found = []
+        for old, new in mutation_steps_on_frozensets(coll, b):
+            cand = frozenset((coll - {old}) | {new})
+            if len(cand) != size:
+                continue
+            if new not in posd:
+                continue
+            if not all(new == s or weakly_separated_marks(new, s, b) for s in cand):
+                continue
+            if not all(s in cand for s in nk.sets):
+                continue
+            found.append(cand)
+        return found
+
+    seen = set()
+    queue = []
+
+    def visit(coll):
+        if coll not in seen:
+            seen.add(coll)
+            queue.append(coll)
+            if limit is not None and len(seen) > limit:
+                raise TooLarge(f"more than {limit} collections; raise the limit")
+
+    visit(seed)
+    for coll in queue:
+        for cand in expand(coll):
+            visit(cand)
+    return seen
+
+
 # ----------------------------------------------------------------------
 # graphs
 
@@ -1002,9 +1124,93 @@ def test_square_moves_read_off_members_match_quad_scan():
     collections = steps = 0
     for p in perms:
         for coll in enumerate_ws(p):
-            got = labels_module._mutation_steps(coll, p.b)
+            # masks in, frozensets out, at the edge of the library call
+            labels = {_mask(s, p.b): tuple(sorted(s)) for s in coll}
+            as_set = {m: frozenset(s) for m, s in labels.items()}
+            got = [(as_set[old], frozenset(labels_module._bits(new)))
+                   for old, new in labels_module._mutation_steps(frozenset(labels), labels)]
             want = mutation_steps_reference(coll)
             assert Counter(got) == Counter(want), sorted(map(sorted, coll))
             collections += 1
             steps += len(got)
     assert collections >= 400 and steps >= 1600, (collections, steps)
+
+
+def test_enumerate_ws_matches_reference():
+    perms = [cyclic_rotation(3, 7), cyclic_rotation(3, 8), cyclic_rotation(4, 8)]
+    perms += [cyclic_rotation(2, b) for b in (5, 6, 7)] + [cyclic_rotation(3, 6)]
+    perms.append(DecoratedPermutation.parse("3 4 5 1 2 6^"))
+    for p in perms:
+        assert enumerate_ws(p) == enumerate_ws_reference(p), str(p)
+
+
+def _limit_outcome(enumerate_fn, p, limit):
+    try:
+        return enumerate_fn(p, limit=limit)
+    except TooLarge as exc:
+        return str(exc)
+
+
+def test_enumerate_ws_matches_reference_on_random_permutations():
+    rng = random.Random(91)
+    total = 0
+    for _ in range(60):
+        p = random_decorated_permutation(rng.randint(1, 8), rng)
+        want = enumerate_ws_reference(p)
+        assert enumerate_ws(p) == want, str(p)
+        total += len(want)
+        limit = rng.randrange(len(want) + 1)
+        assert _limit_outcome(enumerate_ws, p, limit) == \
+            _limit_outcome(enumerate_ws_reference, p, limit), (str(p), limit)
+    assert total >= 300, total
+
+
+def test_positroid_matches_reference():
+    rng = random.Random(92)
+    sizes = Counter()
+    for _ in range(300):
+        p = random_decorated_permutation(rng.randint(1, 9), rng)
+        nk = necklace_from_perm(p)
+        want = positroid_reference(nk)
+        assert positroid(nk) == want, str(p)
+        sizes[len(want) > 1] += 1
+    assert min(sizes.values()) >= 50, sizes
+
+
+def _check_against_marks(I, J, b):
+    want = weakly_separated_marks(I, J, b)
+    assert weakly_separated(I, J, b) == want
+    assert _separated(_mask(I, b), [_mask(J, b)]) == want
+    return want
+
+
+def test_weak_separation_matches_marks_exhaustively():
+    verdicts = Counter()
+    for b in range(1, 9):
+        for a in range(b + 1):
+            subsets = list(combinations(range(1, b + 1), a))
+            for I in subsets:
+                for J in subsets:
+                    verdicts[_check_against_marks(I, J, b)] += 1
+    assert min(verdicts.values()) >= 1000, verdicts
+
+
+@st.composite
+def _label_pairs(draw):
+    """b in 1..12, and two a-subsets of 1..b for some a in 0..b, often equal."""
+    b = draw(st.integers(1, 12))
+    a = draw(st.integers(0, b))
+    subsets = st.sets(st.integers(1, b), min_size=a, max_size=a)
+    I = draw(subsets)
+    return b, I, I if draw(st.booleans()) else draw(subsets)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_label_pairs())
+@example((12, set(), set()))
+@example((12, set(range(1, 13)), set(range(1, 13))))
+@example((12, {1, 3, 5, 7, 9, 11}, {2, 4, 6, 8, 10, 12}))
+@example((12, {1, 2, 11, 12}, {5, 6, 7, 8}))
+def test_weak_separation_matches_marks(case):
+    b, I, J = case
+    _check_against_marks(I, J, b)

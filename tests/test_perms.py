@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plabic import (
+    BadLabel,
     BoundedAffinePermutation,
     DecoratedPermutation,
     GrassmannNecklace,
@@ -23,7 +24,7 @@ from plabic import (
     positroid,
     weakly_separated,
 )
-from plabic.perms import format_subset, is_ws_collection, parse_subset
+from plabic.perms import format_subset, gale_leq, is_ws_collection, parse_subset
 
 
 def all_decorated_permutations(b):
@@ -201,7 +202,6 @@ def test_positroid_membership_brute_force():
     )
     m = positroid(nk)
     assert frozenset({1, 2, 3}) not in m  # fails the Gale test at shift 4
-    from plabic.perms import gale_leq
 
     recount = sum(
         1
@@ -210,6 +210,21 @@ def test_positroid_membership_brute_force():
     )
     assert recount == len(m)
     assert all(6 in J for J in m)
+
+
+@pytest.mark.parametrize("I, J", [({1, 5}, {2, 6}), ({0, 1}, {1, 2}), ({1, 2}, {2, 5}),
+                                  ({-1, 2}, {2, 3})])
+def test_weak_separation_rejects_labels_outside_1_to_b(I, J):
+    with pytest.raises(BadLabel):
+        weakly_separated(I, J, 4)
+    with pytest.raises(BadLabel):
+        weakly_separated(J, I, 4)
+
+
+@pytest.mark.parametrize("I, J", [({0}, {4}), ({4}, {0}), ({5}, {1}), ({1, 2}, {2, 7})])
+def test_gale_leq_rejects_labels_outside_1_to_b(I, J):
+    with pytest.raises(BadLabel):
+        gale_leq(1, 4, I, J)
 
 
 def test_weak_separation_basics():
@@ -226,7 +241,7 @@ def test_known_maximal_collection_is_ws():
 
 
 @settings(max_examples=120, deadline=None)
-@given(st.integers(2, 8), st.data())
+@given(st.integers(1, 8), st.data())
 def test_weak_separation_symmetry_and_shift(b, data):
     a = data.draw(st.integers(1, b))
     universe = list(range(1, b + 1))
