@@ -2,6 +2,7 @@
 criteria, quivers, bridge decompositions and positroid machinery."""
 
 from .errors import (
+    BadBudget,
     BadLabel,
     BadWord,
     FrozenVertex,

@@ -86,3 +86,7 @@ class TripDoesNotTerminate(PlabicError):
 
 class TooLarge(PlabicError):
     """Enumeration exceeded its budget."""
+
+
+class BadBudget(PlabicError):
+    """A search budget or enumeration limit that is negative or not an integer."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .bridges import bridge_graph
-from .errors import NotReducedError, TooLarge
+from .errors import BadBudget, NotReducedError, TooLarge
 from .graph import PlabicGraph
 from .normalize import is_reduced
 from .perms import (
@@ -152,8 +152,11 @@ def enumerate_ws(p: DecoratedPermutation, limit: int = None):
     Starts from the target labels of a bridge graph and closes under square
     moves; every collection returned contains the Grassmann necklace, lies
     inside the positroid, has size a(b-a) - length + 1 and is pairwise
-    weakly separated.  Raises TooLarge when ``limit`` is exceeded.
+    weakly separated.  Raises TooLarge when ``limit`` is exceeded, and
+    BadBudget for a negative ``limit``.
     """
+    if limit is not None and limit < 0:
+        raise BadBudget(f"limit must be non-negative, got {limit}")
     b = p.b
     a = p.anti_excedances()
     nk = necklace_from_perm(p)

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import IllegalMove
+from .errors import BadBudget, IllegalMove
 from .graph import BLACK, WHITE, Builder, PlabicGraph, other_color
 
 KINDS = (
@@ -419,15 +419,51 @@ class EquivalenceResult:
     verdict: str  # "equivalent" | "not_equivalent" | "unknown"
     certificate: list = None
     reason: str = ""
+    # set when the search ran: states recorded and layers grown, each as
+    # (g1's side, g2's side); a layer cut short by a meeting or by the
+    # state cap counts as grown
+    states: tuple = None
+    depth: tuple = None
 
     @property
     def equivalent(self):
         return self.verdict == "equivalent"
 
 
+_STATE_CAP = 200_000
+
+
 def _search_moves(g: PlabicGraph):
     """Moves explored by the bounded search."""
     return [m for m in legal_moves(g) if m.kind in _SEARCH_KINDS]
+
+
+def _leaves(g: PlabicGraph) -> int:
+    """Internal vertices of degree 1."""
+    rot = g._rot
+    return sum(len(rot[v]) == 1 for v in g._colors)
+
+
+def _backward_moves(g: PlabicGraph, grow_leaves: bool):
+    """Candidate moves from a state on g2's side: the search moves, plus,
+    when ``grow_leaves``, a leaf of the vertex's own colour at every
+    rotation slot (undone by a ContractM3 search move)."""
+    moves = _search_moves(g)
+    if grow_leaves:
+        moves += [
+            MoveSpec("SplitM3", vertex=v, start=s, length=0)
+            for v in sorted(g._colors)
+            for s in range(len(g._rot[v]))
+        ]
+    return moves
+
+
+def _undoable(h: PlabicGraph, inv: MoveSpec) -> bool:
+    """Whether the inverse ``inv`` returned by ``_apply`` is a search move
+    at ``h``.  Only SplitM3 can fail: ``legal_moves`` lists arcs of length
+    2..deg-2, while undoing the contraction of an edge with a bivalent or
+    leaf end needs length 1 or 0."""
+    return inv.kind != "SplitM3" or 2 <= inv.length <= h.degree(inv.vertex) - 2
 
 
 def move_equivalent(
@@ -437,13 +473,31 @@ def move_equivalent(
 
     Reduced graphs are decided instantly by comparing decorated trip
     permutations (no certificate, unless ``want_certificate`` forces the
-    search).  Otherwise a breadth-first search over local moves runs up to
-    ``budget`` steps and either returns a move certificate or gives up with
-    "unknown".
+    search).  Otherwise a bidirectional breadth-first search over the
+    search moves (square, bivalent insertion and removal, contraction and
+    split) looks for a chain of at most ``budget`` moves from g1 to g2 and
+    either returns it as a certificate or gives up with "unknown".
+
+    Each side maps canonical keys to (parent key, move).  The shallower
+    side grows one layer at a time, g1's side first, so g1's side reaches
+    depth ceil(budget/2) and g2's side floor(budget/2); a new key is
+    checked against the other side before its own, so the first meeting
+    gives a shortest chain.  g2's side must hold only graphs that reach g2
+    by search moves, and all of those within its depth.  So it keeps a
+    move only when the inverse ``_apply`` returns is a search move (see
+    ``_undoable``), and while it holds fewer leaves than g1 it also hangs
+    new leaves: contracting a leaf into a vertex of degree >= 3 is a
+    search move that no search move undoes, and since no search move adds
+    a leaf, a state with more leaves than g1 is out of g1's reach.  The
+    certificate is g1's path to the meeting state, then at each step back
+    to g2 the first search move whose result has the next key.  The state
+    cap counts both sides.
     """
     from .normalize import is_reduced
     from .trips import decorated_trip_permutation, trip_permutation
 
+    if not isinstance(budget, int) or isinstance(budget, bool) or budget < 0:
+        raise BadBudget(f"budget must be a non-negative integer, got {budget!r}")
     if trip_permutation(g1) != trip_permutation(g2):
         return EquivalenceResult(
             "not_equivalent", reason="trip permutations differ"
@@ -466,36 +520,71 @@ def move_equivalent(
             )
     if g1 == g2:
         return EquivalenceResult("equivalent", certificate=[], reason="isomorphic")
-    # breadth-first search on canonical forms; certificate moves reference
-    # the concrete intermediate graphs obtained by replaying from g1
-    target = g2.canonical_key()
-    state_cap = 200_000
-    seen = {g1.canonical_key()}
-    frontier = [(g1, [])]
-    for _ in range(budget):
+    # key -> (parent key, move applied to the parent's graph); the roots
+    # map to None
+    sides = ({g1.canonical_key(): None}, {g2.canonical_key(): None})
+    frontiers = [[g1], [g2]]
+    depth = [0, 0]
+    leaves = _leaves(g1)
+
+    def result(verdict, reason, certificate=None):
+        return EquivalenceResult(verdict, certificate, reason,
+                                 states=tuple(map(len, sides)), depth=tuple(depth))
+
+    while depth[0] + depth[1] < budget and all(frontiers):
+        s = 0 if depth[0] <= depth[1] else 1
+        own, other = sides[s], sides[1 - s]
+        depth[s] += 1
         nxt = []
-        for g, path in frontier:
-            for mv in _search_moves(g):
+        for g in frontiers[s]:
+            gkey = g.canonical_key()
+            moves = _search_moves(g) if s == 0 else _backward_moves(g, _leaves(g) < leaves)
+            for mv in moves:
                 try:
-                    h, _inv = _apply(g, mv)
+                    h, inv = _apply(g, mv)
                 except IllegalMove:  # pragma: no cover
                     continue
-                key = h.canonical_key()
-                if key == target:
-                    return EquivalenceResult(
-                        "equivalent",
-                        certificate=path + [mv],
-                        reason="found by search",
-                    )
-                if key in seen:
+                if s == 1 and not _undoable(h, inv):
                     continue
-                seen.add(key)
-                nxt.append((h, path + [mv]))
-                if len(seen) > state_cap:
-                    return EquivalenceResult(
-                        "unknown", reason="state budget exhausted"
-                    )
-        frontier = nxt
-        if not frontier:
-            break
-    return EquivalenceResult("unknown", reason=f"no certificate within budget {budget}")
+                key = h.canonical_key()
+                if key in other:
+                    own[key] = (gkey, mv)
+                    return result("equivalent", "found by search",
+                                  _certificate(g1, sides, key))
+                if key in own:
+                    continue
+                own[key] = (gkey, mv)
+                nxt.append(h)
+                if len(sides[0]) + len(sides[1]) > _STATE_CAP:
+                    return result("unknown", "state budget exhausted")
+        frontiers[s] = nxt
+    return result("unknown", f"no certificate within budget {budget}")
+
+
+def _certificate(g1: PlabicGraph, sides, meet):
+    """The moves from g1 to the meeting key along g1's side, then back to
+    g2 along g2's side, each replayed on the concrete graph reached."""
+    forward, backward = sides
+    path = []
+    key = meet
+    while forward[key] is not None:
+        key, mv = forward[key]
+        path.append(mv)
+    path.reverse()
+    if backward[meet] is None:  # met at g2 itself
+        return path
+    x = g1
+    for mv in path:
+        x = apply_move(x, mv)
+    key = meet
+    while backward[key] is not None:
+        key = backward[key][0]
+        for mv in _search_moves(x):
+            h = apply_move(x, mv)
+            if h.canonical_key() == key:
+                break
+        else:  # pragma: no cover
+            raise AssertionError("g2's side recorded a move no search move undoes")
+        path.append(mv)
+        x = h
+    return path

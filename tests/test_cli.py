@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from plabic import fixtures
+from plabic import MoveSpec, apply_move, fixtures
 from plabic.cli import main
 
 
@@ -211,6 +211,35 @@ def test_equiv_subcommand(capsys, monkeypatch, fixture_path):
     g2 = fixture_path("square_path_b6")
     code, out, _ = run(["equiv", g1, g2], capsys=capsys)
     assert json.loads(out)["verdict"] == "equivalent"
+
+
+def test_equiv_search_output_is_pinned(capsys, tmp_path, fixture_path):
+    # a non-reduced pair three insertions apart, decided by search
+    g1 = fixture_path("white_digon_b2")
+    g = fixtures.ALL_NAMED["white_digon_b2"]()
+    for edge, color in ((1, "black"), (2, "black"), (0, "white")):
+        g = apply_move(g, MoveSpec("InsertBivalentM2", edge=edge, color=color))
+    g2 = tmp_path / "g2.json"
+    g2.write_text(g.to_json())
+    code, out, _ = run(["equiv", g1, str(g2), "--budget", "3"], capsys=capsys)
+    assert code == 0
+    assert out == (
+        '{"certificate": [{"color": "white", "edge": 0, "kind": "InsertBivalentM2"}, '
+        '{"color": "black", "edge": 1, "kind": "InsertBivalentM2"}, '
+        '{"color": "black", "edge": 2, "kind": "InsertBivalentM2"}], '
+        '"reason": "found by search", "verdict": "equivalent"}\n'
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    ["equiv", "G", "G", "--budget", "-3"],
+    ["ws", "enumerate", "3 4 5 1 2 6^", "--limit", "-1"],
+])
+def test_negative_budget_or_limit_exits_1(argv, capsys, fixture_path):
+    argv = [fixture_path("square_fan_b5") if a == "G" else a for a in argv]
+    code, out, err = run(argv, capsys=capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "BadBudget"
 
 
 def test_quiver_subcommand(capsys, monkeypatch, fixture_path):

@@ -1,6 +1,7 @@
 import pytest
 
 from plabic import (
+    BadBudget,
     NotReducedError,
     TooLarge,
     apply_move,
@@ -166,6 +167,11 @@ def test_enumerate_limit_counts_the_seed():
     with pytest.raises(TooLarge):
         enumerate_ws(p, limit=0)
     assert len(enumerate_ws(p, limit=1)) == 1
+
+
+def test_enumerate_rejects_a_negative_limit():
+    with pytest.raises(BadBudget):
+        enumerate_ws(DecoratedPermutation.parse("3 4 5 1 2 6^"), limit=-1)
 
 
 def test_enumerate_is_deterministic():

@@ -20,8 +20,8 @@ from plabic import (
 )
 from plabic import DecoratedPermutation
 from plabic import fixtures as F
-from plabic.errors import PlabicError
-from plabic.moves import KINDS, _apply
+from plabic.errors import BadBudget, PlabicError
+from plabic.moves import KINDS, _apply, _search_moves
 from conftest import random_decorated_permutation
 
 
@@ -213,17 +213,31 @@ def test_equivalence_one_step_certificate():
 
 
 def test_equivalence_search_skips_revisited_states():
-    # two insertions away: the depth-2 layer also reaches g again, by removal
+    # two insertions away: each side grows one layer, and the two meet at a
+    # graph one insertion from g
     g = F.square_fan_b5()
     h1, _ = _apply(g, MoveSpec("InsertBivalentM2", edge=5, color="white"))
     h, _ = _apply(h1, MoveSpec("InsertBivalentM2", edge=8, color="black"))
     res = move_equivalent(g, h, budget=2, want_certificate=True)
     assert res.verdict == "equivalent" and res.reason == "found by search"
-    assert len(res.certificate) == 2
+    assert len(res.certificate) == 2 and res.depth == (1, 1)
     cur = g
     for mv in res.certificate:
         cur = apply_move(cur, mv)
     assert cur == h
+
+
+def test_equivalence_search_records_each_state_once():
+    # g has a white bivalent vertex between a white and a black vertex:
+    # removing it and contracting it into its white neighbour give the same
+    # graph, and so do white insertions on either of its edges
+    g, _ = _apply(F.square_fan_b5(), MoveSpec("InsertBivalentM2", edge=5, color="white"))
+    h1, _ = _apply(g, MoveSpec("InsertBivalentM2", edge=8, color="black"))
+    h, _ = _apply(h1, MoveSpec("InsertBivalentM2", edge=9, color="white"))
+    res = move_equivalent(g, h, budget=2, want_certificate=True)
+    assert res.verdict == "equivalent" and res.depth == (1, 1)
+    # the root and one state per distinct graph of g's first layer
+    assert res.states[0] == 1 + len(_search_moves(g)) - 2
 
 
 def test_equivalence_of_isomorphic_graphs_needs_no_search():
@@ -266,6 +280,28 @@ def test_unknown_names_the_budget():
     res = move_equivalent(g1, g2, budget=3)
     assert res.verdict == "unknown"
     assert res.reason == "no certificate within budget 3"
+
+
+def test_unknown_says_how_far_the_search_got():
+    res = move_equivalent(F.urban_left_b7(), F.urban_right_b7(), budget=3, want_certificate=True)
+    assert (res.verdict, res.reason) == ("unknown", "no certificate within budget 3")
+    # g1's side grows two layers and g2's side one; states count the roots
+    assert res.depth == (2, 1)
+    assert res.states == (601, 30)
+
+
+def test_results_decided_without_search_carry_no_search_counts():
+    res = move_equivalent(F.square_fan_b5_lollipop(), F.square_path_b6())
+    assert (res.states, res.depth) == (None, None)
+    res = move_equivalent(F.fork_b1(), F.fork_b1())
+    assert (res.states, res.depth) == (None, None)
+
+
+@pytest.mark.parametrize("budget", [-3, -1, 2.5, True, "3", None])
+def test_bad_budget_raises(budget):
+    g = F.square_fan_b5()
+    with pytest.raises(BadBudget):
+        move_equivalent(g, g, budget=budget)
 
 
 def test_trivalent_connectivity_via_square_and_flip(rng):

@@ -12,8 +12,8 @@ collapse over all builder darts, normalization from a frozen collapse,
 classification over edge ids, and the square moves of a weakly separated
 collection found from a core-to-pairs index and a scan of every quad, weak
 separation by counting cyclic blocks of marks, the positroid through
-``gale_leq`` and the square-move closure of weakly separated collections on
-frozensets.  The tests require the library to agree with them exactly on the
+``gale_leq``, the square-move closure of weakly separated collections on
+frozensets, and move equivalence by a one-way breadth-first search.  The tests require the library to agree with them exactly on the
 fixtures and on many bridge and move-walk graphs, some with loops, digons and
 pendant trees, and on the weakly separated collections and positroids of
 many permutations.
@@ -32,6 +32,7 @@ from plabic import (
     WHITE,
     DecoratedPermutation,
     Face,
+    IllegalMove,
     MoveSpec,
     NotNormal,
     SizeMismatch,
@@ -52,6 +53,7 @@ from plabic import (
     label_collection,
     legal_moves,
     length,
+    move_equivalent,
     necklace_from_perm,
     normalize,
     positroid,
@@ -63,6 +65,7 @@ from plabic import fixtures as F
 from plabic import graph as graph_module
 from plabic import labels as labels_module
 from plabic.graph import Builder, PlabicGraph, _pendant_vertices, collapse_trees
+from plabic.moves import EquivalenceResult, _apply, _search_moves
 from plabic.normalize import NormalizeResult, Witness
 from plabic.perms import _mask, _separated, shifted_key
 from plabic.trips import BadFeature, Trip, _is_resonant_ring
@@ -770,6 +773,68 @@ def enumerate_ws_reference(p, limit=None):
     return seen
 
 
+def move_equivalent_one_way(
+    g1: PlabicGraph, g2: PlabicGraph, budget: int = 6, want_certificate: bool = False
+):
+    """Move equivalence by a one-way breadth-first search from g1, with the
+    library's pre-checks, verdicts and reasons."""
+    if trip_permutation(g1) != trip_permutation(g2):
+        return EquivalenceResult(
+            "not_equivalent", reason="trip permutations differ"
+        )
+    r1, r2 = is_reduced(g1), is_reduced(g2)
+    if r1.reduced != r2.reduced:
+        return EquivalenceResult(
+            "not_equivalent", reason="exactly one side is reduced"
+        )
+    if r1.reduced and r2.reduced:
+        if decorated_trip_permutation(g1) != decorated_trip_permutation(g2):
+            return EquivalenceResult(
+                "not_equivalent", reason="decorated trip permutations differ"
+            )
+        if not want_certificate:
+            return EquivalenceResult(
+                "equivalent",
+                certificate=None,
+                reason="both reduced with equal decorated trip permutations",
+            )
+    if g1 == g2:
+        return EquivalenceResult("equivalent", certificate=[], reason="isomorphic")
+    # breadth-first search on canonical forms; certificate moves reference
+    # the concrete intermediate graphs obtained by replaying from g1
+    target = g2.canonical_key()
+    state_cap = 200_000
+    seen = {g1.canonical_key()}
+    frontier = [(g1, [])]
+    for _ in range(budget):
+        nxt = []
+        for g, path in frontier:
+            for mv in _search_moves(g):
+                try:
+                    h, _inv = _apply(g, mv)
+                except IllegalMove:  # pragma: no cover
+                    continue
+                key = h.canonical_key()
+                if key == target:
+                    return EquivalenceResult(
+                        "equivalent",
+                        certificate=path + [mv],
+                        reason="found by search",
+                    )
+                if key in seen:
+                    continue
+                seen.add(key)
+                nxt.append((h, path + [mv]))
+                if len(seen) > state_cap:
+                    return EquivalenceResult(
+                        "unknown", reason="state budget exhausted"
+                    )
+        frontier = nxt
+        if not frontier:
+            break
+    return EquivalenceResult("unknown", reason=f"no certificate within budget {budget}")
+
+
 # ----------------------------------------------------------------------
 # graphs
 
@@ -1214,3 +1279,84 @@ def _label_pairs(draw):
 def test_weak_separation_matches_marks(case):
     b, I, J = case
     _check_against_marks(I, J, b)
+
+
+def _equiv_style_pairs(rng):
+    """Pairs like the equiv benchmark's: h is d vertex-adding search moves
+    from a bridge graph g, so exactly d moves away; the budget is d."""
+    pairs = []
+    for b, d, n in ((3, 1, 6), (3, 2, 4), (3, 3, 3), (4, 1, 4), (4, 2, 3), (5, 1, 3), (5, 2, 2)):
+        for _ in range(n):
+            g = bridge_graph(random_decorated_permutation(b, rng))
+            h = g
+            for _ in range(d):
+                growing = [m for m in legal_moves(h) if m.kind in ("InsertBivalentM2", "SplitM3")]
+                h = apply_move(h, rng.choice(growing))
+            pairs.append((g, h, d))
+    return pairs
+
+
+def _leaf_pairs(rng):
+    """One bridge graph with a leaf hung off one of two of its vertices,
+    at budgets 1..3."""
+    pairs = []
+    for _ in range(9):
+        g = bridge_graph(random_decorated_permutation(3, rng))
+        g1, g2 = [apply_move(g, MoveSpec("SplitM3", vertex=v, start=rng.randrange(g.degree(v)),
+                                         length=0))
+                  for v in rng.sample(g.internal_vertices(), 2)]
+        pairs.extend((g1, g2, budget) for budget in (1, 2, 3))
+    return pairs
+
+
+def _late_leaf_pair():
+    """A white leaf on the black corner of a square: the square move must
+    come first, and only then can the leaf be contracted.  At budget 2 the
+    meeting needs g2's side to grow the leaf back."""
+    g1 = PlabicGraph.from_rotation(
+        3, {0: WHITE, 1: BLACK, 2: WHITE, 3: BLACK, 4: WHITE},
+        {0: [0, 5, 8], 1: [1, 6, 5], 2: [6, 2, 7], 3: [8, 7, 9], 4: [9],
+         -1: [0], -2: [1], -3: [2]})
+    g = apply_move(g1, MoveSpec("SquareM1", face=3))
+    return g1, apply_move(g, MoveSpec("ContractM3", edge=9))
+
+
+def _pendant_pairs(graphs, rng):
+    """Small graphs with pendant trees and a walk of one or two search
+    moves from each, contractions of leaves among them."""
+    small = [g for g in graphs if len(g.edge_ids) <= 9]
+    pairs = []
+    for g in rng.sample(small, 16):
+        h = g
+        for _ in range(rng.randint(1, 2)):
+            h = apply_move(h, rng.choice(_search_moves(h)))
+        pairs.append((g, h, 2))
+    return pairs
+
+
+def test_meet_in_the_middle_matches_one_way_search(pendant_tree_graphs):
+    rng = random.Random(93)
+    pairs = _equiv_style_pairs(rng)
+    pairs += [(F.square_fan_b5_lollipop(), F.square_path_b6(), 4),
+              (F.urban_left_b7(), F.urban_right_b7(), 3)]
+    pairs += [(F.ALL_NAMED["white_digon_b2"](), F.ALL_NAMED["black_digon_b2"](), budget) for budget in (1, 2, 3)]
+    pairs += _pendant_pairs(pendant_tree_graphs, rng)
+    pairs += _leaf_pairs(rng)
+    g1, g2 = _late_leaf_pair()
+    pairs += [(g1, g2, budget) for budget in (1, 2, 3)]
+    verdicts = Counter()
+    for g1, g2, budget in pairs:
+        got = move_equivalent(g1, g2, budget, want_certificate=True)
+        want = move_equivalent_one_way(g1, g2, budget, want_certificate=True)
+        assert (got.verdict, got.reason) == (want.verdict, want.reason), (g1.to_json(), budget)
+        verdicts[got.verdict] += 1
+        if got.certificate is None:
+            continue
+        assert len(got.certificate) == len(want.certificate), (g1.to_json(), budget)
+        x = g1
+        for mv in got.certificate:
+            x = apply_move(x, mv)
+        assert x == g2, (g1.to_json(), budget)
+        if got.reason == "found by search":
+            assert sum(got.depth) == len(got.certificate)
+    assert verdicts["equivalent"] >= 40 and verdicts["unknown"] >= 10, verdicts
