@@ -276,14 +276,15 @@ class PlabicGraph:
             for j in range(m):  # ds[j + 1 - m] wraps around
                 nxt[ds[j] ^ 1] = ds[j + 1 - m]
 
-        seen = bytearray(n)
+        face_of = [None] * n  # dart -> index of its face in ``faces``
         faces = []
         for start in range(n):
-            if seen[start]:
+            if face_of[start] is not None:
                 continue
             walk = _orbit(nxt, start, n)
+            idx = len(faces)
             for d in walk:
-                seen[d] = 1
+                face_of[d] = idx
             if max(walk) < rim:
                 faces.append(Face("internal", tuple(walk), ()))
                 continue
@@ -293,21 +294,17 @@ class PlabicGraph:
         if b == 0:
             faces.append(Face("outer", (), ()))
         self._cache["faces"] = faces
+        self._cache["face_of_dart"] = face_of
         return faces
 
     def nonouter_faces(self):
         return [f for f in self.faces() if f.kind != "outer"]
 
     def face_of_dart(self):
-        """Map each graph dart to the index (into faces()) of its face."""
-        if "face_of_dart" in self._cache:
-            return self._cache["face_of_dart"]
-        m = {}
-        for idx, f in enumerate(self.faces()):
-            for d in f.darts:
-                m[d] = idx
-        self._cache["face_of_dart"] = m
-        return m
+        """The index into ``faces()`` of each dart's face, as a list indexed
+        by dart: the graph darts, then the rim darts ``faces`` adds."""
+        self.faces()
+        return self._cache["face_of_dart"]
 
     def euler_ok(self) -> bool:
         if self.b == 0:
@@ -330,15 +327,11 @@ class PlabicGraph:
         """
         if "ckey" in self._cache:
             return self._cache["ckey"]
-        new_id = {}
         edge_new = {}
         out = [self.b]
-        stack = []
-        for label in range(1, self.b + 1):
-            stack.append(self.boundary_dart(label))
         order = []  # (vertex, entry dart)
         seen_v = set()
-        queue = list(stack)
+        queue = [self.boundary_dart(label) for label in range(1, self.b + 1)]
         qi = 0
         while qi < len(queue):
             d = queue[qi]
@@ -350,7 +343,6 @@ class PlabicGraph:
             if w < 0 or w in seen_v:
                 continue
             seen_v.add(w)
-            new_id[w] = len(new_id)
             ds = self._rot[w]
             i = ds.index(d ^ 1)
             ordered = ds[i:] + ds[:i]

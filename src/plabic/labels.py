@@ -153,10 +153,10 @@ def enumerate_ws(p: DecoratedPermutation, limit: int = None):
     moves; every collection returned contains the Grassmann necklace, lies
     inside the positroid, has size a(b-a) - length + 1 and is pairwise
     weakly separated.  Raises TooLarge when ``limit`` is exceeded, and
-    BadBudget for a negative ``limit``.
+    BadBudget for a ``limit`` that is not a non-negative integer.
     """
-    if limit is not None and limit < 0:
-        raise BadBudget(f"limit must be non-negative, got {limit}")
+    if limit is not None and (not isinstance(limit, int) or isinstance(limit, bool) or limit < 0):
+        raise BadBudget(f"limit must be a non-negative integer, got {limit!r}")
     b = p.b
     a = p.anti_excedances()
     nk = necklace_from_perm(p)

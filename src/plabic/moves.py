@@ -27,17 +27,6 @@ from typing import NamedTuple
 from .errors import BadBudget, IllegalMove
 from .graph import BLACK, WHITE, Builder, PlabicGraph, other_color
 
-KINDS = (
-    "SquareM1",
-    "InsertBivalentM2",
-    "RemoveBivalentM2",
-    "ContractM3",
-    "SplitM3",
-    "FlipM4",
-    "UrbanRenewal",
-    "NormalFlip",
-)
-
 # kinds explored by the bounded search (inserts kept: they are needed to
 # undo contractions performed on the other side)
 _SEARCH_KINDS = ("SquareM1", "RemoveBivalentM2", "InsertBivalentM2", "ContractM3", "SplitM3")
@@ -56,6 +45,8 @@ class MoveSpec(NamedTuple):
     condition_ok: bool = None  # informational flag on SquareM1 sites
 
     def to_json_obj(self):
+        # Written out field by field: the walk benchmark keys every listed
+        # spec by this object, and a loop over ``_fields`` is twice as slow.
         out = {"kind": self.kind}
         if self.face is not None:
             out["face"] = self.face
@@ -90,20 +81,39 @@ class MoveSpec(NamedTuple):
             raise IllegalMove(
                 f"move field 'condition_ok' must be a boolean, got {obj['condition_ok']!r}"
             )
-        return MoveSpec(
-            kind=obj["kind"],
-            face=obj.get("face"),
-            vertex=obj.get("vertex"),
-            edge=obj.get("edge"),
-            color=obj.get("color"),
-            start=obj.get("start"),
-            length=obj.get("length"),
-            condition_ok=obj.get("condition_ok"),
-        )
+        return MoveSpec(*[obj.get(k) for k in MoveSpec._fields])
 
 
 # ----------------------------------------------------------------------
-# site inspection helpers
+# site rules, each shared by ``legal_moves`` and the matching ``_apply_*``
+
+
+def _trivalent(rot, vs) -> bool:
+    """Whether every vertex of ``vs`` has degree 3: the corners of a
+    SquareM1 face, the two ends of a FlipM4 edge."""
+    for v in vs:
+        if len(rot[v]) != 3:
+            return False
+    return True
+
+
+def _removable(ds) -> bool:
+    """Whether a vertex with darts ``ds`` is bivalent and carries no loop."""
+    return len(ds) == 2 and ds[0] != ds[1] ^ 1
+
+
+def _contractible(colors, u, w) -> bool:
+    """Whether the edge from u to w is internal, not a loop, and
+    unicolored (ContractM3; FlipM4 also needs ``_trivalent`` ends)."""
+    return u >= 0 and w >= 0 and u != w and colors[u] == colors[w]
+
+
+def _edge_darts(g: PlabicGraph, edge):
+    """The two darts of an edge id; IllegalMove for an id the graph lacks."""
+    try:
+        return g.darts_of_edge(edge)
+    except ValueError:
+        raise IllegalMove(f"no edge with id {edge}")
 
 
 def _alternating_quad(g: PlabicGraph, face):
@@ -191,7 +201,7 @@ def legal_moves(g: PlabicGraph):
         vs = _alternating_quad(g, face)
         if vs is None:
             continue
-        if all(len(rot[v]) == 3 for v in vs):  # trivalent, as _apply_square requires
+        if _trivalent(rot, vs):
             append(MoveSpec("SquareM1", face=idx, condition_ok=_square_condition_ok(g, face)))
         if _urban_corners_ok(g, face, vs):
             append(MoveSpec("UrbanRenewal", face=idx))
@@ -199,7 +209,7 @@ def legal_moves(g: PlabicGraph):
         ds = rot[v]
         deg = len(ds)
         if deg == 2:
-            if ds[0] != ds[1] ^ 1:
+            if _removable(ds):
                 append(MoveSpec("RemoveBivalentM2", vertex=v))
             if _is_normal_flip_site(g, v):
                 append(MoveSpec("NormalFlip", vertex=v))
@@ -211,9 +221,9 @@ def legal_moves(g: PlabicGraph):
         u, w = dv[2 * k], dv[2 * k + 1]
         append(MoveSpec("InsertBivalentM2", edge=e, color=BLACK))
         append(MoveSpec("InsertBivalentM2", edge=e, color=WHITE))
-        if u >= 0 and w >= 0 and u != w and colors[u] == colors[w]:
+        if _contractible(colors, u, w):
             append(MoveSpec("ContractM3", edge=e))
-            if len(rot[u]) == 3 and len(rot[w]) == 3:
+            if _trivalent(rot, (u, w)):
                 append(MoveSpec("FlipM4", edge=e))
     return out
 
@@ -229,23 +239,11 @@ def apply_move(g: PlabicGraph, m: MoveSpec) -> PlabicGraph:
 
 def _apply(g: PlabicGraph, m: MoveSpec):
     """Apply a move; returns (new graph, inverse MoveSpec)."""
-    if m.kind == "SquareM1":
-        return _apply_square(g, m)
-    if m.kind == "RemoveBivalentM2":
-        return _apply_remove_bivalent(g, m)
-    if m.kind == "InsertBivalentM2":
-        return _apply_insert_bivalent(g, m)
-    if m.kind == "ContractM3":
-        return _apply_contract(g, m)
-    if m.kind == "SplitM3":
-        return _apply_split(g, m)
-    if m.kind == "FlipM4":
-        return _apply_flip(g, m)
-    if m.kind == "UrbanRenewal":
-        return _apply_urban(g, m)
-    if m.kind == "NormalFlip":
-        return _apply_normal_flip(g, m)
-    raise IllegalMove(f"unknown move kind {m.kind!r}")
+    try:
+        apply = _APPLY[m.kind]
+    except (KeyError, TypeError):  # TypeError: an unhashable kind
+        raise IllegalMove(f"unknown move kind {m.kind!r}")
+    return apply(g, m)
 
 
 def _face_at(g, idx):
@@ -257,7 +255,7 @@ def _face_at(g, idx):
 
 def _apply_square(g, m):
     vs = _alternating_quad(g, _face_at(g, m.face))
-    if vs is None or any(g.degree(v) != 3 for v in vs):
+    if vs is None or not _trivalent(g._rot, vs):
         raise IllegalMove(f"face {m.face} is not a square-move site")
     colors = dict(g._colors)
     for v in vs:
@@ -269,11 +267,11 @@ def _apply_square(g, m):
 
 def _apply_remove_bivalent(g, m):
     v = m.vertex
-    if v is None or v < 0 or v not in g._colors or g.degree(v) != 2:
+    if v not in g._colors or g.degree(v) != 2:
         raise IllegalMove(f"vertex {v} is not an internal bivalent vertex")
-    d1, d2 = g.rotation(v)
-    if d1 == g.twin(d2):
+    if not _removable(g._rot[v]):
         raise IllegalMove(f"vertex {v} carries only a loop")
+    d1, d2 = g._rot[v]
     color = g.color(v)
     kept = min(g.edge_id(d1), g.edge_id(d2))
     bld = Builder(g)
@@ -284,23 +282,17 @@ def _apply_remove_bivalent(g, m):
 def _apply_insert_bivalent(g, m):
     if m.color not in (BLACK, WHITE):
         raise IllegalMove(f"insertion needs a color, got {m.color!r}")
-    try:
-        d, _ = g.darts_of_edge(m.edge)
-    except ValueError:
-        raise IllegalMove(f"no edge with id {m.edge}")
+    d, _ = _edge_darts(g, m.edge)
     bld = Builder(g)
     w = bld.insert_bivalent(d, m.color)
     return bld.freeze(), MoveSpec("RemoveBivalentM2", vertex=w)
 
 
 def _apply_contract(g, m):
-    try:
-        u, v = g.edge_endpoints(m.edge)
-    except ValueError:
-        raise IllegalMove(f"no edge with id {m.edge}")
-    if u < 0 or v < 0 or u == v or g.color(u) != g.color(v):
+    d0, d1 = _edge_darts(g, m.edge)
+    u, v = g._dart_vertex[d0], g._dart_vertex[d1]
+    if not _contractible(g._colors, u, v):
         raise IllegalMove(f"edge {m.edge} is not a contractible unicolored edge")
-    d0, d1 = g.darts_of_edge(m.edge)
     d = d0 if u < v else d1
     bld = Builder(g)
     survivor = bld.dv[d]
@@ -312,7 +304,7 @@ def _apply_contract(g, m):
 
 def _apply_split(g, m):
     v = m.vertex
-    if v is None or v < 0 or v not in g._colors:
+    if v not in g._colors:
         raise IllegalMove(f"vertex {v} is not internal")
     deg = g.degree(v)
     if m.start is None or m.length is None or not 0 <= m.length <= deg:
@@ -323,21 +315,12 @@ def _apply_split(g, m):
 
 
 def _apply_flip(g, m):
-    try:
-        u, v = g.edge_endpoints(m.edge)
-    except ValueError:
-        raise IllegalMove(f"no edge with id {m.edge}")
-    if (
-        u < 0
-        or v < 0
-        or u == v
-        or g.color(u) != g.color(v)
-        or g.degree(u) != 3
-        or g.degree(v) != 3
-    ):
+    d0, d1 = _edge_darts(g, m.edge)
+    u, v = g._dart_vertex[d0], g._dart_vertex[d1]
+    if not (_contractible(g._colors, u, v) and _trivalent(g._rot, (u, v))):
         raise IllegalMove(f"edge {m.edge} is not a flip site")
     bld = Builder(g)
-    link = _flip(bld, g.darts_of_edge(m.edge)[0])
+    link = _flip(bld, d0)
     return bld.freeze(), MoveSpec("FlipM4", edge=bld.ids[link >> 1])
 
 
@@ -408,6 +391,20 @@ def _apply_normal_flip(g, m):
     # d1's edge survives the removal as the white-white edge
     nb = bld.insert_bivalent(_flip(bld, d1), BLACK)
     return bld.freeze(), MoveSpec("NormalFlip", vertex=nb)
+
+
+# kind -> its ``_apply_*``; the order is the public order of ``KINDS``
+_APPLY = {
+    "SquareM1": _apply_square,
+    "InsertBivalentM2": _apply_insert_bivalent,
+    "RemoveBivalentM2": _apply_remove_bivalent,
+    "ContractM3": _apply_contract,
+    "SplitM3": _apply_split,
+    "FlipM4": _apply_flip,
+    "UrbanRenewal": _apply_urban,
+    "NormalFlip": _apply_normal_flip,
+}
+KINDS = tuple(_APPLY)
 
 
 # ----------------------------------------------------------------------

@@ -61,7 +61,7 @@ def normalize(g: PlabicGraph) -> NormalizeResult:
     # stage 2: bivalent removal; one pass, since a removal changes no other
     # vertex's degree
     for v in sorted(bld.colors):
-        if v in bld.rot and bld.degree(v) == 2:
+        if bld.degree(v) == 2:
             d1, d2 = bld.rot[v]
             if d1 ^ 1 == d2:
                 return NormalizeResult(witness=Witness("loop", vertices=(v,)))
@@ -74,7 +74,7 @@ def normalize(g: PlabicGraph) -> NormalizeResult:
     # stage 3: remove lollipops, dropping their boundary vertices
     removed = []
     for v in sorted(bld.colors):
-        if v in bld.rot and bld.degree(v) == 1:
+        if bld.degree(v) == 1:
             u = bld.other_end(bld.rot[v][0])
             if u < 0:
                 removed.append((-u, bld.colors[v]))
@@ -83,7 +83,7 @@ def normalize(g: PlabicGraph) -> NormalizeResult:
 
     # stage 4: leftover internal leaves certify non-reducedness
     for v in sorted(bld.colors):
-        if v in bld.rot and bld.degree(v) == 1:
+        if bld.degree(v) == 1:
             return NormalizeResult(witness=Witness("internal_leaf", vertices=(v,)))
 
     # stage 5: contract black-black edges in one pass.  Only a black-black edge
@@ -106,7 +106,7 @@ def normalize(g: PlabicGraph) -> NormalizeResult:
     while changed:
         changed = False
         for v in sorted(bld.colors):
-            if v in bld.rot and bld.colors[v] == WHITE and bld.degree(v) >= 4:
+            if bld.colors[v] == WHITE and bld.degree(v) >= 4:
                 bld.split(v, 0, 2)
                 changed = True
 

@@ -1,13 +1,18 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plabic import MoveSpec, apply_move, fixtures
 from plabic.cli import main
+from plabic.moves import KINDS
 
 
 @pytest.fixture
@@ -310,3 +315,112 @@ def test_cli_entry_point_subprocess():
     )
     assert res.returncode == 0
     assert res.stdout.strip() == str(__import__("plabic").count_dab(2, 5))
+
+
+# ----------------------------------------------------------------------
+# fuzz: whatever the arguments, main() exits 0, exits 1 with a JSON error
+# object on stderr, or exits 2 through argparse; it never raises
+
+
+JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 40), st.text("ab-1", max_size=3)),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text("ab", max_size=2), inner, max_size=3),
+    max_leaves=6,
+)
+FIXTURE_TEXTS = [make().to_json() for make in fixtures.ALL_NAMED.values()]
+SMALL = st.integers(-2, 7).map(str)
+PERM = st.one_of(
+    st.lists(st.sampled_from(["1", "2", "3", "4", "5", "6", "0", "7", "-1", "1^", "2_", "3^", "x"]),
+             max_size=6).map(" ".join),
+    st.integers(1, 6).flatmap(lambda b: st.permutations(range(1, b + 1))).map(
+        lambda p: " ".join(f"{v}^" if v == i else str(v) for i, v in enumerate(p, 1))),
+)
+WORD = st.lists(st.sampled_from(["s1", "s2", "S1", "S2", "s3", "s0", "x"]), max_size=5).map(" ".join)
+
+
+def _slots(node):
+    """Every (container, key) pair inside a JSON value."""
+    for k, v in list(node.items() if isinstance(node, dict) else enumerate(node)):
+        yield node, k
+        if isinstance(v, (dict, list)):
+            yield from _slots(v)
+
+
+@st.composite
+def graph_texts(draw):
+    """A fixture's JSON with up to two entries deleted or replaced."""
+    obj = json.loads(draw(st.sampled_from(FIXTURE_TEXTS)))
+    for _ in range(draw(st.integers(0, 2))):
+        node, k = draw(st.sampled_from(list(_slots(obj))))
+        if draw(st.booleans()):
+            del node[k]
+        else:
+            node[k] = draw(JSON)
+    return json.dumps(obj)
+
+
+SPECS = st.one_of(
+    JSON,
+    st.fixed_dictionaries(
+        {"kind": st.sampled_from(KINDS + ("Nope",))},
+        optional={k: st.one_of(st.integers(-2, 30), JSON)
+                  for k in MoveSpec._fields if k != "kind"},
+    ),
+).map(json.dumps)
+
+
+# "@name" stands for the path of fixture ``name``; stdin holds a graph
+GRAPH_ARGV = st.one_of(
+    st.sampled_from([["info"], ["trips"], ["quiver"], ["quiver", "--dot"],
+                     ["labels", "--mode", "source"], ["export", "tikz"]]).map(lambda a: a + ["-"]),
+    SPECS.map(lambda s: ["move", "-", "--spec", s]),
+    st.tuples(st.sampled_from(sorted(fixtures.ALL_NAMED)), st.integers(-1, 3))
+    .map(lambda t: ["equiv", "-", "@" + t[0], "--budget", str(t[1])]),
+)
+
+
+ARGV = st.one_of(
+    GRAPH_ARGV,
+    st.tuples(st.sampled_from(["bridge", "lollipops", "triangulation", "word", "dword"]),
+              st.one_of(PERM, WORD, st.text("wbx", max_size=5), JSON.map(json.dumps)),
+              st.one_of(st.just([]), SMALL.map(lambda n: ["--wires", n])))
+    .map(lambda t: ["gen", t[0], t[1]] + t[2]),
+    st.tuples(st.sampled_from(["affinize", "length", "necklace", "positroid", "dab"]),
+              st.one_of(PERM, SMALL), st.one_of(st.just([]), SMALL.map(lambda n: [n])))
+    .map(lambda t: ["perm", t[0], t[1]] + t[2]),
+    st.tuples(PERM, st.one_of(st.just([]), SMALL.map(lambda n: ["--limit", n])))
+    .map(lambda t: ["ws", "enumerate", t[0]] + t[1]),
+    st.lists(st.sampled_from(["info", "gen", "move", "fixture", "fork_b1", "-", "--spec", "--budget", "x"]),
+             max_size=4),
+)
+
+
+@pytest.fixture(scope="module")
+def fixture_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fixtures")
+    for name, make in fixtures.ALL_NAMED.items():
+        (root / f"{name}.json").write_text(make().to_json())
+    return root
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(graph_text=graph_texts(), argv=ARGV)
+def test_main_never_raises(fixture_dir, graph_text, argv):
+    argv = [str(fixture_dir / f"{a[1:]}.json") if a.startswith("@") else a for a in argv]
+    # one call runs many cases, so capsys and monkeypatch cannot reset per case
+    out, err = io.StringIO(), io.StringIO()
+    stdin = sys.stdin
+    sys.stdin = io.StringIO(graph_text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:
+        assert exc.code == 2, (argv, exc.code)
+        return
+    finally:
+        sys.stdin = stdin
+    if code == 1:
+        payload = json.loads(err.getvalue())
+        assert set(payload) == {"error", "message"}, (argv, err.getvalue())
+    else:
+        assert code == 0, (argv, code)

@@ -170,8 +170,11 @@ def test_enumerate_limit_counts_the_seed():
 
 
 def test_enumerate_rejects_a_negative_limit():
-    with pytest.raises(BadBudget):
-        enumerate_ws(DecoratedPermutation.parse("3 4 5 1 2 6^"), limit=-1)
+    """And a limit that is not an int, as ``move_equivalent`` does a budget."""
+    p = DecoratedPermutation.parse("3 4 5 1 2 6^")
+    for limit in (-1, 1.5, True, "3"):
+        with pytest.raises(BadBudget):
+            enumerate_ws(p, limit=limit)
 
 
 def test_enumerate_is_deterministic():

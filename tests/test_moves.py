@@ -1,4 +1,6 @@
 import json
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -11,10 +13,15 @@ from plabic import (
     MoveSpec,
     apply_move,
     bridge_graph,
+    classify,
+    decorated_trip_permutation,
     is_reduced,
+    label_collection,
     legal_moves,
     lollipop_graph,
     move_equivalent,
+    normalize,
+    quiver_of,
     trip_permutation,
     validate,
 )
@@ -23,6 +30,7 @@ from plabic import fixtures as F
 from plabic.errors import BadBudget, PlabicError
 from plabic.moves import KINDS, _apply, _search_moves
 from conftest import random_decorated_permutation
+from test_acceptance import _check_square_label_rule
 
 
 FIELDS = ("kind", "face", "vertex", "edge", "color", "start", "length", "condition_ok")
@@ -382,6 +390,68 @@ def test_trivalent_connectivity_b4():
         g2 = apply_move(g2, flips[-1])
         moved += 1
     assert moved and _bfs_m1_m4(g1, g2, depth=3)
+
+
+def _kind_balanced_walk(g, steps, rng, counts, kinds=KINDS, normal=False):
+    """Walk ``steps`` moves, each of a kind drawn uniformly from the kinds
+    in ``kinds`` that have a site, then at a site of that kind.  Checks the
+    criterion-7 invariants at every step, quiver mutation at every
+    ``condition_ok`` square, and, when ``normal``, that every graph is
+    normal."""
+    assert classify(g)["normal"] or not normal
+    perm = decorated_trip_permutation(g)
+    nfaces = len(g.nonouter_faces())
+    labels = label_collection(g, "target", check=False)
+    for _ in range(steps):
+        sites = {}
+        for m in legal_moves(g):
+            if m.kind in kinds:
+                sites.setdefault(m.kind, []).append(m)
+        if not sites:
+            break
+        kind = rng.choice(sorted(sites))
+        mv = rng.choice(sites[kind])
+        h = apply_move(g, mv)
+        counts[kind] += 1
+        assert decorated_trip_permutation(h) == perm, (g.to_json(), mv)
+        assert len(h.nonouter_faces()) == nfaces
+        new_labels = label_collection(h, "target", check=False)
+        if kind == "SquareM1":
+            _check_square_label_rule(g, h, mv.face)
+            if mv.condition_ok:
+                q = quiver_of(g, keys="ids").mutate(mv.face)
+                assert q.is_isomorphic(quiver_of(h, keys="ids")), (g.to_json(), mv)
+        elif kind == "UrbanRenewal":  # the square move of a bipartite graph
+            assert len(labels ^ new_labels) == 2
+        else:
+            assert new_labels == labels
+        if normal:
+            assert classify(h)["normal"], (g.to_json(), mv)
+        labels, g = new_labels, h
+    assert is_reduced(g).reduced
+
+
+def test_kind_balanced_walks_keep_the_invariants():
+    """Criterion 7 draws among sites, so bivalent insertions crowd out the
+    rarer kinds; here every kind with a site is equally likely."""
+    rng = random.Random(11)
+    counts = Counter()
+    for _ in range(200):
+        p = random_decorated_permutation(rng.randint(4, 7), rng)
+        _kind_balanced_walk(_make_trivalent(bridge_graph(p)), 40, rng, counts)
+    # UrbanRenewal and NormalFlip keep a graph normal; no other kind does
+    for _ in range(80):
+        g = normalize(bridge_graph(random_decorated_permutation(rng.randint(4, 7), rng))).normal
+        _kind_balanced_walk(g, 20, rng, counts, ("UrbanRenewal", "NormalFlip"), normal=True)
+    starts = [F.square_fan_b5, F.square_fan_b5_lollipop, F.two_trees_b6,
+              F.normal_b5, F.square_path_b6]
+    for make in starts * 2:
+        _kind_balanced_walk(make(), 40, rng, counts)
+    # about half of what seed 11 applies of each kind
+    least = {"SquareM1": 100, "InsertBivalentM2": 1800, "RemoveBivalentM2": 1000,
+             "ContractM3": 700, "SplitM3": 150, "FlipM4": 250,
+             "UrbanRenewal": 130, "NormalFlip": 140}
+    assert {k: counts[k] for k in KINDS if counts[k] < least[k]} == {}
 
 
 GRAPHS = [make() for make in F.ALL_NAMED.values()]

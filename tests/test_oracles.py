@@ -970,7 +970,12 @@ def test_mixed_graphs_cover_loops_digons_and_trees(mixed_graphs):
 
 def test_faces_match_tuple_rim_walker(mixed_graphs):
     for g in mixed_graphs:
-        assert g.faces() == faces_with_tuple_rim_darts(g), g.to_json()
+        faces = faces_with_tuple_rim_darts(g)
+        assert g.faces() == faces, g.to_json()
+        # the dart -> face map that faces() fills as it traces
+        fmap = g.face_of_dart()
+        assert {d: idx for idx, f in enumerate(faces) for d in f.darts} == {
+            d: fmap[d] for d in range(g.num_darts())}
 
 
 def test_trips_match_stepwise_tracer(mixed_graphs):

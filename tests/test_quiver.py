@@ -57,6 +57,11 @@ def test_lollipop_quiver_isolated_frozen():
     assert all(fr for _, fr in q.vertices)
 
 
+def test_quiver_of_rejects_an_unknown_key_mode():
+    with pytest.raises(ValueError, match="'auto', 'labels' or 'ids'"):
+        quiver_of(F.square_fan_b5(), keys="labelz")
+
+
 def test_mutation_involutive_and_antisymmetric():
     g = F.grid_fragment_b4()
     q = quiver_of(g, keys="ids")
@@ -225,6 +230,11 @@ def test_double_wiring_colors():
     # thin crossing: white on top; thick: black on top
     cols = [g.color(v) for v in g.internal_vertices()]
     assert cols == ["black", "white", "white", "black"]
+
+
+def test_from_wiring_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match="'single' or 'double'"):
+        from_wiring(parse_word("s1 S1"), 2, kind="triple")
 
 
 def test_bad_word():
