@@ -64,6 +64,16 @@ def _orbit(nxt, d0, limit):
     return darts
 
 
+def _face_of_walk(walk, rim):
+    """The face traced as ``walk``, an orbit of darts with rim darts from
+    ``rim`` on."""
+    if max(walk) < rim:
+        return Face("internal", tuple(walk), ())
+    graph_darts = tuple([x for x in walk if x < rim])
+    arcs = tuple([(x - rim) // 2 + 1 for x in walk if x >= rim])
+    return Face("boundary" if graph_darts else "outer", graph_darts, arcs)
+
+
 @dataclass(frozen=True)
 class Face:
     """One face of the rim-augmented graph.
@@ -95,7 +105,13 @@ class PlabicGraph:
 
     Darts are integers ``2k`` and ``2k+1`` for edge index ``k``; the twin of
     dart ``d`` is ``d ^ 1``.  Edge index ``k`` carries the public edge id
-    ``edge_ids[k]`` used by the JSON format.
+    ``_edge_ids[k]`` used by the JSON format.  Edge indices follow edge-id
+    order but may have holes: a graph made by a move keeps the dart numbers
+    of its parent, so the indices of removed edges hold ``None`` and their
+    darts are unused.  ``_dart_bound()`` is the index bound; the rim
+    darts ``faces`` adds start there.  Of an edge's two darts the even one
+    is the first met in (vertex id, rotation position) order, so the order
+    of the darts depends only on the ids and rotations.
     """
 
     __slots__ = ("b", "_colors", "_rot", "_dart_vertex", "_edge_ids", "_cache")
@@ -159,7 +175,7 @@ class PlabicGraph:
             "vertices": [
                 {"id": v, "color": self._colors[v]} for v in sorted(self._colors)
             ],
-            "edges": [{"id": e} for e in sorted(self._edge_ids)],
+            "edges": [{"id": e} for e in sorted(self.edge_ids)],
             "rotation": rotation,
         }
 
@@ -182,7 +198,8 @@ class PlabicGraph:
         """The two darts of an edge; ValueError for an unknown edge id."""
         index = self._cache.get("edge_index")
         if index is None:
-            index = {e: k for k, e in enumerate(self._edge_ids)}
+            index = dict(zip(self._edge_ids, range(len(self._edge_ids))))
+            index.pop(None, None)  # the holes
             self._cache["edge_index"] = index
         k = index.get(edge_id)
         if k is None:
@@ -195,7 +212,12 @@ class PlabicGraph:
 
     @property
     def edge_ids(self):
-        return self._edge_ids
+        """The public edge ids, in edge-index order (increasing in every
+        graph the library builds)."""
+        ids = self._edge_ids
+        if 2 * len(ids) == len(self._dart_vertex):
+            return ids
+        return tuple([e for e in ids if e is not None])
 
     def internal_vertices(self):
         return sorted(self._colors)
@@ -219,6 +241,10 @@ class PlabicGraph:
         return [self._dart_vertex[d ^ 1] for d in self._rot[v]]
 
     def num_darts(self) -> int:
+        return len(self._dart_vertex)
+
+    def _dart_bound(self) -> int:
+        """One past the largest dart number a graph dart may have."""
         return 2 * len(self._edge_ids)
 
     def boundary_dart(self, label: int) -> int:
@@ -251,66 +277,158 @@ class PlabicGraph:
         """All faces of the rim-augmented graph, deterministic order.
 
         The rim adds one arc per boundary label i, joining labels i and i+1,
-        as two more darts that pair like graph darts: with E edges, arc i's
-        forward dart (based at label i) is ``2E + 2(i - 1)`` and its
-        backward dart (based at label i+1) is that dart ``^ 1``.  At boundary
-        label i the clockwise rotation is: forward dart of arc i, the graph
-        dart, backward dart of arc i-1.
+        as two more darts that pair like graph darts: with index bound
+        ``rim = _dart_bound()``, arc i's forward dart (based at label
+        i) is ``rim + 2(i - 1)`` and its backward dart (based at label i+1)
+        is that dart ``^ 1``.  At boundary label i the clockwise rotation
+        is: forward dart of arc i, the graph dart, backward dart of arc i-1.
 
         Faces are the orbits of ``next(d) = clockwise successor of d ^ 1``,
         which keeps the traced face on the left of every dart.  Orbits are
-        started from every dart in increasing order.  Every face but the
-        outer one (the forward rim darts) holds a graph dart, so graph darts
-        fix the face order that ``MoveSpec.face`` indexes into.
+        started from every dart in increasing order, so faces come in the
+        order of their smallest darts.  Every face but the outer one (the
+        forward rim darts) holds a graph dart, so graph darts fix the face
+        order that ``MoveSpec.face`` indexes into.
+
+        A graph made by a move from a graph whose faces were traced starts
+        from that graph's tables and re-traces only the faces whose
+        successors the move changed.
         """
-        if "faces" in self._cache:
-            return self._cache["faces"]
-        b = self.b
-        rim = self.num_darts()  # arc 1's forward dart
-        n = rim + 2 * b
-        nxt = [0] * n
-        for v, ds in self._rot.items():
+        cache = self._cache
+        faces = cache.get("faces")
+        if faces is None:
+            base = cache.pop("base", None)
+            if base is None:
+                faces, face_of, nxt = self._trace_faces()
+            else:
+                faces, face_of, nxt = self._patch_faces(*base)
+            cache["faces"] = faces
+            cache["face_of_dart"] = face_of
+            cache["face_next"] = nxt
+        return faces
+
+    def _fill_successors(self, nxt, vertices, rim):
+        """Set ``nxt[d]`` for the darts d whose twins are based at
+        ``vertices``, from their rim-augmented rotations."""
+        b, rot = self.b, self._rot
+        for v in vertices:
+            ds = rot[v]
             if v < 0:  # (forward arc -v, graph dart, backward arc -v-1)
                 ds = (rim - 2 * v - 2, *ds, (rim + 2 * ((-v - 2) % b)) ^ 1)
             m = len(ds)
             for j in range(m):  # ds[j + 1 - m] wraps around
                 nxt[ds[j] ^ 1] = ds[j + 1 - m]
 
-        face_of = [None] * n  # dart -> index of its face in ``faces``
+    def _trace_faces(self):
+        """``(faces, face_of, nxt)`` traced from scratch; ``nxt`` is the
+        face-successor table, -1 at the holes."""
+        rim = self._dart_bound()  # arc 1's forward dart
+        n = rim + 2 * self.b
+        nxt = [-1] * n
+        self._fill_successors(nxt, self._rot, rim)
+        face_of = [-1] * n  # dart -> index of its face; -1 at the holes
         faces = []
         for start in range(n):
-            if face_of[start] is not None:
+            if face_of[start] >= 0 or nxt[start] < 0:
                 continue
             walk = _orbit(nxt, start, n)
             idx = len(faces)
             for d in walk:
                 face_of[d] = idx
-            if max(walk) < rim:
-                faces.append(Face("internal", tuple(walk), ()))
-                continue
-            graph_darts = tuple(x for x in walk if x < rim)
-            arcs = tuple((x - rim) // 2 + 1 for x in walk if x >= rim)
-            faces.append(Face("boundary" if graph_darts else "outer", graph_darts, arcs))
-        if b == 0:
+            faces.append(_face_of_walk(walk, rim))
+        if self.b == 0:
             faces.append(Face("outer", (), ()))
-        self._cache["faces"] = faces
-        self._cache["face_of_dart"] = face_of
-        return faces
+        return faces, face_of, nxt
+
+    def _patch_faces(self, pfaces, pface_of, pnxt, prim, prot, edited, touched):
+        """``(faces, face_of, nxt)`` from those of the graph this one was
+        made from by a local edit: its faces, face map and successor table,
+        its rim start ``prim`` and its rotations ``prot``.  ``touched`` are
+        the vertices of this graph whose rotations differ from ``prot``,
+        and ``edited`` those and the vertices the edit removed.
+
+        Only the faces through a dart whose successor changed differ, so
+        the others are kept, in their order, since they keep their dart
+        numbers; the rest are re-traced from those darts and the new ones.
+        """
+        b, rot, dv = self.b, self._rot, self._dart_vertex
+        changed = _changed_successors(prot, rot, edited)  # next(x ^ 1) changed
+        rim = self._dart_bound()
+        n = rim + 2 * b
+        shift = rim - prim
+
+        def moved_rim(table):  # the table with its rim part at ``rim``
+            if shift >= 0:
+                return table[:prim] + [-1] * shift + table[prim:]
+            return table[:rim] + table[prim:]  # the last edges were removed
+
+        nxt = moved_rim(pnxt)
+        if shift:  # successors that are rim darts follow the rim
+            nxt[rim:] = [x + shift if x >= prim else x for x in nxt[rim:]]
+            for v in range(-b, 0):
+                nxt[rot[v][0] ^ 1] += shift  # a touched vertex is refilled below
+        face_of = moved_rim(pface_of)
+        for x in changed:  # the removed darts become holes
+            if x < rim and x not in dv:
+                nxt[x] = face_of[x] = -1
+        self._fill_successors(nxt, touched, rim)
+        dirty = {pface_of[x ^ 1] for x in changed}
+        # every new orbit holds a new dart, a dart whose successor changed,
+        # or the dart of a touched boundary vertex, which a rim dart enters
+        covered = set()
+        walks = []
+        for start in [*range(prim, rim), *[x ^ 1 for x in changed],
+                      *[rot[v][0] for v in touched if v < 0]]:
+            if start in dv and start not in covered:
+                walk = _orbit(nxt, start, n)
+                covered.update(walk)
+                first = min(walk)  # a graph dart: it starts the face
+                if first != start:
+                    i = walk.index(first)
+                    walk = walk[i:] + walk[:i]
+                walks.append(walk)
+        walks.sort()
+        # merge kept and new faces by smallest dart; the outer face is last
+        faces, placed = [], []
+        remap = [-1] * (len(pfaces) + 1)  # remap[-1] keeps -1 at the holes
+        renumbered = False
+        k = 0
+        for i, f in enumerate(pfaces):
+            if i in dirty:
+                continue
+            first = f.darts[0] if f.darts else n
+            while k < len(walks) and walks[k][0] < first:
+                placed.append(len(faces))
+                faces.append(_face_of_walk(walks[k], rim))
+                k += 1
+            renumbered = renumbered or i != len(faces)
+            remap[i] = len(faces)
+            faces.append(f)
+        for walk in walks[k:]:
+            placed.append(len(faces))
+            faces.append(_face_of_walk(walk, rim))
+        if renumbered:  # else every kept face keeps its index
+            face_of = [remap[i] for i in face_of]
+        for idx, walk in zip(placed, walks):
+            for d in walk:
+                face_of[d] = idx
+        return faces, face_of, nxt
 
     def nonouter_faces(self):
         return [f for f in self.faces() if f.kind != "outer"]
 
     def face_of_dart(self):
         """The index into ``faces()`` of each dart's face, as a list indexed
-        by dart: the graph darts, then the rim darts ``faces`` adds."""
+        by dart: the graph darts up to the index bound (-1 at the holes),
+        then the rim darts ``faces`` adds."""
         self.faces()
         return self._cache["face_of_dart"]
 
     def euler_ok(self) -> bool:
         if self.b == 0:
-            return not self._colors and not self._edge_ids
+            return not self._colors and not self._dart_vertex
         v = len(self._colors) + self.b
-        e = len(self._edge_ids) + self.b
+        e = len(self._dart_vertex) // 2 + self.b
         f = len(self.faces())
         return v - e + f == 2
 
@@ -373,7 +491,7 @@ class PlabicGraph:
     def __repr__(self):
         return (
             f"PlabicGraph(b={self.b}, vertices={len(self._colors)}, "
-            f"edges={len(self._edge_ids)})"
+            f"edges={len(self._dart_vertex) // 2})"
         )
 
     # ------------------------------------------------------------------
@@ -394,7 +512,7 @@ class PlabicGraph:
         def name(v):
             return f"b{-v}" if v < 0 else f"v{v}"
 
-        for e in sorted(self._edge_ids):
+        for e in sorted(self.edge_ids):
             u, v = self.edge_endpoints(e)
             lines.append(f"  {name(u)} -- {name(v)} [label={e}];")
         lines.append("}")
@@ -427,7 +545,7 @@ class PlabicGraph:
             x, y = pos[v]
             return f"({x:.2f},{y:.2f})"
 
-        for e in sorted(self._edge_ids):
+        for e in sorted(self.edge_ids):
             u, v = self.edge_endpoints(e)
             lines.append(f"  \\draw {coord(u)} -- {coord(v)};")
         lines.append("\\end{tikzpicture}")
@@ -438,21 +556,19 @@ class PlabicGraph:
 # construction and validation
 
 
-def _number_darts(b, colors, rot, ids, shift, n) -> PlabicGraph:
-    """The graph of per-vertex clockwise entries: the one place that
-    numbers darts.
+def _number_darts(b, colors, rot, keys, shift, ids=None) -> PlabicGraph:
+    """The graph of per-vertex clockwise entries with dense dart numbers:
+    the one place that numbers darts from scratch.
 
     ``rot`` maps vertices to clockwise lists of entries, entry ``x`` lies on
-    edge ``x >> shift`` (below ``n``), and ``ids`` maps each edge to its
-    public id.  The edge of id rank r gets darts ``2r`` and ``2r + 1``, and
-    of its two entries the first met in (vertex id, rotation position)
-    order takes ``2r``, so the numbering depends only on the ids and
-    rotations.
+    the edge with key ``x >> shift``, and ``keys`` lists the edge keys in
+    increasing order, which must be the order of the public ids: ``ids[key]``,
+    or the key itself when ``ids`` is None.  The edge of key rank r gets
+    darts ``2r`` and ``2r + 1``, and of its two entries the first met in
+    (vertex id, rotation position) order takes ``2r``, so the numbering
+    depends only on the ids and rotations.
     """
-    order = sorted(ids, key=ids.__getitem__)
-    slot = [0] * n  # edge -> next dart to hand out
-    for r, k in enumerate(order):
-        slot[k] = 2 * r
+    slot = {k: 2 * r for r, k in enumerate(keys)}  # edge -> next dart to hand out
     rot_out = {}
     dv = {}
     for v in sorted(rot.keys() | range(-b, 0)):
@@ -464,7 +580,7 @@ def _number_darts(b, colors, rot, ids, shift, n) -> PlabicGraph:
             darts.append(nd)
             dv[nd] = v
         rot_out[v] = tuple(darts)
-    edge_ids = tuple([ids[k] for k in order])
+    edge_ids = tuple(keys) if ids is None else tuple([ids[k] for k in keys])
     return PlabicGraph._from_parts(b, dict(colors), rot_out, dv, edge_ids)
 
 
@@ -509,10 +625,7 @@ def _checked_graph(b, colors, rotation):
             rep.add(f"boundary vertex {i} has degree {len(ds)} (expected 1)")
     if not rep.ok:
         return rep, None
-    ids = sorted(counts)
-    index_of = {e: k for k, e in enumerate(ids)}
-    by_index = {v: [index_of[e] for e in es] for v, es in rotation.items()}
-    g = _number_darts(b, colors, by_index, dict(enumerate(ids)), 0, len(ids))
+    g = _number_darts(b, colors, rotation, sorted(counts), 0)
     # connectivity to the boundary
     rot, dv = g._rot, g._dart_vertex
     reached = set(range(-b, 0))
@@ -562,34 +675,47 @@ class Builder:
     Darts follow the frozen graph's convention: dart ``d`` belongs to edge
     index ``d >> 1`` and its twin is ``d ^ 1``.  A builder starts from a
     graph's rotations, dart -> vertex map ``dv`` and public edge ids ``ids``
-    (edge index -> id); surgery moves darts between slots so that the
-    pairing stays ``d ^ 1``, and new edges take the next unused index.
-    ``freeze`` produces an immutable PlabicGraph with the public ids.  All
-    operations keep rotations planar-consistent (splices preserve the
-    cyclic order).
+    (edge index -> id, None at a hole); surgery moves darts between slots so
+    that the pairing stays ``d ^ 1``.  A new edge takes the next index and a
+    fresh id, larger than every id, so indices follow id order; a removed
+    edge leaves a hole, and the one edge that ``remove_bivalent`` gives a
+    smaller id returns to that id's index when frozen.  Rotations are shared
+    with the graph until
+    surgery edits them: ``_edit`` hands out a vertex's rotation as a list
+    and records the vertex as touched.  ``freeze`` produces an immutable
+    PlabicGraph with the public ids.  All operations keep rotations
+    planar-consistent (splices preserve the cyclic order).
     """
 
     def __init__(self, g: PlabicGraph):
         self.b = g.b
         self.colors = dict(g._colors)
-        self.rot = {v: list(ds) for v, ds in g._rot.items()}
+        self.rot = dict(g._rot)  # tuples, until ``_edit``
         self.dv = dict(g._dart_vertex)
-        self.ids = dict(enumerate(g._edge_ids))
-        self._next_dart = g.num_darts()
+        self.ids = list(g._edge_ids)
+        self._graph = g  # whose face tables a frozen result may patch
+        self._touched = set()  # vertices whose rotation changed, or that left
+        self._homes = {}  # edge index -> the index of its id, when they differ
+        self._max_vertex = self._max_edge_id = None  # None: not known yet
 
     # -- fresh ids ------------------------------------------------------
 
     def fresh_vertex(self) -> int:
-        return max(self.colors, default=-1) + 1
+        if self._max_vertex is None:
+            self._max_vertex = max(self.colors, default=-1)
+        return self._max_vertex + 1
 
     def fresh_edge_id(self) -> int:
-        return max(self.ids.values(), default=-1) + 1
+        if self._max_edge_id is None:
+            self._max_edge_id = max(set(self.ids) - {None}, default=-1)
+        return self._max_edge_id + 1
 
     def _new_dart_pair(self, eid):
-        d0 = self._next_dart
-        self._next_dart += 2
-        self.ids[d0 >> 1] = eid
-        return d0, d0 + 1
+        k = len(self.ids)
+        self.ids.append(eid)
+        if self._max_edge_id is not None and eid > self._max_edge_id:
+            self._max_edge_id = eid
+        return 2 * k, 2 * k + 1
 
     # -- queries ---------------------------------------------------------
 
@@ -601,15 +727,35 @@ class Builder:
 
     def edge_darts(self):
         """The even dart of every edge, in edge-index order."""
-        return [2 * k for k in self.ids]
+        return [2 * k for k, e in enumerate(self.ids) if e is not None]
 
     # -- surgery ---------------------------------------------------------
 
+    def _edit(self, v):
+        """The rotation of v as a list to edit in place."""
+        ds = self.rot[v]
+        if type(ds) is not list:
+            ds = self.rot[v] = list(ds)
+        self._touched.add(v)
+        return ds
+
+    def _set(self, v, ds):
+        self.rot[v] = ds
+        self._touched.add(v)
+
     def add_vertex(self, color):
         v = self.fresh_vertex()
+        self._max_vertex = v
         self.colors[v] = color
-        self.rot[v] = []
+        self._set(v, [])
         return v
+
+    def _drop_vertex(self, v):
+        del self.rot[v]
+        del self.colors[v]
+        self._touched.add(v)
+        if v == self._max_vertex:
+            self._max_vertex = None
 
     def contract(self, d):
         """Contract the edge of dart d, merging vertex(d ^ 1) into vertex(d).
@@ -622,14 +768,13 @@ class Builder:
         assert u != v, "cannot contract a loop"
         rv = self.rot[v]
         i = rv.index(t)
-        fan = rv[i + 1 :] + rv[:i]
+        fan = [*rv[i + 1 :], *rv[:i]]
         ru = self.rot[u]
         j = ru.index(d)
-        self.rot[u] = ru[:j] + fan + ru[j + 1 :]
+        self._set(u, [*ru[:j], *fan, *ru[j + 1 :]])
         for dd in fan:
             self.dv[dd] = u
-        del self.rot[v]
-        del self.colors[v]
+        self._drop_vertex(v)
         self._drop_edge(d)
         return u
 
@@ -639,17 +784,25 @@ class Builder:
         The edge of v's first dart survives: that dart moves into the far
         slot of the other edge, which is dropped, and the survivor keeps the
         smaller of the two public ids.  If both edges join v to the same
-        vertex, the merged edge is a loop.
+        vertex, the merged edge is a loop.  Returns the moved dart.
         """
         d1, d2 = self.rot[v]
         t2 = d2 ^ 1
-        ry = self.rot[self.dv[t2]]
+        y = self.dv[t2]
+        ry = self._edit(y)
         ry[ry.index(t2)] = d1
-        self.dv[d1] = self.dv[t2]
-        self.ids[d1 >> 1] = min(self.ids[d1 >> 1], self.ids[d2 >> 1])
-        del self.rot[v]
-        del self.colors[v]
+        self.dv[d1] = y
+        k1, k2 = d1 >> 1, d2 >> 1
+        if self.ids[k2] < self.ids[k1]:
+            # the survivor takes an id from below its index; ``freeze``
+            # moves it to that id's index, so that indices follow ids
+            if self.ids[k1] == self._max_edge_id:
+                self._max_edge_id = None
+            self.ids[k1] = self.ids[k2]
+            self._homes[k1] = self._homes.get(k2, k2)
+        self._drop_vertex(v)
         self._drop_edge(d2)
+        return d1
 
     def insert_bivalent(self, d, color):
         """Insert a new vertex of the given color in the middle of d's edge.
@@ -660,13 +813,15 @@ class Builder:
         the new vertex id.
         """
         t = d ^ 1
-        rx = self.rot[self.dv[t]]
+        x = self.dv[t]
         w = self.add_vertex(color)
-        n0, n1 = self._new_dart_pair(self.fresh_edge_id())
+        # the far dart is even: x's id is below the new vertex's
+        n1, n0 = self._new_dart_pair(self.fresh_edge_id())
+        rx = self._edit(x)
         rx[rx.index(t)] = n1
         self.rot[w] = [t, n0]
         self.dv[n0] = w
-        self.dv[n1] = self.dv[t]
+        self.dv[n1] = x
         self.dv[t] = w
         return w
 
@@ -684,7 +839,7 @@ class Builder:
         rest = [ds[(start + length + i) % m] for i in range(m - length)]
         w = self.add_vertex(color if color is not None else self.colors[v])
         d0, d1 = self._new_dart_pair(self.fresh_edge_id())
-        self.rot[v] = rest + [d0]
+        self._set(v, rest + [d0])
         self.dv[d0] = v
         self.rot[w] = arc + [d1]
         self.dv[d1] = w
@@ -696,16 +851,19 @@ class Builder:
         """Delete a degree-1 internal vertex together with its edge."""
         (d,) = self.rot[v]
         u = self.dv[d ^ 1]
-        self.rot[u].remove(d ^ 1)
-        del self.rot[v]
-        del self.colors[v]
+        self._edit(u).remove(d ^ 1)
+        self._drop_vertex(v)
         self._drop_edge(d)
         return u
 
     def _drop_edge(self, d):
         del self.dv[d]
         del self.dv[d ^ 1]
-        del self.ids[d >> 1]
+        k = d >> 1
+        self._homes.pop(k, None)
+        if self.ids[k] == self._max_edge_id:
+            self._max_edge_id = None
+        self.ids[k] = None
 
     def relabel_boundary(self, keep_labels):
         """Keep only the listed boundary labels, renumbering 1..b' in order."""
@@ -726,6 +884,11 @@ class Builder:
         for d, v in list(self.dv.items()):
             if v < 0:
                 self.dv[d] = -mapping[-v]
+        # boundary ids keep their order, so no even dart changes; the rim
+        # does, so the result traces its faces afresh
+        self._touched = {-mapping[-v] if v < 0 else v for v in self._touched
+                         if v >= 0 or -v in mapping}
+        self._graph = None
         self.b = len(keep)
         return mapping
 
@@ -733,15 +896,90 @@ class Builder:
         """Remove an edgeless boundary vertex (after its lollipop was deleted)."""
         assert not self.rot.get(-label)
         self.rot.pop(-label, None)
+        self._touched.add(-label)
+        self._graph = None
 
     def freeze(self) -> PlabicGraph:
         """Produce the immutable graph; public ids are preserved.
 
-        Darts are renumbered as ``from_rotation`` numbers the same rotation
-        written with edge ids, so face order depends only on the ids and
-        rotations.
+        Untouched darts keep their numbers and untouched vertices share
+        their rotations with the graph the builder started from.  An edge
+        that ``remove_bivalent`` gave a smaller id moves to that id's
+        index.  Only edges at touched vertices can then break the even-dart
+        rule; the two darts of such an edge trade numbers.  Once holes pass
+        half the index space, darts are numbered afresh by
+        ``_number_darts``.  When the starting graph's faces are traced, the
+        result keeps them, to re-trace only the faces the surgery changed
+        (``faces``).
         """
-        return _number_darts(self.b, self.colors, self.rot, self.ids, 1, self._next_dart >> 1)
+        ids = self.ids
+        n = len(ids)
+        while n and ids[n - 1] is None:
+            n -= 1
+        if len(self.dv) < n:  # more holes than edges
+            keys = sorted((k for k in range(n) if ids[k] is not None), key=ids.__getitem__)
+            return _number_darts(self.b, self.colors, self.rot, keys, 1, ids)
+        rot = dict(self.rot)
+        dv = dict(self.dv)
+        touched = {v for v in self._touched if v in rot}
+        ids = ids[:n]
+        moved = {}  # builder dart -> its number in the graph
+        for k, h in self._homes.items():
+            ids[h], ids[k] = ids[k], None
+            for side in (0, 1):
+                moved[2 * k + side] = 2 * h + side
+                v = dv[2 * h + side] = dv.pop(2 * k + side)
+                touched.add(v)
+        while n and ids[n - 1] is None:
+            n -= 1
+        swap = set()  # edges whose darts trade numbers
+        for v in touched:
+            for x in rot[v]:
+                k = moved.get(x, x) >> 1
+                a, c = dv[2 * k], dv[2 * k + 1]
+                if a == c:  # a loop: compare positions
+                    ds = [moved.get(y, y) for y in rot[a]]
+                    a, c = ds.index(2 * k), ds.index(2 * k + 1)
+                if a > c:
+                    swap.add(k)
+        for k in swap:
+            dv[2 * k], dv[2 * k + 1] = dv[2 * k + 1], dv[2 * k]
+            touched.add(dv[2 * k])
+            touched.add(dv[2 * k + 1])
+        for v in touched:
+            if moved or swap:
+                rot[v] = tuple([y ^ 1 if y >> 1 in swap else y
+                                for y in [moved.get(x, x) for x in rot[v]]])
+            else:
+                rot[v] = tuple(rot[v])
+        g = PlabicGraph._from_parts(self.b, dict(self.colors), rot, dv, tuple(ids[:n]))
+        parent = self._graph
+        if parent is not None and self.b and "faces" in parent._cache:
+            g._cache["base"] = (
+                parent._cache["faces"], parent._cache["face_of_dart"],
+                parent._cache["face_next"], parent._dart_bound(),
+                parent._rot, self._touched | touched, touched)
+        return g
+
+
+def _changed_successors(prot, rot, vertices):
+    """The darts x at ``vertices`` in rotations ``prot`` whose clockwise
+    successor differs in ``rot``, so that ``next(x ^ 1)`` changed; at a
+    boundary vertex whose dart changed, that dart's twin too, since the
+    rim's dart into the vertex changed successor."""
+    out = []
+    for v in vertices:
+        ps = prot.get(v)
+        if ps is None:
+            continue
+        cs = rot.get(v, ())
+        succ = dict(zip(cs, cs[1:] + cs[:1]))
+        for x, s in zip(ps, ps[1:] + ps[:1]):
+            if succ.get(x) != s:
+                out.append(x)
+                if v < 0:
+                    out.append(x ^ 1)
+    return out
 
 
 # ----------------------------------------------------------------------

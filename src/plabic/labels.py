@@ -64,7 +64,7 @@ def face_labels(g: PlabicGraph, mode: str = "target", check: bool = True) -> dic
         b = g.b
         arc = faces[start].rim_arcs[0]
         # mark[d]: the mark of the one-way, non-fixed trip on dart d
-        mark = [None] * g.num_darts()
+        mark = [None] * g._dart_bound()
         seed = {i for i, dec in decorated.decorations.items() if dec == "over"}
         for t in all_trips(g):
             if t.kind != "oneway" or t.source == t.target:

@@ -179,6 +179,35 @@ def _is_normal_flip_site(g: PlabicGraph, v) -> bool:
 # enumeration
 
 
+# Specs are immutable, so graphs share them: edge id -> (its two
+# InsertBivalentM2 specs, its ContractM3 spec, its FlipM4 spec), and vertex
+# id -> (its RemoveBivalentM2 spec, its NormalFlip spec).  Each table is
+# emptied when it reaches _SPECS_MAX ids.
+_EDGE_SPECS = {}
+_VERTEX_SPECS = {}
+_SPECS_MAX = 1 << 14
+
+
+def _edge_specs(e):
+    if len(_EDGE_SPECS) >= _SPECS_MAX:
+        _EDGE_SPECS.clear()
+    specs = _EDGE_SPECS[e] = (
+        (MoveSpec("InsertBivalentM2", edge=e, color=BLACK),
+         MoveSpec("InsertBivalentM2", edge=e, color=WHITE)),
+        MoveSpec("ContractM3", edge=e),
+        MoveSpec("FlipM4", edge=e),
+    )
+    return specs
+
+
+def _vertex_specs(v):
+    if len(_VERTEX_SPECS) >= _SPECS_MAX:
+        _VERTEX_SPECS.clear()
+    specs = _VERTEX_SPECS[v] = (MoveSpec("RemoveBivalentM2", vertex=v),
+                                MoveSpec("NormalFlip", vertex=v))
+    return specs
+
+
 def legal_moves(g: PlabicGraph):
     """All applicable move sites.
 
@@ -205,26 +234,41 @@ def legal_moves(g: PlabicGraph):
             append(MoveSpec("SquareM1", face=idx, condition_ok=_square_condition_ok(g, face)))
         if _urban_corners_ok(g, face, vs):
             append(MoveSpec("UrbanRenewal", face=idx))
+    # the vertex and edge rules are those of ``_removable``,
+    # ``_is_normal_flip_site``, ``_contractible`` and ``_trivalent``,
+    # written inline: these loops run once per vertex and edge of every
+    # graph a walk visits
+    vertex_specs = _VERTEX_SPECS
     for v in sorted(colors):
         ds = rot[v]
         deg = len(ds)
         if deg == 2:
-            if _removable(ds):
-                append(MoveSpec("RemoveBivalentM2", vertex=v))
-            if _is_normal_flip_site(g, v):
-                append(MoveSpec("NormalFlip", vertex=v))
+            specs = vertex_specs.get(v) or _vertex_specs(v)
+            d1, d2 = ds
+            if d1 != d2 ^ 1:
+                append(specs[0])
+            if colors[v] == BLACK:
+                n1, n2 = dv[d1 ^ 1], dv[d2 ^ 1]
+                if (n1 != n2 and colors.get(n1) == WHITE and colors.get(n2) == WHITE
+                        and len(rot[n1]) == 3 and len(rot[n2]) == 3):
+                    append(specs[1])
         elif deg >= 4:
             for start in range(deg):
                 for length in range(2, deg - 1):
                     append(MoveSpec("SplitM3", vertex=v, start=start, length=length))
-    for k, e in enumerate(g._edge_ids):
-        u, w = dv[2 * k], dv[2 * k + 1]
-        append(MoveSpec("InsertBivalentM2", edge=e, color=BLACK))
-        append(MoveSpec("InsertBivalentM2", edge=e, color=WHITE))
-        if _contractible(colors, u, w):
-            append(MoveSpec("ContractM3", edge=e))
-            if _trivalent(rot, (u, w)):
-                append(MoveSpec("FlipM4", edge=e))
+    edge_specs = _EDGE_SPECS
+    d = -2
+    for e in g._edge_ids:
+        d += 2
+        if e is None:  # a hole
+            continue
+        specs = edge_specs.get(e) or _edge_specs(e)
+        out += specs[0]
+        u, w = dv[d], dv[d + 1]
+        if u >= 0 and w >= 0 and u != w and colors[u] == colors[w]:
+            append(specs[1])
+            if len(rot[u]) == 3 and len(rot[w]) == 3:
+                append(specs[2])
     return out
 
 
@@ -260,8 +304,11 @@ def _apply_square(g, m):
     colors = dict(g._colors)
     for v in vs:
         colors[v] = other_color(colors[v])
-    # the rotation system is unchanged, so the new graph shares it
+    # the rotation system is unchanged, so the new graph shares it, and
+    # with it the faces
     out = PlabicGraph._from_parts(g.b, colors, g._rot, g._dart_vertex, g._edge_ids)
+    for key in ("faces", "face_of_dart", "face_next"):
+        out._cache[key] = g._cache[key]
     return out, MoveSpec("SquareM1", face=m.face)
 
 
@@ -386,10 +433,8 @@ def _apply_normal_flip(g, m):
     if not _is_normal_flip_site(g, v):
         raise IllegalMove(f"vertex {v} is not a normal-flip site")
     bld = Builder(g)
-    d1, _d2 = bld.rot[v]
-    bld.remove_bivalent(v)
-    # d1's edge survives the removal as the white-white edge
-    nb = bld.insert_bivalent(_flip(bld, d1), BLACK)
+    # the edge that survives the removal is the white-white edge
+    nb = bld.insert_bivalent(_flip(bld, bld.remove_bivalent(v)), BLACK)
     return bld.freeze(), MoveSpec("NormalFlip", vertex=nb)
 
 

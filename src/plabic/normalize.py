@@ -54,7 +54,8 @@ def normalize(g: PlabicGraph) -> NormalizeResult:
     bld = Builder(g)
     _collapse_pendant(bld, _pendant_vertices(g))
     # loops certify non-reducedness immediately; report the smallest edge id
-    loops = [e for k, e in bld.ids.items() if bld.dv[2 * k] == bld.dv[2 * k + 1]]
+    loops = [e for k, e in enumerate(bld.ids)
+             if e is not None and bld.dv[2 * k] == bld.dv[2 * k + 1]]
     if loops:
         return NormalizeResult(witness=Witness("loop", edges=(min(loops),)))
 
@@ -66,10 +67,13 @@ def normalize(g: PlabicGraph) -> NormalizeResult:
             if d1 ^ 1 == d2:
                 return NormalizeResult(witness=Witness("loop", vertices=(v,)))
             bld.remove_bivalent(v)
-    # a bivalent removal can create a loop (hollow digon input)
-    for d in bld.dv:
-        if bld.dv[d] == bld.other_end(d):
-            return NormalizeResult(witness=Witness("loop", edges=(bld.ids[d >> 1],)))
+    # a bivalent removal can create a loop (hollow digon input); the darts
+    # are scanned in (vertex id, rotation position) order of the input, so
+    # that the loop reported does not depend on the dart numbers
+    for v in sorted(g._rot):
+        for d in g._rot[v]:
+            if d in bld.dv and bld.dv[d] == bld.other_end(d):
+                return NormalizeResult(witness=Witness("loop", edges=(bld.ids[d >> 1],)))
 
     # stage 3: remove lollipops, dropping their boundary vertices
     removed = []

@@ -113,7 +113,9 @@ def quiver_of(g: PlabicGraph, keys: str = "auto") -> Quiver:
     frozen_of = {idx: faces[idx].kind == "boundary" for idx in nonouter}
     fmap = g.face_of_dart()
     raw = {}
-    for d0 in range(0, g.num_darts(), 2):  # edge-index order, as edge_ids
+    for d0 in range(0, g._dart_bound(), 2):  # edge-index order, as edge_ids
+        if d0 not in g._dart_vertex:  # a hole
+            continue
         u, v = g.dart_vertex(d0), g.dart_vertex(d0 ^ 1)
         if u < 0 or v < 0 or u == v or g.color(u) == g.color(v):
             continue

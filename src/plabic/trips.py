@@ -39,18 +39,21 @@ class Trip:
 
 
 def _trip_successors(g: PlabicGraph):
-    """The trip-successor table: ``nxt[d]`` is the dart traversed after d,
-    or -1 when d runs into the boundary.
+    """The trip-successor table over the dart index space: ``nxt[d]`` is
+    the dart traversed after d, or -1 when d runs into the boundary or d is
+    a hole.
 
     For an in-dart t at internal vertex w (so the trip arrived along
     ``t ^ 1``) the trip leaves along the clockwise predecessor of t when w
     is black and along its clockwise successor when w is white.
     """
-    nxt = [-1] * g.num_darts()
-    for v in g.internal_vertices():
-        ds = g.rotation(v)
+    nxt = [-1] * g._dart_bound()
+    colors = g._colors
+    for v, ds in g._rot.items():
+        if v < 0:
+            continue
         m = len(ds)
-        if g.color(v) == BLACK:
+        if colors[v] == BLACK:
             for j in range(m):
                 nxt[ds[j] ^ 1] = ds[j - 1]
         else:
@@ -74,22 +77,19 @@ def all_trips(g: PlabicGraph):
     if "trips" in g._cache:
         return g._cache["trips"]
     nxt = _trip_successors(g)
-    limit = g.num_darts()
-    used = bytearray(limit)
+    limit = len(nxt)
+    rot, dv = g._rot, g._dart_vertex
+    rest = set(dv)  # the darts no trip traced so far
     trips = []
     for i in range(1, g.b + 1):
-        darts = _orbit(nxt, g.boundary_dart(i), limit)
-        for d in darts:
-            used[d] = 1
-        target = -g.dart_vertex(darts[-1] ^ 1)
-        trips.append(Trip("oneway", i, target, tuple(darts)))
-    for d0 in range(limit):
-        if used[d0]:
-            continue
-        cyc = _orbit(nxt, d0, limit)
-        for d in cyc:
-            used[d] = 1
-        trips.append(Trip("roundtrip", None, None, tuple(cyc)))
+        darts = _orbit(nxt, rot[-i][0], limit)
+        rest.difference_update(darts)
+        trips.append(Trip("oneway", i, -dv[darts[-1] ^ 1], tuple(darts)))
+    for d0 in sorted(rest):
+        if d0 in rest:
+            cyc = _orbit(nxt, d0, limit)
+            rest.difference_update(cyc)
+            trips.append(Trip("roundtrip", None, None, tuple(cyc)))
     g._cache["trips"] = trips
     return trips
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from plabic import DecoratedPermutation
+from plabic import DecoratedPermutation, apply_move, legal_moves
 from plabic.graph import Builder
 
 
@@ -27,9 +27,11 @@ def insert_parallel_digon(g, rng):
     u, v = bld.dv[d], bld.other_end(d)
     t = d ^ 1
     e0, e1 = bld._new_dart_pair(bld.fresh_edge_id())
-    bld.rot[u].insert(bld.rot[u].index(d) + 1, e0)
+    ru = bld._edit(u)
+    ru.insert(ru.index(d) + 1, e0)
     bld.dv[e0] = u
-    bld.rot[v].insert(bld.rot[v].index(t), e1)
+    rv = bld._edit(v)
+    rv.insert(rv.index(t), e1)
     bld.dv[e1] = v
     return bld.freeze()
 
@@ -42,11 +44,26 @@ def insert_loop(g, rng):
         return g
     v = rng.choice(vs)
     e0, e1 = bld._new_dart_pair(bld.fresh_edge_id())
-    bld.rot[v].insert(0, e0)
-    bld.rot[v].insert(1, e1)
+    bld._edit(v)[:0] = [e0, e1]
     bld.dv[e0] = v
     bld.dv[e1] = v
     return bld.freeze()
+
+
+def trivalentize(g):
+    """Remove every bivalent vertex, then split every vertex of degree 4 or
+    more, always at the first listed site."""
+    while True:
+        biv = [m for m in legal_moves(g) if m.kind == "RemoveBivalentM2"]
+        if not biv:
+            break
+        g = apply_move(g, biv[0])
+    while True:
+        splits = [m for m in legal_moves(g) if m.kind == "SplitM3"]
+        if not splits:
+            break
+        g = apply_move(g, splits[0])
+    return g
 
 
 @pytest.fixture

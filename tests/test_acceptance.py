@@ -42,6 +42,7 @@ from conftest import (
     insert_loop,
     insert_parallel_digon,
     random_decorated_permutation,
+    trivalentize,
 )
 
 
@@ -377,7 +378,7 @@ def test_criterion_12_quivers():
             p = random_decorated_permutation(b, rng)
         else:
             p = cyclic_rotation(rng.randint(1, b - 1), b)
-        g = _trivalentize(bridge_graph(p))
+        g = trivalentize(bridge_graph(p))
         for _ in range(10):  # scramble with flips to expose more squares
             moves = [
                 m for m in legal_moves(g) if m.kind in ("SquareM1", "FlipM4")
@@ -395,16 +396,3 @@ def test_criterion_12_quivers():
             checked += 1
     assert checked >= 60
 
-
-def _trivalentize(g):
-    while True:
-        biv = [m for m in legal_moves(g) if m.kind == "RemoveBivalentM2"]
-        if not biv:
-            break
-        g = apply_move(g, biv[0])
-    while True:
-        splits = [m for m in legal_moves(g) if m.kind == "SplitM3"]
-        if not splits:
-            break
-        g = apply_move(g, splits[0])
-    return g

@@ -1,17 +1,22 @@
 import json
+import random
 
 import pytest
 
 from plabic import (
     InvalidGraph,
     PlabicGraph,
+    apply_move,
     classify,
     collapse_trees,
+    legal_moves,
     lollipop_graph,
     trip_permutation,
     validate,
 )
 from plabic import fixtures as F
+from plabic import graph as graph_module
+from plabic.graph import Builder
 
 
 def test_single_lollipop_is_valid():
@@ -268,3 +273,51 @@ def test_malformed_json_objects_are_reported_not_raised(raw):
     assert not validate(raw).ok
     with pytest.raises(InvalidGraph):
         PlabicGraph.from_json(raw)
+
+
+def test_a_move_keeps_untouched_darts_and_rotations():
+    g = F.square_fan_b5()
+    g.faces()
+    (mv,) = [m for m in legal_moves(g) if m.kind == "InsertBivalentM2"][:1]
+    h = apply_move(g, mv)
+    d0, d1 = g.darts_of_edge(mv.edge)
+    far = g.dart_vertex(d1)  # its slot takes the new edge's dart
+    assert [v for v in g._rot if h._rot[v] is not g._rot[v]] == [far]
+    assert h._edge_ids[: len(g._edge_ids)] == g._edge_ids
+    assert h.darts_of_edge(mv.edge) == (d0, d1)
+
+
+def test_freeze_numbers_darts_afresh_once_holes_pass_half(monkeypatch):
+    """Moves leave holes in the dart numbers; a freeze that would leave more
+    holes than edges numbers the darts afresh."""
+    real = graph_module._number_darts
+    calls = []
+    monkeypatch.setattr(graph_module, "_number_darts",
+                        lambda *args: calls.append(1) or real(*args))
+    rng = random.Random(3)
+    primitive = ("SquareM1", "InsertBivalentM2", "RemoveBivalentM2",
+                 "ContractM3", "SplitM3", "FlipM4")
+    g = F.square_path_b6()
+    calls.clear()
+    holes = 0
+    for _ in range(600):
+        if calls:
+            break
+        g = apply_move(g, rng.choice([m for m in legal_moves(g) if m.kind in primitive]))
+        live, bound = g.num_darts(), g._dart_bound()
+        assert bound - live <= live  # at most half the index space
+        holes = max(holes, bound - live)
+    assert calls and live == bound and holes > 50
+    assert PlabicGraph.from_json(g.to_json())._rot == g._rot
+
+
+def test_remove_bivalent_moves_the_survivor_to_its_ids_index():
+    # vertex 0 lists edge 5 first, so edge 5's dart survives with id 2
+    g = PlabicGraph.from_rotation(2, {0: "white"}, {-1: [5], -2: [2], 0: [5, 2]})
+    bld = Builder(g)
+    assert bld.fresh_edge_id() == 6 and bld.fresh_vertex() == 1
+    bld.remove_bivalent(0)  # frees the largest id and the largest vertex
+    assert bld.fresh_edge_id() == 3 and bld.fresh_vertex() == 0
+    h = bld.freeze()
+    assert h._edge_ids == (2,) and h.to_json_obj()["rotation"] == {"-2": [2], "-1": [2]}
+    assert validate(h).ok

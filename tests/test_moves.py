@@ -29,7 +29,7 @@ from plabic import DecoratedPermutation
 from plabic import fixtures as F
 from plabic.errors import BadBudget, PlabicError
 from plabic.moves import KINDS, _apply, _search_moves
-from conftest import random_decorated_permutation
+from conftest import random_decorated_permutation, trivalentize
 from test_acceptance import _check_square_label_rule
 
 
@@ -316,7 +316,7 @@ def test_trivalent_connectivity_via_square_and_flip(rng):
     """Trivalent reduced graphs with equal decorated trips are joined by
     square moves and flips alone."""
     p = DecoratedPermutation.parse("2 3 1")
-    g1 = _make_trivalent(bridge_graph(p))
+    g1 = trivalentize(bridge_graph(p))
     # random flip image
     g2 = g1
     for _ in range(3):
@@ -327,19 +327,6 @@ def test_trivalent_connectivity_via_square_and_flip(rng):
     found = _bfs_m1_m4(g1, g2, depth=4)
     assert found
 
-
-def _make_trivalent(g):
-    while True:
-        biv = [m for m in legal_moves(g) if m.kind == "RemoveBivalentM2"]
-        if not biv:
-            break
-        g = apply_move(g, biv[0])
-    while True:
-        splits = [m for m in legal_moves(g) if m.kind == "SplitM3"]
-        if not splits:
-            break
-        g = apply_move(g, splits[0])
-    return g
 
 
 def _bfs_m1_m4(g1, g2, depth):
@@ -380,7 +367,7 @@ def test_braid_move_chain():
 
 def test_trivalent_connectivity_b4():
     p = DecoratedPermutation.parse("2 3 4 1")
-    g1 = _make_trivalent(bridge_graph(p))
+    g1 = trivalentize(bridge_graph(p))
     g2 = g1
     moved = 0
     for _ in range(2):
@@ -438,7 +425,7 @@ def test_kind_balanced_walks_keep_the_invariants():
     counts = Counter()
     for _ in range(200):
         p = random_decorated_permutation(rng.randint(4, 7), rng)
-        _kind_balanced_walk(_make_trivalent(bridge_graph(p)), 40, rng, counts)
+        _kind_balanced_walk(trivalentize(bridge_graph(p)), 40, rng, counts)
     # UrbanRenewal and NormalFlip keep a graph normal; no other kind does
     for _ in range(80):
         g = normalize(bridge_graph(random_decorated_permutation(rng.randint(4, 7), rng))).normal

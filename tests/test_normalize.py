@@ -8,7 +8,7 @@ from plabic import (
     trip_permutation,
 )
 from plabic import fixtures as F
-from plabic import graph as graph_module
+from plabic.graph import Builder
 from plabic.normalize import Witness
 from conftest import insert_loop, random_decorated_permutation
 
@@ -81,16 +81,18 @@ def test_normalize_rejects_loop_left_by_bivalent_removal():
 
 
 def test_normalize_numbers_darts_once_per_normal_form(monkeypatch, rng):
+    """Darts get their numbers when a builder freezes: normalize freezes
+    once for a normal form, and not at all when it finds a witness."""
     with_normal_form = [F.square_fan_b5_lollipop(), F.two_trees_b6(), F.collapsible_tree_b3()]
     with_witness = [F.bad_leaf_b2(), F.fork_b1(), insert_loop(F.two_trees_b6(), rng)]
-    real = graph_module._number_darts
+    real = Builder.freeze
     calls = []
 
-    def counted(*args):
+    def counted(bld):
         calls.append(1)
-        return real(*args)
+        return real(bld)
 
-    monkeypatch.setattr(graph_module, "_number_darts", counted)
+    monkeypatch.setattr(Builder, "freeze", counted)
     for graphs, ok in ((with_normal_form, True), (with_witness, False)):
         for g in graphs:
             calls.clear()

@@ -5,7 +5,8 @@ computes faster: the face walker over tuple-tagged rim darts, the
 step-by-step trip tracer over ``rot_next``/``rot_prev``, the fixed-point
 peel of pendant trees, the left-of-trip flood fill for face labels, the
 site-by-site move enumeration, the dart numbering of edge-id rotation
-lists, which also checks ``Builder.freeze``, fixed-point decorations read
+lists, which also checks ``Builder.freeze`` up to an order-preserving dart
+map, a face trace from scratch of each graph whose faces a move patched, fixed-point decorations read
 off the fully collapsed graph, the bad-feature scan over every ordered edge
 pair, the resonance test over every rotation of a ring, and the tree
 collapse over all builder darts, normalization from a frozen collapse,
@@ -65,11 +66,16 @@ from plabic import fixtures as F
 from plabic import graph as graph_module
 from plabic import labels as labels_module
 from plabic.graph import Builder, PlabicGraph, _pendant_vertices, collapse_trees
-from plabic.moves import EquivalenceResult, _apply, _search_moves
+from plabic.moves import KINDS, EquivalenceResult, _apply, _search_moves
 from plabic.normalize import NormalizeResult, Witness
 from plabic.perms import _mask, _separated, shifted_key
 from plabic.trips import BadFeature, Trip, _is_resonant_ring
-from conftest import insert_loop, insert_parallel_digon, random_decorated_permutation
+from conftest import (
+    insert_loop,
+    insert_parallel_digon,
+    random_decorated_permutation,
+    trivalentize,
+)
 
 PRIMITIVE = ("SquareM1", "InsertBivalentM2", "RemoveBivalentM2",
              "ContractM3", "SplitM3", "FlipM4")
@@ -77,6 +83,12 @@ PRIMITIVE = ("SquareM1", "InsertBivalentM2", "RemoveBivalentM2",
 
 # ----------------------------------------------------------------------
 # oracles
+
+
+def all_darts_of(g):
+    """Every dart of the graph, read off the rotations, in increasing order."""
+    return sorted(d for v in [*g.boundary_vertices(), *g.internal_vertices()]
+                  for d in g.rotation(v))
 
 
 def faces_with_tuple_rim_darts(g):
@@ -108,7 +120,7 @@ def faces_with_tuple_rim_darts(g):
         ds = rotations[base_vertex(t)]
         return ds[(ds.index(t) + 1) % len(ds)]
 
-    all_darts = (list(range(g.num_darts()))
+    all_darts = (all_darts_of(g)
                  + [("bwd", i) for i in range(1, b + 1)]
                  + [("fwd", i) for i in range(1, b + 1)])
     seen = set()
@@ -156,7 +168,7 @@ def trips_stepwise(g):
         target = -g.dart_vertex(g.twin(darts[-1]))
         trips.append(Trip("oneway", i, target, tuple(darts)))
     used = {d for t in trips for d in t.darts}
-    for d0 in range(g.num_darts()):
+    for d0 in all_darts_of(g):
         if d0 in used:
             continue
         cyc = [d0]
@@ -975,7 +987,7 @@ def test_faces_match_tuple_rim_walker(mixed_graphs):
         # the dart -> face map that faces() fills as it traces
         fmap = g.face_of_dart()
         assert {d: idx for idx, f in enumerate(faces) for d in f.darts} == {
-            d: fmap[d] for d in range(g.num_darts())}
+            d: fmap[d] for d in all_darts_of(g)}
 
 
 def test_trips_match_stepwise_tracer(mixed_graphs):
@@ -1049,16 +1061,32 @@ def test_from_json_numbers_darts_once(monkeypatch):
         assert len(calls) == 1 and "faces" in g._cache
 
 
+def _dense_parts(g):
+    """``_frozen_parts`` through the order-preserving map of the graph's
+    darts onto 0, 1, ...: what the dense numbering of the reference gives
+    when the graph's numbers follow the same order.  The rotations keep
+    their dict order; the dart -> vertex map is compared as a mapping."""
+    ids = g._edge_ids
+    assert ids[-1:] != (None,)
+    assert [k for k, e in enumerate(ids) if e is None] == [
+        k for k in range(len(ids)) if 2 * k not in g._dart_vertex]
+    rank = {d: r for r, d in enumerate(sorted(g._dart_vertex))}
+    return (g.b, g._colors, [(v, tuple(rank[d] for d in ds)) for v, ds in g._rot.items()],
+            sorted((rank[d], v) for d, v in g._dart_vertex.items()),
+            tuple(e for e in ids if e is not None))
+
+
 @pytest.fixture
 def checked_freeze(monkeypatch):
     """Make every ``Builder.freeze`` also run the reference freeze and
-    require the same graph, dict orders included; yields the call count."""
+    require the same graph up to an order-preserving dart map, rotation
+    dict order included; yields the call count."""
     real = Builder.freeze
     calls = []
 
     def freeze(bld):
         g = real(bld)
-        assert _frozen_parts(g) == _frozen_parts(freeze_reference(bld))
+        assert _dense_parts(g) == _dense_parts(freeze_reference(bld))
         calls.append(1)
         return g
 
@@ -1080,6 +1108,75 @@ def test_legal_moves_and_freeze_match_references(mixed_graphs, checked_freeze):
             assert legal_moves(h) == legal_moves_reference(h), (g.to_json(), m)
             moved += 1
     assert moved >= 40_000 and len(checked_freeze) >= moved
+
+
+def _traced_afresh(g):
+    """The same graph with nothing cached, so that it traces its faces
+    from scratch."""
+    return PlabicGraph._from_parts(g.b, g._colors, g._rot, g._dart_vertex, g._edge_ids)
+
+
+def _oracle_walk(g, steps, rng, kinds, balanced, counts):
+    """Walk ``steps`` moves drawn uniformly among the sites of ``kinds``,
+    or, when ``balanced``, of a kind drawn uniformly first; at every step
+    compare the result's faces, patched from its parent's, and its legal
+    moves with from-scratch references."""
+    for _ in range(steps):
+        sites = {}
+        for m in legal_moves(g):
+            if m.kind in kinds:
+                sites.setdefault(m.kind, []).append(m)
+        if not sites:
+            return
+        if balanced:
+            mv = rng.choice(sites[rng.choice(sorted(sites))])
+        else:
+            mv = rng.choice([m for kind in kinds for m in sites.get(kind, ())])
+        h = apply_move(g, mv)
+        if mv.kind == "SquareM1":  # the rotations are unchanged
+            assert h._cache["faces"] is g._cache["faces"]
+        elif "base" in h._cache:
+            counts["patched"] += 1
+        fresh = _traced_afresh(h)
+        assert h.faces() == fresh.faces(), (g.to_json(), mv)
+        assert h.face_of_dart() == fresh.face_of_dart(), (g.to_json(), mv)
+        assert "base" not in h._cache
+        assert legal_moves(h) == legal_moves_reference(h), (g.to_json(), mv)
+        counts[mv.kind] += 1
+        if sum(counts[kind] for kind in KINDS) % 5 == 0:
+            # ids and witnesses do not depend on the dart numbers
+            dense = PlabicGraph.from_json(h.to_json())
+            assert _normalize_fields(normalize(h)) == _normalize_fields(normalize(dense))
+            assert collapse_trees(h).to_json() == collapse_trees(dense).to_json()
+        g = h
+
+
+def test_local_moves_match_from_scratch_references(checked_freeze):
+    """On every step of criterion-7 walks and of kind-balanced walks over
+    all eight kinds: faces patched from the parent's equal a full trace
+    (same order, so every ``MoveSpec.face`` is unchanged), legal moves
+    equal the site-by-site reference, each freeze equals the reference
+    numbering up to an order-preserving dart map, and normalization and
+    tree collapsing give what they give on the densely numbered copy (every
+    fifth step)."""
+    rng = random.Random(12)
+    counts = Counter()
+    starts = [F.square_fan_b5, F.square_fan_b5_lollipop, F.two_trees_b6,
+              F.normal_b5, F.square_path_b6]
+    for walk in range(45):
+        if walk % 3 == 0:
+            g = starts[walk // 3 % len(starts)]()
+        else:
+            g = bridge_graph(random_decorated_permutation(rng.randint(3, 6), rng))
+        _oracle_walk(g, rng.randint(1, 120), rng, PRIMITIVE, False, counts)
+    for _ in range(40):
+        p = random_decorated_permutation(rng.randint(4, 7), rng)
+        _oracle_walk(trivalentize(bridge_graph(p)), 30, rng, KINDS, True, counts)
+    for _ in range(15):
+        g = normalize(bridge_graph(random_decorated_permutation(rng.randint(4, 7), rng))).normal
+        _oracle_walk(g, 15, rng, ("UrbanRenewal", "NormalFlip"), True, counts)
+    assert all(counts[kind] >= 20 for kind in KINDS), counts
+    assert counts["patched"] >= 4000 and len(checked_freeze) >= counts["patched"]
 
 
 def _outcome(read, g):

@@ -23,7 +23,7 @@ from plabic import (
     trip_permutation,
 )
 from plabic import fixtures as F
-from conftest import random_decorated_permutation
+from conftest import random_decorated_permutation, trivalentize
 
 
 def test_fan_quiver_arrows_exactly():
@@ -104,7 +104,7 @@ def test_square_move_mutation_on_random_reduced(rng):
     checked = 0
     for _ in range(60):
         g = bridge_graph(random_decorated_permutation(rng.randint(3, 6), rng))
-        g = _trivalentize(g)
+        g = trivalentize(g)
         for m in legal_moves(g):
             if m.kind != "SquareM1" or not m.condition_ok:
                 continue
@@ -115,19 +115,6 @@ def test_square_move_mutation_on_random_reduced(rng):
             checked += 1
     assert checked >= 10
 
-
-def _trivalentize(g):
-    while True:
-        biv = [m for m in legal_moves(g) if m.kind == "RemoveBivalentM2"]
-        if not biv:
-            break
-        g = apply_move(g, biv[0])
-    while True:
-        splits = [m for m in legal_moves(g) if m.kind == "SplitM3"]
-        if not splits:
-            break
-        g = apply_move(g, splits[0])
-    return g
 
 
 def test_quiver_invariant_under_m2_m3(rng):
