@@ -80,7 +80,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_info(args) -> int:
-    g = _read_graph(args.graph)  # from_json has validated it
+    g = _read_graph(args.graph)  # from_json raises InvalidGraph on an invalid graph
     info = classify(g)
     red = is_reduced(g)
     faces = g.faces()

@@ -112,6 +112,17 @@ class PlabicGraph:
     darts ``faces`` adds start there.  Of an edge's two darts the even one
     is the first met in (vertex id, rotation position) order, so the order
     of the darts depends only on the ids and rotations.
+
+    Facts derived from a graph are computed once and kept in ``_cache``,
+    which is safe because the graph never changes.  Its keys: "valid"
+    (``from_rotation``/``from_json`` accepted the graph), "edge_index",
+    "faces", "face_of_dart" and "face_next" (the face tables), "base" (the
+    parent's face tables to patch, until ``faces`` runs), "ckey"
+    (``canonical_key``), "classify", "trips", "decorated",
+    ("face_labels", mode), "normalize", "is_reduced" and "bad_features".
+    A graph made by a move may start with its parent's "faces",
+    "face_of_dart" and "face_next" (a square move keeps the rotations) or
+    with "base"; it inherits no other key.
     """
 
     __slots__ = ("b", "_colors", "_rot", "_dart_vertex", "_edge_ids", "_cache")
@@ -156,6 +167,7 @@ class PlabicGraph:
         report, g = _checked_graph(b, colors, rotation)
         if not report.ok:
             raise InvalidGraph(report.problems)
+        g._cache["valid"] = True
         return g
 
     @staticmethod
@@ -164,6 +176,7 @@ class PlabicGraph:
         report, g = _checked_json(obj)
         if not report.ok:
             raise InvalidGraph(report.problems)
+        g._cache["valid"] = True
         return g
 
     def to_json_obj(self):
@@ -661,8 +674,20 @@ def _checked_json(obj):
 
 
 def validate(g) -> ValidationReport:
-    """Validate a graph (or raw JSON-style dict)."""
-    return _checked_json(g.to_json_obj() if isinstance(g, PlabicGraph) else g)[0]
+    """Validate a graph (or raw JSON-style dict); every call returns a new
+    report.
+
+    A graph that ``from_rotation`` or ``from_json`` returned passed these
+    checks when it was built, so its report is empty without checking
+    again.  Any other graph (from the raw constructor or ``Builder.freeze``)
+    is checked in full through its JSON object, so the checks stay
+    independent of the code that built it.
+    """
+    if isinstance(g, PlabicGraph):
+        if g._cache.get("valid"):
+            return ValidationReport()
+        g = g.to_json_obj()
+    return _checked_json(g)[0]
 
 
 # ----------------------------------------------------------------------
@@ -1062,7 +1087,18 @@ def _collapse_pendant(bld: Builder, peeled: set) -> None:
 
 def classify(g: PlabicGraph) -> dict:
     """Structural classification: bipartite / trivalent / normal flags plus
-    the lists of lollipops and internal leaves."""
+    the lists of lollipops and internal leaves.
+
+    Computed once per graph; every call returns a new dict with new lists.
+    """
+    info = g._cache.get("classify")
+    if info is None:
+        info = g._cache["classify"] = _classify(g)
+    return {**info, "lollipops": list(info["lollipops"]),
+            "internal_leaves": list(info["internal_leaves"])}
+
+
+def _classify(g: PlabicGraph) -> dict:
     colors, rot, dv = g._colors, g._rot, g._dart_vertex
     bipartite = trivalent = whites_trivalent = True
     lollipops, internal_leaves = [], []

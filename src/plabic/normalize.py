@@ -50,7 +50,20 @@ def normalize(g: PlabicGraph) -> NormalizeResult:
     leaf;  5. contract black-black edges, rejecting on loops;  6. split
     white vertices of degree >= 4 into left-comb trees;  7. insert a black
     bivalent vertex on every white-white and white-boundary edge.
+
+    The stages run once per graph.  Every call returns a new result, which
+    holds the same frozen normal graph and new copies of
+    ``lollipops_removed`` and ``label_map``.
     """
+    res = g._cache.get("normalize")
+    if res is None:
+        res = g._cache["normalize"] = _normalize(g)
+    return NormalizeResult(res.normal, res.witness, list(res.lollipops_removed),
+                           dict(res.label_map))
+
+
+def _normalize(g: PlabicGraph) -> NormalizeResult:
+    """The stages of ``normalize``, run afresh."""
     bld = Builder(g)
     _collapse_pendant(bld, _pendant_vertices(g))
     # loops certify non-reducedness immediately; report the smallest edge id
@@ -139,7 +152,9 @@ class ReducednessResult:
 
 
 def is_reduced(g: PlabicGraph) -> ReducednessResult:
-    """Whether the graph is reduced: normalize, then look for bad features."""
+    """Whether the graph is reduced: normalize, then look for bad features.
+
+    Decided once per graph, from the graph's cached normal form."""
     if "is_reduced" in g._cache:
         return g._cache["is_reduced"]
     res = normalize(g)

@@ -48,6 +48,15 @@ class DecoratedPermutation:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "decorations", decorations)
 
+    @classmethod
+    def _trusted(cls, values: tuple, decorations: dict) -> "DecoratedPermutation":
+        """A permutation from values and decorations the caller knows to be
+        valid, skipping the checks; it holds a copy of ``decorations``."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "values", values)
+        object.__setattr__(p, "decorations", dict(decorations))
+        return p
+
     @property
     def b(self) -> int:
         return len(self.values)

@@ -111,7 +111,7 @@ def decorated_trip_permutation(g: PlabicGraph) -> DecoratedPermutation:
     is not pendant, raises UndecoratableFixedPoint (which signals a
     non-reduced graph); fixed points are checked in increasing order.  The
     values and decorations are computed once per graph; every call returns
-    a new permutation object.
+    a new permutation object with its own ``decorations`` dict.
     """
     cached = g._cache.get("decorated")
     if cached is None:
@@ -127,7 +127,7 @@ def decorated_trip_permutation(g: PlabicGraph) -> DecoratedPermutation:
                     raise UndecoratableFixedPoint(i)
                 decorations[i] = "over" if color == WHITE else "under"
         cached = g._cache["decorated"] = (tuple(values), decorations)
-    return DecoratedPermutation(*cached)
+    return DecoratedPermutation._trusted(*cached)
 
 
 def _fold_pendant_tree(g: PlabicGraph, root: int):
@@ -210,7 +210,17 @@ class BadFeature:
 def bad_features(g: PlabicGraph):
     """Exhaustive list of roundtrips, essential self-intersections and bad
     double crossings.  Requires a normal graph; empty iff the graph is
-    reduced."""
+    reduced.
+
+    The scan runs once per graph; every call returns a new list.
+    """
+    feats = g._cache.get("bad_features")
+    if feats is None:
+        feats = g._cache["bad_features"] = tuple(_scan_bad_features(g))
+    return list(feats)
+
+
+def _scan_bad_features(g: PlabicGraph):
     info = classify(g)
     if not info["normal"]:
         raise NotNormal("bad feature detection requires a normal plabic graph")

@@ -7,9 +7,12 @@ from plabic import (
     InvalidGraph,
     PlabicGraph,
     apply_move,
+    bad_features,
     classify,
     collapse_trees,
+    face_labels,
     legal_moves,
+    normalize,
     lollipop_graph,
     trip_permutation,
     validate,
@@ -321,3 +324,48 @@ def test_remove_bivalent_moves_the_survivor_to_its_ids_index():
     h = bld.freeze()
     assert h._edge_ids == (2,) and h.to_json_obj()["rotation"] == {"-2": [2], "-1": [2]}
     assert validate(h).ok
+
+
+def test_validate_checks_in_full_the_graphs_it_did_not_build():
+    # raw constructor: crossing chords 1-3 (edge 0) and 2-4 (edge 1)
+    g = PlabicGraph(4, {}, {-1: (0,), -3: (1,), -2: (2,), -4: (3,)}, (0, 1))
+    assert any("Euler" in p for p in validate(g).problems)
+    bld = Builder(lollipop_graph("w"))
+    bld.add_vertex("white")  # joined to nothing
+    h = bld.freeze()
+    assert validate(h).problems == ["internal vertex 1 has no path to the boundary"]
+
+
+def test_classify_and_validate_return_new_values_each_call():
+    g = F.two_trees_b6()
+    want = classify(g)
+    info = classify(g)
+    info["normal"] = True
+    info["lollipops"].append(99)
+    info["internal_leaves"].clear()
+    assert classify(g) == want and want["lollipops"] == [2, 3]
+    validate(g).add("spoiled")
+    assert validate(g).problems == []
+
+
+def test_a_move_child_inherits_only_face_tables():
+    """The facts cached on a graph hold for it alone; a move's result may
+    start only from its parent's face tables."""
+    inheritable = {"faces", "face_of_dart", "face_next", "base"}
+    kinds = set()
+    for g in (F.square_fan_b5(), F.normal_b5(), F.urban_left_b7()):
+        validate(g)
+        classify(g)
+        g.canonical_key()
+        g.darts_of_edge(g.edge_ids[0])
+        face_labels(g, "target")
+        normalize(g)
+        if classify(g)["normal"]:
+            bad_features(g)
+        assert {"valid", "classify", "ckey", "edge_index", "trips", "decorated",
+                "normalize", "is_reduced"} <= set(g._cache)
+        for m in legal_moves(g):
+            h = apply_move(g, m)
+            kinds.add(m.kind)
+            assert set(h._cache) <= inheritable, (m, set(h._cache))
+    assert {"SquareM1", "UrbanRenewal", "NormalFlip"} <= kinds, kinds

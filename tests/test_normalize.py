@@ -82,9 +82,13 @@ def test_normalize_rejects_loop_left_by_bivalent_removal():
 
 def test_normalize_numbers_darts_once_per_normal_form(monkeypatch, rng):
     """Darts get their numbers when a builder freezes: normalize freezes
-    once for a normal form, and not at all when it finds a witness."""
+    once for a normal form, and not at all when it finds a witness.  The
+    normal form is kept on the graph, so ``is_reduced`` and any later
+    ``normalize`` of the same graph freeze nothing more."""
     with_normal_form = [F.square_fan_b5_lollipop(), F.two_trees_b6(), F.collapsible_tree_b3()]
     with_witness = [F.bad_leaf_b2(), F.fork_b1(), insert_loop(F.two_trees_b6(), rng)]
+    decided_first = [[F.square_fan_b5_lollipop(), F.two_trees_b6(), F.normal_b5()],
+                     [F.bad_leaf_b2(), insert_loop(F.two_trees_b6(), rng)]]
     real = Builder.freeze
     calls = []
 
@@ -98,6 +102,26 @@ def test_normalize_numbers_darts_once_per_normal_form(monkeypatch, rng):
             calls.clear()
             assert normalize(g).ok is ok
             assert len(calls) == (1 if ok else 0)
+    for graphs, ok in zip(decided_first, (True, False)):
+        for g in graphs:
+            calls.clear()
+            assert is_reduced(g).reduced is ok
+            normal = normalize(g).normal
+            assert normalize(g).normal is normal and (normal is not None) is ok
+            assert len(calls) == (1 if ok else 0)
+
+
+def test_normalize_returns_new_bookkeeping_each_call():
+    g = F.two_trees_b6()
+    first = normalize(g)
+    want = (first.normal, list(first.lollipops_removed), dict(first.label_map))
+    assert want[1] == [(2, "black"), (3, "white")]
+    first.lollipops_removed.clear()
+    first.label_map[99] = 1
+    first.normal = None
+    again = normalize(g)
+    assert (again.normal, again.lollipops_removed, again.label_map) == want
+    assert again.normal is want[0] and is_reduced(g).reduced
 
 
 def test_normalize_black_black_contraction_loop():

@@ -14,7 +14,9 @@ classification over edge ids, and the square moves of a weakly separated
 collection found from a core-to-pairs index and a scan of every quad, weak
 separation by counting cyclic blocks of marks, the positroid through
 ``gale_leq``, the square-move closure of weakly separated collections on
-frozensets, and move equivalence by a one-way breadth-first search.  The tests require the library to agree with them exactly on the
+frozensets, move equivalence by a one-way breadth-first search, the
+validation of a graph's JSON round trip, and the checked
+``DecoratedPermutation`` constructor.  The tests require the library to agree with them exactly on the
 fixtures and on many bridge and move-walk graphs, some with loops, digons and
 pendant trees, and on the weakly separated collections and positroids of
 many permutations.
@@ -60,6 +62,7 @@ from plabic import (
     positroid,
     quiver_of,
     trip_permutation,
+    validate,
     weakly_separated,
 )
 from plabic import fixtures as F
@@ -1061,6 +1064,29 @@ def test_from_json_numbers_darts_once(monkeypatch):
         assert len(calls) == 1 and "faces" in g._cache
 
 
+def test_validate_trusts_only_the_graphs_it_checked(mixed_graphs, monkeypatch):
+    """``validate`` of a graph that ``from_json``/``from_rotation`` returned
+    equals the report of the full JSON round trip and runs no check; a
+    graph from ``Builder.freeze`` or the raw constructor is checked in full."""
+    real = graph_module._checked_json
+    calls = []
+
+    def counted(obj):
+        calls.append(1)
+        return real(obj)
+
+    monkeypatch.setattr(graph_module, "_checked_json", counted)
+    for g in [make() for make in F.ALL_NAMED.values()] + mixed_graphs:
+        for h, checks in ((PlabicGraph.from_json(g.to_json()), 0),
+                          (PlabicGraph.from_rotation(g.b, g._colors, _rotation_of(g)), 0),
+                          (Builder(g).freeze(), 1),
+                          (PlabicGraph(g.b, g._colors, g._rot, g._edge_ids), 1)):
+            calls.clear()
+            rep = validate(h)
+            assert len(calls) == checks
+            assert rep == real(h.to_json_obj())[0] and rep.ok, g.to_json()
+
+
 def _dense_parts(g):
     """``_frozen_parts`` through the order-preserving map of the graph's
     darts onto 0, 1, ...: what the dense numbering of the reference gives
@@ -1198,6 +1224,23 @@ def test_decorations_match_collapse(mixed_graphs, pendant_tree_graphs):
         fixed += sum(values[i - 1] == i for i in range(1, g.b + 1))
         stuck += expected[0] == "undecoratable"
     assert fixed >= 1000 and stuck >= 100, (fixed, stuck)
+
+
+def test_trusted_decorated_permutation_equals_the_checked_one(reduced_walk_graphs):
+    """``decorated_trip_permutation`` skips the constructor's checks; its
+    result equals the permutation the checked constructor builds from the
+    same values, and each call gets its own decorations."""
+    fixed = 0
+    for g in reduced_walk_graphs:
+        p = decorated_trip_permutation(g)
+        checked = DecoratedPermutation(list(p.values), p.decorations)
+        assert type(p.values) is tuple and type(p.decorations) is dict
+        assert (p.values, p.decorations) == (checked.values, checked.decorations)
+        assert p == checked and hash(p) == hash(checked)
+        fixed += len(p.decorations)
+        p.decorations.clear()
+        assert decorated_trip_permutation(g) == checked
+    assert fixed >= 100, fixed
 
 
 def test_bad_features_match_pairwise_scan(mixed_graphs, pendant_tree_graphs):

@@ -1,7 +1,8 @@
 import pytest
 
-from plabic import NotNormal, TripleView, legal_moves, normalize, trip_permutation
+from plabic import NotNormal, TripleView, is_reduced, legal_moves, normalize, trip_permutation
 from plabic import fixtures as F
+from plabic import trips as trips_module
 from conftest import random_decorated_permutation
 
 
@@ -66,3 +67,21 @@ def test_bridge_views_minimal(rng):
 def test_tikz_overlay():
     text = TripleView(F.normal_b5()).to_tikz()
     assert "strand" in text and "tikzpicture" in text
+
+
+def test_minimality_after_is_reduced_scans_no_more(monkeypatch):
+    """``is_reduced`` scans the normal form for bad features once; the
+    minimality of that normal form reads the same scan."""
+    real = trips_module.all_trips
+    traced = []
+    monkeypatch.setattr(trips_module, "all_trips", lambda g: traced.append(g) or real(g))
+    names = ("square_fan_b5", "two_trees_b6", "adjacent_squares_b3", "white_digon_b2",
+             "mixed_digon_b2", "grid_fragment_b4", "presplit_b5")
+    for name in names:
+        g = F.ALL_NAMED[name]()
+        reduced = is_reduced(g).reduced
+        normal = normalize(g).normal
+        assert [h for h in traced if h is normal] == [normal]
+        traced.clear()
+        assert TripleView(normal).minimality().minimal is reduced
+        assert traced == []

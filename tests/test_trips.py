@@ -169,3 +169,10 @@ def test_bridge_of_463_is_clean():
     res = normalize(g)
     assert res.ok
     assert bad_features(res.normal) == []
+
+
+def test_bad_features_returns_a_new_list_each_call():
+    normal = normalize(F.ALL_NAMED["mixed_digon_b2"]()).normal
+    want = bad_features(normal)
+    bad_features(normal).clear()
+    assert len(want) == 4 and bad_features(normal) == want
