@@ -456,41 +456,10 @@ class PlabicGraph:
         keys iff they are isomorphic by a boundary-label-preserving map that
         respects rotations.
         """
-        if "ckey" in self._cache:
-            return self._cache["ckey"]
-        edge_new = {}
-        out = [self.b]
-        order = []  # (vertex, entry dart)
-        seen_v = set()
-        queue = [self.boundary_dart(label) for label in range(1, self.b + 1)]
-        qi = 0
-        while qi < len(queue):
-            d = queue[qi]
-            qi += 1
-            k = d >> 1
-            if k not in edge_new:
-                edge_new[k] = len(edge_new)
-            w = self._dart_vertex[d ^ 1]
-            if w < 0 or w in seen_v:
-                continue
-            seen_v.add(w)
-            ds = self._rot[w]
-            i = ds.index(d ^ 1)
-            ordered = ds[i:] + ds[:i]
-            order.append((w, ordered))
-            for dd in ordered[1:]:
-                queue.append(dd)
-        for w, ordered in order:
-            row = [self._colors[w]]
-            for dd in ordered:  # each was queued, so its edge is numbered
-                row.append(edge_new[dd >> 1])
-            out.append(tuple(row))
-        # boundary attachments
-        for label in range(1, self.b + 1):
-            d = self.boundary_dart(label)
-            out.append(("bdry", edge_new[d >> 1]))
-        key = tuple(out)
-        self._cache["ckey"] = key
+        key = self._cache.get("ckey")
+        if key is None:
+            key = self._cache["ckey"] = _canonical_key(
+                self.b, self._colors, self._rot, self._dart_vertex)
         return key
 
     def __eq__(self, other):
@@ -567,6 +536,44 @@ class PlabicGraph:
 
 # ----------------------------------------------------------------------
 # construction and validation
+
+
+def _canonical_key(b, colors, rot, dv):
+    """The canonical key of a rotation system, in one breadth-first pass.
+
+    The queue starts with the boundary darts in label order.  Dequeuing a
+    dart d reaches the vertex w of ``d ^ 1``; the first time w is reached
+    it writes the row (colour, edge numbers of its darts clockwise from
+    ``d ^ 1``) and queues its other darts.  An edge is numbered when its
+    first dart is queued, which, the queue being FIFO, gives the numbers
+    that numbering at dequeue would.  The key reads only rotations and the
+    ``d ^ 1`` pairing, so it does not depend on the dart numbers.
+    """
+    edge_new = {}
+    queue = []
+    for label in range(1, b + 1):
+        d = rot[-label][0]
+        queue.append(d)
+        if d >> 1 not in edge_new:
+            edge_new[d >> 1] = len(edge_new)
+    bdry = [("bdry", edge_new[d >> 1]) for d in queue]
+    out = [b]
+    seen = set()
+    for d in queue:  # grows while it is read
+        t = d ^ 1
+        w = dv[t]
+        if w < 0 or w in seen:
+            continue
+        seen.add(w)
+        ds = rot[w]
+        i = ds.index(t)
+        row = [colors[w], edge_new[d >> 1]]
+        for dd in ds[i + 1:] + ds[:i]:
+            row.append(edge_new.setdefault(dd >> 1, len(edge_new)))
+            queue.append(dd)
+        out.append(tuple(row))
+    out += bdry
+    return tuple(out)
 
 
 def _number_darts(b, colors, rot, keys, shift, ids=None) -> PlabicGraph:
@@ -710,6 +717,11 @@ class Builder:
     and records the vertex as touched.  ``freeze`` produces an immutable
     PlabicGraph with the public ids.  All operations keep rotations
     planar-consistent (splices preserve the cyclic order).
+
+    ``canonical_key`` equals the key of the frozen graph, so a builder may
+    be keyed and then dropped without ever being frozen; the equivalence
+    search keys every child this way and freezes only those it expands.
+    A builder keeps the graph it started from alive until it is dropped.
     """
 
     def __init__(self, g: PlabicGraph):
@@ -753,6 +765,12 @@ class Builder:
     def edge_darts(self):
         """The even dart of every edge, in edge-index order."""
         return [2 * k for k, e in enumerate(self.ids) if e is not None]
+
+    def canonical_key(self):
+        """The ``canonical_key`` of the graph ``freeze`` would return,
+        computed on the builder's own parts: the key reads only rotations
+        and the ``d ^ 1`` pairing, which ``freeze`` keeps."""
+        return _canonical_key(self.b, self.colors, self.rot, self.dv)
 
     # -- surgery ---------------------------------------------------------
 

@@ -19,7 +19,7 @@ from itertools import combinations
 from .bridges import bridge_graph
 from .errors import BadBudget, NotReducedError, TooLarge
 from .graph import PlabicGraph
-from .normalize import is_reduced
+from .normalize import _is_reduced
 from .perms import (
     DecoratedPermutation,
     _mask,
@@ -29,7 +29,7 @@ from .perms import (
     length,
     necklace_from_perm,
 )
-from .trips import all_trips, decorated_trip_permutation
+from .trips import _all_trips, decorated_trip_permutation
 
 
 def face_labels(g: PlabicGraph, mode: str = "target", check: bool = True) -> dict:
@@ -44,12 +44,19 @@ def face_labels(g: PlabicGraph, mode: str = "target", check: bool = True) -> dic
 
     Requires a reduced graph (labels are only well-sized there); pass
     ``check=False`` to skip the reducedness test when the caller already
-    guarantees it.
+    guarantees it.  The labels are found once per graph and mode; every
+    call returns a new dict.
     """
+    return dict(_face_labels(g, mode, check))
+
+
+def _face_labels(g: PlabicGraph, mode: str, check: bool) -> dict:
+    """The labeling ``face_labels`` copies, kept in the graph's cache;
+    callers inside the package read it and must not change it."""
     if mode not in ("source", "target"):
         raise ValueError(f"mode must be 'source' or 'target', got {mode!r}")
     if check:
-        red = is_reduced(g)
+        red = _is_reduced(g)
         if not red.reduced:
             raise NotReducedError(red.witness)
     cache_key = ("face_labels", mode)
@@ -66,7 +73,7 @@ def face_labels(g: PlabicGraph, mode: str = "target", check: bool = True) -> dic
         # mark[d]: the mark of the one-way, non-fixed trip on dart d
         mark = [None] * g._dart_bound()
         seed = {i for i, dec in decorated.decorations.items() if dec == "over"}
-        for t in all_trips(g):
+        for t in _all_trips(g):
             if t.kind != "oneway" or t.source == t.target:
                 continue
             m = t.source if mode == "source" else t.target
@@ -100,7 +107,7 @@ def face_labels(g: PlabicGraph, mode: str = "target", check: bool = True) -> dic
 
 def label_collection(g: PlabicGraph, mode: str = "target", check: bool = True) -> frozenset:
     """The set of face labels (forgetting which face carries which)."""
-    return frozenset(face_labels(g, mode, check=check).values())
+    return frozenset(_face_labels(g, mode, check).values())
 
 
 def strongly_equivalent(g1: PlabicGraph, g2: PlabicGraph) -> bool:

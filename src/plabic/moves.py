@@ -282,12 +282,29 @@ def apply_move(g: PlabicGraph, m: MoveSpec) -> PlabicGraph:
 
 
 def _apply(g: PlabicGraph, m: MoveSpec):
-    """Apply a move; returns (new graph, inverse MoveSpec)."""
+    """Apply a move; returns (new graph, inverse MoveSpec): ``_build``,
+    then ``_frozen``."""
+    h, inv = _build(g, m)
+    return _frozen(h), inv
+
+
+def _build(g: PlabicGraph, m: MoveSpec):
+    """Apply a move without freezing its result; returns (result, inverse
+    MoveSpec).  The result is the ``Builder`` the move edited, or a graph
+    for the two kinds that make one directly (SquareM1 shares g's
+    rotations, UrbanRenewal reads the new faces).  Either has
+    ``canonical_key``, so a caller may key the result and drop it unfrozen.
+    """
     try:
-        apply = _APPLY[m.kind]
+        build = _BUILD[m.kind]
     except (KeyError, TypeError):  # TypeError: an unhashable kind
         raise IllegalMove(f"unknown move kind {m.kind!r}")
-    return apply(g, m)
+    return build(g, m)
+
+
+def _frozen(h):
+    """The graph of a ``_build`` result: a builder frozen, a graph as is."""
+    return h.freeze() if type(h) is Builder else h
 
 
 def _face_at(g, idx):
@@ -323,7 +340,7 @@ def _apply_remove_bivalent(g, m):
     kept = min(g.edge_id(d1), g.edge_id(d2))
     bld = Builder(g)
     bld.remove_bivalent(v)
-    return bld.freeze(), MoveSpec("InsertBivalentM2", edge=kept, color=color)
+    return bld, MoveSpec("InsertBivalentM2", edge=kept, color=color)
 
 
 def _apply_insert_bivalent(g, m):
@@ -332,7 +349,7 @@ def _apply_insert_bivalent(g, m):
     d, _ = _edge_darts(g, m.edge)
     bld = Builder(g)
     w = bld.insert_bivalent(d, m.color)
-    return bld.freeze(), MoveSpec("RemoveBivalentM2", vertex=w)
+    return bld, MoveSpec("RemoveBivalentM2", vertex=w)
 
 
 def _apply_contract(g, m):
@@ -346,7 +363,7 @@ def _apply_contract(g, m):
     j = bld.rot[survivor].index(d)
     fan = bld.degree(bld.other_end(d)) - 1
     bld.contract(d)
-    return bld.freeze(), MoveSpec("SplitM3", vertex=survivor, start=j, length=fan)
+    return bld, MoveSpec("SplitM3", vertex=survivor, start=j, length=fan)
 
 
 def _apply_split(g, m):
@@ -358,7 +375,7 @@ def _apply_split(g, m):
         raise IllegalMove(f"bad split arc (start={m.start}, length={m.length})")
     bld = Builder(g)
     link = bld.split(v, m.start % max(deg, 1), m.length)
-    return bld.freeze(), MoveSpec("ContractM3", edge=bld.ids[link >> 1])
+    return bld, MoveSpec("ContractM3", edge=bld.ids[link >> 1])
 
 
 def _apply_flip(g, m):
@@ -368,7 +385,7 @@ def _apply_flip(g, m):
         raise IllegalMove(f"edge {m.edge} is not a flip site")
     bld = Builder(g)
     link = _flip(bld, d0)
-    return bld.freeze(), MoveSpec("FlipM4", edge=bld.ids[link >> 1])
+    return bld, MoveSpec("FlipM4", edge=bld.ids[link >> 1])
 
 
 def _flip(bld, d):
@@ -435,11 +452,11 @@ def _apply_normal_flip(g, m):
     bld = Builder(g)
     # the edge that survives the removal is the white-white edge
     nb = bld.insert_bivalent(_flip(bld, bld.remove_bivalent(v)), BLACK)
-    return bld.freeze(), MoveSpec("NormalFlip", vertex=nb)
+    return bld, MoveSpec("NormalFlip", vertex=nb)
 
 
 # kind -> its ``_apply_*``; the order is the public order of ``KINDS``
-_APPLY = {
+_BUILD = {
     "SquareM1": _apply_square,
     "InsertBivalentM2": _apply_insert_bivalent,
     "RemoveBivalentM2": _apply_remove_bivalent,
@@ -449,7 +466,7 @@ _APPLY = {
     "UrbanRenewal": _apply_urban,
     "NormalFlip": _apply_normal_flip,
 }
-KINDS = tuple(_APPLY)
+KINDS = tuple(_BUILD)
 
 
 # ----------------------------------------------------------------------
@@ -500,11 +517,11 @@ def _backward_moves(g: PlabicGraph, grow_leaves: bool):
     return moves
 
 
-def _undoable(h: PlabicGraph, inv: MoveSpec) -> bool:
-    """Whether the inverse ``inv`` returned by ``_apply`` is a search move
-    at ``h``.  Only SplitM3 can fail: ``legal_moves`` lists arcs of length
-    2..deg-2, while undoing the contraction of an edge with a bivalent or
-    leaf end needs length 1 or 0."""
+def _undoable(h, inv: MoveSpec) -> bool:
+    """Whether the inverse ``inv`` returned by ``_build`` is a search move
+    at ``h``, a graph or a builder.  Only SplitM3 can fail: ``legal_moves``
+    lists arcs of length 2..deg-2, while undoing the contraction of an
+    edge with a bivalent or leaf end needs length 1 or 0."""
     return inv.kind != "SplitM3" or 2 <= inv.length <= h.degree(inv.vertex) - 2
 
 
@@ -520,22 +537,27 @@ def move_equivalent(
     split) looks for a chain of at most ``budget`` moves from g1 to g2 and
     either returns it as a certificate or gives up with "unknown".
 
-    Each side maps canonical keys to (parent key, move).  The shallower
+    Each side maps canonical keys to (parent key, move), and its frontier
+    holds (key, state) pairs.  A child is keyed before it is frozen: its
+    state is what ``_build`` returns, a ``Builder`` for most moves, and it
+    is frozen only when its layer is expanded, so children on a side's
+    last layer and children already seen are never frozen.  The shallower
     side grows one layer at a time, g1's side first, so g1's side reaches
     depth ceil(budget/2) and g2's side floor(budget/2); a new key is
     checked against the other side before its own, so the first meeting
     gives a shortest chain.  g2's side must hold only graphs that reach g2
     by search moves, and all of those within its depth.  So it keeps a
-    move only when the inverse ``_apply`` returns is a search move (see
+    move only when the inverse ``_build`` returns is a search move (see
     ``_undoable``), and while it holds fewer leaves than g1 it also hangs
     new leaves: contracting a leaf into a vertex of degree >= 3 is a
     search move that no search move undoes, and since no search move adds
     a leaf, a state with more leaves than g1 is out of g1's reach.  The
     certificate is g1's path to the meeting state, then at each step back
-    to g2 the first search move whose result has the next key.  The state
+    to g2 the first search move whose result has the next key (each
+    candidate is keyed unfrozen, and only the match is frozen).  The state
     cap counts both sides.
     """
-    from .normalize import is_reduced
+    from .normalize import _is_reduced
     from .trips import decorated_trip_permutation, trip_permutation
 
     if not isinstance(budget, int) or isinstance(budget, bool) or budget < 0:
@@ -544,7 +566,7 @@ def move_equivalent(
         return EquivalenceResult(
             "not_equivalent", reason="trip permutations differ"
         )
-    r1, r2 = is_reduced(g1), is_reduced(g2)
+    r1, r2 = _is_reduced(g1), _is_reduced(g2)
     if r1.reduced != r2.reduced:
         return EquivalenceResult(
             "not_equivalent", reason="exactly one side is reduced"
@@ -564,8 +586,9 @@ def move_equivalent(
         return EquivalenceResult("equivalent", certificate=[], reason="isomorphic")
     # key -> (parent key, move applied to the parent's graph); the roots
     # map to None
-    sides = ({g1.canonical_key(): None}, {g2.canonical_key(): None})
-    frontiers = [[g1], [g2]]
+    k1, k2 = g1.canonical_key(), g2.canonical_key()
+    sides = ({k1: None}, {k2: None})
+    frontiers = [[(k1, g1)], [(k2, g2)]]
     depth = [0, 0]
     leaves = _leaves(g1)
 
@@ -578,12 +601,12 @@ def move_equivalent(
         own, other = sides[s], sides[1 - s]
         depth[s] += 1
         nxt = []
-        for g in frontiers[s]:
-            gkey = g.canonical_key()
+        for gkey, state in frontiers[s]:
+            g = _frozen(state)
             moves = _search_moves(g) if s == 0 else _backward_moves(g, _leaves(g) < leaves)
             for mv in moves:
                 try:
-                    h, inv = _apply(g, mv)
+                    h, inv = _build(g, mv)
                 except IllegalMove:  # pragma: no cover
                     continue
                 if s == 1 and not _undoable(h, inv):
@@ -596,7 +619,7 @@ def move_equivalent(
                 if key in own:
                     continue
                 own[key] = (gkey, mv)
-                nxt.append(h)
+                nxt.append((key, h))
                 if len(sides[0]) + len(sides[1]) > _STATE_CAP:
                     return result("unknown", "state budget exhausted")
         frontiers[s] = nxt
@@ -622,11 +645,11 @@ def _certificate(g1: PlabicGraph, sides, meet):
     while backward[key] is not None:
         key = backward[key][0]
         for mv in _search_moves(x):
-            h = apply_move(x, mv)
+            h = _build(x, mv)[0]
             if h.canonical_key() == key:
                 break
         else:  # pragma: no cover
             raise AssertionError("g2's side recorded a move no search move undoes")
         path.append(mv)
-        x = h
+        x = _frozen(h)
     return path

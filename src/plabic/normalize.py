@@ -154,7 +154,15 @@ class ReducednessResult:
 def is_reduced(g: PlabicGraph) -> ReducednessResult:
     """Whether the graph is reduced: normalize, then look for bad features.
 
-    Decided once per graph, from the graph's cached normal form."""
+    Decided once per graph, from the graph's cached normal form; every call
+    returns a new result, which shares the (immutable) witness."""
+    res = _is_reduced(g)
+    return ReducednessResult(res.reduced, res.witness)
+
+
+def _is_reduced(g: PlabicGraph) -> ReducednessResult:
+    """The result ``is_reduced`` copies, kept in the graph's cache; callers
+    inside the package read it and must not change it."""
     if "is_reduced" in g._cache:
         return g._cache["is_reduced"]
     res = normalize(g)

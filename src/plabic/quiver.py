@@ -96,17 +96,17 @@ def quiver_of(g: PlabicGraph, keys: str = "auto") -> Quiver:
     the graph is reduced (``keys="labels"``), or raw face indices
     (``keys="ids"``); ``"auto"`` picks labels exactly when reduced.
     """
-    from .labels import face_labels
-    from .normalize import is_reduced
+    from .labels import _face_labels
+    from .normalize import _is_reduced
 
     if keys not in ("auto", "labels", "ids"):
         raise ValueError(f"keys must be 'auto', 'labels' or 'ids', got {keys!r}")
     faces = g.faces()
     nonouter = [idx for idx, f in enumerate(faces) if f.kind != "outer"]
     if keys == "auto":
-        keys = "labels" if is_reduced(g).reduced else "ids"
+        keys = "labels" if _is_reduced(g).reduced else "ids"
     if keys == "labels":
-        labeling = face_labels(g, "target")
+        labeling = _face_labels(g, "target", True)
         key_of = {idx: frozenset(labeling[idx]) for idx in nonouter}
     else:
         key_of = {idx: idx for idx in nonouter}

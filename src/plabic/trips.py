@@ -66,14 +66,21 @@ def trip_from(g: PlabicGraph, i: int) -> Trip:
     """The trip entering the disk at boundary label i."""
     if not 1 <= i <= g.b:
         raise BadLabel(f"boundary label {i} not in 1..{g.b}")
-    return all_trips(g)[i - 1]
+    return _all_trips(g)[i - 1]
 
 
 def all_trips(g: PlabicGraph):
     """Every trip: the b one-way trips followed by all roundtrips.
 
-    All of them are traced from one trip-successor table, in O(darts).
+    All of them are traced from one trip-successor table, in O(darts),
+    once per graph; every call returns a new list.
     """
+    return list(_all_trips(g))
+
+
+def _all_trips(g: PlabicGraph):
+    """The trips ``all_trips`` lists, as a tuple kept in the graph's
+    cache, for the readers inside the package."""
     if "trips" in g._cache:
         return g._cache["trips"]
     nxt = _trip_successors(g)
@@ -90,13 +97,13 @@ def all_trips(g: PlabicGraph):
             cyc = _orbit(nxt, d0, limit)
             rest.difference_update(cyc)
             trips.append(Trip("roundtrip", None, None, tuple(cyc)))
-    g._cache["trips"] = trips
+    trips = g._cache["trips"] = tuple(trips)
     return trips
 
 
 def trip_permutation(g: PlabicGraph):
     """The boundary connectivity of one-way trips, as a list of targets."""
-    return [t.target for t in all_trips(g)[: g.b]]
+    return [t.target for t in _all_trips(g)[: g.b]]
 
 
 def decorated_trip_permutation(g: PlabicGraph) -> DecoratedPermutation:
@@ -156,7 +163,7 @@ def _fold_pendant_tree(g: PlabicGraph, root: int):
 def edge_labels(g: PlabicGraph) -> dict:
     """Map each edge id to the set of boundary labels whose trip uses it."""
     labels = {e: set() for e in g.edge_ids}
-    for t in all_trips(g):
+    for t in _all_trips(g):
         if t.kind != "oneway":
             continue
         for d in t.darts:
@@ -224,7 +231,7 @@ def _scan_bad_features(g: PlabicGraph):
     info = classify(g)
     if not info["normal"]:
         raise NotNormal("bad feature detection requires a normal plabic graph")
-    trips = all_trips(g)
+    trips = _all_trips(g)
     feats = [
         BadFeature("roundtrip", tuple(sorted({g.edge_id(d) for d in t.darts})))
         for t in trips[g.b :]

@@ -226,3 +226,12 @@ def test_adjacent_face_labels_swap_along_edge_label(rng):
                     continue
                 diff = labeling[f0] ^ labeling[f1]
                 assert diff == frozenset(swap[e]) or not diff, (mode, e)
+
+
+def test_face_labels_returns_a_new_dict_each_call():
+    g = F.square_fan_b5()
+    want = face_labels(g)
+    collection = label_collection(g)
+    face_labels(g).clear()
+    assert face_labels(g) == want and len(want) == 7
+    assert label_collection(g) == collection

@@ -28,6 +28,8 @@ from plabic import (
 from plabic import DecoratedPermutation
 from plabic import fixtures as F
 from plabic.errors import BadBudget, PlabicError
+from plabic import moves as moves_module
+from plabic.graph import Builder
 from plabic.moves import KINDS, _apply, _search_moves
 from conftest import random_decorated_permutation, trivalentize
 from test_acceptance import _check_square_label_rule
@@ -296,6 +298,61 @@ def test_unknown_says_how_far_the_search_got():
     # g1's side grows two layers and g2's side one; states count the roots
     assert res.depth == (2, 1)
     assert res.states == (601, 30)
+
+
+@pytest.mark.parametrize("g1, g2, budget, states, depth", [
+    (F.square_fan_b5_lollipop(), F.square_path_b6(), 4, (507, 46), (2, 2)),
+    (F.urban_left_b7(), F.urban_right_b7(), 3, (601, 30), (2, 1)),
+])
+def test_search_freezes_only_the_states_it_expands(g1, g2, budget, states, depth, monkeypatch):
+    """Children are keyed on the builders that made them, and a child is
+    frozen only when its layer is expanded: the graphs the search freezes
+    are, in order, the non-root states whose moves it lists, less those a
+    square move made (a square move makes a graph, not a builder).  The
+    children on each side's last layer and the repeats are never frozen."""
+    for g in (g1, g2):  # the pre-checks freeze the normal forms; not counted
+        is_reduced(g)
+    frozen, listed, squares = [], [], []
+    real_freeze, real_listing = Builder.freeze, moves_module._search_moves
+    real_square, real_certificate = moves_module._BUILD["SquareM1"], moves_module._certificate
+    searching = [True]
+
+    def freeze(bld):
+        h = real_freeze(bld)
+        if searching:
+            frozen.append(h)
+        return h
+
+    def listing(g):
+        if searching:
+            listed.append(g)
+        return real_listing(g)
+
+    def square(g, m):
+        h, inv = real_square(g, m)
+        squares.append(h)
+        return h, inv
+
+    def certificate(*args):
+        searching.clear()
+        return real_certificate(*args)
+
+    monkeypatch.setattr(Builder, "freeze", freeze)
+    monkeypatch.setattr(moves_module, "_search_moves", listing)
+    monkeypatch.setitem(moves_module._BUILD, "SquareM1", square)
+    monkeypatch.setattr(moves_module, "_certificate", certificate)
+    res = move_equivalent(g1, g2, budget, want_certificate=True)
+    assert (res.states, res.depth) == (states, depth)
+    made_by_square = {id(h) for h in squares}
+    expanded = [g for g in listed if g is not g1 and g is not g2]
+    assert [id(h) for h in frozen] == [id(g) for g in expanded if id(g) not in made_by_square]
+    assert 0 < len(frozen) and 10 * len(frozen) < sum(res.states)
+    if res.certificate is not None:
+        x = g1
+        for mv in res.certificate:
+            x = apply_move(x, mv)
+        assert x == g2
+        assert len(res.certificate) == budget
 
 
 def test_results_decided_without_search_carry_no_search_counts():

@@ -179,3 +179,16 @@ def test_is_reduced_invariant_under_moves(rng):
         mv = rng.choice(legal_moves(g))
         g = apply_move(g, mv)
         assert not is_reduced(g).reduced
+
+
+def test_is_reduced_returns_a_new_result_each_call():
+    g = F.square_fan_b5()
+    spoiled = is_reduced(g)
+    spoiled.reduced, spoiled.witness = False, Witness("loop")
+    assert is_reduced(g) == is_reduced(g) and is_reduced(g).reduced
+    h = F.bad_leaf_b2()
+    want = is_reduced(h)
+    spoiled = is_reduced(h)
+    spoiled.reduced = True
+    again = is_reduced(h)
+    assert not again.reduced and again.witness == want.witness

@@ -72,9 +72,9 @@ def test_tikz_overlay():
 def test_minimality_after_is_reduced_scans_no_more(monkeypatch):
     """``is_reduced`` scans the normal form for bad features once; the
     minimality of that normal form reads the same scan."""
-    real = trips_module.all_trips
+    real = trips_module._all_trips
     traced = []
-    monkeypatch.setattr(trips_module, "all_trips", lambda g: traced.append(g) or real(g))
+    monkeypatch.setattr(trips_module, "_all_trips", lambda g: traced.append(g) or real(g))
     names = ("square_fan_b5", "two_trees_b6", "adjacent_squares_b3", "white_digon_b2",
              "mixed_digon_b2", "grid_fragment_b4", "presplit_b5")
     for name in names:

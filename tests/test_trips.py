@@ -176,3 +176,12 @@ def test_bad_features_returns_a_new_list_each_call():
     want = bad_features(normal)
     bad_features(normal).clear()
     assert len(want) == 4 and bad_features(normal) == want
+
+
+def test_all_trips_returns_a_new_list_each_call():
+    g = F.square_fan_b5()
+    want = trip_permutation(g)
+    trips = all_trips(g)
+    count = len(trips)
+    trips.clear()
+    assert len(all_trips(g)) == count and trip_permutation(g) == want == [3, 4, 5, 1, 2]
