@@ -14,6 +14,7 @@ and to none when it is black.
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import combinations
 
 from .bridges import bridge_graph
@@ -116,40 +117,60 @@ def strongly_equivalent(g1: PlabicGraph, g2: PlabicGraph) -> bool:
 
 
 # ----------------------------------------------------------------------
-# enumeration of maximal weakly separated collections, on label masks
+# enumeration of maximal weakly separated collections, on positroid bitsets
+#
+# The members of the positroid are numbered 0..N-1 in ``_positroid_members``
+# order, and a collection is the int with bit t set for each member t it
+# holds.  The square moves that remove member t are read off the positroid
+# into one row (``_square_row``) the first time t appears in a collection;
+# necklace members lie in every collection and get an empty row.  A move is
+# legal in a collection exactly when the collection holds its four sides and
+# not the member it brings in, which is one AND and one comparison.  Its
+# result is tested for weak separation only when it has not been seen
+# before.  Each collection travels with the list of its member numbers, and
+# a result's list is its parent's with one number replaced.
 
 
 def _bits(m):
-    """The labels of a mask, in increasing order."""
-    return [x for x in range(m.bit_length()) if m >> x & 1]
-
-
-def _mutation_steps(collection, labels):
-    """All square-move transformations of a collection of a-subset masks.
-
-    ``labels`` maps each member to its labels in increasing order.  A member
-    M flips to M - {i, j} + {c2, c4}, for i < c2 < j and c4 outside [i, j],
-    when the sides M - j + c2, M - i + c2, M - i + c4 and M - j + c4 are all
-    present.  Sorted, {i, c2, j, c4} is the cyclic quad of these sides, so
-    each step is found once, from the member it removes.  The sides are read
-    off one pass over the members: ``completions[K]`` is the mask of the x
-    with K + x a member, so the c with both M - i + c and M - j + c present
-    are the bits of ``completions[M - i] & completions[M - j]``.
-    """
-    completions = {}
-    for m in collection:
-        for i in labels[m]:
-            k = m ^ 1 << i
-            completions[k] = completions.get(k, 0) | 1 << i
+    """The set bits of m, in increasing order."""
     out = []
-    for m in collection:
-        for i, j in combinations(labels[m], 2):
-            both = completions[m ^ 1 << i] & completions[m ^ 1 << j]
-            inner = both & ((1 << j) - (2 << i))  # the c with i < c < j
-            if inner and inner != both:
-                core = m ^ 1 << i ^ 1 << j
-                out.extend((m, core | 1 << c2 | 1 << c4)
-                           for c4 in _bits(both ^ inner) for c2 in _bits(inner))
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return out
+
+
+def _square_row(t, m, b, index):
+    """The square moves that remove member t, of mask m, from a collection,
+    as (look, need, flip, v) with the bit numbers of ``index``.
+
+    A move flips m to u = m - {i, j} + {c2, c4}, for i < c2 < j and c4
+    outside [i, j], and its sides are m - j + c2, m - i + c2, m - i + c4 and
+    m - j + c4.  It is listed when u and all four sides lie in the positroid
+    ``index``; v is the number of u, ``need`` the bits of the sides, ``look``
+    those plus v's bit and ``flip`` the bits of t and v.  Sorted,
+    {i, c2, j, c4} is the cyclic quad of the sides, so each move of a
+    collection is found once, from the member it removes.
+    """
+    labels = _bits(m)
+    free = [c for c in range(1, b + 1) if not m >> c & 1]
+    # side[i]: for each c outside m, the number of m - i + c, or None
+    side = {i: [index.get(m ^ 1 << i | 1 << c) for c in free] for i in labels}
+    out = []
+    for i, j in combinations(labels, 2):
+        inner, outer = [], []  # (bit of c, bits of m - i + c and m - j + c)
+        for c, si, sj in zip(free, side[i], side[j]):
+            if si is not None and sj is not None:
+                (inner if i < c < j else outer).append((1 << c, 1 << si | 1 << sj))
+        core = m ^ 1 << i ^ 1 << j
+        for c2, need2 in inner:
+            for c4, need4 in outer:
+                u = core | c2 | c4
+                v = index.get(u)
+                if v is not None:
+                    need = need2 | need4
+                    out.append((need | 1 << v, need, 1 << t | 1 << v, v))
     return out
 
 
@@ -159,67 +180,65 @@ def enumerate_ws(p: DecoratedPermutation, limit: int = None):
     Starts from the target labels of a bridge graph and closes under square
     moves; every collection returned contains the Grassmann necklace, lies
     inside the positroid, has size a(b-a) - length + 1 and is pairwise
-    weakly separated.  Raises TooLarge when ``limit`` is exceeded, and
-    BadBudget for a ``limit`` that is not a non-negative integer.
+    weakly separated.  The search holds each collection as a bitset over
+    the positroid's members and reads the square moves of each member from
+    a table row, built the first time the member appears; a move costs a
+    few integer operations, and its result is tested for weak separation
+    only when it is a collection not seen before.  Raises TooLarge when
+    ``limit`` is exceeded (the seed counts), and BadBudget for a ``limit``
+    that is not a non-negative integer.
     """
     if limit is not None and (not isinstance(limit, int) or isinstance(limit, bool) or limit < 0):
         raise BadBudget(f"limit must be a non-negative integer, got {limit!r}")
     b = p.b
     a = p.anti_excedances()
     nk = necklace_from_perm(p)
-    posd = {_mask(J, b): J for J in _positroid_members(nk)}  # mask -> labels
+    index = {_mask(J, b): t for t, J in enumerate(_positroid_members(nk))}  # mask -> number
     necklace = {_mask(s, b) for s in nk.sets}
     size = a * (b - a) - length(affinize(p)) + 1
     seed = frozenset(_mask(s, b) for s in label_collection(bridge_graph(p), "target"))
-    _check_collection(seed, necklace, posd, size)
-
-    def expand(coll):
-        found = []
-        for old, new in _mutation_steps(coll, posd):
-            cand = coll - {old} | {new}
-            if len(cand) != size:
-                continue
-            if new not in posd:
-                continue
-            if not _separated(new, cand):
-                continue
-            if not necklace <= cand:
-                continue
-            found.append(cand)
-        return found
-
+    _check_collection(seed, necklace, index, size)
+    masks = list(index)
+    rows = [None] * len(masks)  # member number -> its square moves
+    for m in necklace:  # in every collection, so never moved
+        rows[index[m]] = ()
+    sets = [None] * len(masks)  # member number -> its labels, as returned
     seen = set()
-    queue = []  # breadth first: the collections found, in order
+    queue = deque()  # breadth first: (bitset, its member numbers)
 
-    def visit(coll):
-        if coll not in seen:
-            # a compact copy: a frozenset made by - and | keeps a table
-            # sized for twice its members, and the search holds every one
-            coll = frozenset(tuple(coll))
-            seen.add(coll)
-            queue.append(coll)
-            if limit is not None and len(seen) > limit:
-                raise TooLarge(f"more than {limit} collections; raise the limit")
+    def visit(coll, ts):
+        seen.add(coll)
+        queue.append((coll, ts))
+        if limit is not None and len(seen) > limit:
+            raise TooLarge(f"more than {limit} collections; raise the limit")
 
-    visit(seed)
-    for coll in queue:
-        for cand in expand(coll):
-            visit(cand)
-    seen.clear()
-    # back to frozensets, one per distinct label, freeing each mask
-    # collection as it is converted
-    sets = {}
+    ts = [index[m] for m in seed]
+    for t in ts:
+        sets[t] = frozenset(_bits(masks[t]))
+    visit(sum(1 << t for t in ts), ts)
     out = set()
     while queue:
-        coll = queue.pop()
-        for m in coll:
-            if m not in sets:
-                sets[m] = frozenset(posd[m])
-        out.add(frozenset(map(sets.__getitem__, coll)))
+        coll, ts = queue.popleft()
+        held = [masks[t] for t in ts]
+        for k, t in enumerate(ts):
+            row = rows[t]
+            if row is None:
+                row = rows[t] = _square_row(t, masks[t], b, index)
+            for look, need, flip, v in row:
+                if coll & look != need or coll ^ flip in seen:
+                    continue
+                u = masks[v]
+                if _separated(u, held[:k] + held[k + 1:]):
+                    if sets[v] is None:
+                        sets[v] = frozenset(_bits(u))
+                    child = ts.copy()
+                    child[k] = v
+                    visit(coll ^ flip, child)
+        out.add(frozenset(map(sets.__getitem__, ts)))
     return out
 
 
-def _check_collection(coll, necklace, posd, size):
+def _check_collection(coll, necklace, index, size):
     if len(coll) != size:
         raise AssertionError(
             f"seed collection has {len(coll)} labels, expected {size}"
@@ -228,5 +247,5 @@ def _check_collection(coll, necklace, posd, size):
         if s not in coll:
             raise AssertionError(f"necklace member {_bits(s)} missing from seed")
     for s in coll:
-        if s not in posd:
+        if s not in index:
             raise AssertionError(f"seed label {_bits(s)} outside the positroid")

@@ -276,6 +276,8 @@ class GrassmannNecklace:
     def __init__(self, sets):
         sets = tuple(frozenset(s) for s in sets)
         b = len(sets)
+        if b == 0:
+            raise NotANecklace("a Grassmann necklace needs b >= 1 sets, got none")
         sizes = {len(s) for s in sets}
         if len(sizes) != 1:
             raise NotANecklace(f"subsets of unequal sizes {sorted(sizes)}")
@@ -432,12 +434,26 @@ def weakly_separated(I, J, b: int) -> bool:
 
 
 def is_ws_collection(sets, b: int) -> bool:
+    """Whether the sets are pairwise weakly separated; BadLabel for an
+    element outside 1..b, SizeMismatch for sets of unequal sizes.
+
+    Each set is masked once and tested against the first set as it is
+    masked, which is the order in which a scan of the pairs (i, j), i < j,
+    meets them, so an input fails the same way as in that scan.
+    """
     sets = list(sets)
-    return all(
-        weakly_separated(sets[i], sets[j], b)
-        for i in range(len(sets))
-        for j in range(i + 1, len(sets))
-    )
+    if len(sets) < 2:
+        return True
+    first = _mask(sets[0], b)
+    masks = []
+    for s in sets[1:]:
+        x = _mask(s, b)
+        if x.bit_count() != first.bit_count():
+            raise SizeMismatch(f"|{sorted(set(sets[0]))}| != |{sorted(set(s))}|")
+        if not _separated(x, (first,)):
+            return False
+        masks.append(x)
+    return all(_separated(x, masks[k + 1:]) for k, x in enumerate(masks))
 
 
 def format_subset(s, b: int) -> str:

@@ -275,6 +275,18 @@ def test_ws_and_positroid_output_is_pinned(argv, lines, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv", [
+    ["perm", "necklace", ""], ["perm", "positroid", ""], ["ws", "enumerate", ""],
+])
+def test_empty_permutation_has_no_necklace(argv, capsys):
+    code, out, err = run(argv, capsys=capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "NotANecklace",
+        "message": "a Grassmann necklace needs b >= 1 sets, got none",
+    }
+
+
 def test_ws_enumerate_limit_counts_the_seed(capsys, monkeypatch):
     code, out, err = run(["ws", "enumerate", "2 1", "--limit", "0"], capsys=capsys)
     assert code == 1 and out == ""

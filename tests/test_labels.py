@@ -169,6 +169,14 @@ def test_enumerate_limit_counts_the_seed():
     assert len(enumerate_ws(p, limit=1)) == 1
 
 
+def test_enumerate_limit_on_a_large_positroid():
+    """Gr(8,16) has 12,870 positroid members; a small limit stops the search
+    after a few collections, with move rows and label sets built only for
+    the members those collections hold."""
+    with pytest.raises(TooLarge, match="more than 50 collections"):
+        enumerate_ws(cyclic_rotation(8, 16), limit=50)
+
+
 def test_enumerate_rejects_a_negative_limit():
     """And a limit that is not an int, as ``move_equivalent`` does a budget."""
     p = DecoratedPermutation.parse("3 4 5 1 2 6^")

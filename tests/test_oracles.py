@@ -11,7 +11,8 @@ off the fully collapsed graph, the bad-feature scan over every ordered edge
 pair, the resonance test over every rotation of a ring, and the tree
 collapse over all builder darts, normalization from a frozen collapse,
 classification over edge ids, and the square moves of a weakly separated
-collection found from a core-to-pairs index and a scan of every quad, weak
+collection found from a core-to-pairs index and a scan of every quad, and
+from a table of each label mask's one-label completions, weak
 separation by counting cyclic blocks of marks, the positroid through
 ``gale_leq``, the square-move closure of weakly separated collections on
 frozensets, the canonical key in two passes (edges numbered at dequeue,
@@ -35,6 +36,7 @@ from hypothesis import strategies as st
 from plabic import (
     BLACK,
     WHITE,
+    BadLabel,
     DecoratedPermutation,
     Face,
     IllegalMove,
@@ -72,8 +74,9 @@ from plabic import graph as graph_module
 from plabic import labels as labels_module
 from plabic.graph import Builder, PlabicGraph, _pendant_vertices, collapse_trees
 from plabic.moves import KINDS, EquivalenceResult, _apply, _build, _frozen, _search_moves
+from plabic.labels import _bits
 from plabic.normalize import NormalizeResult, Witness
-from plabic.perms import _mask, _separated, shifted_key
+from plabic.perms import _mask, _positroid_members, _separated, is_ws_collection, shifted_key
 from plabic.trips import BadFeature, Trip, _is_resonant_ring
 from conftest import (
     insert_loop,
@@ -707,6 +710,14 @@ def weakly_separated_marks(I, J, b):
     return blocks <= 2
 
 
+def is_ws_collection_pairwise(sets, b):
+    """Weak separation of a collection, testing every pair (i, j), i < j,
+    in order with ``weakly_separated``."""
+    sets = list(sets)
+    return all(weakly_separated(sets[i], sets[j], b)
+               for i in range(len(sets)) for j in range(i + 1, len(sets)))
+
+
 def gale_leq_reference(ell, b, I, J):
     """Componentwise comparison after sorting both sets in the ell-shifted order."""
     if len(I) != len(J):
@@ -743,6 +754,34 @@ def mutation_steps_on_frozensets(collection, b):
             if inner:
                 for c4 in sides([*range(1, i), *range(j + 1, b + 1)]):
                     out.extend((m, (mi - {j}) | {c2, c4}) for c2 in inner)
+    return out
+
+
+def mutation_steps_on_masks(collection, labels):
+    """All square-move transformations of a collection of a-subset masks.
+
+    ``labels`` maps each member to its labels in increasing order.  A member
+    M flips to M - {i, j} + {c2, c4}, for i < c2 < j and c4 outside [i, j],
+    when the sides M - j + c2, M - i + c2, M - i + c4 and M - j + c4 are all
+    present.  The sides are read off one pass over the members:
+    ``completions[K]`` is the mask of the x with K + x a member, so the c
+    with both M - i + c and M - j + c present are the bits of
+    ``completions[M - i] & completions[M - j]``.
+    """
+    completions = {}
+    for m in collection:
+        for i in labels[m]:
+            k = m ^ 1 << i
+            completions[k] = completions.get(k, 0) | 1 << i
+    out = []
+    for m in collection:
+        for i, j in combinations(labels[m], 2):
+            both = completions[m ^ 1 << i] & completions[m ^ 1 << j]
+            inner = both & ((1 << j) - (2 << i))  # the c with i < c < j
+            if inner and inner != both:
+                core = m ^ 1 << i ^ 1 << j
+                out.extend((m, core | 1 << c2 | 1 << c4)
+                           for c4 in _bits(both ^ inner) for c2 in _bits(inner))
     return out
 
 
@@ -1361,6 +1400,9 @@ def test_structural_reads_need_no_edge_ids(mixed_graphs, monkeypatch):
 
 
 def test_square_moves_read_off_members_match_quad_scan():
+    """The moves of every collection read off the per-member move table
+    equal those of the quad scan and of the mask-level completions scan,
+    each kept when its result lies in the positroid."""
     rng = random.Random(73)
     perms = [cyclic_rotation(2, b) for b in range(4, 8)]
     perms += [cyclic_rotation(3, 6), cyclic_rotation(3, 7)]
@@ -1368,14 +1410,27 @@ def test_square_moves_read_off_members_match_quad_scan():
     perms += [random_decorated_permutation(rng.randint(3, 7), rng) for _ in range(40)]
     collections = steps = 0
     for p in perms:
+        members = _positroid_members(necklace_from_perm(p))
+        index = {_mask(J, p.b): t for t, J in enumerate(members)}
+        masks = list(index)
+        rows = {}
         for coll in enumerate_ws(p):
-            # masks in, frozensets out, at the edge of the library call
-            labels = {_mask(s, p.b): tuple(sorted(s)) for s in coll}
-            as_set = {m: frozenset(s) for m, s in labels.items()}
-            got = [(as_set[old], frozenset(labels_module._bits(new)))
-                   for old, new in labels_module._mutation_steps(frozenset(labels), labels)]
-            want = mutation_steps_reference(coll)
-            assert Counter(got) == Counter(want), sorted(map(sorted, coll))
+            held = [_mask(s, p.b) for s in coll]
+            bitset = sum(1 << index[m] for m in held)
+            got = []
+            for m in held:
+                t = index[m]
+                if t not in rows:
+                    rows[t] = labels_module._square_row(t, m, p.b, index)
+                got += [(m, masks[v]) for look, need, _, v in rows[t] if bitset & look == need]
+            labels = {m: _bits(m) for m in held}
+            on_masks = [(old, new) for old, new in mutation_steps_on_masks(held, labels)
+                        if new in index]
+            assert Counter(got) == Counter(on_masks), sorted(map(sorted, coll))
+            want = [(old, new) for old, new in mutation_steps_reference(coll)
+                    if _mask(new, p.b) in index]
+            as_sets = [(frozenset(_bits(old)), frozenset(_bits(new))) for old, new in got]
+            assert Counter(as_sets) == Counter(want), sorted(map(sorted, coll))
             collections += 1
             steps += len(got)
     assert collections >= 400 and steps >= 1600, (collections, steps)
@@ -1420,6 +1475,35 @@ def test_positroid_matches_reference():
         assert positroid(nk) == want, str(p)
         sizes[len(want) > 1] += 1
     assert min(sizes.values()) >= 50, sizes
+
+
+def _ws_outcome(fn, sets, b):
+    try:
+        return fn(sets, b)
+    except (BadLabel, SizeMismatch) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_is_ws_collection_matches_pairwise_scan():
+    """Same verdict, and the same error with the same message, as testing
+    every pair in order, on random collections with bad labels and sets of
+    unequal sizes mixed in."""
+    rng = random.Random(95)
+    outcomes = Counter()
+    for _ in range(4000):
+        b = rng.randint(1, 8)
+        a = rng.randint(0, b)
+        sets = [rng.sample(range(1, b + 1), a) for _ in range(rng.randint(0, 5))]
+        if sets and rng.random() < 0.3:
+            damaged = sets[rng.randrange(len(sets))]
+            if rng.random() < 0.5:
+                damaged.append(rng.choice([0, b + 1]))
+            elif damaged:
+                damaged.pop()
+        want = _ws_outcome(is_ws_collection_pairwise, sets, b)
+        assert _ws_outcome(is_ws_collection, sets, b) == want, (sets, b)
+        outcomes[want if isinstance(want, bool) else want[0]] += 1
+    assert min(outcomes.values()) >= 200 and len(outcomes) == 4, outcomes
 
 
 def _check_against_marks(I, J, b):

@@ -183,6 +183,8 @@ def test_not_a_necklace():
         GrassmannNecklace([{1, 2}, {3, 4}, {1, 3}, {1, 2}])
     with pytest.raises(NotANecklace):
         GrassmannNecklace([{1}, {1, 2}])
+    with pytest.raises(NotANecklace, match=r"needs b >= 1 sets"):
+        GrassmannNecklace([])
 
 
 def test_positroid_of_rotation_is_everything():
