@@ -64,14 +64,15 @@ def _orbit(nxt, d0, limit):
     return darts
 
 
-def _face_of_walk(walk, rim):
-    """The face traced as ``walk``, an orbit of darts with rim darts from
-    ``rim`` on."""
-    if max(walk) < rim:
+def _face_of_walk(walk, inward, b):
+    """The face traced as ``walk``, an orbit of graph darts; ``inward``
+    maps the dart into boundary label i to i, and the walk crosses rim arc
+    i - 1 (arc b for i = 1) right after that dart."""
+    into = inward.keys() & walk
+    if not into:
         return Face("internal", tuple(walk), ())
-    graph_darts = tuple([x for x in walk if x < rim])
-    arcs = tuple([(x - rim) // 2 + 1 for x in walk if x >= rim])
-    return Face("boundary" if graph_darts else "outer", graph_darts, arcs)
+    arcs = tuple([(inward[x] - 2) % b + 1 for x in sorted(into, key=walk.index)])
+    return Face("boundary", tuple(walk), arcs)
 
 
 @dataclass(frozen=True)
@@ -109,20 +110,23 @@ class PlabicGraph:
     order but may have holes: a graph made by a move keeps the dart numbers
     of its parent, so the indices of removed edges hold ``None`` and their
     darts are unused.  ``_dart_bound()`` is the index bound; the rim
-    darts ``faces`` adds start there.  Of an edge's two darts the even one
-    is the first met in (vertex id, rotation position) order, so the order
-    of the darts depends only on the ids and rotations.
+    entries of ``face_of_dart()`` start there.  Of an edge's two darts the
+    even one is the first met in (vertex id, rotation position) order, so
+    the order of the darts depends only on the ids and rotations.
 
     Facts derived from a graph are computed once and kept in ``_cache``,
     which is safe because the graph never changes.  Its keys: "valid"
     (``from_rotation``/``from_json`` accepted the graph), "edge_index",
-    "faces", "face_of_dart" and "face_next" (the face tables), "base" (the
-    parent's face tables to patch, until ``faces`` runs), "ckey"
+    "faces", "face_of_dart" and "face_next" (the face tables; the last
+    holds the successor table and ``_inward()``), "base" (the parent's
+    face tables to splice, until ``faces`` runs), "sites" (the vertex and
+    edge move sites, ``moves._sites``), "site_base" (the parent's sites to
+    re-derive from, until ``legal_moves`` runs), "ckey"
     (``canonical_key``), "classify", "trips", "decorated",
     ("face_labels", mode), "normalize", "is_reduced" and "bad_features".
     A graph made by a move may start with its parent's "faces",
-    "face_of_dart" and "face_next" (a square move keeps the rotations) or
-    with "base"; it inherits no other key.
+    "face_of_dart" and "face_next" (a square move keeps the rotations),
+    with "base" and with "site_base"; it inherits no other key.
     """
 
     __slots__ = ("b", "_colors", "_rot", "_dart_vertex", "_edge_ids", "_cache")
@@ -289,56 +293,81 @@ class PlabicGraph:
     def faces(self):
         """All faces of the rim-augmented graph, deterministic order.
 
-        The rim adds one arc per boundary label i, joining labels i and i+1,
-        as two more darts that pair like graph darts: with index bound
-        ``rim = _dart_bound()``, arc i's forward dart (based at label
-        i) is ``rim + 2(i - 1)`` and its backward dart (based at label i+1)
-        is that dart ``^ 1``.  At boundary label i the clockwise rotation
-        is: forward dart of arc i, the graph dart, backward dart of arc i-1.
-
-        Faces are the orbits of ``next(d) = clockwise successor of d ^ 1``,
-        which keeps the traced face on the left of every dart.  Orbits are
-        started from every dart in increasing order, so faces come in the
-        order of their smallest darts.  Every face but the outer one (the
-        forward rim darts) holds a graph dart, so graph darts fix the face
-        order that ``MoveSpec.face`` indexes into.
+        The rim adds one arc per boundary label i, joining labels i and
+        i+1, and clockwise at label i come: arc i, the graph dart, arc
+        i-1.  Faces are the orbits of ``next(d) = clockwise successor of
+        d ^ 1``, which keeps the traced face on the left of every dart.
+        The arcs are not darts of the successor table: a walk into label
+        i crosses arc i-1 and goes on along the dart of label i-1, so the
+        table maps graph darts to graph darts, and the outer face, the
+        one face without graph darts, holds the arcs in increasing order.
+        Orbits are started from every graph dart in increasing order, so
+        faces come in the order of their smallest darts, which fixes the
+        order that ``MoveSpec.face`` indexes into; the outer face is last.
 
         A graph made by a move from a graph whose faces were traced starts
-        from that graph's tables and re-traces only the faces whose
-        successors the move changed.
+        from that graph's tables: it keeps the faces the move did not
+        change and splices the others from the unchanged runs of their
+        walks (``_patch_faces``).
         """
         cache = self._cache
         faces = cache.get("faces")
         if faces is None:
             base = cache.pop("base", None)
             if base is None:
-                faces, face_of, nxt = self._trace_faces()
+                faces, face_of, nxt, inward = self._trace_faces()
             else:
-                faces, face_of, nxt = self._patch_faces(*base)
+                faces, face_of, nxt, inward = self._patch_faces(*base)
             cache["faces"] = faces
             cache["face_of_dart"] = face_of
-            cache["face_next"] = nxt
+            cache["face_next"] = (nxt, inward)
         return faces
 
-    def _fill_successors(self, nxt, vertices, rim):
+    def _fill_successors(self, nxt, vertices):
         """Set ``nxt[d]`` for the darts d whose twins are based at
-        ``vertices``, from their rim-augmented rotations."""
+        ``vertices``; return those whose successor changed."""
         b, rot = self.b, self._rot
+        changed = []
         for v in vertices:
             ds = rot[v]
-            if v < 0:  # (forward arc -v, graph dart, backward arc -v-1)
-                ds = (rim - 2 * v - 2, *ds, (rim + 2 * ((-v - 2) % b)) ^ 1)
+            if v < 0:  # across arc -v-1 to the dart of label -v-1
+                d, s = ds[0] ^ 1, rot[-((-v - 2) % b) - 1][0]
+                if nxt[d] != s:
+                    nxt[d] = s
+                    changed.append(d)
+                continue
             m = len(ds)
             for j in range(m):  # ds[j + 1 - m] wraps around
-                nxt[ds[j] ^ 1] = ds[j + 1 - m]
+                d, s = ds[j] ^ 1, ds[j + 1 - m]
+                if nxt[d] != s:
+                    nxt[d] = s
+                    changed.append(d)
+        return changed
+
+    def _inward(self):
+        """The darts into boundary labels 1..b, in label order, each mapped
+        to its label."""
+        rot, b = self._rot, self.b
+        return dict(zip([rot[v][0] ^ 1 for v in range(-1, -b - 1, -1)], range(1, b + 1)))
+
+    @staticmethod
+    def _add_rim(face_of, inward, outer):
+        """Append the rim part to ``face_of``: the forward dart of arc i
+        (at index bound + 2(i - 1)) lies in face ``outer``, the backward
+        dart after it in the face of the dart into label i + 1."""
+        ins = list(inward)
+        part = [outer] * (2 * len(ins))
+        part[1::2] = map(face_of.__getitem__, ins[1:] + ins[:1])
+        face_of += part
 
     def _trace_faces(self):
-        """``(faces, face_of, nxt)`` traced from scratch; ``nxt`` is the
-        face-successor table, -1 at the holes."""
-        rim = self._dart_bound()  # arc 1's forward dart
-        n = rim + 2 * self.b
+        """``(faces, face_of, nxt, inward)`` traced from scratch: ``nxt`` is
+        the face-successor table over graph darts, -1 at the holes, and
+        ``inward`` is ``_inward()``."""
+        n = self._dart_bound()
         nxt = [-1] * n
-        self._fill_successors(nxt, self._rot, rim)
+        self._fill_successors(nxt, self._rot)
+        inward = self._inward()
         face_of = [-1] * n  # dart -> index of its face; -1 at the holes
         faces = []
         for start in range(n):
@@ -348,87 +377,123 @@ class PlabicGraph:
             idx = len(faces)
             for d in walk:
                 face_of[d] = idx
-            faces.append(_face_of_walk(walk, rim))
-        if self.b == 0:
-            faces.append(Face("outer", (), ()))
-        return faces, face_of, nxt
+            faces.append(_face_of_walk(walk, inward, self.b))
+        self._add_rim(face_of, inward, len(faces))
+        faces.append(Face("outer", (), tuple(range(1, self.b + 1))))
+        return faces, face_of, nxt, inward
 
-    def _patch_faces(self, pfaces, pface_of, pnxt, prim, prot, edited, touched):
-        """``(faces, face_of, nxt)`` from those of the graph this one was
-        made from by a local edit: its faces, face map and successor table,
-        its rim start ``prim`` and its rotations ``prot``.  ``touched`` are
+    def _patch_faces(self, pfaces, pface_of, pnxt, pinward, prot, edited, touched):
+        """``_trace_faces`` from the tables of the graph this one was made
+        from by a local edit, and its rotations ``prot``.  ``touched`` are
         the vertices of this graph whose rotations differ from ``prot``,
         and ``edited`` those and the vertices the edit removed.
 
-        Only the faces through a dart whose successor changed differ, so
-        the others are kept, in their order, since they keep their dart
-        numbers; the rest are re-traced from those darts and the new ones.
+        A cut is a dart of the parent whose successor changed or that was
+        removed.  A face without cuts is kept, since it keeps its dart
+        numbers; the others are dirty.  Along a dirty face, the darts from
+        the successor of one cut up to the next cut keep their successors,
+        so each new walk is spliced from such runs, sliced out of the
+        parent's walks, and the new darts.  New walks take the places of
+        the dirty faces when that keeps the faces sorted by smallest dart,
+        so that no kept face changes index; else kept and new faces are
+        merged in that order.
         """
         b, rot, dv = self.b, self._rot, self._dart_vertex
-        changed = _changed_successors(prot, rot, edited)  # next(x ^ 1) changed
-        rim = self._dart_bound()
-        n = rim + 2 * b
-        shift = rim - prim
-
-        def moved_rim(table):  # the table with its rim part at ``rim``
-            if shift >= 0:
-                return table[:prim] + [-1] * shift + table[prim:]
-            return table[:rim] + table[prim:]  # the last edges were removed
-
-        nxt = moved_rim(pnxt)
-        if shift:  # successors that are rim darts follow the rim
-            nxt[rim:] = [x + shift if x >= prim else x for x in nxt[rim:]]
-            for v in range(-b, 0):
-                nxt[rot[v][0] ^ 1] += shift  # a touched vertex is refilled below
-        face_of = moved_rim(pface_of)
-        for x in changed:  # the removed darts become holes
-            if x < rim and x not in dv:
-                nxt[x] = face_of[x] = -1
-        self._fill_successors(nxt, touched, rim)
-        dirty = {pface_of[x ^ 1] for x in changed}
-        # every new orbit holds a new dart, a dart whose successor changed,
-        # or the dart of a touched boundary vertex, which a rim dart enters
-        covered = set()
+        n, pn = self._dart_bound(), len(pnxt)
+        if n <= pn:
+            nxt, face_of = pnxt[:n], pface_of[:n]
+        else:
+            nxt, face_of = pnxt + [-1] * (n - pn), pface_of[:pn] + [-1] * (n - pn)
+        cuts = {}  # cut -> its face's index in the parent, -1 for a new dart
+        for v in edited:  # the removed darts become holes
+            for x in prot.get(v, ()):
+                if x not in dv:
+                    cuts[x] = pface_of[x]
+                    if x < n:
+                        nxt[x] = face_of[x] = -1
+        if touched and min(touched) < 0:
+            # the dart into label i goes on along the dart of label i - 1
+            touched = {*touched, *[-(-v % b) - 1 for v in touched if v < 0]}
+            inward = self._inward()
+        else:
+            inward = pinward
+        for y in self._fill_successors(nxt, touched):
+            cuts[y] = pface_of[y] if y < pn else -1
+        stops = {}  # dirty face -> the positions of its cuts in its walk
+        for y, f in cuts.items():
+            if f >= 0:
+                stops.setdefault(f, []).append(pfaces[f].darts.index(y))
+        for ps in stops.values():
+            ps.sort()
         walks = []
-        for start in [*range(prim, rim), *[x ^ 1 for x in changed],
-                      *[rot[v][0] for v in touched if v < 0]]:
-            if start in dv and start not in covered:
-                walk = _orbit(nxt, start, n)
-                covered.update(walk)
-                first = min(walk)  # a graph dart: it starts the face
-                if first != start:
-                    i = walk.index(first)
-                    walk = walk[i:] + walk[:i]
-                walks.append(walk)
-        walks.sort()
-        # merge kept and new faces by smallest dart; the outer face is last
-        faces, placed = [], []
-        remap = [-1] * (len(pfaces) + 1)  # remap[-1] keeps -1 at the holes
-        renumbered = False
-        k = 0
-        for i, f in enumerate(pfaces):
-            if i in dirty:
+        seen = set()  # the cuts that end a run of a new walk
+        for c in cuts:  # every new walk passes a cut that is still a dart
+            if c in seen or c not in dv:
                 continue
-            first = f.darts[0] if f.darts else n
-            while k < len(walks) and walks[k][0] < first:
-                placed.append(len(faces))
-                faces.append(_face_of_walk(walks[k], rim))
-                k += 1
-            renumbered = renumbered or i != len(faces)
-            remap[i] = len(faces)
-            faces.append(f)
-        for walk in walks[k:]:
-            placed.append(len(faces))
-            faces.append(_face_of_walk(walk, rim))
-        if renumbered:  # else every kept face keeps its index
+            walk = []
+            d = nxt[c]
+            while True:  # add the run from d up to the next cut
+                f = -1 if d in cuts or d >= pn else pface_of[d]
+                if f < 0:  # a cut or a new dart is a run of its own
+                    walk.append(d)
+                    if len(walk) > n:
+                        raise TripDoesNotTerminate(f"face walk from dart {c} runs past {n} darts")
+                else:
+                    ds, ps = pfaces[f].darts, stops[f]
+                    i = ds.index(d)
+                    for j in ps:
+                        if j >= i:
+                            break
+                    else:
+                        j = ps[0]
+                    walk += ds[i:j + 1] if j >= i else ds[i:] + ds[:j + 1]
+                d = walk[-1]
+                if d == c:
+                    break
+                seen.add(d)
+                d = nxt[d]
+            first = min(walk)  # it starts the face
+            if first != walk[0]:
+                i = walk.index(first)
+                walk = walk[i:] + walk[:i]
+            walks.append(walk)
+        walks.sort()
+        faces = pfaces[:-1]  # the outer face goes last
+        places = sorted(stops)
+        in_order = len(places) == len(walks)
+        if in_order:  # sorted walks in sorted places: check them against kept faces
+            for idx, walk in zip(places, walks):
+                w0 = walk[0]
+                if (idx and idx - 1 not in stops and faces[idx - 1].darts[0] > w0
+                        or idx + 1 < len(faces) and idx + 1 not in stops
+                        and faces[idx + 1].darts[0] < w0):
+                    in_order = False
+                    break
+        if not in_order:  # merge kept and new faces by smallest dart
+            order = sorted([*[(f.darts[0], i) for i, f in enumerate(pfaces[:-1])
+                              if i not in stops],
+                            *[(walk[0], -1 - j) for j, walk in enumerate(walks)]])
+            remap = [-1] * len(pfaces)  # a dirty face's darts are all re-placed
+            faces, places = [], []
+            for idx, (_, i) in enumerate(order):
+                if i < 0:
+                    places.append(idx)
+                    faces.append(None)
+                else:
+                    remap[i] = idx
+                    faces.append(pfaces[i])
+            remap.append(-1)  # remap[-1] keeps the holes
             face_of = [remap[i] for i in face_of]
-        for idx, walk in zip(placed, walks):
+        for idx, walk in zip(places, walks):
             for d in walk:
                 face_of[d] = idx
-        return faces, face_of, nxt
+            faces[idx] = _face_of_walk(walk, inward, b)
+        self._add_rim(face_of, inward, len(faces))
+        faces.append(pfaces[-1])
+        return faces, face_of, nxt, inward
 
     def nonouter_faces(self):
-        return [f for f in self.faces() if f.kind != "outer"]
+        return self.faces()[:-1]  # the outer face is last
 
     def face_of_dart(self):
         """The index into ``faces()`` of each dart's face, as a list indexed
@@ -722,6 +787,8 @@ class Builder:
     be keyed and then dropped without ever being frozen; the equivalence
     search keys every child this way and freezes only those it expands.
     A builder keeps the graph it started from alive until it is dropped.
+    Surgery may recolour only vertices whose rotations it edits: the
+    frozen graph re-derives move sites only around those.
     """
 
     def __init__(self, g: PlabicGraph):
@@ -951,9 +1018,10 @@ class Builder:
         index.  Only edges at touched vertices can then break the even-dart
         rule; the two darts of such an edge trade numbers.  Once holes pass
         half the index space, darts are numbered afresh by
-        ``_number_darts``.  When the starting graph's faces are traced, the
-        result keeps them, to re-trace only the faces the surgery changed
-        (``faces``).
+        ``_number_darts``.  When the starting graph's faces are traced, or
+        its move sites derived, the result keeps them, to splice only the
+        faces the surgery changed (``faces``) and re-derive only the sites
+        around the touched vertices (``moves._sites``).
         """
         ids = self.ids
         n = len(ids)
@@ -997,32 +1065,15 @@ class Builder:
                 rot[v] = tuple(rot[v])
         g = PlabicGraph._from_parts(self.b, dict(self.colors), rot, dv, tuple(ids[:n]))
         parent = self._graph
-        if parent is not None and self.b and "faces" in parent._cache:
-            g._cache["base"] = (
-                parent._cache["faces"], parent._cache["face_of_dart"],
-                parent._cache["face_next"], parent._dart_bound(),
-                parent._rot, self._touched | touched, touched)
+        if parent is not None:
+            pc = parent._cache
+            edited = self._touched | touched
+            if self.b and "faces" in pc:
+                g._cache["base"] = (pc["faces"], pc["face_of_dart"], *pc["face_next"],
+                                    parent._rot, edited, touched)
+            if "sites" in pc:
+                g._cache["site_base"] = (pc["sites"], parent._rot, edited, touched)
         return g
-
-
-def _changed_successors(prot, rot, vertices):
-    """The darts x at ``vertices`` in rotations ``prot`` whose clockwise
-    successor differs in ``rot``, so that ``next(x ^ 1)`` changed; at a
-    boundary vertex whose dart changed, that dart's twin too, since the
-    rim's dart into the vertex changed successor."""
-    out = []
-    for v in vertices:
-        ps = prot.get(v)
-        if ps is None:
-            continue
-        cs = rot.get(v, ())
-        succ = dict(zip(cs, cs[1:] + cs[:1]))
-        for x, s in zip(ps, ps[1:] + ps[:1]):
-            if succ.get(x) != s:
-                out.append(x)
-                if v < 0:
-                    out.append(x ^ 1)
-    return out
 
 
 # ----------------------------------------------------------------------

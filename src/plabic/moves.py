@@ -116,20 +116,30 @@ def _edge_darts(g: PlabicGraph, edge):
         raise IllegalMove(f"no edge with id {edge}")
 
 
+def _alternating_quads(g: PlabicGraph, faces):
+    """``(index, corners)`` of each of ``faces`` that is an internal
+    quadrilateral whose corners, in walk order, are four distinct vertices
+    of alternating colors."""
+    dv, colors = g._dart_vertex, g._colors
+    out = []
+    for idx, face in enumerate(faces):
+        if face.kind != "internal" or len(face.darts) != 4:
+            continue
+        vs = [dv[d] for d in face.darts]
+        if len(set(vs)) != 4:
+            continue
+        c0, c1, c2, c3 = [colors[v] for v in vs]
+        if c0 == c1 or c1 != c3 or c0 != c2:
+            continue
+        out.append((idx, vs))
+    return out
+
+
 def _alternating_quad(g: PlabicGraph, face):
-    """The corners of an internal quadrilateral face, in walk order, when
-    they are four distinct vertices of alternating colors; else None."""
-    if face.kind != "internal" or len(face.darts) != 4:
-        return None
-    dv = g._dart_vertex
-    vs = [dv[d] for d in face.darts]
-    if len(set(vs)) != 4:
-        return None
-    colors = g._colors
-    c0, c1, c2, c3 = [colors[v] for v in vs]
-    if c0 == c1 or c1 != c3 or c0 != c2:
-        return None
-    return vs
+    """The corners of one face if ``_alternating_quads`` lists it, else
+    None."""
+    quads = _alternating_quads(g, (face,))
+    return quads[0][1] if quads else None
 
 
 def _square_condition_ok(g: PlabicGraph, face) -> bool:
@@ -179,9 +189,12 @@ def _is_normal_flip_site(g: PlabicGraph, v) -> bool:
 # enumeration
 
 
-# Specs are immutable, so graphs share them: edge id -> (its two
-# InsertBivalentM2 specs, its ContractM3 spec, its FlipM4 spec), and vertex
-# id -> (its RemoveBivalentM2 spec, its NormalFlip spec).  Each table is
+# Specs are immutable, so graphs share them.  Edge id -> its sites when
+# it is not contractible, contractible, and a flip site: (its two
+# InsertBivalentM2 specs), then with its ContractM3 spec, then also with
+# its FlipM4 spec.  Vertex id -> its sites at degree 2 when it carries
+# only a loop, is removable, and is a NormalFlip site: (), then its
+# RemoveBivalentM2 spec, then also its NormalFlip spec.  Each table is
 # emptied when it reaches _SPECS_MAX ids.
 _EDGE_SPECS = {}
 _VERTEX_SPECS = {}
@@ -191,25 +204,108 @@ _SPECS_MAX = 1 << 14
 def _edge_specs(e):
     if len(_EDGE_SPECS) >= _SPECS_MAX:
         _EDGE_SPECS.clear()
-    specs = _EDGE_SPECS[e] = (
-        (MoveSpec("InsertBivalentM2", edge=e, color=BLACK),
-         MoveSpec("InsertBivalentM2", edge=e, color=WHITE)),
-        MoveSpec("ContractM3", edge=e),
-        MoveSpec("FlipM4", edge=e),
-    )
+    insert = (MoveSpec("InsertBivalentM2", edge=e, color=BLACK),
+              MoveSpec("InsertBivalentM2", edge=e, color=WHITE))
+    contract = (*insert, MoveSpec("ContractM3", edge=e))
+    specs = _EDGE_SPECS[e] = (insert, contract, (*contract, MoveSpec("FlipM4", edge=e)))
     return specs
 
 
 def _vertex_specs(v):
     if len(_VERTEX_SPECS) >= _SPECS_MAX:
         _VERTEX_SPECS.clear()
-    specs = _VERTEX_SPECS[v] = (MoveSpec("RemoveBivalentM2", vertex=v),
-                                MoveSpec("NormalFlip", vertex=v))
+    remove = (MoveSpec("RemoveBivalentM2", vertex=v),)
+    specs = _VERTEX_SPECS[v] = ((), remove, (*remove, MoveSpec("NormalFlip", vertex=v)))
     return specs
 
 
+def _vertex_sites(g: PlabicGraph, v):
+    """The sites at internal vertex v: RemoveBivalentM2 and NormalFlip at
+    degree 2, the SplitM3 arcs at degree >= 4."""
+    ds = g._rot[v]
+    deg = len(ds)
+    if deg == 2:
+        specs = _VERTEX_SPECS.get(v) or _vertex_specs(v)
+        if not _removable(ds):
+            return specs[0]
+        return specs[2] if _is_normal_flip_site(g, v) else specs[1]
+    if deg < 4:
+        return ()
+    return tuple([MoveSpec("SplitM3", vertex=v, start=start, length=length)
+                  for start in range(deg) for length in range(2, deg - 1)])
+
+
+def _edge_sites(g: PlabicGraph, k):
+    """The sites on the edge of index k: InsertBivalentM2 of both colours,
+    ContractM3 and FlipM4; none at a hole."""
+    e = g._edge_ids[k]
+    if e is None:
+        return ()
+    specs = _EDGE_SPECS.get(e) or _edge_specs(e)
+    dv, rot = g._dart_vertex, g._rot
+    u, w = dv[2 * k], dv[2 * k + 1]
+    if not _contractible(g._colors, u, w):
+        return specs[0]
+    return specs[2] if _trivalent(rot, (u, w)) else specs[1]
+
+
+def _sites(g: PlabicGraph):
+    """``(vertex sites, edge sites)`` of g, derived once per graph: a dict
+    from each internal vertex with sites to its tuple of specs, and a list
+    of the tuples of specs of each edge index, empty at the holes.
+
+    A graph made by a move starts from its parent's and re-derives the
+    sites a move can change: at the vertices whose rotations changed, at
+    their neighbours (a NormalFlip site reads its neighbours' colours and
+    degrees) and on the edges at the former or at removed vertices.
+    """
+    cache = g._cache
+    sites = cache.get("sites")
+    if sites is not None:
+        return sites
+    base = cache.pop("site_base", None)
+    rot, dv = g._rot, g._dart_vertex
+    if base is None:
+        vertex_sites = {}
+        for v in g._colors:
+            part = _vertex_sites(g, v)
+            if part:
+                vertex_sites[v] = part
+        edge_sites = [_edge_sites(g, k) for k in range(len(g._edge_ids))]
+    else:
+        (pvertex, pedge), prot, edited, touched = base
+        vertex_sites = pvertex.copy()
+        redo = set()  # edge indices
+        near = set(edited)
+        for v in edited:
+            for x in prot.get(v, ()):
+                redo.add(x >> 1)
+        for v in touched:
+            for x in rot[v]:
+                redo.add(x >> 1)
+                near.add(dv[x ^ 1])
+        colors = g._colors
+        for v in near:
+            # an untouched vertex keeps its degree, so only a NormalFlip
+            # site can come or go there
+            if v < 0 or v not in edited and len(rot[v]) != 2:
+                continue
+            part = _vertex_sites(g, v) if v in colors else ()
+            if part:
+                vertex_sites[v] = part
+            else:
+                vertex_sites.pop(v, None)
+        n, pn = len(g._edge_ids), len(pedge)
+        edge_sites = pedge[:n] if n <= pn else pedge + [()] * (n - pn)
+        for k in redo:
+            if k < n:
+                edge_sites[k] = _edge_sites(g, k)
+    sites = cache["sites"] = (vertex_sites, edge_sites)
+    return sites
+
+
 def legal_moves(g: PlabicGraph):
-    """All applicable move sites.
+    """All applicable move sites, in a new list on every call.
 
     SplitM3 sites are enumerated for arcs of length 2..deg-2 (splits that
     keep both parts at degree >= 3); other arc lengths are still accepted by
@@ -219,56 +315,27 @@ def legal_moves(g: PlabicGraph):
     they do not commute with quiver mutation).
 
     Specs come in a fixed order: face sites by face index, then vertex
-    sites by vertex id, then edge sites by edge index.
+    sites by vertex id, then edge sites by edge index.  The face sites are
+    found on every call.  The vertex and edge sites are derived once per
+    graph, and a graph made by a move re-derives only those at the
+    vertices the move touched, at their neighbours and on their edges,
+    keeping its parent's others (``_sites``).
     """
-    colors, rot, dv = g._colors, g._rot, g._dart_vertex
+    rot = g._rot
     out = []
-    append = out.append
-    for idx, face in enumerate(g.faces()):
-        if len(face.darts) != 4 or face.kind != "internal":
-            continue
-        vs = _alternating_quad(g, face)
-        if vs is None:
-            continue
+    faces = g.faces()
+    for idx, vs in _alternating_quads(g, faces):
+        face = faces[idx]
         if _trivalent(rot, vs):
-            append(MoveSpec("SquareM1", face=idx, condition_ok=_square_condition_ok(g, face)))
+            out.append(MoveSpec("SquareM1", face=idx,
+                                condition_ok=_square_condition_ok(g, face)))
         if _urban_corners_ok(g, face, vs):
-            append(MoveSpec("UrbanRenewal", face=idx))
-    # the vertex and edge rules are those of ``_removable``,
-    # ``_is_normal_flip_site``, ``_contractible`` and ``_trivalent``,
-    # written inline: these loops run once per vertex and edge of every
-    # graph a walk visits
-    vertex_specs = _VERTEX_SPECS
-    for v in sorted(colors):
-        ds = rot[v]
-        deg = len(ds)
-        if deg == 2:
-            specs = vertex_specs.get(v) or _vertex_specs(v)
-            d1, d2 = ds
-            if d1 != d2 ^ 1:
-                append(specs[0])
-            if colors[v] == BLACK:
-                n1, n2 = dv[d1 ^ 1], dv[d2 ^ 1]
-                if (n1 != n2 and colors.get(n1) == WHITE and colors.get(n2) == WHITE
-                        and len(rot[n1]) == 3 and len(rot[n2]) == 3):
-                    append(specs[1])
-        elif deg >= 4:
-            for start in range(deg):
-                for length in range(2, deg - 1):
-                    append(MoveSpec("SplitM3", vertex=v, start=start, length=length))
-    edge_specs = _EDGE_SPECS
-    d = -2
-    for e in g._edge_ids:
-        d += 2
-        if e is None:  # a hole
-            continue
-        specs = edge_specs.get(e) or _edge_specs(e)
-        out += specs[0]
-        u, w = dv[d], dv[d + 1]
-        if u >= 0 and w >= 0 and u != w and colors[u] == colors[w]:
-            append(specs[1])
-            if len(rot[u]) == 3 and len(rot[w]) == 3:
-                append(specs[2])
+            out.append(MoveSpec("UrbanRenewal", face=idx))
+    vertex_sites, edge_sites = _sites(g)
+    for v in sorted(vertex_sites):
+        out += vertex_sites[v]
+    for part in edge_sites:
+        out += part
     return out
 
 
@@ -326,6 +393,8 @@ def _apply_square(g, m):
     out = PlabicGraph._from_parts(g.b, colors, g._rot, g._dart_vertex, g._edge_ids)
     for key in ("faces", "face_of_dart", "face_next"):
         out._cache[key] = g._cache[key]
+    if "sites" in g._cache:  # the sites at the corners and around them change
+        out._cache["site_base"] = (g._cache["sites"], g._rot, vs, vs)
     return out, MoveSpec("SquareM1", face=m.face)
 
 

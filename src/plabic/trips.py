@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BadLabel, HasInternalLeaf, NotNormal, UndecoratableFixedPoint
-from .graph import BLACK, WHITE, PlabicGraph, _orbit, _pendant_vertices, classify
+from .graph import BLACK, WHITE, PlabicGraph, _orbit, classify
 from .perms import DecoratedPermutation
 
 
@@ -86,17 +86,21 @@ def _all_trips(g: PlabicGraph):
     nxt = _trip_successors(g)
     limit = len(nxt)
     rot, dv = g._rot, g._dart_vertex
-    rest = set(dv)  # the darts no trip traced so far
     trips = []
+    traced = 0
     for i in range(1, g.b + 1):
         darts = _orbit(nxt, rot[-i][0], limit)
-        rest.difference_update(darts)
+        traced += len(darts)
         trips.append(Trip("oneway", i, -dv[darts[-1] ^ 1], tuple(darts)))
-    for d0 in sorted(rest):
-        if d0 in rest:
-            cyc = _orbit(nxt, d0, limit)
-            rest.difference_update(cyc)
-            trips.append(Trip("roundtrip", None, None, tuple(cyc)))
+    if traced < len(dv):  # one-way trips are disjoint: some darts are left
+        rest = set(dv)  # the darts no trip traced so far
+        for t in trips:
+            rest.difference_update(t.darts)
+        for d0 in sorted(rest):
+            if d0 in rest:
+                cyc = _orbit(nxt, d0, limit)
+                rest.difference_update(cyc)
+                trips.append(Trip("roundtrip", None, None, tuple(cyc)))
     trips = g._cache["trips"] = tuple(trips)
     return trips
 
@@ -111,49 +115,67 @@ def decorated_trip_permutation(g: PlabicGraph) -> DecoratedPermutation:
     the lollipop its pendant tree collapses to: "over" for white, "under"
     for black.
 
-    The tree at fixed point i hangs from boundary i alone and folds bottom
-    up: a vertex keeps its own colour when no child subtree folded to the
-    other colour, takes the other colour when exactly one did, and is stuck
-    when two or more did or a child is stuck.  A stuck root, or a root that
-    is not pendant, raises UndecoratableFixedPoint (which signals a
-    non-reduced graph); fixed points are checked in increasing order.  The
-    values and decorations are computed once per graph; every call returns
-    a new permutation object with its own ``decorations`` dict.
+    The tree at fixed point i hangs from boundary i alone
+    (``_hanging_tree``) and folds bottom up: a vertex keeps its own colour
+    when no child subtree folded to the other colour, takes the other
+    colour when exactly one did, and is stuck when two or more did or a
+    child is stuck.  A stuck root, or a root that is not pendant, raises
+    UndecoratableFixedPoint (which signals a non-reduced graph); fixed
+    points are checked in increasing order.  The values and decorations
+    are computed once per graph; every call returns a new permutation
+    object with its own ``decorations`` dict.
     """
     cached = g._cache.get("decorated")
     if cached is None:
         values = trip_permutation(g)
-        fixed = [i for i in range(1, g.b + 1) if values[i - 1] == i]
         decorations = {}
-        if fixed:
-            pendant = _pendant_vertices(g)
-            for i in fixed:
-                root = g.dart_vertex(g.boundary_dart(i) ^ 1)
-                color = _fold_pendant_tree(g, root) if root in pendant else None
-                if color is None:
-                    raise UndecoratableFixedPoint(i)
-                decorations[i] = "over" if color == WHITE else "under"
+        for i in range(1, g.b + 1):
+            if values[i - 1] != i:
+                continue
+            tree = _hanging_tree(g, g.boundary_dart(i) ^ 1)
+            color = None if tree is None else _fold_tree(g, *tree)
+            if color is None:
+                raise UndecoratableFixedPoint(i)
+            decorations[i] = "over" if color == WHITE else "under"
         cached = g._cache["decorated"] = (tuple(values), decorations)
     return DecoratedPermutation._trusted(*cached)
 
 
-def _fold_pendant_tree(g: PlabicGraph, root: int):
-    """The colour the pendant tree below ``root`` collapses to, or None when
-    it is stuck; the tree hangs from a boundary vertex."""
-    order, kids = [root], {root: []}
+def _hanging_tree(g: PlabicGraph, entry: int):
+    """The tree that hangs from a boundary vertex alone, below the vertex
+    ``entry`` is based at, where ``entry`` is the dart to the boundary:
+    ``(order, kids)``, its vertices breadth first and each one's children.
+    None when that root is not pendant: the search from it, leaving out
+    ``entry``, meets the boundary or reaches a vertex twice (a loop, a
+    digon or any other cycle)."""
+    rot, dv = g._rot, g._dart_vertex
+    root = dv[entry]
+    order, kids, back = [root], {root: []}, {root: entry}
     for v in order:
-        for d in g.rotation(v):
-            u = g.dart_vertex(d ^ 1)
-            if u >= 0 and u not in kids:
-                kids[v].append(u)
-                kids[u] = []
-                order.append(u)
+        up = back[v]  # the dart toward the boundary
+        for d in rot[v]:
+            if d == up:
+                continue
+            u = dv[d ^ 1]
+            if u < 0 or u in kids:
+                return None
+            kids[v].append(u)
+            kids[u] = []
+            back[u] = d ^ 1
+            order.append(u)
+    return order, kids
+
+
+def _fold_tree(g: PlabicGraph, order, kids):
+    """The colour the tree ``_hanging_tree`` found collapses to, or None
+    when it is stuck."""
+    colors = g._colors
     fold = {}
     for v in reversed(order):
-        own = g.color(v)
+        own = colors[v]
         other = [fold[u] for u in kids[v] if fold[u] != own]
         fold[v] = own if not other else other[0] if len(other) == 1 else None
-    return fold[root]
+    return fold[order[0]]
 
 
 # ----------------------------------------------------------------------

@@ -350,8 +350,8 @@ def test_classify_and_validate_return_new_values_each_call():
 
 def test_a_move_child_inherits_only_face_tables():
     """The facts cached on a graph hold for it alone; a move's result may
-    start only from its parent's face tables."""
-    inheritable = {"faces", "face_of_dart", "face_next", "base"}
+    start only from its parent's face tables and move sites."""
+    inheritable = {"faces", "face_of_dart", "face_next", "base", "site_base"}
     kinds = set()
     for g in (F.square_fan_b5(), F.normal_b5(), F.urban_left_b7()):
         validate(g)

@@ -77,7 +77,7 @@ from plabic.moves import KINDS, EquivalenceResult, _apply, _build, _frozen, _sea
 from plabic.labels import _bits
 from plabic.normalize import NormalizeResult, Witness
 from plabic.perms import _mask, _positroid_members, _separated, is_ws_collection, shifted_key
-from plabic.trips import BadFeature, Trip, _is_resonant_ring
+from plabic.trips import BadFeature, Trip, _hanging_tree, _is_resonant_ring
 from conftest import (
     insert_loop,
     insert_parallel_digon,
@@ -1065,6 +1065,13 @@ def test_faces_match_tuple_rim_walker(mixed_graphs):
         fmap = g.face_of_dart()
         assert {d: idx for idx, f in enumerate(faces) for d in f.darts} == {
             d: fmap[d] for d in all_darts_of(g)}
+        # then arc i's forward dart, in the outer face, and its backward
+        # dart, in the other face that crosses arc i
+        crossing = {i: idx for idx, f in enumerate(faces) if f.kind == "boundary"
+                    for i in f.rim_arcs}
+        outer = [idx for idx, f in enumerate(faces) if f.kind == "outer"]
+        assert fmap[g._dart_bound():] == [
+            x for i in range(1, g.b + 1) for x in (*outer, crossing[i])], g.to_json()
 
 
 def test_trips_match_stepwise_tracer(mixed_graphs):
@@ -1219,8 +1226,10 @@ def _traced_afresh(g):
 def _oracle_walk(g, steps, rng, kinds, balanced, counts):
     """Walk ``steps`` moves drawn uniformly among the sites of ``kinds``,
     or, when ``balanced``, of a kind drawn uniformly first; at every step
-    compare the result's faces, patched from its parent's, and its legal
-    moves with from-scratch references."""
+    compare the result's faces, spliced from its parent's, and its legal
+    moves, re-derived from its parent's sites, with from-scratch
+    references.  ``counts`` gets the children whose faces were spliced and
+    those whose sites came from their parent."""
     for _ in range(steps):
         sites = {}
         for m in legal_moves(g):
@@ -1236,7 +1245,9 @@ def _oracle_walk(g, steps, rng, kinds, balanced, counts):
         if mv.kind == "SquareM1":  # the rotations are unchanged
             assert h._cache["faces"] is g._cache["faces"]
         elif "base" in h._cache:
-            counts["patched"] += 1
+            counts["spliced"] += 1
+        if "site_base" in h._cache:  # legal_moves(g) ran, so g had sites
+            counts["sites"] += 1
         fresh = _traced_afresh(h)
         assert h.faces() == fresh.faces(), (g.to_json(), mv)
         assert h.face_of_dart() == fresh.face_of_dart(), (g.to_json(), mv)
@@ -1253,12 +1264,12 @@ def _oracle_walk(g, steps, rng, kinds, balanced, counts):
 
 def test_local_moves_match_from_scratch_references(checked_freeze):
     """On every step of criterion-7 walks and of kind-balanced walks over
-    all eight kinds: faces patched from the parent's equal a full trace
+    all eight kinds: faces spliced from the parent's equal a full trace
     (same order, so every ``MoveSpec.face`` is unchanged), legal moves
-    equal the site-by-site reference, each freeze equals the reference
-    numbering up to an order-preserving dart map, and normalization and
-    tree collapsing give what they give on the densely numbered copy (every
-    fifth step)."""
+    re-derived from the parent's sites equal the site-by-site reference,
+    each freeze equals the reference numbering up to an order-preserving
+    dart map, and normalization and tree collapsing give what they give on
+    the densely numbered copy (every fifth step)."""
     rng = random.Random(12)
     counts = Counter()
     starts = [F.square_fan_b5, F.square_fan_b5_lollipop, F.two_trees_b6,
@@ -1276,7 +1287,25 @@ def test_local_moves_match_from_scratch_references(checked_freeze):
         g = normalize(bridge_graph(random_decorated_permutation(rng.randint(4, 7), rng))).normal
         _oracle_walk(g, 15, rng, ("UrbanRenewal", "NormalFlip"), True, counts)
     assert all(counts[kind] >= 20 for kind in KINDS), counts
-    assert counts["patched"] >= 4000 and len(checked_freeze) >= counts["patched"]
+    assert counts["spliced"] >= 4000 and len(checked_freeze) >= counts["spliced"]
+    assert counts["sites"] >= 4000, counts
+
+
+def test_legal_moves_lists_are_the_callers_own():
+    """Changing a list ``legal_moves`` returned changes neither the next
+    call on that graph nor the moves of the graphs made from it."""
+    for g in (F.square_fan_b5(), F.normal_b5(), F.urban_left_b7()):
+        want = legal_moves(g)
+        spoiled = legal_moves(g)
+        assert spoiled == want and spoiled is not want
+        spoiled.reverse()
+        spoiled.append(MoveSpec("SquareM1", face=0))
+        del spoiled[:3]
+        assert legal_moves(g) == want
+        for m in want:
+            h = apply_move(g, m)
+            legal_moves(h).clear()
+            assert legal_moves(h) == legal_moves_reference(h), (g.to_json(), m)
 
 
 def _outcome(read, g):
@@ -1298,6 +1327,25 @@ def test_decorations_match_collapse(mixed_graphs, pendant_tree_graphs):
         fixed += sum(values[i - 1] == i for i in range(1, g.b + 1))
         stuck += expected[0] == "undecoratable"
     assert fixed >= 1000 and stuck >= 100, (fixed, stuck)
+
+
+def test_hanging_tree_decides_pendant_roots_locally(mixed_graphs, pendant_tree_graphs):
+    """At every fixed point, the search from its root finds a tree exactly
+    when the whole-graph leaf peel takes the root."""
+    found = {True: 0, False: 0}
+    for g in mixed_graphs + pendant_tree_graphs:
+        values = trip_permutation(g)
+        peeled = None
+        for i in range(1, g.b + 1):
+            if values[i - 1] != i:
+                continue
+            if peeled is None:
+                peeled = _pendant_vertices(g)
+            entry = g.boundary_dart(i) ^ 1
+            tree = _hanging_tree(g, entry)
+            assert (tree is not None) == (g.dart_vertex(entry) in peeled), (g.to_json(), i)
+            found[tree is not None] += 1
+    assert found[True] >= 1000 and found[False] >= 50, found
 
 
 def test_trusted_decorated_permutation_equals_the_checked_one(reduced_walk_graphs):
