@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from pathlib import Path
 
 from . import fixtures
 from .bridges import bridge_graph
@@ -35,7 +36,7 @@ from .trips import all_trips, decorated_trip_permutation, edge_labels, trip_perm
 
 
 def _read_graph(path: str) -> PlabicGraph:
-    text = sys.stdin.read() if path == "-" else open(path).read()
+    text = sys.stdin.read() if path == "-" else Path(path).read_text()
     return PlabicGraph.from_json(text)
 
 
@@ -58,7 +59,7 @@ def cmd_gen(args) -> int:
     if args.what == "triangulation":
         text = sys.stdin.read() if args.arg == "-" else args.arg
         if os.path.exists(text):
-            text = open(text).read()
+            text = Path(text).read_text()
         data = json.loads(text)
         if isinstance(data, dict) and data.keys() >= {"m", "triangles"}:
             m, tris = data["m"], data["triangles"]

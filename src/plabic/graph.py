@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .errors import InvalidGraph, TripDoesNotTerminate
 
@@ -119,7 +120,7 @@ class PlabicGraph:
     (``from_rotation``/``from_json`` accepted the graph), "edge_index",
     "faces", "face_of_dart" and "face_next" (the face tables; the last
     holds the successor table and ``_inward()``), "base" (the parent's
-    face tables to splice, until ``faces`` runs), "sites" (the vertex and
+    face tables to patch, until ``faces`` runs), "sites" (the vertex and
     edge move sites, ``moves._sites``), "site_base" (the parent's sites to
     re-derive from, until ``legal_moves`` runs), "ckey"
     (``canonical_key``), "classify", "trips", "decorated",
@@ -296,7 +297,8 @@ class PlabicGraph:
         The rim adds one arc per boundary label i, joining labels i and
         i+1, and clockwise at label i come: arc i, the graph dart, arc
         i-1.  Faces are the orbits of ``next(d) = clockwise successor of
-        d ^ 1``, which keeps the traced face on the left of every dart.
+        d ^ 1``, which keeps the traced face on the left of every dart
+        (``_fill_successors``, which fills the trip table too).
         The arcs are not darts of the successor table: a walk into label
         i crosses arc i-1 and goes on along the dart of label i-1, so the
         table maps graph darts to graph darts, and the outer face, the
@@ -307,8 +309,8 @@ class PlabicGraph:
 
         A graph made by a move from a graph whose faces were traced starts
         from that graph's tables: it keeps the faces the move did not
-        change and splices the others from the unchanged runs of their
-        walks (``_patch_faces``).
+        change and walks the others afresh from the darts whose
+        successors changed (``_patch_faces``).
         """
         cache = self._cache
         faces = cache.get("faces")
@@ -323,26 +325,23 @@ class PlabicGraph:
             cache["face_next"] = (nxt, inward)
         return faces
 
-    def _fill_successors(self, nxt, vertices):
+    def _fill_successors(self, nxt, vertices, black=1):
         """Set ``nxt[d]`` for the darts d whose twins are based at
-        ``vertices``; return those whose successor changed."""
-        b, rot = self.b, self._rot
-        changed = []
+        ``vertices``: the dart one place clockwise from ``d ^ 1``, or
+        ``black`` places at a black vertex, and for the dart into boundary
+        label i the dart of label i - 1, across arc i - 1.  Faces turn the
+        same way everywhere (``black=1``); trips turn back at black
+        vertices (``black=-1``, over internal vertices only)."""
+        b, rot, colors = self.b, self._rot, self._colors
         for v in vertices:
             ds = rot[v]
             if v < 0:  # across arc -v-1 to the dart of label -v-1
-                d, s = ds[0] ^ 1, rot[-((-v - 2) % b) - 1][0]
-                if nxt[d] != s:
-                    nxt[d] = s
-                    changed.append(d)
+                nxt[ds[0] ^ 1] = rot[-((-v - 2) % b) - 1][0]
                 continue
             m = len(ds)
-            for j in range(m):  # ds[j + 1 - m] wraps around
-                d, s = ds[j] ^ 1, ds[j + 1 - m]
-                if nxt[d] != s:
-                    nxt[d] = s
-                    changed.append(d)
-        return changed
+            k = -1 if black < 0 and colors[v] == BLACK else 1 - m  # ds[j + k] wraps around
+            for j in range(m):
+                nxt[ds[j] ^ 1] = ds[j + k]
 
     def _inward(self):
         """The darts into boundary labels 1..b, in label order, each mapped
@@ -388,12 +387,11 @@ class PlabicGraph:
         the vertices of this graph whose rotations differ from ``prot``,
         and ``edited`` those and the vertices the edit removed.
 
-        A cut is a dart of the parent whose successor changed or that was
-        removed.  A face without cuts is kept, since it keeps its dart
-        numbers; the others are dirty.  Along a dirty face, the darts from
-        the successor of one cut up to the next cut keep their successors,
-        so each new walk is spliced from such runs, sliced out of the
-        parent's walks, and the new darts.  New walks take the places of
+        A cut is a dart whose successor differs from the parent's, which
+        makes it an in-dart of a touched vertex.  A face of the parent
+        with no cut and no removed dart is kept, since it keeps its dart
+        numbers; the others are dirty, and their darts lie on the new
+        walks, each an orbit from a cut.  New walks take the places of
         the dirty faces when that keeps the faces sorted by smallest dart,
         so that no kept face changes index; else kept and new faces are
         merged in that order.
@@ -404,11 +402,11 @@ class PlabicGraph:
             nxt, face_of = pnxt[:n], pface_of[:n]
         else:
             nxt, face_of = pnxt + [-1] * (n - pn), pface_of[:pn] + [-1] * (n - pn)
-        cuts = {}  # cut -> its face's index in the parent, -1 for a new dart
+        dirty = set()  # the indices of the dirty faces in the parent
         for v in edited:  # the removed darts become holes
             for x in prot.get(v, ()):
                 if x not in dv:
-                    cuts[x] = pface_of[x]
+                    dirty.add(pface_of[x])
                     if x < n:
                         nxt[x] = face_of[x] = -1
         if touched and min(touched) < 0:
@@ -417,61 +415,40 @@ class PlabicGraph:
             inward = self._inward()
         else:
             inward = pinward
-        for y in self._fill_successors(nxt, touched):
-            cuts[y] = pface_of[y] if y < pn else -1
-        stops = {}  # dirty face -> the positions of its cuts in its walk
-        for y, f in cuts.items():
-            if f >= 0:
-                stops.setdefault(f, []).append(pfaces[f].darts.index(y))
-        for ps in stops.values():
-            ps.sort()
+        self._fill_successors(nxt, touched)
+        cuts = []
+        for v in touched:
+            for x in rot[v]:
+                y = x ^ 1
+                if y >= pn:
+                    cuts.append(y)
+                elif nxt[y] != pnxt[y]:
+                    cuts.append(y)
+                    dirty.add(pface_of[y])
+        dirty.discard(-1)  # a cut in a hole of the parent
         walks = []
-        seen = set()  # the cuts that end a run of a new walk
-        for c in cuts:  # every new walk passes a cut that is still a dart
-            if c in seen or c not in dv:
-                continue
-            walk = []
-            d = nxt[c]
-            while True:  # add the run from d up to the next cut
-                f = -1 if d in cuts or d >= pn else pface_of[d]
-                if f < 0:  # a cut or a new dart is a run of its own
-                    walk.append(d)
-                    if len(walk) > n:
-                        raise TripDoesNotTerminate(f"face walk from dart {c} runs past {n} darts")
-                else:
-                    ds, ps = pfaces[f].darts, stops[f]
-                    i = ds.index(d)
-                    for j in ps:
-                        if j >= i:
-                            break
-                    else:
-                        j = ps[0]
-                    walk += ds[i:j + 1] if j >= i else ds[i:] + ds[:j + 1]
-                d = walk[-1]
-                if d == c:
-                    break
-                seen.add(d)
-                d = nxt[d]
-            first = min(walk)  # it starts the face
-            if first != walk[0]:
-                i = walk.index(first)
-                walk = walk[i:] + walk[:i]
-            walks.append(walk)
+        seen = set()  # the darts of the new walks so far
+        for c in cuts:
+            if c not in seen:
+                walk = _orbit(nxt, c, n)
+                seen.update(walk)
+                i = walk.index(min(walk))  # the smallest dart starts the face
+                walks.append(walk[i:] + walk[:i])
         walks.sort()
         faces = pfaces[:-1]  # the outer face goes last
-        places = sorted(stops)
+        places = sorted(dirty)
         in_order = len(places) == len(walks)
         if in_order:  # sorted walks in sorted places: check them against kept faces
             for idx, walk in zip(places, walks):
                 w0 = walk[0]
-                if (idx and idx - 1 not in stops and faces[idx - 1].darts[0] > w0
-                        or idx + 1 < len(faces) and idx + 1 not in stops
+                if (idx and idx - 1 not in dirty and faces[idx - 1].darts[0] > w0
+                        or idx + 1 < len(faces) and idx + 1 not in dirty
                         and faces[idx + 1].darts[0] < w0):
                     in_order = False
                     break
         if not in_order:  # merge kept and new faces by smallest dart
             order = sorted([*[(f.darts[0], i) for i, f in enumerate(pfaces[:-1])
-                              if i not in stops],
+                              if i not in dirty],
                             *[(walk[0], -1 - j) for j, walk in enumerate(walks)]])
             remap = [-1] * len(pfaces)  # a dirty face's darts are all re-placed
             faces, places = [], []
@@ -686,11 +663,15 @@ def _checked_graph(b, colors, rotation):
             rep.add(f"internal vertex id {v} must be nonnegative")
         if c not in (BLACK, WHITE):
             rep.add(f"vertex {v} has invalid color {c!r}")
-    expected = set(colors) | {-i for i in range(1, b + 1)}
-    missing = expected - set(rotation)
-    for v in sorted(missing):
+    # b is not bounded by the input's size: at most len(rotation) boundary
+    # vertices have entries, and only the first 20 missing ones are named
+    boundary = sorted([v for v in rotation if -b <= v < 0], reverse=True)
+    listed = list(islice((v for v in range(-b, 0) if v not in rotation), 20))
+    for v in sorted({v for v in colors if v not in rotation and not -b <= v < 0}.union(listed)):
         rep.add(f"vertex {v} has no rotation entry")
-    for v in sorted(set(rotation) - expected):
+    if rest := b - len(boundary) - len(listed):
+        rep.add(f"{rest} more boundary vertices have no rotation entry")
+    for v in sorted([v for v in rotation if v not in colors and not -b <= v < 0]):
         rep.add(f"rotation entry for undeclared vertex {v}")
     counts = {}
     for v, ds in rotation.items():
@@ -704,10 +685,9 @@ def _checked_graph(b, colors, rotation):
             rep.add(f"edge {e} has only one dart (twin involution violated)")
         elif c != 2:
             rep.add(f"edge {e} appears {c} times in rotations (expected 2)")
-    for i in range(1, b + 1):
-        ds = rotation.get(-i)
-        if ds is not None and len(ds) != 1:
-            rep.add(f"boundary vertex {i} has degree {len(ds)} (expected 1)")
+    for v in boundary:
+        if len(rotation[v]) != 1:
+            rep.add(f"boundary vertex {-v} has degree {len(rotation[v])} (expected 1)")
     if not rep.ok:
         return rep, None
     g = _number_darts(b, colors, rotation, sorted(counts), 0)
@@ -1019,7 +999,7 @@ class Builder:
         rule; the two darts of such an edge trade numbers.  Once holes pass
         half the index space, darts are numbered afresh by
         ``_number_darts``.  When the starting graph's faces are traced, or
-        its move sites derived, the result keeps them, to splice only the
+        its move sites derived, the result keeps them, to walk only the
         faces the surgery changed (``faces``) and re-derive only the sites
         around the touched vertices (``moves._sites``).
         """

@@ -8,7 +8,9 @@ leftward at white ones.  With clockwise rotation lists this reads as
 
 where the in-dart is the dart based at the vertex pointing back where the
 trip came from.  Bivalent vertices pass trips straight through (both rules
-agree), and a leaf produces a U-turn.
+agree), and a leaf produces a U-turn.  Trips are thus orbits of the same
+successor fill as faces (``PlabicGraph._fill_successors``), which turns
+the other way at black vertices only.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BadLabel, HasInternalLeaf, NotNormal, UndecoratableFixedPoint
-from .graph import BLACK, WHITE, PlabicGraph, _orbit, classify
+from .graph import WHITE, PlabicGraph, _orbit, classify
 from .perms import DecoratedPermutation
 
 
@@ -38,30 +40,6 @@ class Trip:
         }
 
 
-def _trip_successors(g: PlabicGraph):
-    """The trip-successor table over the dart index space: ``nxt[d]`` is
-    the dart traversed after d, or -1 when d runs into the boundary or d is
-    a hole.
-
-    For an in-dart t at internal vertex w (so the trip arrived along
-    ``t ^ 1``) the trip leaves along the clockwise predecessor of t when w
-    is black and along its clockwise successor when w is white.
-    """
-    nxt = [-1] * g._dart_bound()
-    colors = g._colors
-    for v, ds in g._rot.items():
-        if v < 0:
-            continue
-        m = len(ds)
-        if colors[v] == BLACK:
-            for j in range(m):
-                nxt[ds[j] ^ 1] = ds[j - 1]
-        else:
-            for j in range(m):
-                nxt[ds[j] ^ 1] = ds[j + 1 - m]
-    return nxt
-
-
 def trip_from(g: PlabicGraph, i: int) -> Trip:
     """The trip entering the disk at boundary label i."""
     if not 1 <= i <= g.b:
@@ -80,11 +58,14 @@ def all_trips(g: PlabicGraph):
 
 def _all_trips(g: PlabicGraph):
     """The trips ``all_trips`` lists, as a tuple kept in the graph's
-    cache, for the readers inside the package."""
+    cache, for the readers inside the package: orbits of the successor
+    fill over the internal vertices with ``black=-1``, where a dart into
+    the boundary has no successor and so ends its trip."""
     if "trips" in g._cache:
         return g._cache["trips"]
-    nxt = _trip_successors(g)
-    limit = len(nxt)
+    limit = g._dart_bound()
+    nxt = [-1] * limit  # the darts into the boundary keep -1: trips end there
+    g._fill_successors(nxt, g._colors, -1)
     rot, dv = g._rot, g._dart_vertex
     trips = []
     traced = 0

@@ -2,7 +2,8 @@
 
 Most tests compare graphs by ``canonical_key``, which forgets vertex and
 edge ids.  These digests do not: they hash the JSON of every legal move's
-result and of its inverse spec, and the ``plabic info`` output, so any
+result and of its inverse spec, the normal forms ``normalize`` returns,
+the witnesses of ``is_reduced`` and the ``plabic info`` output, so any
 change in how moves or normalization number vertices and edges shows up.
 """
 
@@ -10,16 +11,17 @@ import hashlib
 import json
 import random
 
-from plabic import apply_move, bridge_graph, legal_moves
+from plabic import apply_move, bridge_graph, is_reduced, legal_moves, normalize
 from plabic import fixtures as F
 from plabic.cli import main
 from plabic.errors import IllegalMove
 from plabic.moves import _apply
-from conftest import random_decorated_permutation
+from conftest import insert_parallel_digon, random_decorated_permutation
 
 FIXTURE_MOVES = "2136c9eff7ee6b57eefea91fed36cd95126bc46f9dfd41b232b7b1d865ed5e45"
 BRIDGE_MOVES = "4871efb5edf7e886d7f6961e91b5d6ef21e6c40f9056c64ace211fa9db0cf273"
 FIXTURE_INFO = "8775d6f80f6bc54873b555cabe294ba8fc4315524b3f95632a2c3e93f70bde25"
+NORMAL_FORMS = "dfc03125e4e9edfe6f117e9e468ab7a67544cbd4d81552e9e472e8e844396112"
 
 
 def _bridge_graphs():
@@ -72,3 +74,19 @@ def test_fixture_info_output_is_pinned(tmp_path, capsys):
         out, _ = capsys.readouterr()
         h.update(f"{name}\t{out}".encode())
     assert h.hexdigest() == FIXTURE_INFO
+
+
+def test_normal_forms_and_witnesses_are_pinned():
+    """The ids in ``normalize``'s normal forms and in ``is_reduced``'s
+    witnesses, on the fixtures, the bridge graphs and a copy of each with
+    a parallel digon, which normalization must contract."""
+    rng = random.Random(7)
+    graphs = [F.ALL_NAMED[name]() for name in sorted(F.ALL_NAMED)] + _bridge_graphs()
+    graphs += [insert_parallel_digon(g, rng) for g in graphs]
+    h = hashlib.sha256()
+    for g in graphs:
+        normal = normalize(g).normal
+        witness = is_reduced(g).witness
+        line = [g.to_json(), normal and normal.to_json(), witness and witness.to_json_obj()]
+        h.update(json.dumps(line, sort_keys=True).encode() + b"\n")
+    assert h.hexdigest() == NORMAL_FORMS

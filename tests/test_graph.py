@@ -19,6 +19,7 @@ from plabic import (
 )
 from plabic import fixtures as F
 from plabic import graph as graph_module
+from plabic.cli import main
 from plabic.graph import Builder
 
 
@@ -52,6 +53,31 @@ def test_declared_but_unused_edge_is_reported():
     with pytest.raises(InvalidGraph) as err:
         PlabicGraph.from_json(obj)
     assert err.value.problems == rep.problems
+
+
+def test_a_huge_b_costs_work_bounded_by_the_input(tmp_path, capsys):
+    """A graph object of a few bytes with b = 10**9 names its first 20
+    missing boundary vertices and counts the rest, in ``validate``,
+    ``from_json`` and ``plabic info``, without a pass over all b labels."""
+    b = 10**9
+    cases = [
+        ({"b": b}, -b),
+        ({"b": b, "rotation": {str(-b): []}}, -b + 1),  # label b is present
+    ]
+    for obj, first in cases:
+        want = [f"vertex {v} has no rotation entry" for v in range(first, first + 20)]
+        want.append(f"{-first - 20} more boundary vertices have no rotation entry")
+        if "rotation" in obj:
+            want.append(f"boundary vertex {b} has degree 0 (expected 1)")
+        assert validate(obj).problems == want
+        with pytest.raises(InvalidGraph) as err:
+            PlabicGraph.from_json(json.dumps(obj))
+        assert err.value.problems == want
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(obj))
+        assert main(["info", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and json.loads(err)["error"] == "InvalidGraph"
 
 
 def test_square_fan_is_valid_with_seven_nonouter_faces():

@@ -1226,10 +1226,11 @@ def _traced_afresh(g):
 def _oracle_walk(g, steps, rng, kinds, balanced, counts):
     """Walk ``steps`` moves drawn uniformly among the sites of ``kinds``,
     or, when ``balanced``, of a kind drawn uniformly first; at every step
-    compare the result's faces, spliced from its parent's, and its legal
+    compare the result's faces, patched from its parent's, and its legal
     moves, re-derived from its parent's sites, with from-scratch
-    references.  ``counts`` gets the children whose faces were spliced and
-    those whose sites came from their parent."""
+    references.  ``counts`` gets the children whose faces were patched
+    from their parent's tables and those whose sites came from their
+    parent."""
     for _ in range(steps):
         sites = {}
         for m in legal_moves(g):
@@ -1245,7 +1246,7 @@ def _oracle_walk(g, steps, rng, kinds, balanced, counts):
         if mv.kind == "SquareM1":  # the rotations are unchanged
             assert h._cache["faces"] is g._cache["faces"]
         elif "base" in h._cache:
-            counts["spliced"] += 1
+            counts["patched"] += 1
         if "site_base" in h._cache:  # legal_moves(g) ran, so g had sites
             counts["sites"] += 1
         fresh = _traced_afresh(h)
@@ -1264,7 +1265,7 @@ def _oracle_walk(g, steps, rng, kinds, balanced, counts):
 
 def test_local_moves_match_from_scratch_references(checked_freeze):
     """On every step of criterion-7 walks and of kind-balanced walks over
-    all eight kinds: faces spliced from the parent's equal a full trace
+    all eight kinds: faces patched from the parent's equal a full trace
     (same order, so every ``MoveSpec.face`` is unchanged), legal moves
     re-derived from the parent's sites equal the site-by-site reference,
     each freeze equals the reference numbering up to an order-preserving
@@ -1287,7 +1288,7 @@ def test_local_moves_match_from_scratch_references(checked_freeze):
         g = normalize(bridge_graph(random_decorated_permutation(rng.randint(4, 7), rng))).normal
         _oracle_walk(g, 15, rng, ("UrbanRenewal", "NormalFlip"), True, counts)
     assert all(counts[kind] >= 20 for kind in KINDS), counts
-    assert counts["spliced"] >= 4000 and len(checked_freeze) >= counts["spliced"]
+    assert counts["patched"] >= 4000 and len(checked_freeze) >= counts["patched"]
     assert counts["sites"] >= 4000, counts
 
 
