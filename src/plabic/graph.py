@@ -65,15 +65,12 @@ def _orbit(nxt, d0, limit):
     return darts
 
 
-def _face_of_walk(walk, inward, b):
-    """The face traced as ``walk``, an orbit of graph darts; ``inward``
-    maps the dart into boundary label i to i, and the walk crosses rim arc
-    i - 1 (arc b for i = 1) right after that dart."""
-    into = inward.keys() & walk
-    if not into:
-        return Face("internal", tuple(walk), ())
-    arcs = tuple([(inward[x] - 2) % b + 1 for x in sorted(into, key=walk.index)])
-    return Face("boundary", tuple(walk), arcs)
+def _face_of_walk(walk, dv, b):
+    """The face traced as ``walk``, an orbit of graph darts.  A dart whose
+    twin is based at boundary vertex -i is the dart into label i, and the
+    walk crosses rim arc i - 1 (arc b for i = 1) right after it."""
+    arcs = tuple([(-dv[x ^ 1] - 2) % b + 1 for x in walk if dv[x ^ 1] < 0])
+    return Face("boundary" if arcs else "internal", tuple(walk), arcs)
 
 
 @dataclass(frozen=True)
@@ -118,16 +115,15 @@ class PlabicGraph:
     Facts derived from a graph are computed once and kept in ``_cache``,
     which is safe because the graph never changes.  Its keys: "valid"
     (``from_rotation``/``from_json`` accepted the graph), "edge_index",
-    "faces", "face_of_dart" and "face_next" (the face tables; the last
-    holds the successor table and ``_inward()``), "base" (the parent's
+    "faces" (the face tables of ``_face_tables``), "base" (the parent's
     face tables to patch, until ``faces`` runs), "sites" (the vertex and
     edge move sites, ``moves._sites``), "site_base" (the parent's sites to
     re-derive from, until ``legal_moves`` runs), "ckey"
     (``canonical_key``), "classify", "trips", "decorated",
     ("face_labels", mode), "normalize", "is_reduced" and "bad_features".
-    A graph made by a move may start with its parent's "faces",
-    "face_of_dart" and "face_next" (a square move keeps the rotations),
-    with "base" and with "site_base"; it inherits no other key.
+    A graph made by a move may start with its parent's "faces" (a square
+    move keeps the rotations), with "base" and with "site_base"; it
+    inherits no other key.
     """
 
     __slots__ = ("b", "_colors", "_rot", "_dart_vertex", "_edge_ids", "_cache")
@@ -292,7 +288,8 @@ class PlabicGraph:
     # faces
 
     def faces(self):
-        """All faces of the rim-augmented graph, deterministic order.
+        """All faces of the rim-augmented graph, deterministic order, in a
+        new list on every call.
 
         The rim adds one arc per boundary label i, joining labels i and
         i+1, and clockwise at label i come: arc i, the graph dart, arc
@@ -312,18 +309,19 @@ class PlabicGraph:
         change and walks the others afresh from the darts whose
         successors changed (``_patch_faces``).
         """
-        cache = self._cache
-        faces = cache.get("faces")
-        if faces is None:
-            base = cache.pop("base", None)
-            if base is None:
-                faces, face_of, nxt, inward = self._trace_faces()
-            else:
-                faces, face_of, nxt, inward = self._patch_faces(*base)
-            cache["faces"] = faces
-            cache["face_of_dart"] = face_of
-            cache["face_next"] = (nxt, inward)
-        return faces
+        return list(self._face_tables()[0])
+
+    def _face_tables(self):
+        """``(faces, face_of, nxt)``, kept in the cache: the faces, the
+        index of each graph dart's face and the face-successor table, both
+        indexed by graph dart with -1 at the holes.  Callers inside the
+        package read them and must not change them."""
+        tables = self._cache.get("faces")
+        if tables is None:
+            base = self._cache.pop("base", None)
+            tables = self._trace_faces() if base is None else self._patch_faces(*base)
+            self._cache["faces"] = tables
+        return tables
 
     def _fill_successors(self, nxt, vertices, black=1):
         """Set ``nxt[d]`` for the darts d whose twins are based at
@@ -343,30 +341,11 @@ class PlabicGraph:
             for j in range(m):
                 nxt[ds[j] ^ 1] = ds[j + k]
 
-    def _inward(self):
-        """The darts into boundary labels 1..b, in label order, each mapped
-        to its label."""
-        rot, b = self._rot, self.b
-        return dict(zip([rot[v][0] ^ 1 for v in range(-1, -b - 1, -1)], range(1, b + 1)))
-
-    @staticmethod
-    def _add_rim(face_of, inward, outer):
-        """Append the rim part to ``face_of``: the forward dart of arc i
-        (at index bound + 2(i - 1)) lies in face ``outer``, the backward
-        dart after it in the face of the dart into label i + 1."""
-        ins = list(inward)
-        part = [outer] * (2 * len(ins))
-        part[1::2] = map(face_of.__getitem__, ins[1:] + ins[:1])
-        face_of += part
-
     def _trace_faces(self):
-        """``(faces, face_of, nxt, inward)`` traced from scratch: ``nxt`` is
-        the face-successor table over graph darts, -1 at the holes, and
-        ``inward`` is ``_inward()``."""
-        n = self._dart_bound()
+        """``_face_tables()`` traced from scratch."""
+        n, dv = self._dart_bound(), self._dart_vertex
         nxt = [-1] * n
         self._fill_successors(nxt, self._rot)
-        inward = self._inward()
         face_of = [-1] * n  # dart -> index of its face; -1 at the holes
         faces = []
         for start in range(n):
@@ -376,13 +355,12 @@ class PlabicGraph:
             idx = len(faces)
             for d in walk:
                 face_of[d] = idx
-            faces.append(_face_of_walk(walk, inward, self.b))
-        self._add_rim(face_of, inward, len(faces))
+            faces.append(_face_of_walk(walk, dv, self.b))
         faces.append(Face("outer", (), tuple(range(1, self.b + 1))))
-        return faces, face_of, nxt, inward
+        return faces, face_of, nxt
 
-    def _patch_faces(self, pfaces, pface_of, pnxt, pinward, prot, edited, touched):
-        """``_trace_faces`` from the tables of the graph this one was made
+    def _patch_faces(self, pfaces, pface_of, pnxt, prot, edited, touched):
+        """``_face_tables()`` from the tables of the graph this one was made
         from by a local edit, and its rotations ``prot``.  ``touched`` are
         the vertices of this graph whose rotations differ from ``prot``,
         and ``edited`` those and the vertices the edit removed.
@@ -401,7 +379,7 @@ class PlabicGraph:
         if n <= pn:
             nxt, face_of = pnxt[:n], pface_of[:n]
         else:
-            nxt, face_of = pnxt + [-1] * (n - pn), pface_of[:pn] + [-1] * (n - pn)
+            nxt, face_of = pnxt + [-1] * (n - pn), pface_of + [-1] * (n - pn)
         dirty = set()  # the indices of the dirty faces in the parent
         for v in edited:  # the removed darts become holes
             for x in prot.get(v, ()):
@@ -412,9 +390,6 @@ class PlabicGraph:
         if touched and min(touched) < 0:
             # the dart into label i goes on along the dart of label i - 1
             touched = {*touched, *[-(-v % b) - 1 for v in touched if v < 0]}
-            inward = self._inward()
-        else:
-            inward = pinward
         self._fill_successors(nxt, touched)
         cuts = []
         for v in touched:
@@ -464,27 +439,33 @@ class PlabicGraph:
         for idx, walk in zip(places, walks):
             for d in walk:
                 face_of[d] = idx
-            faces[idx] = _face_of_walk(walk, inward, b)
-        self._add_rim(face_of, inward, len(faces))
+            faces[idx] = _face_of_walk(walk, dv, b)
         faces.append(pfaces[-1])
-        return faces, face_of, nxt, inward
+        return faces, face_of, nxt
 
     def nonouter_faces(self):
-        return self.faces()[:-1]  # the outer face is last
+        """The faces but the outer one, which ``faces()`` lists last, in a
+        new list on every call."""
+        return self._face_tables()[0][:-1]
 
     def face_of_dart(self):
-        """The index into ``faces()`` of each dart's face, as a list indexed
-        by dart: the graph darts up to the index bound (-1 at the holes),
-        then the rim darts ``faces`` adds."""
-        self.faces()
-        return self._cache["face_of_dart"]
+        """The index into ``faces()`` of each dart's face, in a new list on
+        every call, indexed by dart: the graph darts up to the index bound
+        (-1 at the holes), then the rim darts.  The forward dart of arc i
+        (at index bound + 2(i - 1)) lies in the outer face, the backward
+        dart after it in the face of the dart into label i + 1."""
+        faces, face_of, _ = self._face_tables()
+        rot, b = self._rot, self.b
+        rim = [len(faces) - 1] * (2 * b)
+        rim[1::2] = [face_of[rot[-(i % b) - 1][0] ^ 1] for i in range(1, b + 1)]
+        return face_of + rim
 
     def euler_ok(self) -> bool:
         if self.b == 0:
             return not self._colors and not self._dart_vertex
         v = len(self._colors) + self.b
         e = len(self._dart_vertex) // 2 + self.b
-        f = len(self.faces())
+        f = len(self._face_tables()[0])
         return v - e + f == 2
 
     # ------------------------------------------------------------------
@@ -999,9 +980,10 @@ class Builder:
         rule; the two darts of such an edge trade numbers.  Once holes pass
         half the index space, darts are numbered afresh by
         ``_number_darts``.  When the starting graph's faces are traced, or
-        its move sites derived, the result keeps them, to walk only the
-        faces the surgery changed (``faces``) and re-derive only the sites
-        around the touched vertices (``moves._sites``).
+        its move sites derived, the result keeps its face tables and its
+        rotations as "base", to walk only the faces the surgery changed
+        (``_patch_faces``), or its sites as "site_base", to re-derive only
+        the sites around the touched vertices (``moves._sites``).
         """
         ids = self.ids
         n = len(ids)
@@ -1049,8 +1031,7 @@ class Builder:
             pc = parent._cache
             edited = self._touched | touched
             if self.b and "faces" in pc:
-                g._cache["base"] = (pc["faces"], pc["face_of_dart"], *pc["face_next"],
-                                    parent._rot, edited, touched)
+                g._cache["base"] = (*pc["faces"], parent._rot, edited, touched)
             if "sites" in pc:
                 g._cache["site_base"] = (pc["sites"], parent._rot, edited, touched)
         return g

@@ -64,7 +64,7 @@ def _face_labels(g: PlabicGraph, mode: str, check: bool) -> dict:
     if cache_key in g._cache:
         return g._cache[cache_key]
     decorated = decorated_trip_permutation(g)
-    faces = g.faces()
+    faces, fmap, _ = g._face_tables()
     start = next((idx for idx, f in enumerate(faces) if f.kind == "boundary"), None)
     if start is None:
         labels = {}
@@ -82,7 +82,6 @@ def _face_labels(g: PlabicGraph, mode: str, check: bool) -> dict:
                 mark[d] = m
             if (arc - t.source) % b < (t.target - t.source) % b:
                 seed.add(m)
-        fmap = g.face_of_dart()
         found = {start: frozenset(seed)}
         queue = [start]
         for f in queue:

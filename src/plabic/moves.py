@@ -144,7 +144,7 @@ def _alternating_quad(g: PlabicGraph, face):
 
 def _square_condition_ok(g: PlabicGraph, face) -> bool:
     """Whether the four surrounding faces are consecutively distinct."""
-    fmap = g.face_of_dart()
+    fmap = g._face_tables()[1]
     around = [fmap[g.twin(d)] for d in face.darts]
     return all(around[k] != around[(k + 1) % 4] for k in range(4))
 
@@ -323,7 +323,7 @@ def legal_moves(g: PlabicGraph):
     """
     rot = g._rot
     out = []
-    faces = g.faces()
+    faces = g._face_tables()[0]
     for idx, vs in _alternating_quads(g, faces):
         face = faces[idx]
         if _trivalent(rot, vs):
@@ -375,7 +375,7 @@ def _frozen(h):
 
 
 def _face_at(g, idx):
-    faces = g.faces()
+    faces = g._face_tables()[0]
     if idx is None or not 0 <= idx < len(faces):
         raise IllegalMove(f"no face with index {idx}")
     return faces[idx]
@@ -391,8 +391,7 @@ def _apply_square(g, m):
     # the rotation system is unchanged, so the new graph shares it, and
     # with it the faces
     out = PlabicGraph._from_parts(g.b, colors, g._rot, g._dart_vertex, g._edge_ids)
-    for key in ("faces", "face_of_dart", "face_next"):
-        out._cache[key] = g._cache[key]
+    out._cache["faces"] = g._cache["faces"]
     if "sites" in g._cache:  # the sites at the corners and around them change
         out._cache["site_base"] = (g._cache["sites"], g._rot, vs, vs)
     return out, MoveSpec("SquareM1", face=m.face)
@@ -506,7 +505,7 @@ def _apply_urban(g, m):
     out = bld.freeze()
     new_square = set(new_whites) | set(merged)
     inv_face = None
-    for idx, f in enumerate(out.faces()):
+    for idx, f in enumerate(out._face_tables()[0]):
         if f.kind == "internal" and len(f.darts) == 4:
             if {out.dart_vertex(d) for d in f.darts} == new_square:
                 inv_face = idx

@@ -101,7 +101,7 @@ def quiver_of(g: PlabicGraph, keys: str = "auto") -> Quiver:
 
     if keys not in ("auto", "labels", "ids"):
         raise ValueError(f"keys must be 'auto', 'labels' or 'ids', got {keys!r}")
-    faces = g.faces()
+    faces, fmap, _ = g._face_tables()
     nonouter = [idx for idx, f in enumerate(faces) if f.kind != "outer"]
     if keys == "auto":
         keys = "labels" if _is_reduced(g).reduced else "ids"
@@ -111,7 +111,6 @@ def quiver_of(g: PlabicGraph, keys: str = "auto") -> Quiver:
     else:
         key_of = {idx: idx for idx in nonouter}
     frozen_of = {idx: faces[idx].kind == "boundary" for idx in nonouter}
-    fmap = g.face_of_dart()
     raw = {}
     for d0 in range(0, g._dart_bound(), 2):  # edge-index order, as edge_ids
         if d0 not in g._dart_vertex:  # a hole

@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -8,12 +9,15 @@ from plabic import (
     PlabicGraph,
     apply_move,
     bad_features,
+    bridge_graph,
     classify,
     collapse_trees,
     face_labels,
+    from_wiring,
     legal_moves,
     normalize,
     lollipop_graph,
+    quiver_of,
     trip_permutation,
     validate,
 )
@@ -21,6 +25,8 @@ from plabic import fixtures as F
 from plabic import graph as graph_module
 from plabic.cli import main
 from plabic.graph import Builder
+from plabic.moves import KINDS
+from conftest import random_decorated_permutation, trivalentize
 
 
 def test_single_lollipop_is_valid():
@@ -374,10 +380,69 @@ def test_classify_and_validate_return_new_values_each_call():
     assert validate(g).problems == []
 
 
+def test_face_readers_return_new_lists_each_call():
+    """Editing what ``faces()`` and ``face_of_dart()`` return changes no
+    later answer, on the graph or on a graph made from it by a move."""
+    g, untouched = F.square_fan_b5(), F.square_fan_b5()
+    g.faces().reverse()
+    fmap = g.face_of_dart()
+    fmap[:] = [0] * len(fmap)
+    assert g.faces() == untouched.faces()
+    assert g.face_of_dart() == untouched.face_of_dart()
+    assert legal_moves(g) == legal_moves(untouched)
+    assert face_labels(g) == face_labels(untouched)
+    assert quiver_of(g) == quiver_of(untouched)
+    assert g.nonouter_faces() == untouched.nonouter_faces()
+    for m in legal_moves(untouched):
+        assert apply_move(g, m).faces() == apply_move(untouched, m).faces(), m
+
+
+def _face_shapes(g):
+    """The faces as (kind, edge ids of the walk, rim arcs)."""
+    return [(f.kind, tuple([g.edge_id(d) for d in f.darts]), f.rim_arcs) for f in g.faces()]
+
+
+def test_face_order_does_not_depend_on_how_a_graph_was_built():
+    """A graph made by moves keeps its parent's dart numbers; its JSON
+    round trip numbers darts densely.  On every step of kind-balanced
+    walks over all eight kinds both list the same legal moves and the same
+    faces in the same order, so every ``MoveSpec.face`` means the same."""
+    rng = random.Random(19)
+    counts = Counter()
+
+    def walk(g, steps, kinds):
+        for _ in range(steps):
+            d = PlabicGraph.from_json(g.to_json())
+            moves = legal_moves(g)
+            assert moves == legal_moves(d), g.to_json()
+            assert _face_shapes(g) == _face_shapes(d), g.to_json()
+            sites = {}
+            for m in moves:
+                if m.kind in kinds:
+                    sites.setdefault(m.kind, []).append(m)
+            if not sites:
+                return
+            m = rng.choice(sites[rng.choice(sorted(sites))])
+            g = apply_move(g, m)
+            counts[m.kind] += 1
+
+    for g in (PlabicGraph.from_json({"b": 0}), from_wiring([], 2), from_wiring([], 3),
+              lollipop_graph("w"), lollipop_graph("bwb")):
+        walk(g, 40, KINDS)
+    for _ in range(40):
+        p = random_decorated_permutation(rng.randint(3, 7), rng)
+        walk(trivalentize(bridge_graph(p)), 60, KINDS)
+    for _ in range(20):
+        p = random_decorated_permutation(rng.randint(4, 7), rng)
+        walk(normalize(bridge_graph(p)).normal, 20, ("UrbanRenewal", "NormalFlip", "SquareM1"))
+    assert all(counts[kind] >= 20 for kind in KINDS), counts
+    assert sum(counts.values()) >= 2500, counts
+
+
 def test_a_move_child_inherits_only_face_tables():
     """The facts cached on a graph hold for it alone; a move's result may
     start only from its parent's face tables and move sites."""
-    inheritable = {"faces", "face_of_dart", "face_next", "base", "site_base"}
+    inheritable = {"faces", "base", "site_base"}
     kinds = set()
     for g in (F.square_fan_b5(), F.normal_b5(), F.urban_left_b7()):
         validate(g)
