@@ -121,9 +121,9 @@ class PlabicGraph:
     re-derive from, until ``legal_moves`` runs), "ckey"
     (``canonical_key``), "classify", "trips", "decorated",
     ("face_labels", mode), "normalize", "is_reduced" and "bad_features".
-    A graph made by a move may start with its parent's "faces" (a square
-    move keeps the rotations), with "base" and with "site_base"; it
-    inherits no other key.
+    A graph made by a move may start with "base" and "site_base", handed
+    down by ``Builder.freeze``; it inherits no other key, so no graph
+    starts with its parent's "faces".
     """
 
     __slots__ = ("b", "_colors", "_rot", "_dart_vertex", "_edge_ids", "_cache")
@@ -173,7 +173,10 @@ class PlabicGraph:
 
     @staticmethod
     def from_json(text_or_obj):
-        obj = json.loads(text_or_obj) if isinstance(text_or_obj, str) else text_or_obj
+        try:
+            obj = json.loads(text_or_obj) if isinstance(text_or_obj, str) else text_or_obj
+        except json.JSONDecodeError as exc:
+            raise InvalidGraph([f"malformed graph JSON: {exc}"])
         report, g = _checked_json(obj)
         if not report.ok:
             raise InvalidGraph(report.problems)
@@ -369,10 +372,11 @@ class PlabicGraph:
         makes it an in-dart of a touched vertex.  A face of the parent
         with no cut and no removed dart is kept, since it keeps its dart
         numbers; the others are dirty, and their darts lie on the new
-        walks, each an orbit from a cut.  New walks take the places of
-        the dirty faces when that keeps the faces sorted by smallest dart,
-        so that no kept face changes index; else kept and new faces are
-        merged in that order.
+        walks, each an orbit from a cut.  The new walks take the places of
+        the dirty faces, in sorted order.  When they are not as many as
+        the dirty faces, or a new walk would not fall between the kept
+        faces around its place, some kept face changes index, and the
+        faces are traced afresh instead (``_trace_faces``).
         """
         b, rot, dv = self.b, self._rot, self._dart_vertex
         n, pn = self._dart_bound(), len(pnxt)
@@ -410,33 +414,16 @@ class PlabicGraph:
                 i = walk.index(min(walk))  # the smallest dart starts the face
                 walks.append(walk[i:] + walk[:i])
         walks.sort()
-        faces = pfaces[:-1]  # the outer face goes last
         places = sorted(dirty)
-        in_order = len(places) == len(walks)
-        if in_order:  # sorted walks in sorted places: check them against kept faces
-            for idx, walk in zip(places, walks):
-                w0 = walk[0]
-                if (idx and idx - 1 not in dirty and faces[idx - 1].darts[0] > w0
-                        or idx + 1 < len(faces) and idx + 1 not in dirty
-                        and faces[idx + 1].darts[0] < w0):
-                    in_order = False
-                    break
-        if not in_order:  # merge kept and new faces by smallest dart
-            order = sorted([*[(f.darts[0], i) for i, f in enumerate(pfaces[:-1])
-                              if i not in dirty],
-                            *[(walk[0], -1 - j) for j, walk in enumerate(walks)]])
-            remap = [-1] * len(pfaces)  # a dirty face's darts are all re-placed
-            faces, places = [], []
-            for idx, (_, i) in enumerate(order):
-                if i < 0:
-                    places.append(idx)
-                    faces.append(None)
-                else:
-                    remap[i] = idx
-                    faces.append(pfaces[i])
-            remap.append(-1)  # remap[-1] keeps the holes
-            face_of = [remap[i] for i in face_of]
-        for idx, walk in zip(places, walks):
+        if len(places) != len(walks):  # a face split or two merged
+            return self._trace_faces()
+        faces = pfaces[:-1]  # the outer face goes last
+        for idx, walk in zip(places, walks):  # sorted walks in sorted places
+            w0 = walk[0]
+            if (idx and idx - 1 not in dirty and faces[idx - 1].darts[0] > w0
+                    or idx + 1 < len(faces) and idx + 1 not in dirty
+                    and faces[idx + 1].darts[0] < w0):
+                return self._trace_faces()  # a kept face would change index
             for d in walk:
                 face_of[d] = idx
             faces[idx] = _face_of_walk(walk, dv, b)
@@ -748,8 +735,8 @@ class Builder:
     be keyed and then dropped without ever being frozen; the equivalence
     search keys every child this way and freezes only those it expands.
     A builder keeps the graph it started from alive until it is dropped.
-    Surgery may recolour only vertices whose rotations it edits: the
-    frozen graph re-derives move sites only around those.
+    ``recolor`` records the vertex as touched, like an edit of its
+    rotation, so the frozen graph re-derives the move sites around it.
     """
 
     def __init__(self, g: PlabicGraph):
@@ -759,7 +746,7 @@ class Builder:
         self.dv = dict(g._dart_vertex)
         self.ids = list(g._edge_ids)
         self._graph = g  # whose face tables a frozen result may patch
-        self._touched = set()  # vertices whose rotation changed, or that left
+        self._touched = set()  # vertices recoloured, edited or removed
         self._homes = {}  # edge index -> the index of its id, when they differ
         self._max_vertex = self._max_edge_id = None  # None: not known yet
 
@@ -812,6 +799,11 @@ class Builder:
 
     def _set(self, v, ds):
         self.rot[v] = ds
+        self._touched.add(v)
+
+    def recolor(self, v, color):
+        """Give internal vertex v this colour; v counts as touched."""
+        self.colors[v] = color
         self._touched.add(v)
 
     def add_vertex(self, color):

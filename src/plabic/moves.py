@@ -22,6 +22,7 @@ Faces are addressed by their index in ``graph.faces()``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import BadBudget, IllegalMove
@@ -69,19 +70,23 @@ class MoveSpec(NamedTuple):
         """Parse a spec object; raises IllegalMove on any malformed field."""
         if not isinstance(obj, dict):
             raise IllegalMove(f"a move spec must be a JSON object, got {obj!r}")
-        if obj.get("kind") not in KINDS:
-            raise IllegalMove(f"unknown move kind {obj.get('kind')!r}")
-        for k in ("face", "vertex", "edge", "start", "length"):
-            v = obj.get(k)
-            if v is not None and (not isinstance(v, int) or isinstance(v, bool)):
-                raise IllegalMove(f"move field {k!r} must be an integer, got {v!r}")
-        if obj.get("color") is not None and not isinstance(obj["color"], str):
-            raise IllegalMove(f"move field 'color' must be a string, got {obj['color']!r}")
-        if obj.get("condition_ok") is not None and not isinstance(obj["condition_ok"], bool):
-            raise IllegalMove(
-                f"move field 'condition_ok' must be a boolean, got {obj['condition_ok']!r}"
-            )
-        return MoveSpec(*[obj.get(k) for k in MoveSpec._fields])
+        return _checked(MoveSpec(*[obj.get(k) for k in MoveSpec._fields]))
+
+
+def _checked(m: MoveSpec) -> MoveSpec:
+    """``m``, once its kind is known and each field has its type; raises
+    IllegalMove otherwise."""
+    if m.kind not in KINDS:
+        raise IllegalMove(f"unknown move kind {m.kind!r}")
+    for k, v in zip(("face", "vertex", "edge", "start", "length"),
+                    (m.face, m.vertex, m.edge, m.start, m.length)):
+        if v is not None and (not isinstance(v, int) or isinstance(v, bool)):
+            raise IllegalMove(f"move field {k!r} must be an integer, got {v!r}")
+    if m.color is not None and not isinstance(m.color, str):
+        raise IllegalMove(f"move field 'color' must be a string, got {m.color!r}")
+    if m.condition_ok is not None and not isinstance(m.condition_ok, bool):
+        raise IllegalMove(f"move field 'condition_ok' must be a boolean, got {m.condition_ok!r}")
+    return m
 
 
 # ----------------------------------------------------------------------
@@ -189,34 +194,25 @@ def _is_normal_flip_site(g: PlabicGraph, v) -> bool:
 # enumeration
 
 
-# Specs are immutable, so graphs share them.  Edge id -> its sites when
-# it is not contractible, contractible, and a flip site: (its two
-# InsertBivalentM2 specs), then with its ContractM3 spec, then also with
-# its FlipM4 spec.  Vertex id -> its sites at degree 2 when it carries
-# only a loop, is removable, and is a NormalFlip site: (), then its
-# RemoveBivalentM2 spec, then also its NormalFlip spec.  Each table is
-# emptied when it reaches _SPECS_MAX ids.
-_EDGE_SPECS = {}
-_VERTEX_SPECS = {}
-_SPECS_MAX = 1 << 14
-
-
+# Specs are immutable, so graphs share them: both tables are cached by id.
+@lru_cache(maxsize=1 << 14)
 def _edge_specs(e):
-    if len(_EDGE_SPECS) >= _SPECS_MAX:
-        _EDGE_SPECS.clear()
+    """The sites of edge id e when it is not contractible, contractible,
+    and a flip site: (its two InsertBivalentM2 specs), then with its
+    ContractM3 spec, then also with its FlipM4 spec."""
     insert = (MoveSpec("InsertBivalentM2", edge=e, color=BLACK),
               MoveSpec("InsertBivalentM2", edge=e, color=WHITE))
     contract = (*insert, MoveSpec("ContractM3", edge=e))
-    specs = _EDGE_SPECS[e] = (insert, contract, (*contract, MoveSpec("FlipM4", edge=e)))
-    return specs
+    return insert, contract, (*contract, MoveSpec("FlipM4", edge=e))
 
 
+@lru_cache(maxsize=1 << 14)
 def _vertex_specs(v):
-    if len(_VERTEX_SPECS) >= _SPECS_MAX:
-        _VERTEX_SPECS.clear()
+    """The sites of degree-2 vertex id v when it carries only a loop, is
+    removable, and is a NormalFlip site: (), then its RemoveBivalentM2
+    spec, then also its NormalFlip spec."""
     remove = (MoveSpec("RemoveBivalentM2", vertex=v),)
-    specs = _VERTEX_SPECS[v] = ((), remove, (*remove, MoveSpec("NormalFlip", vertex=v)))
-    return specs
+    return (), remove, (*remove, MoveSpec("NormalFlip", vertex=v))
 
 
 def _vertex_sites(g: PlabicGraph, v):
@@ -225,7 +221,7 @@ def _vertex_sites(g: PlabicGraph, v):
     ds = g._rot[v]
     deg = len(ds)
     if deg == 2:
-        specs = _VERTEX_SPECS.get(v) or _vertex_specs(v)
+        specs = _vertex_specs(v)
         if not _removable(ds):
             return specs[0]
         return specs[2] if _is_normal_flip_site(g, v) else specs[1]
@@ -241,7 +237,7 @@ def _edge_sites(g: PlabicGraph, k):
     e = g._edge_ids[k]
     if e is None:
         return ()
-    specs = _EDGE_SPECS.get(e) or _edge_specs(e)
+    specs = _edge_specs(e)
     dv, rot = g._dart_vertex, g._rot
     u, w = dv[2 * k], dv[2 * k + 1]
     if not _contractible(g._colors, u, w):
@@ -344,8 +340,9 @@ def legal_moves(g: PlabicGraph):
 
 
 def apply_move(g: PlabicGraph, m: MoveSpec) -> PlabicGraph:
-    """Rewrite the graph by one move; raises IllegalMove on bad sites."""
-    return _apply(g, m)[0]
+    """Rewrite the graph by one move; raises IllegalMove on a malformed
+    spec or a bad site."""
+    return _apply(g, _checked(m))[0]
 
 
 def _apply(g: PlabicGraph, m: MoveSpec):
@@ -357,10 +354,11 @@ def _apply(g: PlabicGraph, m: MoveSpec):
 
 def _build(g: PlabicGraph, m: MoveSpec):
     """Apply a move without freezing its result; returns (result, inverse
-    MoveSpec).  The result is the ``Builder`` the move edited, or a graph
-    for the two kinds that make one directly (SquareM1 shares g's
-    rotations, UrbanRenewal reads the new faces).  Either has
-    ``canonical_key``, so a caller may key the result and drop it unfrozen.
+    MoveSpec).  The result is the ``Builder`` the move edited, or, for
+    UrbanRenewal, which reads the new faces, the frozen graph; so every
+    search move gives a builder.  Either has ``canonical_key``, so a
+    caller may key the result and drop it unfrozen.  The spec's fields
+    are not type-checked here (``apply_move`` checks them).
     """
     try:
         build = _BUILD[m.kind]
@@ -385,16 +383,10 @@ def _apply_square(g, m):
     vs = _alternating_quad(g, _face_at(g, m.face))
     if vs is None or not _trivalent(g._rot, vs):
         raise IllegalMove(f"face {m.face} is not a square-move site")
-    colors = dict(g._colors)
+    bld = Builder(g)
     for v in vs:
-        colors[v] = other_color(colors[v])
-    # the rotation system is unchanged, so the new graph shares it, and
-    # with it the faces
-    out = PlabicGraph._from_parts(g.b, colors, g._rot, g._dart_vertex, g._edge_ids)
-    out._cache["faces"] = g._cache["faces"]
-    if "sites" in g._cache:  # the sites at the corners and around them change
-        out._cache["site_base"] = (g._cache["sites"], g._rot, vs, vs)
-    return out, MoveSpec("SquareM1", face=m.face)
+        bld.recolor(v, other_color(g._colors[v]))
+    return bld, MoveSpec("SquareM1", face=m.face)
 
 
 def _apply_remove_bivalent(g, m):
@@ -496,7 +488,7 @@ def _apply_urban(g, m):
     for v in vs:
         if g.color(v) != WHITE:
             continue
-        bld.colors[v] = BLACK
+        bld.recolor(v, BLACK)
         outside = [d for d in bld.rot[v] if d not in side_darts]
         (od,) = outside
         # far end black: _urban_corners_ok checked it; splits move only side darts
@@ -587,7 +579,7 @@ def _backward_moves(g: PlabicGraph, grow_leaves: bool):
 
 def _undoable(h, inv: MoveSpec) -> bool:
     """Whether the inverse ``inv`` returned by ``_build`` is a search move
-    at ``h``, a graph or a builder.  Only SplitM3 can fail: ``legal_moves``
+    at ``h``, a search move's builder.  Only SplitM3 can fail: ``legal_moves``
     lists arcs of length 2..deg-2, while undoing the contraction of an
     edge with a bivalent or leaf end needs length 1 or 0."""
     return inv.kind != "SplitM3" or 2 <= inv.length <= h.degree(inv.vertex) - 2
@@ -607,11 +599,11 @@ def move_equivalent(
 
     Each side maps canonical keys to (parent key, move), and its frontier
     holds (key, state) pairs.  A child is keyed before it is frozen: its
-    state is what ``_build`` returns, a ``Builder`` for most moves, and it
-    is frozen only when its layer is expanded, so children on a side's
-    last layer and children already seen are never frozen.  The shallower
-    side grows one layer at a time, g1's side first, so g1's side reaches
-    depth ceil(budget/2) and g2's side floor(budget/2); a new key is
+    state is the ``Builder`` that ``_build`` returns, and it is frozen
+    only when its layer is expanded, so children on a side's last layer
+    and children already seen are never frozen.  The shallower side grows
+    one layer at a time, g1's side first, so g1's side reaches depth
+    ceil(budget/2) and g2's side floor(budget/2); a new key is
     checked against the other side before its own, so the first meeting
     gives a shortest chain.  g2's side must hold only graphs that reach g2
     by search moves, and all of those within its depth.  So it keeps a

@@ -42,8 +42,8 @@ class Trip:
 
 def trip_from(g: PlabicGraph, i: int) -> Trip:
     """The trip entering the disk at boundary label i."""
-    if not 1 <= i <= g.b:
-        raise BadLabel(f"boundary label {i} not in 1..{g.b}")
+    if isinstance(i, bool) or not isinstance(i, int) or not 1 <= i <= g.b:
+        raise BadLabel(f"boundary label {i!r} not in 1..{g.b}")
     return _all_trips(g)[i - 1]
 
 

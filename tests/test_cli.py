@@ -205,6 +205,14 @@ def test_info_graph_type_errors_exit_1(graph, capsys, monkeypatch):
     assert json.loads(err)["error"] == "InvalidGraph"
 
 
+def test_info_on_text_that_is_not_json_exits_1(capsys, monkeypatch):
+    code, out, err = run(["info", "-"], stdin_text="{", capsys=capsys, monkeypatch=monkeypatch)
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "InvalidGraph"
+    assert "malformed graph JSON: " in payload["message"]
+
+
 def test_perm_dab_missing_argument_exit_1(capsys, monkeypatch):
     code, out, err = run(["perm", "dab", "3"], capsys=capsys)
     assert code == 1 and out == ""

@@ -310,6 +310,14 @@ def test_malformed_json_objects_are_reported_not_raised(raw):
         PlabicGraph.from_json(raw)
 
 
+@pytest.mark.parametrize("text", ["{", "", "not json", '{"b": 1,}'])
+def test_text_that_is_not_json_is_an_invalid_graph(text):
+    with pytest.raises(InvalidGraph) as err:
+        PlabicGraph.from_json(text)
+    (problem,) = err.value.problems
+    assert problem.startswith("malformed graph JSON: ")
+
+
 def test_a_move_keeps_untouched_darts_and_rotations():
     g = F.square_fan_b5()
     g.faces()

@@ -98,6 +98,33 @@ def test_square_move_rejects_bad_site():
         apply_move(g, MoveSpec("SquareM1", face=0))  # a boundary face
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        MoveSpec("SplitM3", vertex=1, start="a", length=2),
+        MoveSpec("SplitM3", vertex=1, start=0, length="2"),
+        MoveSpec("SplitM3", vertex=1, start=1.5, length=2),
+        MoveSpec("SquareM1", face="5"),
+        MoveSpec("SquareM1", face=5.0),
+        MoveSpec("RemoveBivalentM2", vertex=[1]),
+        MoveSpec("RemoveBivalentM2", vertex={1: 1}),
+        MoveSpec("ContractM3", edge=[10]),
+        MoveSpec("InsertBivalentM2", edge={}, color=BLACK),
+        MoveSpec("SplitM3", vertex=True, start=0, length=2),
+    ],
+    ids=["start-str", "length-str", "start-float", "face-str", "face-float",
+         "vertex-list", "vertex-dict", "edge-list", "edge-dict", "vertex-bool"],
+)
+def test_apply_move_rejects_ill_typed_specs(spec):
+    """A spec built in code is checked as a parsed one is: IllegalMove with
+    the same message, never a TypeError or a field taken as another type."""
+    with pytest.raises(IllegalMove, match="^move field ") as applied:
+        apply_move(F.square_fan_b5(), spec)
+    with pytest.raises(IllegalMove) as parsed:
+        MoveSpec.from_json_obj({k: v for k, v in spec._asdict().items() if v is not None})
+    assert str(applied.value) == str(parsed.value)
+
+
 def test_insert_remove_inverse_pair():
     g = F.square_fan_b5()
     h, inv = _apply(g, MoveSpec("InsertBivalentM2", edge=5, color="black"))

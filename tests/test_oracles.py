@@ -1243,9 +1243,7 @@ def _oracle_walk(g, steps, rng, kinds, balanced, counts):
         else:
             mv = rng.choice([m for kind in kinds for m in sites.get(kind, ())])
         h = apply_move(g, mv)
-        if mv.kind == "SquareM1":  # the rotations are unchanged
-            assert h._cache["faces"] is g._cache["faces"]
-        elif "base" in h._cache:
+        if "base" in h._cache:
             counts["patched"] += 1
         if "site_base" in h._cache:  # legal_moves(g) ran, so g had sites
             counts["sites"] += 1
@@ -1699,5 +1697,6 @@ def test_one_pass_keys_match_two_pass_reference(reduced_walk_graphs):
             frozen = _frozen(h)
             assert key == frozen.canonical_key() == canonical_key_reference(frozen), (
                 g.to_json(), mv)
-            children[type(h).__name__] += 1
-    assert children["Builder"] >= 10_000 and children["PlabicGraph"] >= 30, children
+            assert type(h) is Builder, mv
+            children[mv.kind] += 1
+    assert sum(children.values()) >= 10_000 and children["SquareM1"] >= 30, children

@@ -37,6 +37,12 @@ def test_bad_label():
         trip_from(lollipop_graph("b"), 2)
 
 
+@pytest.mark.parametrize("label", ["1", 1.0, True, None], ids=["str", "float", "bool", "none"])
+def test_a_label_that_is_not_an_int_is_a_bad_label(label):
+    with pytest.raises(BadLabel):
+        trip_from(lollipop_graph("bw"), label)
+
+
 def test_corrupt_rotation_stops_the_trip_tracer():
     # dart 2 listed twice at white vertex 0: the trip from label 1 is
     # sent into a cycle that never returns to the boundary
