@@ -16,8 +16,8 @@ from pathlib import Path
 
 from . import fixtures
 from .bridges import bridge_graph
-from .errors import BadWord, NotATriangulation, PlabicError
-from .graph import PlabicGraph, classify, lollipop_graph
+from .errors import BadWord, IllegalMove, NotATriangulation, PlabicError
+from .graph import PlabicGraph, _loads, classify, lollipop_graph
 from .labels import enumerate_ws, face_labels
 from .moves import MoveSpec, apply_move, move_equivalent
 from .normalize import is_reduced
@@ -60,7 +60,7 @@ def cmd_gen(args) -> int:
         text = sys.stdin.read() if args.arg == "-" else args.arg
         if os.path.exists(text):
             text = Path(text).read_text()
-        data = json.loads(text)
+        data = _loads(text, lambda msg: NotATriangulation(f"malformed triangulation JSON: {msg}"))
         if isinstance(data, dict) and data.keys() >= {"m", "triangles"}:
             m, tris = data["m"], data["triangles"]
         elif isinstance(data, list):  # an m-gon has m - 2 triangles
@@ -144,7 +144,8 @@ def cmd_labels(args) -> int:
 
 def cmd_move(args) -> int:
     g = _read_graph(args.graph)
-    spec = MoveSpec.from_json_obj(json.loads(args.spec))
+    spec = MoveSpec.from_json_obj(
+        _loads(args.spec, lambda msg: IllegalMove(f"malformed move spec JSON: {msg}")))
     return _emit_graph(apply_move(g, spec))
 
 
@@ -292,7 +293,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except PlabicError as err:
         return _fail(err)
-    except (OSError, json.JSONDecodeError, ValueError) as err:
+    except (OSError, ValueError) as err:
         return _fail(err)
 
 

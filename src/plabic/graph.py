@@ -33,20 +33,14 @@ def _int_id(x):
     return x
 
 
-def _parse_json_obj(obj):
-    """``(b, colors, rotation, declared edge ids)`` of a graph JSON object.
-
-    Raises InvalidGraph when the object does not have the format's shape;
-    ``_checked_graph`` checks the values.
-    """
+def _loads(text, error):
+    """``json.loads(text)``, raising ``error(message)`` on text that is not
+    JSON, an integer past Python's digit limit or nesting past the
+    recursion limit."""
     try:
-        b = obj["b"]
-        colors = {_int_id(v["id"]): v["color"] for v in obj.get("vertices", [])}
-        rotation = {int(v): list(es) for v, es in obj.get("rotation", {}).items()}
-        declared = {_int_id(e["id"]) for e in obj.get("edges", [])}
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise InvalidGraph([f"malformed graph object: {exc}"])
-    return b, colors, rotation, declared
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise error(str(exc)) from None
 
 
 def _orbit(nxt, d0, limit):
@@ -99,6 +93,9 @@ class ValidationReport:
         self.problems.append(msg)
 
 
+_HAND_DOWN = "hand_down"  # the cache key of a graph's hand-down record
+
+
 class PlabicGraph:
     """Immutable plabic graph.
 
@@ -112,21 +109,15 @@ class PlabicGraph:
     even one is the first met in (vertex id, rotation position) order, so
     the order of the darts depends only on the ids and rotations.
 
-    Facts derived from a graph are computed once and kept in ``_cache``,
-    which is safe because the graph never changes.  Its keys: "valid"
-    (``from_rotation``/``from_json`` accepted the graph), "edge_index",
-    "faces" (the face tables of ``_face_tables``), "base" (the parent's
-    face tables to patch, until ``faces`` runs), "sites" (the vertex and
-    edge move sites, ``moves._sites``), "site_base" (the parent's sites to
-    re-derive from, until ``legal_moves`` runs), "ckey"
-    (``canonical_key``), "classify", "trips", "decorated",
-    ("face_labels", mode), "normalize", "is_reduced" and "bad_features".
-    A graph made by a move may start with "base" and "site_base", handed
-    down by ``Builder.freeze``; it inherits no other key, so no graph
-    starts with its parent's "faces".
+    Facts derived from a graph are read through ``_fact`` and kept in
+    ``_cache``, which is safe because the graph never changes.  The cache
+    also holds the flag "valid" (``from_rotation``/``from_json`` accepted
+    the graph) and, on a graph made by a move, the hand-down record that
+    ``Builder.freeze`` stores until the facts it holds are read.
     """
 
-    __slots__ = ("b", "_colors", "_rot", "_dart_vertex", "_edge_ids", "_cache")
+    __slots__ = ("b", "_colors", "_rot", "_dart_vertex", "_edge_ids", "_cache",
+                 "__weakref__")
 
     def __init__(self, b, colors, rot, edge_ids):
         self.b = b
@@ -173,10 +164,9 @@ class PlabicGraph:
 
     @staticmethod
     def from_json(text_or_obj):
-        try:
-            obj = json.loads(text_or_obj) if isinstance(text_or_obj, str) else text_or_obj
-        except json.JSONDecodeError as exc:
-            raise InvalidGraph([f"malformed graph JSON: {exc}"])
+        obj = text_or_obj
+        if isinstance(obj, str):
+            obj = _loads(obj, lambda msg: InvalidGraph([f"malformed graph JSON: {msg}"]))
         report, g = _checked_json(obj)
         if not report.ok:
             raise InvalidGraph(report.problems)
@@ -199,6 +189,26 @@ class PlabicGraph:
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj(), sort_keys=True)
 
+    def _fact(self, name):
+        """The fact ``name`` of ``_FACTS``, derived on the first read and
+        kept; callers must not change it.  It is patched from the parent's
+        value when the hand-down record holds one, and the record goes once
+        it is empty."""
+        cache = self._cache
+        value = cache.get(name)
+        if value is None:
+            compute, patch = _FACTS[name]
+            record = cache.get(_HAND_DOWN)
+            if record is not None and name in record[0]:
+                handed, prot, edited, touched = record
+                value = patch(self, handed.pop(name), prot, edited, touched)
+                if not handed:
+                    del cache[_HAND_DOWN]
+            else:
+                value = compute(self)
+            cache[name] = value
+        return value
+
     # ------------------------------------------------------------------
     # basic accessors
 
@@ -213,12 +223,7 @@ class PlabicGraph:
 
     def darts_of_edge(self, edge_id: int):
         """The two darts of an edge; ValueError for an unknown edge id."""
-        index = self._cache.get("edge_index")
-        if index is None:
-            index = dict(zip(self._edge_ids, range(len(self._edge_ids))))
-            index.pop(None, None)  # the holes
-            self._cache["edge_index"] = index
-        k = index.get(edge_id)
+        k = self._fact("edge_index").get(edge_id)
         if k is None:
             raise ValueError(f"no edge with id {edge_id!r}")
         return 2 * k, 2 * k + 1
@@ -312,19 +317,7 @@ class PlabicGraph:
         change and walks the others afresh from the darts whose
         successors changed (``_patch_faces``).
         """
-        return list(self._face_tables()[0])
-
-    def _face_tables(self):
-        """``(faces, face_of, nxt)``, kept in the cache: the faces, the
-        index of each graph dart's face and the face-successor table, both
-        indexed by graph dart with -1 at the holes.  Callers inside the
-        package read them and must not change them."""
-        tables = self._cache.get("faces")
-        if tables is None:
-            base = self._cache.pop("base", None)
-            tables = self._trace_faces() if base is None else self._patch_faces(*base)
-            self._cache["faces"] = tables
-        return tables
+        return list(self._fact("faces")[0])
 
     def _fill_successors(self, nxt, vertices, black=1):
         """Set ``nxt[d]`` for the darts d whose twins are based at
@@ -345,7 +338,9 @@ class PlabicGraph:
                 nxt[ds[j] ^ 1] = ds[j + k]
 
     def _trace_faces(self):
-        """``_face_tables()`` traced from scratch."""
+        """The fact "faces" traced from scratch: ``(faces, face_of, nxt)``,
+        the index of each graph dart's face and the face-successor table
+        indexed by graph dart, -1 at the holes."""
         n, dv = self._dart_bound(), self._dart_vertex
         nxt = [-1] * n
         self._fill_successors(nxt, self._rot)
@@ -362,8 +357,8 @@ class PlabicGraph:
         faces.append(Face("outer", (), tuple(range(1, self.b + 1))))
         return faces, face_of, nxt
 
-    def _patch_faces(self, pfaces, pface_of, pnxt, prot, edited, touched):
-        """``_face_tables()`` from the tables of the graph this one was made
+    def _patch_faces(self, tables, prot, edited, touched):
+        """The fact "faces" from the tables of the graph this one was made
         from by a local edit, and its rotations ``prot``.  ``touched`` are
         the vertices of this graph whose rotations differ from ``prot``,
         and ``edited`` those and the vertices the edit removed.
@@ -376,9 +371,13 @@ class PlabicGraph:
         the dirty faces, in sorted order.  When they are not as many as
         the dirty faces, or a new walk would not fall between the kept
         faces around its place, some kept face changes index, and the
-        faces are traced afresh instead (``_trace_faces``).
+        faces are traced afresh instead (``_trace_faces``), as they are
+        when there is no boundary.
         """
         b, rot, dv = self.b, self._rot, self._dart_vertex
+        if not b:
+            return self._trace_faces()
+        pfaces, pface_of, pnxt = tables
         n, pn = self._dart_bound(), len(pnxt)
         if n <= pn:
             nxt, face_of = pnxt[:n], pface_of[:n]
@@ -433,7 +432,7 @@ class PlabicGraph:
     def nonouter_faces(self):
         """The faces but the outer one, which ``faces()`` lists last, in a
         new list on every call."""
-        return self._face_tables()[0][:-1]
+        return self._fact("faces")[0][:-1]
 
     def face_of_dart(self):
         """The index into ``faces()`` of each dart's face, in a new list on
@@ -441,7 +440,7 @@ class PlabicGraph:
         (-1 at the holes), then the rim darts.  The forward dart of arc i
         (at index bound + 2(i - 1)) lies in the outer face, the backward
         dart after it in the face of the dart into label i + 1."""
-        faces, face_of, _ = self._face_tables()
+        faces, face_of, _ = self._fact("faces")
         rot, b = self._rot, self.b
         rim = [len(faces) - 1] * (2 * b)
         rim[1::2] = [face_of[rot[-(i % b) - 1][0] ^ 1] for i in range(1, b + 1)]
@@ -452,7 +451,7 @@ class PlabicGraph:
             return not self._colors and not self._dart_vertex
         v = len(self._colors) + self.b
         e = len(self._dart_vertex) // 2 + self.b
-        f = len(self._face_tables()[0])
+        f = len(self._fact("faces")[0])
         return v - e + f == 2
 
     # ------------------------------------------------------------------
@@ -466,11 +465,7 @@ class PlabicGraph:
         keys iff they are isomorphic by a boundary-label-preserving map that
         respects rotations.
         """
-        key = self._cache.get("ckey")
-        if key is None:
-            key = self._cache["ckey"] = _canonical_key(
-                self.b, self._colors, self._rot, self._dart_vertex)
-        return key
+        return self._fact("ckey")
 
     def __eq__(self, other):
         if not isinstance(other, PlabicGraph):
@@ -682,9 +677,12 @@ def _checked_json(obj):
     rotation lists, then the declared edges, each checked once the one
     before passes."""
     try:
-        b, colors, rotation, declared = _parse_json_obj(obj)
-    except InvalidGraph as exc:
-        return ValidationReport(exc.problems), None
+        b = obj["b"]
+        colors = {_int_id(v["id"]): v["color"] for v in obj.get("vertices", [])}
+        rotation = {int(v): list(es) for v, es in obj.get("rotation", {}).items()}
+        declared = {_int_id(e["id"]) for e in obj.get("edges", [])}
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        return ValidationReport([f"malformed graph object: {exc}"]), None
     rep, g = _checked_graph(b, colors, rotation)
     if rep.ok:
         extra = sorted(declared - set(g.edge_ids))
@@ -745,7 +743,7 @@ class Builder:
         self.rot = dict(g._rot)  # tuples, until ``_edit``
         self.dv = dict(g._dart_vertex)
         self.ids = list(g._edge_ids)
-        self._graph = g  # whose face tables a frozen result may patch
+        self._graph = g  # whose facts a frozen result may patch
         self._touched = set()  # vertices recoloured, edited or removed
         self._homes = {}  # edge index -> the index of its id, when they differ
         self._max_vertex = self._max_edge_id = None  # None: not known yet
@@ -971,11 +969,10 @@ class Builder:
         index.  Only edges at touched vertices can then break the even-dart
         rule; the two darts of such an edge trade numbers.  Once holes pass
         half the index space, darts are numbered afresh by
-        ``_number_darts``.  When the starting graph's faces are traced, or
-        its move sites derived, the result keeps its face tables and its
-        rotations as "base", to walk only the faces the surgery changed
-        (``_patch_faces``), or its sites as "site_base", to re-derive only
-        the sites around the touched vertices (``moves._sites``).
+        ``_number_darts``.  Otherwise the result gets a hand-down record
+        for ``PlabicGraph._fact``: the starting graph's values of the facts
+        with a patch, its rotations, and the vertices edited (touched or
+        removed) and touched.  It holds no graph, so no ancestor stays alive.
         """
         ids = self.ids
         n = len(ids)
@@ -1021,11 +1018,10 @@ class Builder:
         parent = self._graph
         if parent is not None:
             pc = parent._cache
-            edited = self._touched | touched
-            if self.b and "faces" in pc:
-                g._cache["base"] = (*pc["faces"], parent._rot, edited, touched)
-            if "sites" in pc:
-                g._cache["site_base"] = (pc["sites"], parent._rot, edited, touched)
+            handed = {name: pc[name] for name, (_, patch) in _FACTS.items()
+                      if patch is not None and name in pc}
+            if handed:
+                g._cache[_HAND_DOWN] = (handed, parent._rot, self._touched | touched, touched)
         return g
 
 
@@ -1113,9 +1109,7 @@ def classify(g: PlabicGraph) -> dict:
 
     Computed once per graph; every call returns a new dict with new lists.
     """
-    info = g._cache.get("classify")
-    if info is None:
-        info = g._cache["classify"] = _classify(g)
+    info = g._fact("classify")
     return {**info, "lollipops": list(info["lollipops"]),
             "internal_leaves": list(info["internal_leaves"])}
 
@@ -1148,6 +1142,19 @@ def _classify(g: PlabicGraph) -> dict:
         "lollipops": lollipops,
         "internal_leaves": internal_leaves,
     }
+
+
+# The facts derived from a graph, registered by the modules that own them:
+# name -> (compute, patch).  ``compute(g)`` derives a fact from g alone,
+# ``patch(g, parent value, parent rotations, edited, touched)`` from the
+# value of the graph g was made from by a move (``Builder.freeze``), and
+# may be None.  No value is None.
+_FACTS = dict(
+    faces=(PlabicGraph._trace_faces, PlabicGraph._patch_faces),
+    edge_index=(lambda g: {e: k for k, e in enumerate(g._edge_ids) if e is not None}, None),
+    ckey=(lambda g: _canonical_key(g.b, g._colors, g._rot, g._dart_vertex), None),
+    classify=(_classify, None),
+)
 
 
 def lollipop_graph(decorations) -> PlabicGraph:

@@ -19,8 +19,7 @@ from itertools import combinations
 
 from .bridges import bridge_graph
 from .errors import BadBudget, NotReducedError, TooLarge
-from .graph import PlabicGraph
-from .normalize import _is_reduced
+from .graph import _FACTS, PlabicGraph
 from .perms import (
     DecoratedPermutation,
     _mask,
@@ -30,7 +29,7 @@ from .perms import (
     length,
     necklace_from_perm,
 )
-from .trips import _all_trips, decorated_trip_permutation
+from .trips import decorated_trip_permutation
 
 
 def face_labels(g: PlabicGraph, mode: str = "target", check: bool = True) -> dict:
@@ -52,57 +51,60 @@ def face_labels(g: PlabicGraph, mode: str = "target", check: bool = True) -> dic
 
 
 def _face_labels(g: PlabicGraph, mode: str, check: bool) -> dict:
-    """The labeling ``face_labels`` copies, kept in the graph's cache;
-    callers inside the package read it and must not change it."""
+    """The labeling ``face_labels`` copies, the fact "source_labels" or
+    "target_labels"; callers inside the package must not change it."""
     if mode not in ("source", "target"):
         raise ValueError(f"mode must be 'source' or 'target', got {mode!r}")
     if check:
-        red = _is_reduced(g)
+        red = g._fact("is_reduced")
         if not red.reduced:
             raise NotReducedError(red.witness)
-    cache_key = ("face_labels", mode)
-    if cache_key in g._cache:
-        return g._cache[cache_key]
+    return g._fact(mode + "_labels")
+
+
+def _label_faces(g: PlabicGraph, mode: str) -> dict:
+    """The labeling of ``face_labels`` in ``mode``, found afresh."""
     decorated = decorated_trip_permutation(g)
-    faces, fmap, _ = g._face_tables()
+    faces, fmap, _ = g._fact("faces")
     start = next((idx for idx, f in enumerate(faces) if f.kind == "boundary"), None)
     if start is None:
-        labels = {}
-    else:
-        b = g.b
-        arc = faces[start].rim_arcs[0]
-        # mark[d]: the mark of the one-way, non-fixed trip on dart d
-        mark = [None] * g._dart_bound()
-        seed = {i for i, dec in decorated.decorations.items() if dec == "over"}
-        for t in _all_trips(g):
-            if t.kind != "oneway" or t.source == t.target:
+        return {}
+    b = g.b
+    arc = faces[start].rim_arcs[0]
+    # mark[d]: the mark of the one-way, non-fixed trip on dart d
+    mark = [None] * g._dart_bound()
+    seed = {i for i, dec in decorated.decorations.items() if dec == "over"}
+    for t in g._fact("trips"):
+        if t.kind != "oneway" or t.source == t.target:
+            continue
+        m = t.source if mode == "source" else t.target
+        for d in t.darts:
+            mark[d] = m
+        if (arc - t.source) % b < (t.target - t.source) % b:
+            seed.add(m)
+    found = {start: frozenset(seed)}
+    queue = [start]
+    for f in queue:
+        label = found[f]
+        for d in faces[f].darts:
+            h = fmap[d ^ 1]
+            if h in found:
                 continue
-            m = t.source if mode == "source" else t.target
-            for d in t.darts:
-                mark[d] = m
-            if (arc - t.source) % b < (t.target - t.source) % b:
-                seed.add(m)
-        found = {start: frozenset(seed)}
-        queue = [start]
-        for f in queue:
-            label = found[f]
-            for d in faces[f].darts:
-                h = fmap[d ^ 1]
-                if h in found:
-                    continue
-                out, into = mark[d], mark[d ^ 1]
-                if out != into:
-                    label_h = set(label)
-                    label_h.discard(out)
-                    if into is not None:
-                        label_h.add(into)
-                    found[h] = frozenset(label_h)
-                else:
-                    found[h] = label
-                queue.append(h)
-        labels = {idx: found[idx] for idx in sorted(found)}
-    g._cache[cache_key] = labels
-    return labels
+            out, into = mark[d], mark[d ^ 1]
+            if out != into:
+                label_h = set(label)
+                label_h.discard(out)
+                if into is not None:
+                    label_h.add(into)
+                found[h] = frozenset(label_h)
+            else:
+                found[h] = label
+            queue.append(h)
+    return {idx: found[idx] for idx in sorted(found)}
+
+
+_FACTS["source_labels"] = (lambda g: _label_faces(g, "source"), None)
+_FACTS["target_labels"] = (lambda g: _label_faces(g, "target"), None)
 
 
 def label_collection(g: PlabicGraph, mode: str = "target", check: bool = True) -> frozenset:

@@ -26,7 +26,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import BadBudget, IllegalMove
-from .graph import BLACK, WHITE, Builder, PlabicGraph, other_color
+from .graph import _FACTS, BLACK, WHITE, Builder, PlabicGraph, other_color
 
 # kinds explored by the bounded search (inserts kept: they are needed to
 # undo contractions performed on the other side)
@@ -149,7 +149,7 @@ def _alternating_quad(g: PlabicGraph, face):
 
 def _square_condition_ok(g: PlabicGraph, face) -> bool:
     """Whether the four surrounding faces are consecutively distinct."""
-    fmap = g._face_tables()[1]
+    fmap = g._fact("faces")[1]
     around = [fmap[g.twin(d)] for d in face.darts]
     return all(around[k] != around[(k + 1) % 4] for k in range(4))
 
@@ -245,59 +245,55 @@ def _edge_sites(g: PlabicGraph, k):
     return specs[2] if _trivalent(rot, (u, w)) else specs[1]
 
 
-def _sites(g: PlabicGraph):
-    """``(vertex sites, edge sites)`` of g, derived once per graph: a dict
-    from each internal vertex with sites to its tuple of specs, and a list
-    of the tuples of specs of each edge index, empty at the holes.
+def _derive_sites(g: PlabicGraph):
+    """The fact "sites", ``(vertex sites, edge sites)``: a dict from each
+    internal vertex with sites to its tuple of specs, and a list of the
+    tuples of specs of each edge index, empty at the holes."""
+    vertex_sites = {}
+    for v in g._colors:
+        part = _vertex_sites(g, v)
+        if part:
+            vertex_sites[v] = part
+    return vertex_sites, [_edge_sites(g, k) for k in range(len(g._edge_ids))]
 
-    A graph made by a move starts from its parent's and re-derives the
-    sites a move can change: at the vertices whose rotations changed, at
-    their neighbours (a NormalFlip site reads its neighbours' colours and
-    degrees) and on the edges at the former or at removed vertices.
-    """
-    cache = g._cache
-    sites = cache.get("sites")
-    if sites is not None:
-        return sites
-    base = cache.pop("site_base", None)
-    rot, dv = g._rot, g._dart_vertex
-    if base is None:
-        vertex_sites = {}
-        for v in g._colors:
-            part = _vertex_sites(g, v)
-            if part:
-                vertex_sites[v] = part
-        edge_sites = [_edge_sites(g, k) for k in range(len(g._edge_ids))]
-    else:
-        (pvertex, pedge), prot, edited, touched = base
-        vertex_sites = pvertex.copy()
-        redo = set()  # edge indices
-        near = set(edited)
-        for v in edited:
-            for x in prot.get(v, ()):
-                redo.add(x >> 1)
-        for v in touched:
-            for x in rot[v]:
-                redo.add(x >> 1)
-                near.add(dv[x ^ 1])
-        colors = g._colors
-        for v in near:
-            # an untouched vertex keeps its degree, so only a NormalFlip
-            # site can come or go there
-            if v < 0 or v not in edited and len(rot[v]) != 2:
-                continue
-            part = _vertex_sites(g, v) if v in colors else ()
-            if part:
-                vertex_sites[v] = part
-            else:
-                vertex_sites.pop(v, None)
-        n, pn = len(g._edge_ids), len(pedge)
-        edge_sites = pedge[:n] if n <= pn else pedge + [()] * (n - pn)
-        for k in redo:
-            if k < n:
-                edge_sites[k] = _edge_sites(g, k)
-    sites = cache["sites"] = (vertex_sites, edge_sites)
-    return sites
+
+def _patch_sites(g: PlabicGraph, sites, prot, edited, touched):
+    """The fact "sites" from the sites of the graph g was made from by a
+    move: only the sites a move can change are derived again, at the
+    vertices whose rotations changed, at their neighbours (a NormalFlip
+    site reads its neighbours' colours and degrees) and on the edges at
+    the former or at removed vertices."""
+    pvertex, pedge = sites
+    rot, dv, colors = g._rot, g._dart_vertex, g._colors
+    vertex_sites = pvertex.copy()
+    redo = set()  # edge indices
+    near = set(edited)
+    for v in edited:
+        for x in prot.get(v, ()):
+            redo.add(x >> 1)
+    for v in touched:
+        for x in rot[v]:
+            redo.add(x >> 1)
+            near.add(dv[x ^ 1])
+    for v in near:
+        # an untouched vertex keeps its degree, so only a NormalFlip
+        # site can come or go there
+        if v < 0 or v not in edited and len(rot[v]) != 2:
+            continue
+        part = _vertex_sites(g, v) if v in colors else ()
+        if part:
+            vertex_sites[v] = part
+        else:
+            vertex_sites.pop(v, None)
+    n, pn = len(g._edge_ids), len(pedge)
+    edge_sites = pedge[:n] if n <= pn else pedge + [()] * (n - pn)
+    for k in redo:
+        if k < n:
+            edge_sites[k] = _edge_sites(g, k)
+    return vertex_sites, edge_sites
+
+
+_FACTS["sites"] = (_derive_sites, _patch_sites)
 
 
 def legal_moves(g: PlabicGraph):
@@ -315,11 +311,11 @@ def legal_moves(g: PlabicGraph):
     found on every call.  The vertex and edge sites are derived once per
     graph, and a graph made by a move re-derives only those at the
     vertices the move touched, at their neighbours and on their edges,
-    keeping its parent's others (``_sites``).
+    keeping its parent's others (``_patch_sites``).
     """
     rot = g._rot
     out = []
-    faces = g._face_tables()[0]
+    faces = g._fact("faces")[0]
     for idx, vs in _alternating_quads(g, faces):
         face = faces[idx]
         if _trivalent(rot, vs):
@@ -327,7 +323,7 @@ def legal_moves(g: PlabicGraph):
                                 condition_ok=_square_condition_ok(g, face)))
         if _urban_corners_ok(g, face, vs):
             out.append(MoveSpec("UrbanRenewal", face=idx))
-    vertex_sites, edge_sites = _sites(g)
+    vertex_sites, edge_sites = g._fact("sites")
     for v in sorted(vertex_sites):
         out += vertex_sites[v]
     for part in edge_sites:
@@ -373,7 +369,7 @@ def _frozen(h):
 
 
 def _face_at(g, idx):
-    faces = g._face_tables()[0]
+    faces = g._fact("faces")[0]
     if idx is None or not 0 <= idx < len(faces):
         raise IllegalMove(f"no face with index {idx}")
     return faces[idx]
@@ -497,7 +493,7 @@ def _apply_urban(g, m):
     out = bld.freeze()
     new_square = set(new_whites) | set(merged)
     inv_face = None
-    for idx, f in enumerate(out._face_tables()[0]):
+    for idx, f in enumerate(out._fact("faces")[0]):
         if f.kind == "internal" and len(f.darts) == 4:
             if {out.dart_vertex(d) for d in f.darts} == new_square:
                 inv_face = idx
@@ -617,7 +613,6 @@ def move_equivalent(
     candidate is keyed unfrozen, and only the match is frozen).  The state
     cap counts both sides.
     """
-    from .normalize import _is_reduced
     from .trips import decorated_trip_permutation, trip_permutation
 
     if not isinstance(budget, int) or isinstance(budget, bool) or budget < 0:
@@ -626,7 +621,7 @@ def move_equivalent(
         return EquivalenceResult(
             "not_equivalent", reason="trip permutations differ"
         )
-    r1, r2 = _is_reduced(g1), _is_reduced(g2)
+    r1, r2 = g1._fact("is_reduced"), g2._fact("is_reduced")
     if r1.reduced != r2.reduced:
         return EquivalenceResult(
             "not_equivalent", reason="exactly one side is reduced"

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import BLACK, WHITE, Builder, PlabicGraph, _collapse_pendant, _pendant_vertices
+from .graph import _FACTS, BLACK, WHITE, Builder, PlabicGraph, _collapse_pendant, _pendant_vertices
 from .trips import bad_features
 
 
@@ -55,15 +55,13 @@ def normalize(g: PlabicGraph) -> NormalizeResult:
     holds the same frozen normal graph and new copies of
     ``lollipops_removed`` and ``label_map``.
     """
-    res = g._cache.get("normalize")
-    if res is None:
-        res = g._cache["normalize"] = _normalize(g)
+    res = g._fact("normalize")
     return NormalizeResult(res.normal, res.witness, list(res.lollipops_removed),
                            dict(res.label_map))
 
 
 def _normalize(g: PlabicGraph) -> NormalizeResult:
-    """The stages of ``normalize``, run afresh."""
+    """The fact "normalize": the stages of ``normalize``."""
     bld = Builder(g)
     _collapse_pendant(bld, _pendant_vertices(g))
     # loops certify non-reducedness immediately; report the smallest edge id
@@ -156,22 +154,19 @@ def is_reduced(g: PlabicGraph) -> ReducednessResult:
 
     Decided once per graph, from the graph's cached normal form; every call
     returns a new result, which shares the (immutable) witness."""
-    res = _is_reduced(g)
+    res = g._fact("is_reduced")
     return ReducednessResult(res.reduced, res.witness)
 
 
-def _is_reduced(g: PlabicGraph) -> ReducednessResult:
-    """The result ``is_reduced`` copies, kept in the graph's cache; callers
-    inside the package read it and must not change it."""
-    if "is_reduced" in g._cache:
-        return g._cache["is_reduced"]
-    res = normalize(g)
+def _decide_reduced(g: PlabicGraph) -> ReducednessResult:
+    """The fact "is_reduced", the result ``is_reduced`` copies."""
+    res = g._fact("normalize")
     if not res.ok:
-        out = ReducednessResult(False, res.witness)
+        return ReducednessResult(False, res.witness)
     # a normal form with b = 0 is the empty graph, which has no features
-    elif feats := bad_features(res.normal):
-        out = ReducednessResult(False, Witness(feats[0].kind, edges=feats[0].edges))
-    else:
-        out = ReducednessResult(True)
-    g._cache["is_reduced"] = out
-    return out
+    if feats := bad_features(res.normal):
+        return ReducednessResult(False, Witness(feats[0].kind, edges=feats[0].edges))
+    return ReducednessResult(True)
+
+
+_FACTS.update(normalize=(_normalize, None), is_reduced=(_decide_reduced, None))

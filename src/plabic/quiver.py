@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BadWord, FrozenVertex, NotATriangulation
+from .errors import BadLabel, BadWord, FrozenVertex, NotATriangulation
 from .graph import BLACK, WHITE, PlabicGraph, _int_id
 
 
@@ -26,10 +26,11 @@ class Quiver:
         return [k for k, _ in self.vertices]
 
     def frozen(self, key) -> bool:
+        """Whether the vertex is frozen; BadLabel for a key the quiver lacks."""
         for k, fr in self.vertices:
             if k == key:
                 return fr
-        raise KeyError(key)
+        raise BadLabel(f"the quiver has no vertex {key!r}")
 
     def m(self, u, v) -> int:
         """Signed multiplicity of arrows u -> v."""
@@ -97,14 +98,13 @@ def quiver_of(g: PlabicGraph, keys: str = "auto") -> Quiver:
     (``keys="ids"``); ``"auto"`` picks labels exactly when reduced.
     """
     from .labels import _face_labels
-    from .normalize import _is_reduced
 
     if keys not in ("auto", "labels", "ids"):
         raise ValueError(f"keys must be 'auto', 'labels' or 'ids', got {keys!r}")
-    faces, fmap, _ = g._face_tables()
+    faces, fmap, _ = g._fact("faces")
     nonouter = [idx for idx, f in enumerate(faces) if f.kind != "outer"]
     if keys == "auto":
-        keys = "labels" if _is_reduced(g).reduced else "ids"
+        keys = "labels" if g._fact("is_reduced").reduced else "ids"
     if keys == "labels":
         labeling = _face_labels(g, "target", True)
         key_of = {idx: frozenset(labeling[idx]) for idx in nonouter}

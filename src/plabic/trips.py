@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BadLabel, HasInternalLeaf, NotNormal, UndecoratableFixedPoint
-from .graph import WHITE, PlabicGraph, _orbit, classify
+from .graph import _FACTS, WHITE, PlabicGraph, _orbit, classify
 from .perms import DecoratedPermutation
 
 
@@ -44,7 +44,7 @@ def trip_from(g: PlabicGraph, i: int) -> Trip:
     """The trip entering the disk at boundary label i."""
     if isinstance(i, bool) or not isinstance(i, int) or not 1 <= i <= g.b:
         raise BadLabel(f"boundary label {i!r} not in 1..{g.b}")
-    return _all_trips(g)[i - 1]
+    return g._fact("trips")[i - 1]
 
 
 def all_trips(g: PlabicGraph):
@@ -53,16 +53,13 @@ def all_trips(g: PlabicGraph):
     All of them are traced from one trip-successor table, in O(darts),
     once per graph; every call returns a new list.
     """
-    return list(_all_trips(g))
+    return list(g._fact("trips"))
 
 
-def _all_trips(g: PlabicGraph):
-    """The trips ``all_trips`` lists, as a tuple kept in the graph's
-    cache, for the readers inside the package: orbits of the successor
-    fill over the internal vertices with ``black=-1``, where a dart into
-    the boundary has no successor and so ends its trip."""
-    if "trips" in g._cache:
-        return g._cache["trips"]
+def _trace_trips(g: PlabicGraph):
+    """The fact "trips", the tuple ``all_trips`` lists: orbits of the
+    successor fill over the internal vertices with ``black=-1``, where a
+    dart into the boundary has no successor and so ends its trip."""
     limit = g._dart_bound()
     nxt = [-1] * limit  # the darts into the boundary keep -1: trips end there
     g._fill_successors(nxt, g._colors, -1)
@@ -82,13 +79,12 @@ def _all_trips(g: PlabicGraph):
                 cyc = _orbit(nxt, d0, limit)
                 rest.difference_update(cyc)
                 trips.append(Trip("roundtrip", None, None, tuple(cyc)))
-    trips = g._cache["trips"] = tuple(trips)
-    return trips
+    return tuple(trips)
 
 
 def trip_permutation(g: PlabicGraph):
     """The boundary connectivity of one-way trips, as a list of targets."""
-    return [t.target for t in _all_trips(g)[: g.b]]
+    return [t.target for t in g._fact("trips")[: g.b]]
 
 
 def decorated_trip_permutation(g: PlabicGraph) -> DecoratedPermutation:
@@ -106,20 +102,22 @@ def decorated_trip_permutation(g: PlabicGraph) -> DecoratedPermutation:
     are computed once per graph; every call returns a new permutation
     object with its own ``decorations`` dict.
     """
-    cached = g._cache.get("decorated")
-    if cached is None:
-        values = trip_permutation(g)
-        decorations = {}
-        for i in range(1, g.b + 1):
-            if values[i - 1] != i:
-                continue
-            tree = _hanging_tree(g, g.boundary_dart(i) ^ 1)
-            color = None if tree is None else _fold_tree(g, *tree)
-            if color is None:
-                raise UndecoratableFixedPoint(i)
-            decorations[i] = "over" if color == WHITE else "under"
-        cached = g._cache["decorated"] = (tuple(values), decorations)
-    return DecoratedPermutation._trusted(*cached)
+    return DecoratedPermutation._trusted(*g._fact("decorated"))
+
+
+def _decorate(g: PlabicGraph):
+    """The fact "decorated": the values and the fixed-point decorations."""
+    values = trip_permutation(g)
+    decorations = {}
+    for i in range(1, g.b + 1):
+        if values[i - 1] != i:
+            continue
+        tree = _hanging_tree(g, g.boundary_dart(i) ^ 1)
+        color = None if tree is None else _fold_tree(g, *tree)
+        if color is None:
+            raise UndecoratableFixedPoint(i)
+        decorations[i] = "over" if color == WHITE else "under"
+    return tuple(values), decorations
 
 
 def _hanging_tree(g: PlabicGraph, entry: int):
@@ -166,7 +164,7 @@ def _fold_tree(g: PlabicGraph, order, kids):
 def edge_labels(g: PlabicGraph) -> dict:
     """Map each edge id to the set of boundary labels whose trip uses it."""
     labels = {e: set() for e in g.edge_ids}
-    for t in _all_trips(g):
+    for t in g._fact("trips"):
         if t.kind != "oneway":
             continue
         for d in t.darts:
@@ -224,17 +222,14 @@ def bad_features(g: PlabicGraph):
 
     The scan runs once per graph; every call returns a new list.
     """
-    feats = g._cache.get("bad_features")
-    if feats is None:
-        feats = g._cache["bad_features"] = tuple(_scan_bad_features(g))
-    return list(feats)
+    return list(g._fact("bad_features"))
 
 
 def _scan_bad_features(g: PlabicGraph):
     info = classify(g)
     if not info["normal"]:
         raise NotNormal("bad feature detection requires a normal plabic graph")
-    trips = _all_trips(g)
+    trips = g._fact("trips")
     feats = [
         BadFeature("roundtrip", tuple(sorted({g.edge_id(d) for d in t.darts})))
         for t in trips[g.b :]
@@ -259,4 +254,8 @@ def _scan_bad_features(g: PlabicGraph):
             for e2 in edges[k + 1 :]:
                 if first[s2, e1] < first[s2, e2]:
                     feats.append(BadFeature("bad_double_crossing", (e1, e2)))
-    return feats
+    return tuple(feats)
+
+
+_FACTS.update(trips=(_trace_trips, None), decorated=(_decorate, None),
+              bad_features=(_scan_bad_features, None))

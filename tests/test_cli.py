@@ -213,6 +213,26 @@ def test_info_on_text_that_is_not_json_exits_1(capsys, monkeypatch):
     assert "malformed graph JSON: " in payload["message"]
 
 
+@pytest.mark.parametrize(
+    "text", ["{", "[" * 100_000, "9" * 5000],
+    ids=["unclosed", "nested-past-the-recursion-limit", "int-past-the-digit-limit"],
+)
+@pytest.mark.parametrize(
+    "command, error",
+    [("info", "InvalidGraph"), ("move", "IllegalMove"), ("triangulation", "NotATriangulation")],
+)
+def test_json_python_cannot_parse_is_a_typed_error(command, error, text, tmp_path, capsys,
+                                                     fixture_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    argv = {"info": ["info", str(bad)],
+            "move": ["move", fixture_path("square_fan_b5"), "--spec", text],
+            "triangulation": ["gen", "triangulation", str(bad)]}[command]
+    code, out, err = run(argv, capsys=capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == error
+
+
 def test_perm_dab_missing_argument_exit_1(capsys, monkeypatch):
     code, out, err = run(["perm", "dab", "3"], capsys=capsys)
     assert code == 1 and out == ""

@@ -1,6 +1,9 @@
 import json
 import random
+import re
+import weakref
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -318,6 +321,15 @@ def test_text_that_is_not_json_is_an_invalid_graph(text):
     assert problem.startswith("malformed graph JSON: ")
 
 
+@pytest.mark.parametrize("text", ["[" * 100_000, '{"b": ' + "9" * 5000 + "}"],
+                         ids=["nested-past-the-recursion-limit", "int-past-the-digit-limit"])
+def test_json_python_cannot_parse_is_an_invalid_graph(text):
+    with pytest.raises(InvalidGraph) as err:
+        PlabicGraph.from_json(text)
+    (problem,) = err.value.problems
+    assert problem.startswith("malformed graph JSON: ")
+
+
 def test_a_move_keeps_untouched_darts_and_rotations():
     g = F.square_fan_b5()
     g.faces()
@@ -448,23 +460,48 @@ def test_face_order_does_not_depend_on_how_a_graph_was_built():
 
 
 def test_a_move_child_inherits_only_face_tables():
-    """The facts cached on a graph hold for it alone; a move's result may
-    start only from its parent's face tables and move sites."""
-    inheritable = {"faces", "base", "site_base"}
+    """The facts cached on a graph hold for it alone.  A move's result
+    starts only with its hand-down record, which holds its parent's values
+    of the facts that have a patch, the face tables and move sites; once
+    those are read the record is gone, and nothing keeps the parent alive.
+    UrbanRenewal reads its result's faces to find the inverse move, so
+    that result has its faces too, patched from the record."""
+    patched = {name for name, (_, patch) in graph_module._FACTS.items() if patch}
+    assert patched == {"faces", "sites"}
+    hand_down = graph_module._HAND_DOWN
     kinds = set()
-    for g in (F.square_fan_b5(), F.normal_b5(), F.urban_left_b7()):
-        validate(g)
-        classify(g)
-        g.canonical_key()
-        g.darts_of_edge(g.edge_ids[0])
-        face_labels(g, "target")
-        normalize(g)
-        if classify(g)["normal"]:
-            bad_features(g)
-        assert {"valid", "classify", "ckey", "edge_index", "trips", "decorated",
-                "normalize", "is_reduced"} <= set(g._cache)
-        for m in legal_moves(g):
+    for make in (F.square_fan_b5, F.normal_b5, F.urban_left_b7):
+        for m in legal_moves(make()):
+            g = make()
+            validate(g)
+            classify(g)
+            g.canonical_key()
+            g.darts_of_edge(g.edge_ids[0])
+            face_labels(g, "target")
+            normalize(g)
+            if classify(g)["normal"]:
+                bad_features(g)
+            legal_moves(g)
+            assert {"valid", "classify", "ckey", "edge_index", "trips", "decorated",
+                    "normalize", "is_reduced", "faces", "sites"} <= set(g._cache)
             h = apply_move(g, m)
             kinds.add(m.kind)
-            assert set(h._cache) <= inheritable, (m, set(h._cache))
+            own = {"faces"} if m.kind == "UrbanRenewal" else set()
+            assert set(h._cache) == {hand_down} | own, (m, set(h._cache))
+            assert set(h._cache[hand_down][0]) <= patched - own, m
+            parent = weakref.ref(g)
+            del g
+            h.faces()
+            legal_moves(h)
+            assert set(h._cache) == {"faces", "sites"}, (m, set(h._cache))
+            assert parent() is None, m
     assert {"SquareM1", "UrbanRenewal", "NormalFlip"} <= kinds, kinds
+
+
+def test_only_the_graph_module_names_the_cache():
+    """Every derived fact is read through ``PlabicGraph._fact``: no other
+    module keeps its own stanza on ``_cache``."""
+    src = Path(graph_module.__file__).parent
+    named = [p.name for p in sorted(src.glob("*.py"))
+             if p.name != "graph.py" and re.search(r"\b_cache\b", p.read_text())]
+    assert named == []

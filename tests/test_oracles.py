@@ -1243,14 +1243,15 @@ def _oracle_walk(g, steps, rng, kinds, balanced, counts):
         else:
             mv = rng.choice([m for kind in kinds for m in sites.get(kind, ())])
         h = apply_move(g, mv)
-        if "base" in h._cache:
+        handed = h._cache.get(graph_module._HAND_DOWN, ({},))[0]
+        if "faces" in handed:
             counts["patched"] += 1
-        if "site_base" in h._cache:  # legal_moves(g) ran, so g had sites
+        if "sites" in handed:  # legal_moves(g) ran, so g had sites
             counts["sites"] += 1
         fresh = _traced_afresh(h)
         assert h.faces() == fresh.faces(), (g.to_json(), mv)
         assert h.face_of_dart() == fresh.face_of_dart(), (g.to_json(), mv)
-        assert "base" not in h._cache
+        assert "faces" not in handed
         assert legal_moves(h) == legal_moves_reference(h), (g.to_json(), mv)
         counts[mv.kind] += 1
         if sum(counts[kind] for kind in KINDS) % 5 == 0:

@@ -5,6 +5,7 @@ import pytest
 import plabic
 
 from plabic import (
+    BadLabel,
     BadWord,
     FrozenVertex,
     NotATriangulation,
@@ -86,6 +87,13 @@ def test_module_level_mutate_rejects_a_frozen_vertex():
     frozen_key = next(k for k, fr in q.vertices if fr)
     with pytest.raises(FrozenVertex):
         plabic.mutate(q, frozen_key)
+
+
+@pytest.mark.parametrize("mutate", [plabic.Quiver.mutate, plabic.mutate], ids=["method", "module"])
+def test_mutation_at_a_key_the_quiver_lacks_is_a_bad_label(mutate):
+    q = quiver_of(F.square_fan_b5())
+    with pytest.raises(BadLabel):
+        mutate(q, "zz")
 
 
 def test_square_move_is_mutation_on_grid():

@@ -2,7 +2,7 @@ import pytest
 
 from plabic import NotNormal, TripleView, is_reduced, legal_moves, normalize, trip_permutation
 from plabic import fixtures as F
-from plabic import trips as trips_module
+from plabic import graph as graph_module
 from conftest import random_decorated_permutation
 
 
@@ -72,16 +72,18 @@ def test_tikz_overlay():
 def test_minimality_after_is_reduced_scans_no_more(monkeypatch):
     """``is_reduced`` scans the normal form for bad features once; the
     minimality of that normal form reads the same scan."""
-    real = trips_module._all_trips
     traced = []
-    monkeypatch.setattr(trips_module, "_all_trips", lambda g: traced.append(g) or real(g))
+    for name in ("trips", "bad_features"):
+        real = graph_module._FACTS[name][0]
+        spy = (lambda g, real=real, name=name: traced.append((name, g)) or real(g), None)
+        monkeypatch.setitem(graph_module._FACTS, name, spy)
     names = ("square_fan_b5", "two_trees_b6", "adjacent_squares_b3", "white_digon_b2",
              "mixed_digon_b2", "grid_fragment_b4", "presplit_b5")
     for name in names:
         g = F.ALL_NAMED[name]()
         reduced = is_reduced(g).reduced
         normal = normalize(g).normal
-        assert [h for h in traced if h is normal] == [normal]
+        assert [fact for fact, h in traced if h is normal] == ["bad_features", "trips"]
         traced.clear()
         assert TripleView(normal).minimality().minimal is reduced
         assert traced == []
