@@ -197,15 +197,14 @@ class PlabicGraph:
         cache = self._cache
         value = cache.get(name)
         if value is None:
-            compute, patch = _FACTS[name]
             record = cache.get(_HAND_DOWN)
             if record is not None and name in record[0]:
                 handed, prot, edited, touched = record
-                value = patch(self, handed.pop(name), prot, edited, touched)
+                value = _PATCHES[name](self, handed.pop(name), prot, edited, touched)
                 if not handed:
                     del cache[_HAND_DOWN]
             else:
-                value = compute(self)
+                value = _FACTS[name](self)
             cache[name] = value
         return value
 
@@ -1018,8 +1017,7 @@ class Builder:
         parent = self._graph
         if parent is not None:
             pc = parent._cache
-            handed = {name: pc[name] for name, (_, patch) in _FACTS.items()
-                      if patch is not None and name in pc}
+            handed = {name: pc[name] for name in _PATCHES if name in pc}
             if handed:
                 g._cache[_HAND_DOWN] = (handed, parent._rot, self._touched | touched, touched)
         return g
@@ -1145,16 +1143,16 @@ def _classify(g: PlabicGraph) -> dict:
 
 
 # The facts derived from a graph, registered by the modules that own them:
-# name -> (compute, patch).  ``compute(g)`` derives a fact from g alone,
-# ``patch(g, parent value, parent rotations, edited, touched)`` from the
-# value of the graph g was made from by a move (``Builder.freeze``), and
-# may be None.  No value is None.
+# ``_FACTS[name](g)`` derives a fact (never None) from g alone, and
+# ``_PATCHES[name](g, parent value, parent rotations, edited, touched)``
+# from the value of the graph a move made g from (``Builder.freeze``).
 _FACTS = dict(
-    faces=(PlabicGraph._trace_faces, PlabicGraph._patch_faces),
-    edge_index=(lambda g: {e: k for k, e in enumerate(g._edge_ids) if e is not None}, None),
-    ckey=(lambda g: _canonical_key(g.b, g._colors, g._rot, g._dart_vertex), None),
-    classify=(_classify, None),
+    faces=PlabicGraph._trace_faces,
+    edge_index=lambda g: {e: k for k, e in enumerate(g._edge_ids) if e is not None},
+    ckey=lambda g: _canonical_key(g.b, g._colors, g._rot, g._dart_vertex),
+    classify=_classify,
 )
+_PATCHES = dict(faces=PlabicGraph._patch_faces)
 
 
 def lollipop_graph(decorations) -> PlabicGraph:

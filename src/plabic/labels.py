@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections import deque
 from itertools import combinations
 
+from . import normalize  # registers the fact "is_reduced"
 from .bridges import bridge_graph
 from .errors import BadBudget, NotReducedError, TooLarge
 from .graph import _FACTS, PlabicGraph
@@ -103,8 +104,8 @@ def _label_faces(g: PlabicGraph, mode: str) -> dict:
     return {idx: found[idx] for idx in sorted(found)}
 
 
-_FACTS["source_labels"] = (lambda g: _label_faces(g, "source"), None)
-_FACTS["target_labels"] = (lambda g: _label_faces(g, "target"), None)
+_FACTS["source_labels"] = lambda g: _label_faces(g, "source")
+_FACTS["target_labels"] = lambda g: _label_faces(g, "target")
 
 
 def label_collection(g: PlabicGraph, mode: str = "target", check: bool = True) -> frozenset:

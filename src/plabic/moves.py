@@ -26,7 +26,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import BadBudget, IllegalMove
-from .graph import _FACTS, BLACK, WHITE, Builder, PlabicGraph, other_color
+from .graph import _FACTS, _PATCHES, BLACK, WHITE, Builder, PlabicGraph, other_color
 
 # kinds explored by the bounded search (inserts kept: they are needed to
 # undo contractions performed on the other side)
@@ -293,7 +293,7 @@ def _patch_sites(g: PlabicGraph, sites, prot, edited, touched):
     return vertex_sites, edge_sites
 
 
-_FACTS["sites"] = (_derive_sites, _patch_sites)
+_FACTS["sites"], _PATCHES["sites"] = _derive_sites, _patch_sites
 
 
 def legal_moves(g: PlabicGraph):
@@ -613,6 +613,7 @@ def move_equivalent(
     candidate is keyed unfrozen, and only the match is frozen).  The state
     cap counts both sides.
     """
+    from . import normalize  # registers the fact "is_reduced"
     from .trips import decorated_trip_permutation, trip_permutation
 
     if not isinstance(budget, int) or isinstance(budget, bool) or budget < 0:

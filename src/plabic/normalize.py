@@ -169,4 +169,4 @@ def _decide_reduced(g: PlabicGraph) -> ReducednessResult:
     return ReducednessResult(True)
 
 
-_FACTS.update(normalize=(_normalize, None), is_reduced=(_decide_reduced, None))
+_FACTS.update(normalize=_normalize, is_reduced=_decide_reduced)

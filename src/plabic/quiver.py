@@ -97,6 +97,7 @@ def quiver_of(g: PlabicGraph, keys: str = "auto") -> Quiver:
     the graph is reduced (``keys="labels"``), or raw face indices
     (``keys="ids"``); ``"auto"`` picks labels exactly when reduced.
     """
+    from . import normalize  # registers the fact "is_reduced"
     from .labels import _face_labels
 
     if keys not in ("auto", "labels", "ids"):

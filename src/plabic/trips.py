@@ -257,5 +257,4 @@ def _scan_bad_features(g: PlabicGraph):
     return tuple(feats)
 
 
-_FACTS.update(trips=(_trace_trips, None), decorated=(_decorate, None),
-              bad_features=(_scan_bad_features, None))
+_FACTS.update(trips=_trace_trips, decorated=_decorate, bad_features=_scan_bad_features)

@@ -466,7 +466,7 @@ def test_a_move_child_inherits_only_face_tables():
     those are read the record is gone, and nothing keeps the parent alive.
     UrbanRenewal reads its result's faces to find the inverse move, so
     that result has its faces too, patched from the record."""
-    patched = {name for name, (_, patch) in graph_module._FACTS.items() if patch}
+    patched = set(graph_module._PATCHES)
     assert patched == {"faces", "sites"}
     hand_down = graph_module._HAND_DOWN
     kinds = set()

@@ -71,19 +71,32 @@ def test_tikz_overlay():
 
 def test_minimality_after_is_reduced_scans_no_more(monkeypatch):
     """``is_reduced`` scans the normal form for bad features once; the
-    minimality of that normal form reads the same scan."""
-    traced = []
+    minimality of that normal form reads the same scan.  Every read of a
+    fact is recorded, cache hits too, and so is every derivation of the
+    trips and the scan."""
+    real_fact = graph_module.PlabicGraph._fact
+    read, derived = [], []
+
+    def fact(g, name):
+        read.append((name, g))
+        return real_fact(g, name)
+
+    monkeypatch.setattr(graph_module.PlabicGraph, "_fact", fact)
     for name in ("trips", "bad_features"):
-        real = graph_module._FACTS[name][0]
-        spy = (lambda g, real=real, name=name: traced.append((name, g)) or real(g), None)
-        monkeypatch.setitem(graph_module._FACTS, name, spy)
+        real = graph_module._FACTS[name]
+        monkeypatch.setitem(graph_module._FACTS, name,
+                            lambda g, real=real, name=name: derived.append((name, g)) or real(g))
     names = ("square_fan_b5", "two_trees_b6", "adjacent_squares_b3", "white_digon_b2",
              "mixed_digon_b2", "grid_fragment_b4", "presplit_b5")
     for name in names:
         g = F.ALL_NAMED[name]()
         reduced = is_reduced(g).reduced
         normal = normalize(g).normal
-        assert [fact for fact, h in traced if h is normal] == ["bad_features", "trips"]
-        traced.clear()
+        assert [fact for fact, h in read if h is normal].count("trips") == 1
+        assert [fact for fact, h in derived if h is normal] == ["bad_features", "trips"]
+        read.clear()
+        derived.clear()
         assert TripleView(normal).minimality().minimal is reduced
-        assert traced == []
+        facts = [fact for fact, _ in read]
+        assert facts.count("bad_features") == 1 and "trips" not in facts, facts
+        assert derived == []
