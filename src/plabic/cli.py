@@ -16,7 +16,8 @@ from pathlib import Path
 
 from . import fixtures
 from .bridges import bridge_graph
-from .errors import BadWord, IllegalMove, NotATriangulation, PlabicError
+from .errors import (BadWord, IllegalMove, MalformedPermutation, MalformedWindow,
+                     NotATriangulation, PlabicError)
 from .graph import PlabicGraph, _loads, classify, lollipop_graph
 from .labels import enumerate_ws, face_labels
 from .moves import MoveSpec, apply_move, move_equivalent
@@ -30,6 +31,7 @@ from .perms import (
     length,
     necklace_from_perm,
     positroid,
+    _parse_int,
 )
 from .quiver import from_triangulation, from_wiring, parse_word, quiver_of
 from .trips import all_trips, decorated_trip_permutation, edge_labels, trip_permutation
@@ -184,7 +186,7 @@ def cmd_perm(args) -> int:
         f = affinize(DecoratedPermutation.parse(args.arg))
         print(" ".join(str(x) for x in f.window))
     elif args.op == "length":
-        f = BoundedAffinePermutation([int(t) for t in args.arg.split()])
+        f = BoundedAffinePermutation([_parse_int(t, MalformedWindow) for t in args.arg.split()])
         print(length(f))
     elif args.op == "necklace":
         nk = necklace_from_perm(DecoratedPermutation.parse(args.arg))
@@ -196,8 +198,8 @@ def cmd_perm(args) -> int:
             print(format_subset(s, p.b))
     elif args.op == "dab":
         if args.extra is None:
-            raise ValueError("perm dab needs two integers: a and b")
-        a, b = int(args.arg), int(args.extra)
+            raise MalformedPermutation("perm dab needs two integers: a and b")
+        a, b = (_parse_int(t, MalformedPermutation) for t in (args.arg, args.extra))
         print(count_dab(a, b))
     else:  # pragma: no cover
         raise PlabicError(f"unknown perm op {args.op!r}")
@@ -291,9 +293,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except PlabicError as err:
-        return _fail(err)
-    except (OSError, ValueError) as err:
+    except (PlabicError, OSError, ValueError) as err:
         return _fail(err)
 
 

@@ -370,12 +370,9 @@ class PlabicGraph:
         the dirty faces, in sorted order.  When they are not as many as
         the dirty faces, or a new walk would not fall between the kept
         faces around its place, some kept face changes index, and the
-        faces are traced afresh instead (``_trace_faces``), as they are
-        when there is no boundary.
+        faces are traced afresh instead (``_trace_faces``).
         """
         b, rot, dv = self.b, self._rot, self._dart_vertex
-        if not b:
-            return self._trace_faces()
         pfaces, pface_of, pnxt = tables
         n, pn = self._dart_bound(), len(pnxt)
         if n <= pn:
@@ -582,7 +579,8 @@ def _canonical_key(b, colors, rot, dv):
 
 def _number_darts(b, colors, rot, keys, shift, ids=None) -> PlabicGraph:
     """The graph of per-vertex clockwise entries with dense dart numbers:
-    the one place that numbers darts from scratch.
+    the one place that numbers darts from scratch, for ``_checked_graph``
+    and ``Builder._number_afresh``.
 
     ``rot`` maps vertices to clockwise lists of entries, entry ``x`` lies on
     the edge with key ``x >> shift``, and ``keys`` lists the edge keys in
@@ -616,6 +614,13 @@ def _checked_graph(b, colors, rotation):
     None); connectivity and the Euler count then run on it, so the faces
     traced for the count stay in its cache.
     """
+    try:  # the shape ``_checked_json`` decodes JSON to: int ids, a list per vertex
+        for v in [*colors.keys(), *rotation.keys()]:
+            _int_id(v)
+        if bad := [v for v, es in rotation.items() if type(es) is not list]:
+            raise TypeError(f"the rotation of vertex {bad[0]} is not a list")
+    except (AttributeError, TypeError) as exc:
+        return ValidationReport([f"malformed graph object: {exc}"]), None
     rep = ValidationReport()
     if isinstance(b, bool) or not isinstance(b, int) or b < 0:
         rep.add(f"b must be a nonnegative integer, got {b!r}")
@@ -734,6 +739,8 @@ class Builder:
     A builder keeps the graph it started from alive until it is dropped.
     ``recolor`` records the vertex as touched, like an edit of its
     rotation, so the frozen graph re-derives the move sites around it.
+    A builder never changes the boundary (b and the labels), so the
+    frozen graph may patch the facts of the graph it started from.
     """
 
     def __init__(self, g: PlabicGraph):
@@ -910,11 +917,9 @@ class Builder:
     def delete_leaf_edge(self, v):
         """Delete a degree-1 internal vertex together with its edge."""
         (d,) = self.rot[v]
-        u = self.dv[d ^ 1]
-        self._edit(u).remove(d ^ 1)
+        self._edit(self.dv[d ^ 1]).remove(d ^ 1)
         self._drop_vertex(v)
         self._drop_edge(d)
-        return u
 
     def _drop_edge(self, d):
         del self.dv[d]
@@ -925,39 +930,12 @@ class Builder:
             self._max_edge_id = None
         self.ids[k] = None
 
-    def relabel_boundary(self, keep_labels):
-        """Keep only the listed boundary labels, renumbering 1..b' in order."""
-        keep = sorted(keep_labels)
-        mapping = {}
-        for new, old in enumerate(keep, start=1):
-            mapping[old] = new
-        new_rot = {}
-        for v, ds in self.rot.items():
-            if v < 0:
-                old = -v
-                if old not in mapping:
-                    raise ValueError(f"boundary vertex {old} still has edges")
-                new_rot[-mapping[old]] = ds
-            else:
-                new_rot[v] = ds
-        self.rot = new_rot
-        for d, v in list(self.dv.items()):
-            if v < 0:
-                self.dv[d] = -mapping[-v]
-        # boundary ids keep their order, so no even dart changes; the rim
-        # does, so the result traces its faces afresh
-        self._touched = {-mapping[-v] if v < 0 else v for v in self._touched
-                         if v >= 0 or -v in mapping}
-        self._graph = None
-        self.b = len(keep)
-        return mapping
-
-    def drop_isolated_boundary(self, label):
-        """Remove an edgeless boundary vertex (after its lollipop was deleted)."""
-        assert not self.rot.get(-label)
-        self.rot.pop(-label, None)
-        self._touched.add(-label)
-        self._graph = None
+    def _number_afresh(self, b, rot) -> PlabicGraph:
+        """Rotations ``rot`` of these darts and b labels, numbered by ``_number_darts``
+        with the live edge indices ranked by id; for ``freeze`` and ``normalize``."""
+        ids = self.ids
+        keys = sorted((k for k, e in enumerate(ids) if e is not None), key=ids.__getitem__)
+        return _number_darts(b, self.colors, rot, keys, 1, ids)
 
     def freeze(self) -> PlabicGraph:
         """Produce the immutable graph; public ids are preserved.
@@ -968,7 +946,7 @@ class Builder:
         index.  Only edges at touched vertices can then break the even-dart
         rule; the two darts of such an edge trade numbers.  Once holes pass
         half the index space, darts are numbered afresh by
-        ``_number_darts``.  Otherwise the result gets a hand-down record
+        ``_number_afresh``.  Otherwise the result gets a hand-down record
         for ``PlabicGraph._fact``: the starting graph's values of the facts
         with a patch, its rotations, and the vertices edited (touched or
         removed) and touched.  It holds no graph, so no ancestor stays alive.
@@ -978,8 +956,7 @@ class Builder:
         while n and ids[n - 1] is None:
             n -= 1
         if len(self.dv) < n:  # more holes than edges
-            keys = sorted((k for k in range(n) if ids[k] is not None), key=ids.__getitem__)
-            return _number_darts(self.b, self.colors, self.rot, keys, 1, ids)
+            return self._number_afresh(self.b, self.rot)
         rot = dict(self.rot)
         dv = dict(self.dv)
         touched = {v for v in self._touched if v in rot}
@@ -1014,12 +991,10 @@ class Builder:
             else:
                 rot[v] = tuple(rot[v])
         g = PlabicGraph._from_parts(self.b, dict(self.colors), rot, dv, tuple(ids[:n]))
-        parent = self._graph
-        if parent is not None:
-            pc = parent._cache
-            handed = {name: pc[name] for name in _PATCHES if name in pc}
-            if handed:
-                g._cache[_HAND_DOWN] = (handed, parent._rot, self._touched | touched, touched)
+        pc = self._graph._cache
+        handed = {name: pc[name] for name in _PATCHES if name in pc}
+        if handed:
+            g._cache[_HAND_DOWN] = (handed, self._graph._rot, self._touched | touched, touched)
         return g
 
 

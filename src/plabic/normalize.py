@@ -86,7 +86,7 @@ def _normalize(g: PlabicGraph) -> NormalizeResult:
             if d in bld.dv and bld.dv[d] == bld.other_end(d):
                 return NormalizeResult(witness=Witness("loop", edges=(bld.ids[d >> 1],)))
 
-    # stage 3: remove lollipops, dropping their boundary vertices
+    # stage 3: remove lollipops, leaving their boundary vertices edgeless
     removed = []
     for v in sorted(bld.colors):
         if bld.degree(v) == 1:
@@ -94,7 +94,6 @@ def _normalize(g: PlabicGraph) -> NormalizeResult:
             if u < 0:
                 removed.append((-u, bld.colors[v]))
                 bld.delete_leaf_edge(v)
-                bld.drop_isolated_boundary(-u)
 
     # stage 4: leftover internal leaves certify non-reducedness
     for v in sorted(bld.colors):
@@ -134,13 +133,12 @@ def _normalize(g: PlabicGraph) -> NormalizeResult:
         if not black_u and not black_v:
             bld.insert_bivalent(d, BLACK)
 
-    surviving = [i for i in range(1, g.b + 1) if i not in {lab for lab, _ in removed}]
-    label_map = bld.relabel_boundary(surviving)
-    return NormalizeResult(
-        normal=bld.freeze(),
-        lollipops_removed=removed,
-        label_map=label_map,
-    )
+    # the edged labels renumbered 1..b' in order, and the darts numbered afresh
+    kept = [i for i in range(1, g.b + 1) if bld.rot[-i]]
+    label_map = {old: new for new, old in enumerate(kept, start=1)}
+    rot = {v if v >= 0 else -label_map[-v]: ds for v, ds in bld.rot.items() if v >= 0 or ds}
+    normal = bld._number_afresh(len(kept), rot)
+    return NormalizeResult(normal, lollipops_removed=removed, label_map=label_map)
 
 
 @dataclass

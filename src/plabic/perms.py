@@ -24,6 +24,41 @@ from .errors import (
 )
 
 
+def _show(x) -> str:
+    """``repr(x)``, or x's type where that holds an int past Python's digit limit."""
+    try:
+        return repr(x)
+    except ValueError:
+        return f"<{type(x).__name__} too long to print>"
+
+
+def _ints(xs, error) -> tuple:
+    """``xs`` as a tuple; ``error`` unless it is an iterable of ints, no bool among them."""
+    try:
+        xs = tuple(xs)
+        bad = [x for x in xs if isinstance(x, bool) or not isinstance(x, int)]
+    except TypeError:  # not iterable
+        bad = [xs]
+    if bad:
+        raise error(f"expected integers, got {_show(bad[0])}")
+    return xs
+
+
+def _parse_int(tok: str, error) -> int:
+    """``int(tok)``; ``error`` for a token that is no integer or is past Python's digit limit."""
+    try:
+        return int(tok)
+    except ValueError:
+        raise error(f"bad token {tok!r}") from None
+
+
+def _check_ab(a, b):
+    """MalformedPermutation unless a and b are integers with 0 <= a <= b."""
+    _ints((a, b), MalformedPermutation)
+    if not 0 <= a <= b:
+        raise MalformedPermutation(f"need 0 <= a <= b, got a={_show(a)}, b={_show(b)}")
+
+
 @dataclass(frozen=True)
 class DecoratedPermutation:
     """A permutation of 1..b with each fixed point tagged 'over' or 'under'."""
@@ -32,15 +67,16 @@ class DecoratedPermutation:
     decorations: dict = field(compare=True, hash=False, default_factory=dict)
 
     def __init__(self, values, decorations=None):
-        values = tuple(values)
+        values = _ints(values, MalformedPermutation)
         decorations = dict(decorations or {})
+        _ints(decorations, MalformedPermutation)
         b = len(values)
         if sorted(values) != list(range(1, b + 1)):
-            raise MalformedPermutation(f"not a permutation of 1..{b}: {values}")
+            raise MalformedPermutation(f"not a permutation of 1..{b}: {_show(values)}")
         fixed = {i for i in range(1, b + 1) if values[i - 1] == i}
         if set(decorations) != fixed:
             raise MalformedPermutation(
-                f"decorations {sorted(decorations)} must be keyed exactly by "
+                f"decorations {_show(sorted(decorations))} must be keyed exactly by "
                 f"the fixed points {sorted(fixed)}"
             )
         if any(d not in ("over", "under") for d in decorations.values()):
@@ -96,10 +132,7 @@ class DecoratedPermutation:
                 mark, tok = "over", tok[:-1]
             elif tok.endswith("_"):
                 mark, tok = "under", tok[:-1]
-            try:
-                v = int(tok)
-            except ValueError:
-                raise MalformedPermutation(f"bad token {tok!r}")
+            v = _parse_int(tok, MalformedPermutation)
             values.append(v)
             if mark is not None:
                 if v != pos:
@@ -126,16 +159,10 @@ def cyclic_rotation(a: int, b: int) -> DecoratedPermutation:
     all-under identity and a = b the all-over identity (a counts the
     anti-excedances in every case).
     """
-    if not 0 <= a <= b:
-        raise MalformedPermutation(f"need 0 <= a <= b, got a={a}, b={b}")
-    if a == 0:
-        return DecoratedPermutation(
-            range(1, b + 1), {i: "under" for i in range(1, b + 1)}
-        )
-    if a == b:
-        return DecoratedPermutation(
-            range(1, b + 1), {i: "over" for i in range(1, b + 1)}
-        )
+    _check_ab(a, b)
+    if a in (0, b):
+        mark = "under" if a == 0 else "over"
+        return DecoratedPermutation(range(1, b + 1), dict.fromkeys(range(1, b + 1), mark))
     return DecoratedPermutation([(i + a - 1) % b + 1 for i in range(1, b + 1)])
 
 
@@ -150,13 +177,13 @@ class BoundedAffinePermutation:
     window: tuple
 
     def __init__(self, window):
-        window = tuple(window)
+        window = _ints(window, MalformedWindow)
         b = len(window)
         if b == 0:
             raise MalformedWindow("empty window")
         for i, v in enumerate(window, start=1):
             if not i <= v <= i + b:
-                raise MalformedWindow(f"f({i}) = {v} outside [{i}, {i + b}]")
+                raise MalformedWindow(f"f({i}) = {_show(v)} outside [{i}, {i + b}]")
         if sorted(v % b for v in window) != sorted(range(b)):
             raise MalformedWindow(f"window {window} not a bijection mod {b}")
         if sum(window) % b != sum(range(1, b + 1)) % b:
@@ -250,15 +277,12 @@ def count_dab(a: int, b: int) -> int:
     Alternating-sum closed form; the empty sum at a = 0 is read as 1
     (the all-under identity is the unique such permutation).
     """
-    if not 0 <= a <= b:
-        raise ValueError(f"need 0 <= a <= b, got {a}, {b}")
+    _check_ab(a, b)
     if a == 0:
         return 1
     total = 0
     for i in range(a):
-        term = (a - i) ** i * (a - i + 1) ** (b - i) - (a - i - 1) ** i * (a - i) ** (
-            b - i
-        )
+        term = (a - i) ** i * (a - i + 1) ** (b - i) - (a - i - 1) ** i * (a - i) ** (b - i)
         total += (-1) ** i * math.comb(b, i) * term
     return total
 
@@ -274,7 +298,7 @@ class GrassmannNecklace:
     sets: tuple  # tuple of frozensets
 
     def __init__(self, sets):
-        sets = tuple(frozenset(s) for s in sets)
+        sets = tuple(frozenset(_ints(s, NotANecklace)) for s in sets)
         b = len(sets)
         if b == 0:
             raise NotANecklace("a Grassmann necklace needs b >= 1 sets, got none")
@@ -283,7 +307,7 @@ class GrassmannNecklace:
             raise NotANecklace(f"subsets of unequal sizes {sorted(sizes)}")
         for s in sets:
             if not all(1 <= x <= b for x in s):
-                raise NotANecklace(f"subset {sorted(s)} not within 1..{b}")
+                raise NotANecklace(f"subset {_show(sorted(s))} not within 1..{b}")
         for i in range(1, b + 1):
             cur, nxt = sets[i - 1], sets[i % b]
             if not (cur - {i}) <= nxt:
@@ -397,11 +421,13 @@ def positroid(nk: GrassmannNecklace):
 
 
 def _mask(labels, b: int) -> int:
-    """The mask of a set of labels; BadLabel for a label outside 1..b."""
+    """The mask of a set of labels; BadLabel for a label outside 1..b, or for
+    a label or b that is not an integer."""
+    _ints((b,), BadLabel)
     m = 0
-    for x in labels:
+    for x in _ints(labels, BadLabel):
         if not 1 <= x <= b:
-            raise BadLabel(f"label {x} not in 1..{b}")
+            raise BadLabel(f"label {_show(x)} not in 1..{_show(b)}")
         m |= 1 << x
     return m
 

@@ -1,9 +1,15 @@
 import random
 
 import pytest
+from hypothesis import settings
 
 from plabic import DecoratedPermutation, apply_move, legal_moves
 from plabic.graph import Builder
+
+# every property test draws the same examples on every run, with no example
+# database and no deadline; each test sets only its own ``max_examples``
+settings.register_profile("plabic", derandomize=True, database=None, deadline=None)
+settings.load_profile("plabic")
 
 
 def random_decorated_permutation(b, rng) -> DecoratedPermutation:

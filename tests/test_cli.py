@@ -239,6 +239,22 @@ def test_perm_dab_missing_argument_exit_1(capsys, monkeypatch):
     assert set(json.loads(err)) == {"error", "message"}
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [(["perm", "dab", "-1", "3"], "MalformedPermutation"),
+     (["perm", "dab", "9" * 5000, "3"], "MalformedPermutation"),
+     (["perm", "dab", "x", "3"], "MalformedPermutation"),
+     (["perm", "dab", "3"], "MalformedPermutation"),
+     (["perm", "length", "x y"], "MalformedWindow")],
+    ids=["dab-negative", "dab-past-the-digit-limit", "dab-not-an-int", "dab-one-int",
+         "length-not-ints"],
+)
+def test_perm_integer_arguments_are_typed_errors(argv, error, capsys):
+    code, out, err = run(argv, capsys=capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == error
+
+
 def test_equiv_subcommand(capsys, monkeypatch, fixture_path):
     g1 = fixture_path("square_fan_b5_lollipop")
     g2 = fixture_path("square_path_b6")
@@ -443,7 +459,7 @@ def fixture_dir(tmp_path_factory):
     return root
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(graph_text=graph_texts(), argv=ARGV)
 def test_main_never_raises(fixture_dir, graph_text, argv):
     argv = [str(fixture_dir / f"{a[1:]}.json") if a.startswith("@") else a for a in argv]

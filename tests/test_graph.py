@@ -253,7 +253,7 @@ def test_roundtrip_and_canonicalization_on_random_graphs():
     from plabic import bridge_graph
     from test_perms import decorated_permutations
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(decorated_permutations(max_b=6), st.randoms(use_true_random=False))
     def inner(p, rnd):
         g = bridge_graph(p)
@@ -311,6 +311,18 @@ def test_malformed_json_objects_are_reported_not_raised(raw):
     assert not validate(raw).ok
     with pytest.raises(InvalidGraph):
         PlabicGraph.from_json(raw)
+
+
+@pytest.mark.parametrize(
+    "colors, rotation",
+    [({"a": "white"}, {-1: [0], "a": [0]}), ({0: "white"}, {-1: [0], 0: 5}), (None, {-1: [0]})],
+    ids=["vertex-id-str", "rotation-not-a-list", "colors-none"],
+)
+def test_malformed_rotation_systems_are_invalid_graphs(colors, rotation):
+    with pytest.raises(InvalidGraph) as err:
+        PlabicGraph.from_rotation(1, colors, rotation)
+    (problem,) = err.value.problems
+    assert problem.startswith("malformed graph object: ")
 
 
 @pytest.mark.parametrize("text", ["{", "", "not json", '{"b": 1,}'])

@@ -558,7 +558,7 @@ def graph_and_spec_object(draw):
     return g, obj
 
 
-@settings(max_examples=800, deadline=None, derandomize=True, database=None)
+@settings(max_examples=800)
 @given(graph_and_spec_object())
 def test_any_spec_gives_a_valid_graph_or_a_plabic_error(case):
     g, obj = case

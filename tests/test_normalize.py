@@ -1,3 +1,5 @@
+import random
+
 from plabic import (
     PlabicGraph,
     bridge_graph,
@@ -10,7 +12,8 @@ from plabic import (
 from plabic import fixtures as F
 from plabic.graph import Builder
 from plabic.normalize import Witness
-from conftest import insert_loop, random_decorated_permutation
+from conftest import insert_loop, insert_parallel_digon, random_decorated_permutation
+from test_golden import _bridge_graphs
 
 
 def test_normalize_ladder_matches_expected():
@@ -81,22 +84,22 @@ def test_normalize_rejects_loop_left_by_bivalent_removal():
 
 
 def test_normalize_numbers_darts_once_per_normal_form(monkeypatch, rng):
-    """Darts get their numbers when a builder freezes: normalize freezes
-    once for a normal form, and not at all when it finds a witness.  The
-    normal form is kept on the graph, so ``is_reduced`` and any later
-    ``normalize`` of the same graph freeze nothing more."""
+    """Darts get their numbers when the normal form is built: normalize
+    numbers them once for a normal form, and not at all when it finds a
+    witness.  The normal form is kept on the graph, so ``is_reduced`` and
+    any later ``normalize`` of the same graph number nothing more."""
     with_normal_form = [F.square_fan_b5_lollipop(), F.two_trees_b6(), F.collapsible_tree_b3()]
     with_witness = [F.bad_leaf_b2(), F.fork_b1(), insert_loop(F.two_trees_b6(), rng)]
     decided_first = [[F.square_fan_b5_lollipop(), F.two_trees_b6(), F.normal_b5()],
                      [F.bad_leaf_b2(), insert_loop(F.two_trees_b6(), rng)]]
-    real = Builder.freeze
+    real = Builder._number_afresh
     calls = []
 
-    def counted(bld):
+    def counted(bld, *args):
         calls.append(1)
-        return real(bld)
+        return real(bld, *args)
 
-    monkeypatch.setattr(Builder, "freeze", counted)
+    monkeypatch.setattr(Builder, "_number_afresh", counted)
     for graphs, ok in ((with_normal_form, True), (with_witness, False)):
         for g in graphs:
             calls.clear()
@@ -109,6 +112,19 @@ def test_normalize_numbers_darts_once_per_normal_form(monkeypatch, rng):
             normal = normalize(g).normal
             assert normalize(g).normal is normal and (normal is not None) is ok
             assert len(calls) == (1 if ok else 0)
+
+
+def test_a_normal_form_is_numbered_as_its_json_round_trip():
+    """A normal form is numbered afresh, so its darts are those of the graph
+    read back from its JSON; on the corpus of the pinned normal forms."""
+    rng = random.Random(7)
+    graphs = [F.ALL_NAMED[name]() for name in sorted(F.ALL_NAMED)] + _bridge_graphs()
+    graphs += [insert_parallel_digon(g, rng) for g in graphs]
+    normals = [n for n in (normalize(g).normal for g in graphs) if n is not None]
+    assert len(normals) == 105
+    for n in normals:
+        h = PlabicGraph.from_json(n.to_json())
+        assert (n._rot, n._dart_vertex, n._edge_ids) == (h._rot, h._dart_vertex, h._edge_ids)
 
 
 def test_normalize_returns_new_bookkeeping_each_call():

@@ -549,7 +549,7 @@ def normalize_reference(g: PlabicGraph) -> NormalizeResult:
         if bld.dv[d] == bld.other_end(d):
             return NormalizeResult(witness=Witness("loop", edges=(bld.ids[d >> 1],)))
 
-    # stage 3: remove lollipops, dropping their boundary vertices
+    # stage 3: remove lollipops; their boundary vertices are dropped below
     removed = []
     for v in sorted(bld.colors):
         if v in bld.rot and bld.degree(v) == 1:
@@ -557,7 +557,6 @@ def normalize_reference(g: PlabicGraph) -> NormalizeResult:
             if u < 0:
                 removed.append((-u, bld.colors[v]))
                 bld.delete_leaf_edge(v)
-                bld.drop_isolated_boundary(-u)
 
     # stage 4: leftover internal leaves certify non-reducedness
     for v in sorted(bld.colors):
@@ -600,10 +599,20 @@ def normalize_reference(g: PlabicGraph) -> NormalizeResult:
         if not black_u and not black_v:
             bld.insert_bivalent(d, BLACK)
 
-    surviving = [i for i in range(1, g.b + 1) if i not in {lab for lab, _ in removed}]
-    label_map = bld.relabel_boundary(surviving)
+    # the surviving labels renumbered 1..b' in order, the graph rebuilt
+    # from edge-id lists
+    label_map = {}
+    for i in range(1, g.b + 1):
+        if i not in {lab for lab, _ in removed}:
+            label_map[i] = len(label_map) + 1
+    rotation = {}
+    for v in sorted(bld.rot):
+        if v >= 0:
+            rotation[v] = [bld.ids[d >> 1] for d in bld.rot[v]]
+        elif -v in label_map:
+            rotation[-label_map[-v]] = [bld.ids[d >> 1] for d in bld.rot[v]]
     return NormalizeResult(
-        normal=bld.freeze(),
+        normal=PlabicGraph.from_rotation(len(label_map), bld.colors, rotation),
         lollipops_removed=removed,
         label_map=label_map,
     )
@@ -1582,7 +1591,7 @@ def _label_pairs(draw):
     return b, I, I if draw(st.booleans()) else draw(subsets)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(_label_pairs())
 @example((12, set(), set()))
 @example((12, set(range(1, 13)), set(range(1, 13))))

@@ -13,6 +13,7 @@ from plabic import (
     MalformedPermutation,
     MalformedWindow,
     NotANecklace,
+    PlabicError,
     SizeMismatch,
     affinize,
     count_dab,
@@ -118,7 +119,7 @@ def test_identity_mod_b_has_maximal_length():
     assert length(f) == 2 * 2
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(decorated_permutations())
 def test_affinization_bijection_property(p):
     f = affinize(p)
@@ -242,7 +243,7 @@ def test_known_maximal_collection_is_ws():
     assert is_ws_collection(coll, 5)
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120)
 @given(st.integers(1, 8), st.data())
 def test_weak_separation_symmetry_and_shift(b, data):
     a = data.draw(st.integers(1, b))
@@ -259,3 +260,58 @@ def test_subset_formatting():
     assert format_subset({10, 2}, 12) == "2,10"
     assert parse_subset("123") == frozenset({1, 2, 3})
     assert parse_subset("2,10") == frozenset({2, 10})
+
+
+@pytest.mark.parametrize(
+    "make, error",
+    [(lambda: DecoratedPermutation([2.0, 1.0]), MalformedPermutation),
+     (lambda: DecoratedPermutation([True], {1: "over"}), MalformedPermutation),
+     (lambda: BoundedAffinePermutation([1.0]), MalformedWindow),
+     (lambda: GrassmannNecklace(["ab"]), NotANecklace),
+     (lambda: weakly_separated("12", "34", 4), BadLabel),
+     (lambda: count_dab(-1, 3), MalformedPermutation),
+     (lambda: count_dab(1.5, 3), MalformedPermutation)],
+    ids=["perm-floats", "perm-bool", "window-float", "necklace-str", "ws-str", "dab-negative",
+         "dab-float"],
+)
+def test_entry_points_take_only_integers(make, error):
+    with pytest.raises(error):
+        make()
+
+
+# where an entry point expects ints: floats, bools, strings, ints past
+# Python's digit limit, and lists nesting any of them.  A size b stays
+# small, since the work and the masks grow with b.
+HUGE = st.integers(min_value=10**4300, max_value=10**4400)
+SCALARS = st.one_of(st.integers(-3, 12), HUGE, HUGE.map(lambda n: -n), st.floats(),
+                    st.booleans(), st.text(max_size=3))
+JUNK = st.one_of(SCALARS, st.lists(st.one_of(SCALARS, st.lists(SCALARS, max_size=2)),
+                                    max_size=3))
+SIZES = st.one_of(st.integers(-3, 12), st.floats(), st.booleans(), st.text(max_size=3))
+ENTRY_POINTS = {
+    "DecoratedPermutation": (
+        DecoratedPermutation,
+        st.tuples(st.lists(JUNK, max_size=6),
+                  st.dictionaries(SCALARS, st.sampled_from(["over", "under", 1]), max_size=3))),
+    "BoundedAffinePermutation": (BoundedAffinePermutation, st.tuples(st.lists(JUNK, max_size=6))),
+    "GrassmannNecklace": (GrassmannNecklace, st.tuples(st.lists(JUNK, max_size=5))),
+    "weakly_separated": (weakly_separated, st.tuples(st.lists(JUNK, max_size=4),
+                                                     st.lists(JUNK, max_size=4), SIZES)),
+    "cyclic_rotation": (cyclic_rotation, st.tuples(SCALARS, SIZES)),
+    "count_dab": (count_dab, st.tuples(SCALARS, SIZES)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_entry_points_return_or_raise_a_plabic_error(name):
+    call, arguments = ENTRY_POINTS[name]
+
+    @settings(max_examples=200)
+    @given(arguments)
+    def inner(args):
+        try:
+            call(*args)
+        except PlabicError:
+            pass
+
+    inner()
