@@ -237,6 +237,7 @@ def test_perm_dab_missing_argument_exit_1(capsys, monkeypatch):
     code, out, err = run(["perm", "dab", "3"], capsys=capsys)
     assert code == 1 and out == ""
     assert set(json.loads(err)) == {"error", "message"}
+    assert json.loads(err)["error"] == "MalformedPermutation"
 
 
 @pytest.mark.parametrize(
@@ -244,10 +245,8 @@ def test_perm_dab_missing_argument_exit_1(capsys, monkeypatch):
     [(["perm", "dab", "-1", "3"], "MalformedPermutation"),
      (["perm", "dab", "9" * 5000, "3"], "MalformedPermutation"),
      (["perm", "dab", "x", "3"], "MalformedPermutation"),
-     (["perm", "dab", "3"], "MalformedPermutation"),
      (["perm", "length", "x y"], "MalformedWindow")],
-    ids=["dab-negative", "dab-past-the-digit-limit", "dab-not-an-int", "dab-one-int",
-         "length-not-ints"],
+    ids=["dab-negative", "dab-past-the-digit-limit", "dab-not-an-int", "length-not-ints"],
 )
 def test_perm_integer_arguments_are_typed_errors(argv, error, capsys):
     code, out, err = run(argv, capsys=capsys)
