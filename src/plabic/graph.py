@@ -616,7 +616,7 @@ def _checked_graph(b, colors, rotation):
     """
     try:  # the shape ``_checked_json`` decodes JSON to: int ids, a list per vertex
         for v in [v for v in [*colors.keys(), *rotation.keys()] if type(v) is not int]:
-            _int_id(v)  # raises but for a subclass of int other than bool
+            _int_id(v)  # passes only a subclass of int other than bool
         if bad := [v for v, es in rotation.items() if type(es) is not list]:
             raise TypeError(f"the rotation of vertex {bad[0]} is not a list")
     except (AttributeError, TypeError) as exc:
