@@ -68,7 +68,10 @@ class DecoratedPermutation:
 
     def __init__(self, values, decorations=None):
         values = _ints(values, MalformedPermutation)
-        decorations = dict(decorations or {})
+        try:
+            decorations = dict(decorations or {})
+        except (TypeError, ValueError):  # no mapping, nor a list of pairs
+            raise MalformedPermutation(f"decorations {_show(decorations)} are no mapping") from None
         _ints(decorations, MalformedPermutation)
         b = len(values)
         if sorted(values) != list(range(1, b + 1)):
@@ -298,7 +301,10 @@ class GrassmannNecklace:
     sets: tuple  # tuple of frozensets
 
     def __init__(self, sets):
-        sets = tuple(frozenset(_ints(s, NotANecklace)) for s in sets)
+        try:
+            sets = tuple(frozenset(_ints(s, NotANecklace)) for s in sets)
+        except TypeError:  # not iterable: _ints checks each set
+            raise NotANecklace(f"expected a sequence of sets, got {_show(sets)}") from None
         b = len(sets)
         if b == 0:
             raise NotANecklace("a Grassmann necklace needs b >= 1 sets, got none")
@@ -376,10 +382,11 @@ def perm_from_necklace(nk: GrassmannNecklace) -> DecoratedPermutation:
 
 def gale_leq(ell: int, b: int, I, J) -> bool:
     """Componentwise comparison after sorting both sets in the ell-shifted order."""
+    _ints((ell,), BadLabel)
+    _mask(I, b)  # BadLabel for a label outside 1..b or not an int, before sorted() sees it
+    _mask(J, b)
     if len(I) != len(J):
         raise SizeMismatch(f"|{sorted(I)}| != |{sorted(J)}|")
-    _mask(I, b)  # raises BadLabel for a label outside 1..b
-    _mask(J, b)
     key = shifted_key(ell, b)
     si = sorted(I, key=key)
     sj = sorted(J, key=key)

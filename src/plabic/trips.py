@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BadLabel, HasInternalLeaf, NotNormal, UndecoratableFixedPoint
-from .graph import _FACTS, WHITE, PlabicGraph, _orbit, classify
+from .graph import _FACTS, WHITE, PlabicGraph, _orbit
 from .perms import DecoratedPermutation
 
 
@@ -161,45 +161,63 @@ def _fold_tree(g: PlabicGraph, order, kids):
 # edge labels and resonance
 
 
+def _dart_trips(g: PlabicGraph, trips):
+    """``(source, position)``, two lists indexed by dart from one walk of the
+    disjoint one-way trips in ``trips``, g's fact "trips": the source of the
+    trip on each dart (0 off the one-way trips) and the dart's place on it."""
+    limit = g._dart_bound()
+    source, position = [0] * limit, [0] * limit
+    for t in trips[: g.b]:
+        s = t.source
+        for p, d in enumerate(t.darts):
+            source[d] = s
+            position[d] = p
+    return source, position
+
+
 def edge_labels(g: PlabicGraph) -> dict:
-    """Map each edge id to the set of boundary labels whose trip uses it."""
+    """Map each edge id to the set of boundary labels whose trip uses it,
+    the nonzero sources of its two darts in ``_dart_trips``.  Every call
+    returns new sets."""
+    source, ids = _dart_trips(g, g._fact("trips"))[0], g._edge_ids
     labels = {e: set() for e in g.edge_ids}
-    for t in g._fact("trips"):
-        if t.kind != "oneway":
-            continue
-        for d in t.darts:
-            labels[g.edge_id(d)].add(t.source)
+    for d, s in enumerate(source):
+        if s:
+            labels[ids[d >> 1]].add(s)
     return labels
 
 
 def resonance(g: PlabicGraph) -> bool:
     """Whether clockwise edge labels around every internal non-lollipop
     vertex form a chain {i1,i2},{i2,i3},...,{i(m-1),im},{i1,im} with
-    i1 < ... < im.  For leafless graphs this is equivalent to reducedness."""
-    info = classify(g)
-    if any(v not in info["lollipops"] for v in info["internal_leaves"]):
-        raise HasInternalLeaf(
-            "resonance requires no internal leaves other than lollipops"
-        )
-    labels = edge_labels(g)
-    for v in g.internal_vertices():
-        if g.is_lollipop(v):
-            continue
-        ring = [labels[g.edge_id(d)] for d in g.rotation(v)]
-        if not _is_resonant_ring(ring):
-            return False
-    return True
+    i1 < ... < im.  For leafless graphs this is equivalent to reducedness.
+
+    A ring lists the trip sources of each edge's two darts (``_dart_trips``)
+    as a pair; the vertices of degree 1 are then all lollipops."""
+    info = g._fact("classify")
+    if len(info["internal_leaves"]) != len(info["lollipops"]):
+        raise HasInternalLeaf("resonance requires no internal leaves other than lollipops")
+    source = _dart_trips(g, g._fact("trips"))[0]
+    return all(_is_resonant_ring([(source[d], source[d ^ 1]) for d in ds])
+               for v, ds in g._rot.items() if v >= 0 and len(ds) != 1)
 
 
 def _is_resonant_ring(ring) -> bool:
-    """Whether the ring is a rotation of {a1,a2},{a2,a3},...,{am,a1}, where
-    a1 < ... < am are the labels of the ring's sets."""
-    m = len(ring)
-    a = sorted(set().union(*ring))
-    if len(a) != m or any(len(s) != 2 for s in ring):
+    """Whether a ring of label pairs, each read in either order, is a
+    rotation of (a1,a2),(a2,a3),...,(a(m-1),am),(a1,am) with m >= 2 and
+    0 < a1 < ... < am (label 0 stands for a missing label).  Rotated to
+    start at its least pair, such a ring reads exactly in that order."""
+    pairs = [(x, y) if x < y else (y, x) for x, y in ring]
+    if len(pairs) < 2:
         return False
-    chain = [{a[k], a[k + 1 - m]} for k in range(m)]
-    return any(ring[j:] + ring[:j] == chain for j in range(m))
+    j = pairs.index(min(pairs))
+    pairs = pairs[j:] + pairs[:j]
+    a1 = a = pairs[0][0]
+    for x, y in pairs[:-1]:
+        if x != a or y <= x:
+            return False
+        a = y
+    return a1 > 0 and pairs[-1] == (a1, a)
 
 
 # ----------------------------------------------------------------------
@@ -220,41 +238,40 @@ def bad_features(g: PlabicGraph):
     double crossings.  Requires a normal graph; empty iff the graph is
     reduced.
 
-    The scan runs once per graph; every call returns a new list.
+    The scan runs once per graph on the per-dart tables of ``_dart_trips``:
+    a trip on both darts of an edge, and two trips that meet two shared
+    edges in the same order, are read off the sources and positions of a
+    dart and its twin.  Every call returns a new list.
     """
     return list(g._fact("bad_features"))
 
 
 def _scan_bad_features(g: PlabicGraph):
-    info = classify(g)
-    if not info["normal"]:
+    if not g._fact("classify")["normal"]:
         raise NotNormal("bad feature detection requires a normal plabic graph")
-    trips = g._fact("trips")
-    feats = [
-        BadFeature("roundtrip", tuple(sorted({g.edge_id(d) for d in t.darts})))
-        for t in trips[g.b :]
-    ]
-    first = {}  # (source, edge) -> when that trip first meets the edge
-    sources = {}  # edge -> the one-way trips through it, in source order
+    trips, eid = g._fact("trips"), g._edge_ids
+    feats = [BadFeature("roundtrip", tuple(sorted({eid[d >> 1] for d in t.darts})))
+             for t in trips[g.b :]]
+    source, position = _dart_trips(g, trips)
+    crossings = []
     for t in trips[: g.b]:
-        for time, d in enumerate(t.darts):
-            e = g.edge_id(d)
-            if (t.source, e) not in first:
-                first[t.source, e] = time
-                sources.setdefault(e, []).append(t.source)
-            elif not any(g.is_lollipop(g.dart_vertex(x)) for x in (d, d ^ 1)):
-                feats.append(BadFeature("essential_self_intersection", (e,)))
-    shared = {}  # pair of sources -> edges both trips traverse
-    for e, srcs in sources.items():
-        if len(srcs) == 2:
-            shared.setdefault(tuple(srcs), []).append(e)
-    for (s1, s2), edges in sorted(shared.items()):
-        # trip s1 meets the edges in list order, being the first to visit them
-        for k, e1 in enumerate(edges):
-            for e2 in edges[k + 1 :]:
-                if first[s2, e1] < first[s2, e2]:
-                    feats.append(BadFeature("bad_double_crossing", (e1, e2)))
-    return tuple(feats)
+        s, shared = t.source, {}  # later source -> darts of s whose twins it walks
+        for p, d in enumerate(t.darts):
+            o = source[d ^ 1]
+            if o > s:
+                shared.setdefault(o, []).append(d)
+            elif o == s and position[d ^ 1] < p and not any(
+                    g.is_lollipop(g.dart_vertex(x)) for x in (d, d ^ 1)):
+                feats.append(BadFeature("essential_self_intersection", (eid[d >> 1],)))
+        for o in sorted(shared):
+            # trip s meets these edges in list order, being the first to visit them
+            ds = shared[o]
+            for k, d1 in enumerate(ds):
+                for d2 in ds[k + 1 :]:
+                    if position[d1 ^ 1] < position[d2 ^ 1]:
+                        crossings.append(BadFeature(
+                            "bad_double_crossing", (eid[d1 >> 1], eid[d2 >> 1])))
+    return tuple(feats + crossings)
 
 
 _FACTS.update(trips=_trace_trips, decorated=_decorate, bad_features=_scan_bad_features)

@@ -39,6 +39,7 @@ from plabic import (
     BadLabel,
     DecoratedPermutation,
     Face,
+    HasInternalLeaf,
     IllegalMove,
     MoveSpec,
     NotNormal,
@@ -65,6 +66,7 @@ from plabic import (
     normalize,
     positroid,
     quiver_of,
+    resonance,
     trip_permutation,
     validate,
     weakly_separated,
@@ -1412,13 +1414,50 @@ def _random_ring(rng):
     return ring
 
 
+def _as_pairs(ring, rng):
+    """The ring of label pairs ``resonance`` reads: a set of two labels as
+    its pair, a set of one as the label and 0 (a dart off the one-way trips),
+    any other set as (0, 0), which no resonant ring holds; each pair in a
+    random order."""
+    pairs = [tuple(sorted(s)) + (0,) * (2 - len(s)) if len(s) <= 2 else (0, 0) for s in ring]
+    return [p[::-1] if rng.random() < 0.5 else p for p in pairs]
+
+
 def test_resonant_rings_match_rotation_search(mixed_graphs, pendant_tree_graphs):
     rng = random.Random(74)
     rings = [r for g in mixed_graphs + pendant_tree_graphs for r in _rings(g)]
     rings += [_random_ring(rng) for _ in range(20_000)]
     verdicts = [resonant_ring_by_rotations(r) for r in rings]
-    assert [_is_resonant_ring(r) for r in rings] == verdicts
+    assert [_is_resonant_ring(_as_pairs(r, rng)) for r in rings] == verdicts
     assert sum(verdicts) >= 1000 and verdicts.count(False) >= 1000
+
+
+def resonance_reference(g):
+    """Resonance from the edge-label sets, each ring tested by rotation
+    search."""
+    info = classify(g)
+    if set(info["internal_leaves"]) - set(info["lollipops"]):
+        raise HasInternalLeaf("an internal leaf that is not a lollipop")
+    labels = edge_labels(g)
+    return all(resonant_ring_by_rotations([labels[g.edge_id(d)] for d in g.rotation(v)])
+               for v in g.internal_vertices() if not g.is_lollipop(v))
+
+
+def test_resonance_matches_label_set_reference(mixed_graphs, pendant_tree_graphs):
+    graphs = mixed_graphs + pendant_tree_graphs
+    graphs += [n for n in (normalize(g).normal for g in graphs) if n is not None]
+    verdicts = {True: 0, False: 0, "leaf": 0}
+    for g in graphs:
+        info = classify(g)
+        if set(info["internal_leaves"]) - set(info["lollipops"]):
+            with pytest.raises(HasInternalLeaf):
+                resonance(g)
+            verdicts["leaf"] += 1
+            continue
+        verdict = resonance(g)
+        assert verdict == resonance_reference(g), g.to_json()
+        verdicts[verdict] += 1
+    assert min(verdicts.values()) >= 200, verdicts
 
 
 def _normalize_fields(res):
@@ -1454,6 +1493,9 @@ def test_structural_reads_need_no_edge_ids(mixed_graphs, monkeypatch):
             quiver_of(res.normal)
         if classify(g)["normal"]:
             bad_features(g)
+        for h in (g, res.normal):
+            if h is not None and classify(h)["internal_leaves"] == classify(h)["lollipops"]:
+                resonance(h)
 
 
 def test_square_moves_read_off_members_match_quad_scan():

@@ -270,9 +270,15 @@ def test_subset_formatting():
      (lambda: GrassmannNecklace(["ab"]), NotANecklace),
      (lambda: weakly_separated("12", "34", 4), BadLabel),
      (lambda: count_dab(-1, 3), MalformedPermutation),
-     (lambda: count_dab(1.5, 3), MalformedPermutation)],
+     (lambda: count_dab(1.5, 3), MalformedPermutation),
+     (lambda: GrassmannNecklace(5), NotANecklace),
+     (lambda: DecoratedPermutation([1], [1]), MalformedPermutation),
+     (lambda: DecoratedPermutation([1], "over"), MalformedPermutation),
+     (lambda: gale_leq(1, 4, [1, "a"], [1]), BadLabel),
+     (lambda: gale_leq("a", 4, [1], [1]), BadLabel)],
     ids=["perm-floats", "perm-bool", "window-float", "necklace-str", "ws-str", "dab-negative",
-         "dab-float"],
+         "dab-float", "necklace-int", "decorations-list", "decorations-str",
+         "gale-mixed-unequal", "gale-str-start"],
 )
 def test_entry_points_take_only_integers(make, error):
     with pytest.raises(error):
@@ -292,9 +298,13 @@ ENTRY_POINTS = {
     "DecoratedPermutation": (
         DecoratedPermutation,
         st.tuples(st.lists(JUNK, max_size=6),
-                  st.dictionaries(SCALARS, st.sampled_from(["over", "under", 1]), max_size=3))),
+                  st.one_of(st.dictionaries(SCALARS, st.sampled_from(["over", "under", 1]),
+                                            max_size=3), JUNK))),
     "BoundedAffinePermutation": (BoundedAffinePermutation, st.tuples(st.lists(JUNK, max_size=6))),
-    "GrassmannNecklace": (GrassmannNecklace, st.tuples(st.lists(JUNK, max_size=5))),
+    "GrassmannNecklace": (GrassmannNecklace, st.tuples(st.one_of(SCALARS,
+                                                                 st.lists(JUNK, max_size=5)))),
+    "gale_leq": (gale_leq, st.tuples(SCALARS, SIZES, st.lists(JUNK, max_size=4),
+                                     st.lists(JUNK, max_size=4))),
     "weakly_separated": (weakly_separated, st.tuples(st.lists(JUNK, max_size=4),
                                                      st.lists(JUNK, max_size=4), SIZES)),
     "cyclic_rotation": (cyclic_rotation, st.tuples(SCALARS, SIZES)),
