@@ -3,7 +3,8 @@
 All graph-consuming subcommands read the canonical JSON format (file path
 or ``-`` for stdin) and graph-producing ones write it to stdout.  Domain
 errors exit with status 1 and a machine-readable JSON object on stderr;
-usage errors exit with status 2.
+usage errors exit with status 2.  A reader that closes the output pipe
+early (``... | head -n 1``) is no error: exit 0, nothing on stderr.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 from . import fixtures
 from .bridges import bridge_graph
 from .errors import (BadWord, IllegalMove, MalformedPermutation, MalformedWindow,
-                     NotATriangulation, PlabicError)
+                     NotATriangulation, PlabicError, TooLarge)
 from .graph import PlabicGraph, _loads, classify, lollipop_graph
 from .labels import enumerate_ws, face_labels
 from .moves import MoveSpec, apply_move, move_equivalent
@@ -42,9 +43,8 @@ def _read_graph(path: str) -> PlabicGraph:
     return PlabicGraph.from_json(text)
 
 
-def _emit_graph(g: PlabicGraph) -> int:
+def _emit_graph(g: PlabicGraph) -> None:
     print(g.to_json())
-    return 0
 
 
 def _fail(err: Exception) -> int:
@@ -53,7 +53,7 @@ def _fail(err: Exception) -> int:
     return 1
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args) -> None:
     if args.what == "bridge":
         return _emit_graph(bridge_graph(DecoratedPermutation.parse(args.arg)))
     if args.what == "lollipops":
@@ -82,7 +82,7 @@ def cmd_gen(args) -> int:
     raise PlabicError(f"unknown generator {args.what!r}")  # pragma: no cover
 
 
-def cmd_info(args) -> int:
+def cmd_info(args) -> None:
     g = _read_graph(args.graph)  # from_json raises InvalidGraph on an invalid graph
     info = classify(g)
     red = is_reduced(g)
@@ -106,10 +106,9 @@ def cmd_info(args) -> int:
     elif red.witness is not None:
         out["witness"] = red.witness.to_json_obj()
     print(json.dumps(out, sort_keys=True))
-    return 0
 
 
-def cmd_trips(args) -> int:
+def cmd_trips(args) -> None:
     g = _read_graph(args.graph)
     out = {
         "trips": [t.to_json_obj(g) for t in all_trips(g)],
@@ -123,10 +122,9 @@ def cmd_trips(args) -> int:
     except PlabicError:
         pass
     print(json.dumps(out, sort_keys=True))
-    return 0
 
 
-def cmd_labels(args) -> int:
+def cmd_labels(args) -> None:
     g = _read_graph(args.graph)
     labeling = face_labels(g, args.mode)
     faces = g.faces()
@@ -141,17 +139,16 @@ def cmd_labels(args) -> int:
             }
         )
     print(json.dumps({"mode": args.mode, "labels": rows}, sort_keys=True))
-    return 0
 
 
-def cmd_move(args) -> int:
+def cmd_move(args) -> None:
     g = _read_graph(args.graph)
     spec = MoveSpec.from_json_obj(
         _loads(args.spec, lambda msg: IllegalMove(f"malformed move spec JSON: {msg}")))
-    return _emit_graph(apply_move(g, spec))
+    _emit_graph(apply_move(g, spec))
 
 
-def cmd_equiv(args) -> int:
+def cmd_equiv(args) -> None:
     g1 = _read_graph(args.g1)
     g2 = _read_graph(args.g2)
     res = move_equivalent(g1, g2, budget=args.budget)
@@ -159,15 +156,14 @@ def cmd_equiv(args) -> int:
     if res.certificate is not None:
         out["certificate"] = [m.to_json_obj() for m in res.certificate]
     print(json.dumps(out, sort_keys=True))
-    return 0
 
 
-def cmd_quiver(args) -> int:
+def cmd_quiver(args) -> None:
     g = _read_graph(args.graph)
     q = quiver_of(g)
     if args.dot:
         print(q.to_dot())
-        return 0
+        return
     def name(k):
         return sorted(k) if isinstance(k, frozenset) else k
     out = {
@@ -178,10 +174,9 @@ def cmd_quiver(args) -> int:
         ],
     }
     print(json.dumps(out, sort_keys=True))
-    return 0
 
 
-def cmd_perm(args) -> int:
+def cmd_perm(args) -> None:
     if args.op == "affinize":
         f = affinize(DecoratedPermutation.parse(args.arg))
         print(" ".join(str(x) for x in f.window))
@@ -200,29 +195,28 @@ def cmd_perm(args) -> int:
         if args.extra is None:
             raise MalformedPermutation("perm dab needs two integers: a and b")
         a, b = (_parse_int(t, MalformedPermutation) for t in (args.arg, args.extra))
-        print(count_dab(a, b))
+        try:
+            print(count_dab(a, b))
+        except ValueError:  # more digits than Python prints
+            raise TooLarge(f"the count has more than {sys.get_int_max_str_digits()} digits") from None
     else:  # pragma: no cover
         raise PlabicError(f"unknown perm op {args.op!r}")
-    return 0
 
 
-def cmd_ws(args) -> int:
+def cmd_ws(args) -> None:
     p = DecoratedPermutation.parse(args.perm)
     colls = enumerate_ws(p, limit=args.limit)
     for coll in sorted(sorted(format_subset(s, p.b) for s in c) for c in colls):
         print(" ".join(coll))
-    return 0
 
 
-def cmd_export(args) -> int:
+def cmd_export(args) -> None:
     g = _read_graph(args.graph)
     print(g.to_dot() if args.format == "dot" else g.to_tikz())
-    return 0
 
 
-def cmd_fixture(args) -> int:
-    g = fixtures.ALL_NAMED[args.name]()
-    return _emit_graph(g)
+def cmd_fixture(args) -> None:
+    _emit_graph(fixtures.ALL_NAMED[args.name]())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -292,7 +286,14 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)  # a command fails by raising
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return 0
+    except BrokenPipeError:  # the reader stopped reading, which is no failure
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())  # the flush at exit writes there
+        os.close(devnull)
+        return 0
     except (PlabicError, OSError, ValueError) as err:
         return _fail(err)
 

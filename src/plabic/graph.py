@@ -681,13 +681,17 @@ def _checked_json(obj):
     rotation lists, then the declared edges, each checked once the one
     before passes."""
     try:
-        b = obj["b"]
-        colors = {_int_id(v["id"]): v["color"] for v in obj.get("vertices", [])}
-        rotation = {int(v): list(es) for v, es in obj.get("rotation", {}).items()}
+        b, vertices, rot = obj["b"], obj.get("vertices", []), obj.get("rotation", {})
+        colors = {_int_id(v["id"]): v["color"] for v in vertices}
+        rotation = {int(v): list(es) for v, es in rot.items()}
         declared = {_int_id(e["id"]) for e in obj.get("edges", [])}
+        repeats = len(vertices) - len(colors), len(rot) - len(rotation)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         return ValidationReport([f"malformed graph object: {exc}"]), None
     rep, g = _checked_graph(b, colors, rotation)
+    for n, where in zip(repeats, ("entries of 'vertices'", "keys of 'rotation'")):
+        if n:
+            rep.add(f"{n} {where} repeat a vertex id")
     if rep.ok:
         extra = sorted(declared - set(g.edge_ids))
         if extra:
@@ -730,7 +734,8 @@ class Builder:
     with the graph until
     surgery edits them: ``_edit`` hands out a vertex's rotation as a list
     and records the vertex as touched.  ``freeze`` produces an immutable
-    PlabicGraph with the public ids.  All operations keep rotations
+    PlabicGraph with the public ids and hands it the builder's dicts, so a
+    builder is frozen once and then dropped.  All operations keep rotations
     planar-consistent (splices preserve the cyclic order).
 
     ``canonical_key`` equals the key of the frozen graph, so a builder may
@@ -950,15 +955,19 @@ class Builder:
         for ``PlabicGraph._fact``: the starting graph's values of the facts
         with a patch, its rotations, and the vertices edited (touched or
         removed) and touched.  It holds no graph, so no ancestor stays alive.
+        The builder then holds None in place of the dicts the graph took
+        over, so an edit after freezing fails at once.
         """
         ids = self.ids
         n = len(ids)
         while n and ids[n - 1] is None:
             n -= 1
         if len(self.dv) < n:  # more holes than edges
-            return self._number_afresh(self.b, self.rot)
-        rot = dict(self.rot)
-        dv = dict(self.dv)
+            g = self._number_afresh(self.b, self.rot)
+            self.rot = self.dv = self.colors = None
+            return g
+        rot, dv, colors = self.rot, self.dv, self.colors
+        self.rot = self.dv = self.colors = None
         touched = {v for v in self._touched if v in rot}
         ids = ids[:n]
         moved = {}  # builder dart -> its number in the graph
@@ -990,7 +999,7 @@ class Builder:
                                 for y in [moved.get(x, x) for x in rot[v]]])
             else:
                 rot[v] = tuple(rot[v])
-        g = PlabicGraph._from_parts(self.b, dict(self.colors), rot, dv, tuple(ids[:n]))
+        g = PlabicGraph._from_parts(self.b, colors, rot, dv, tuple(ids[:n]))
         pc = self._graph._cache
         handed = {name: pc[name] for name in _PATCHES if name in pc}
         if handed:

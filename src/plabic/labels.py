@@ -64,7 +64,8 @@ def _face_labels(g: PlabicGraph, mode: str, check: bool) -> dict:
 
 
 def _label_faces(g: PlabicGraph, mode: str) -> dict:
-    """The labeling of ``face_labels`` in ``mode``, found afresh."""
+    """The labeling of ``face_labels`` in ``mode``, found afresh: the trip on
+    dart d marks ``mark[source[d]]``, None for a roundtrip or fixed point."""
     decorated = decorated_trip_permutation(g)
     faces, fmap, _ = g._fact("faces")
     start = next((idx for idx, f in enumerate(faces) if f.kind == "boundary"), None)
@@ -72,15 +73,13 @@ def _label_faces(g: PlabicGraph, mode: str) -> dict:
         return {}
     b = g.b
     arc = faces[start].rim_arcs[0]
-    # mark[d]: the mark of the one-way, non-fixed trip on dart d
-    mark = [None] * g._dart_bound()
+    trips, source, _ = g._fact("trips")
+    mark = [None] * (b + 1)
     seed = {i for i, dec in decorated.decorations.items() if dec == "over"}
-    for t in g._fact("trips"):
-        if t.kind != "oneway" or t.source == t.target:
+    for t in trips[:b]:
+        if t.source == t.target:
             continue
-        m = t.source if mode == "source" else t.target
-        for d in t.darts:
-            mark[d] = m
+        m = mark[t.source] = t.source if mode == "source" else t.target
         if (arc - t.source) % b < (t.target - t.source) % b:
             seed.add(m)
     found = {start: frozenset(seed)}
@@ -91,7 +90,7 @@ def _label_faces(g: PlabicGraph, mode: str) -> dict:
             h = fmap[d ^ 1]
             if h in found:
                 continue
-            out, into = mark[d], mark[d ^ 1]
+            out, into = mark[source[d]], mark[source[d ^ 1]]
             if out != into:
                 label_h = set(label)
                 label_h.discard(out)

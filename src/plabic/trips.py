@@ -44,7 +44,7 @@ def trip_from(g: PlabicGraph, i: int) -> Trip:
     """The trip entering the disk at boundary label i."""
     if isinstance(i, bool) or not isinstance(i, int) or not 1 <= i <= g.b:
         raise BadLabel(f"boundary label {i!r} not in 1..{g.b}")
-    return g._fact("trips")[i - 1]
+    return g._fact("trips")[0][i - 1]
 
 
 def all_trips(g: PlabicGraph):
@@ -53,38 +53,42 @@ def all_trips(g: PlabicGraph):
     All of them are traced from one trip-successor table, in O(darts),
     once per graph; every call returns a new list.
     """
-    return list(g._fact("trips"))
+    return list(g._fact("trips")[0])
 
 
 def _trace_trips(g: PlabicGraph):
-    """The fact "trips", the tuple ``all_trips`` lists: orbits of the
-    successor fill over the internal vertices with ``black=-1``, where a
-    dart into the boundary has no successor and so ends its trip."""
+    """The fact "trips": ``(trips, source, place)``, the tuple ``all_trips``
+    lists and, by dart, the source of its one-way trip and its place on it
+    (0 and 0 elsewhere).  Trips are orbits of the successor fill over the
+    internal vertices with ``black=-1``, where a dart into the boundary has
+    no successor and so ends its trip."""
     limit = g._dart_bound()
     nxt = [-1] * limit  # the darts into the boundary keep -1: trips end there
     g._fill_successors(nxt, g._colors, -1)
     rot, dv = g._rot, g._dart_vertex
+    source, place = [0] * limit, [0] * limit
     trips = []
     traced = 0
     for i in range(1, g.b + 1):
         darts = _orbit(nxt, rot[-i][0], limit)
         traced += len(darts)
+        for p, d in enumerate(darts):
+            source[d] = i
+            place[d] = p
         trips.append(Trip("oneway", i, -dv[darts[-1] ^ 1], tuple(darts)))
     if traced < len(dv):  # one-way trips are disjoint: some darts are left
-        rest = set(dv)  # the darts no trip traced so far
-        for t in trips:
-            rest.difference_update(t.darts)
-        for d0 in sorted(rest):
-            if d0 in rest:
+        for d0 in range(limit):  # roundtrips by least dart; a traced one leaves nxt -1
+            if not source[d0] and nxt[d0] >= 0:
                 cyc = _orbit(nxt, d0, limit)
-                rest.difference_update(cyc)
+                for d in cyc:
+                    nxt[d] = -1
                 trips.append(Trip("roundtrip", None, None, tuple(cyc)))
-    return tuple(trips)
+    return tuple(trips), source, place
 
 
 def trip_permutation(g: PlabicGraph):
     """The boundary connectivity of one-way trips, as a list of targets."""
-    return [t.target for t in g._fact("trips")[: g.b]]
+    return [t.target for t in g._fact("trips")[0][: g.b]]
 
 
 def decorated_trip_permutation(g: PlabicGraph) -> DecoratedPermutation:
@@ -161,25 +165,10 @@ def _fold_tree(g: PlabicGraph, order, kids):
 # edge labels and resonance
 
 
-def _dart_trips(g: PlabicGraph, trips):
-    """``(source, position)``, two lists indexed by dart from one walk of the
-    disjoint one-way trips in ``trips``, g's fact "trips": the source of the
-    trip on each dart (0 off the one-way trips) and the dart's place on it."""
-    limit = g._dart_bound()
-    source, position = [0] * limit, [0] * limit
-    for t in trips[: g.b]:
-        s = t.source
-        for p, d in enumerate(t.darts):
-            source[d] = s
-            position[d] = p
-    return source, position
-
-
 def edge_labels(g: PlabicGraph) -> dict:
-    """Map each edge id to the set of boundary labels whose trip uses it,
-    the nonzero sources of its two darts in ``_dart_trips``.  Every call
-    returns new sets."""
-    source, ids = _dart_trips(g, g._fact("trips"))[0], g._edge_ids
+    """Map each edge id to the set of boundary labels whose trip uses it:
+    the nonzero trip sources of its two darts.  Every call returns new sets."""
+    source, ids = g._fact("trips")[1], g._edge_ids
     labels = {e: set() for e in g.edge_ids}
     for d, s in enumerate(source):
         if s:
@@ -192,12 +181,12 @@ def resonance(g: PlabicGraph) -> bool:
     vertex form a chain {i1,i2},{i2,i3},...,{i(m-1),im},{i1,im} with
     i1 < ... < im.  For leafless graphs this is equivalent to reducedness.
 
-    A ring lists the trip sources of each edge's two darts (``_dart_trips``)
-    as a pair; the vertices of degree 1 are then all lollipops."""
+    A ring lists the trip sources of each edge's two darts as a pair; the
+    vertices of degree 1 are then all lollipops."""
     info = g._fact("classify")
     if len(info["internal_leaves"]) != len(info["lollipops"]):
         raise HasInternalLeaf("resonance requires no internal leaves other than lollipops")
-    source = _dart_trips(g, g._fact("trips"))[0]
+    source = g._fact("trips")[1]
     return all(_is_resonant_ring([(source[d], source[d ^ 1]) for d in ds])
                for v, ds in g._rot.items() if v >= 0 and len(ds) != 1)
 
@@ -238,10 +227,10 @@ def bad_features(g: PlabicGraph):
     double crossings.  Requires a normal graph; empty iff the graph is
     reduced.
 
-    The scan runs once per graph on the per-dart tables of ``_dart_trips``:
-    a trip on both darts of an edge, and two trips that meet two shared
-    edges in the same order, are read off the sources and positions of a
-    dart and its twin.  Every call returns a new list.
+    The scan runs once per graph on the per-dart tables of the fact
+    "trips": a trip on both darts of an edge, and two trips that meet two
+    shared edges in the same order, are read off the sources and places of
+    a dart and its twin.  Every call returns a new list.
     """
     return list(g._fact("bad_features"))
 
@@ -249,10 +238,9 @@ def bad_features(g: PlabicGraph):
 def _scan_bad_features(g: PlabicGraph):
     if not g._fact("classify")["normal"]:
         raise NotNormal("bad feature detection requires a normal plabic graph")
-    trips, eid = g._fact("trips"), g._edge_ids
+    (trips, source, place), eid = g._fact("trips"), g._edge_ids
     feats = [BadFeature("roundtrip", tuple(sorted({eid[d >> 1] for d in t.darts})))
              for t in trips[g.b :]]
-    source, position = _dart_trips(g, trips)
     crossings = []
     for t in trips[: g.b]:
         s, shared = t.source, {}  # later source -> darts of s whose twins it walks
@@ -260,7 +248,7 @@ def _scan_bad_features(g: PlabicGraph):
             o = source[d ^ 1]
             if o > s:
                 shared.setdefault(o, []).append(d)
-            elif o == s and position[d ^ 1] < p and not any(
+            elif o == s and place[d ^ 1] < p and not any(
                     g.is_lollipop(g.dart_vertex(x)) for x in (d, d ^ 1)):
                 feats.append(BadFeature("essential_self_intersection", (eid[d >> 1],)))
         for o in sorted(shared):
@@ -268,7 +256,7 @@ def _scan_bad_features(g: PlabicGraph):
             ds = shared[o]
             for k, d1 in enumerate(ds):
                 for d2 in ds[k + 1 :]:
-                    if position[d1 ^ 1] < position[d2 ^ 1]:
+                    if place[d1 ^ 1] < place[d2 ^ 1]:
                         crossings.append(BadFeature(
                             "bad_double_crossing", (eid[d1 >> 1], eid[d2 >> 1])))
     return tuple(feats + crossings)

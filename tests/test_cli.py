@@ -245,13 +245,29 @@ def test_perm_dab_missing_argument_exit_1(capsys, monkeypatch):
     [(["perm", "dab", "-1", "3"], "MalformedPermutation"),
      (["perm", "dab", "9" * 5000, "3"], "MalformedPermutation"),
      (["perm", "dab", "x", "3"], "MalformedPermutation"),
+     (["perm", "dab", "2", "20000"], "TooLarge"),
      (["perm", "length", "x y"], "MalformedWindow")],
-    ids=["dab-negative", "dab-past-the-digit-limit", "dab-not-an-int", "length-not-ints"],
+    ids=["dab-negative", "dab-past-the-digit-limit", "dab-not-an-int",
+         "dab-count-past-the-digit-limit", "length-not-ints"],
 )
 def test_perm_integer_arguments_are_typed_errors(argv, error, capsys):
     code, out, err = run(argv, capsys=capsys)
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == error
+
+
+@pytest.mark.parametrize("argv", [["perm", "dab", "1", "3"],
+                                  ["ws", "enumerate", "5 6 7 8 1 2 3 4"]],
+                         ids=["fits-the-buffer", "past-the-buffer"])
+def test_a_closed_output_pipe_is_no_error(argv, capsys, monkeypatch):
+    """A reader that stops reading closes the pipe: main reports nothing and
+    exits 0, whether the error shows at the final flush or in a write."""
+    r, w = os.pipe()
+    os.close(r)
+    with open(w, "w") as out:
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(argv) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_equiv_subcommand(capsys, monkeypatch, fixture_path):

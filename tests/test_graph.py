@@ -304,8 +304,17 @@ def test_rotation_start_does_not_matter():
         {"b": 1, "vertices": [{"id": True, "color": "white"}], "rotation": {"-1": [0], "1": [0]}},
         {"b": True, "vertices": [{"id": 0, "color": "white"}], "rotation": {"-1": [0], "0": [0]}},
         {"b": 2, "vertices": [], "rotation": {"-1": ["0"], "-2": ["0"]}},
+        {"b": 1, "vertices": [{"id": 0, "color": "white"}, {"id": 0, "color": "black"}],
+         "rotation": {"-1": [0], "0": [0]}},
+        {"b": 1, "vertices": [{"id": 0, "color": "white"}],
+         "rotation": {"-1": [0], "0": [1], "00": [0]}},
+        {"b": 1, "vertices": [{"id": 0, "color": "white"}],
+         "rotation": {"-1": [0], " 0": [1], "0": [0]}},
+        {"b": 1, "vertices": [{"id": 0, "color": "white"}],
+         "rotation": {"-1": [0], 0.0: [1], "0": [0]}},
     ],
-    ids=["vertex-without-id", "vertex-id-bool", "b-bool", "edge-id-str"],
+    ids=["vertex-without-id", "vertex-id-bool", "b-bool", "edge-id-str", "vertex-id-twice",
+         "rotation-key-zero-padded", "rotation-key-spaced", "rotation-key-float"],
 )
 def test_malformed_json_objects_are_reported_not_raised(raw):
     assert not validate(raw).ok
@@ -388,6 +397,36 @@ def test_remove_bivalent_moves_the_survivor_to_its_ids_index():
     h = bld.freeze()
     assert h._edge_ids == (2,) and h.to_json_obj()["rotation"] == {"-2": [2], "-1": [2]}
     assert validate(h).ok
+
+
+def _recolored_builder():
+    bld = Builder(F.square_fan_b5())
+    bld.recolor(0, "black" if bld.colors[0] == "white" else "white")
+    return bld
+
+
+def _leaves_deleted_builder():
+    bld = Builder(lollipop_graph("wwwwww"))
+    for v in range(5):  # five holes against one edge: darts are numbered afresh
+        bld.delete_leaf_edge(v)
+    return bld
+
+
+@pytest.mark.parametrize("make", [_recolored_builder, _leaves_deleted_builder],
+                         ids=["darts-kept", "darts-afresh"])
+def test_an_edit_after_freeze_fails_and_leaves_the_graph(make):
+    """``freeze`` hands the builder's dicts to the graph, so the builder
+    refuses every later edit instead of changing the frozen graph."""
+    bld = make()
+    h = bld.freeze()
+    text = h.to_json()
+    v = max(h.internal_vertices())
+    for edit in (lambda: bld.recolor(v, "black"), lambda: bld.add_vertex("white"),
+                 lambda: bld.insert_bivalent(h._rot[v][0], "black"),
+                 lambda: bld.delete_leaf_edge(v), lambda: bld.freeze()):
+        with pytest.raises(TypeError):
+            edit()
+        assert h.to_json() == text
 
 
 def test_validate_checks_in_full_the_graphs_it_did_not_build():

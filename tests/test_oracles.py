@@ -2,7 +2,8 @@
 
 Each oracle below is the straightforward version of a routine the library
 computes faster: the face walker over tuple-tagged rim darts, the
-step-by-step trip tracer over ``rot_next``/``rot_prev``, the fixed-point
+step-by-step trip tracer over ``rot_next``/``rot_prev`` and the per-dart
+trip tables read off its trips, the fixed-point
 peel of pendant trees, the left-of-trip flood fill for face labels, the
 site-by-site move enumeration, the dart numbering of edge-id rotation
 lists, which also checks ``Builder.freeze`` up to an order-preserving dart
@@ -187,6 +188,19 @@ def trips_stepwise(g):
         used.update(cyc)
         trips.append(Trip("roundtrip", None, None, tuple(cyc)))
     return trips
+
+
+def dart_trips_reference(g, trips):
+    """``(source, place)``, two lists indexed by dart from one walk of the
+    one-way trips in ``trips``: the source of the trip on each dart (0 off
+    the one-way trips) and the dart's place on it."""
+    limit = g._dart_bound()
+    source, place = [0] * limit, [0] * limit
+    for t in trips[: g.b]:
+        for p, d in enumerate(t.darts):
+            source[d] = t.source
+            place[d] = p
+    return source, place
 
 
 def pendant_vertices_fixed_point(g):
@@ -1085,11 +1099,19 @@ def test_faces_match_tuple_rim_walker(mixed_graphs):
             x for i in range(1, g.b + 1) for x in (*outer, crossing[i])], g.to_json()
 
 
-def test_trips_match_stepwise_tracer(mixed_graphs):
-    for g in mixed_graphs:
+def test_trips_match_stepwise_tracer(mixed_graphs, pendant_tree_graphs):
+    """The trips, roundtrips in the same order, and the per-dart tables of
+    the fact "trips", 0 on roundtrips and at the holes, on graphs with
+    both."""
+    holes = roundtrips = 0
+    for g in mixed_graphs + pendant_tree_graphs:
         expected = trips_stepwise(g)
         assert all_trips(g) == expected, g.to_json()
         assert trip_permutation(g) == [t.target for t in expected[: g.b]]
+        assert g._fact("trips")[1:] == dart_trips_reference(g, expected), g.to_json()
+        holes += g._dart_bound() > g.num_darts()
+        roundtrips += len(expected) > g.b
+    assert holes >= 200 and roundtrips >= 300, (holes, roundtrips)
 
 
 def test_leaf_queue_peel_matches_fixed_point_peel(mixed_graphs):
@@ -1196,15 +1218,17 @@ def _dense_parts(g):
 
 @pytest.fixture
 def checked_freeze(monkeypatch):
-    """Make every ``Builder.freeze`` also run the reference freeze and
-    require the same graph up to an order-preserving dart map, rotation
-    dict order included; yields the call count."""
+    """Make every ``Builder.freeze`` also run the reference freeze, on the
+    builder before it is spent, and require the same graph up to an
+    order-preserving dart map, rotation dict order included; yields the
+    call count."""
     real = Builder.freeze
     calls = []
 
     def freeze(bld):
+        expected = _dense_parts(freeze_reference(bld))
         g = real(bld)
-        assert _dense_parts(g) == _dense_parts(freeze_reference(bld))
+        assert _dense_parts(g) == expected
         calls.append(1)
         return g
 
