@@ -18,7 +18,7 @@ from pathlib import Path
 from . import fixtures
 from .bridges import bridge_graph
 from .errors import (BadWord, IllegalMove, MalformedPermutation, MalformedWindow,
-                     NotATriangulation, PlabicError, TooLarge)
+                     NotATriangulation, PlabicError, TooLarge, _parse_int)
 from .graph import PlabicGraph, _loads, classify, lollipop_graph
 from .labels import enumerate_ws, face_labels
 from .moves import MoveSpec, apply_move, move_equivalent
@@ -32,7 +32,6 @@ from .perms import (
     length,
     necklace_from_perm,
     positroid,
-    _parse_int,
 )
 from .quiver import from_triangulation, from_wiring, parse_word, quiver_of
 from .trips import all_trips, decorated_trip_permutation, edge_labels, trip_permutation

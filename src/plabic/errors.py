@@ -1,4 +1,43 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the input checks by
+which each entry point raises its own type: ``_ints`` (the one integer
+test), ``_parse_int`` and ``_text``."""
+
+
+def _show(x) -> str:
+    """``repr(x)``, or x's type where that holds an int past Python's digit limit."""
+    try:
+        return repr(x)
+    except ValueError:
+        return f"<{type(x).__name__} too long to print>"
+
+
+def _ints(xs, error, message="expected integers, got {}") -> tuple:
+    """``xs`` as a tuple; ``error(message)``, filled with the first item
+    that is no int or is a bool (or with xs when it is not iterable),
+    unless every item is an int."""
+    try:
+        xs = tuple(xs)
+        bad = [x for x in xs if isinstance(x, bool) or not isinstance(x, int)]
+    except TypeError:  # not iterable
+        bad = [xs]
+    if bad:
+        raise error(message.format(_show(bad[0])))
+    return xs
+
+
+def _parse_int(tok: str, error) -> int:
+    """``int(tok)``; ``error`` for a token that is no integer or is past Python's digit limit."""
+    try:
+        return int(tok)
+    except ValueError:
+        raise error(f"bad token {tok!r}") from None
+
+
+def _text(x, error) -> str:
+    """``x``; ``error`` unless it is a string."""
+    if not isinstance(x, str):
+        raise error(f"expected text, got {_show(x)}")
+    return x
 
 
 class PlabicError(Exception):

@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass, field
 from itertools import islice
 
-from .errors import InvalidGraph, TripDoesNotTerminate
+from .errors import InvalidGraph, TripDoesNotTerminate, _ints, _show
 
 BLACK = "black"
 WHITE = "white"
@@ -24,13 +24,6 @@ WHITE = "white"
 
 def other_color(c: str) -> str:
     return WHITE if c == BLACK else BLACK
-
-
-def _int_id(x):
-    """A vertex or edge id from JSON: an integer, and not a boolean."""
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise TypeError(f"ids must be integers, got {x!r}")
-    return x
 
 
 def _loads(text, error):
@@ -156,22 +149,22 @@ class PlabicGraph:
         to its clockwise list of incident edge ids; a loop's id appears twice
         in its vertex's list.
         """
-        report, g = _checked_graph(b, colors, rotation)
-        if not report.ok:
-            raise InvalidGraph(report.problems)
-        g._cache["valid"] = True
-        return g
+        return _checked_graph(b, colors, rotation)
 
     @staticmethod
     def from_json(text_or_obj):
         obj = text_or_obj
         if isinstance(obj, str):
             obj = _loads(obj, lambda msg: InvalidGraph([f"malformed graph JSON: {msg}"]))
-        report, g = _checked_json(obj)
-        if not report.ok:
-            raise InvalidGraph(report.problems)
-        g._cache["valid"] = True
-        return g
+        try:
+            b, vertices, rot = obj["b"], obj.get("vertices", []), obj.get("rotation", {})
+            colors = {v["id"]: v["color"] for v in vertices}
+            rotation = {int(v) if isinstance(v, str) else v: list(es) for v, es in rot.items()}
+            declared = [e["id"] for e in obj.get("edges", [])]
+            repeats = len(vertices) - len(colors), len(rot) - len(rotation)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise InvalidGraph([f"malformed graph object: {exc}"]) from None
+        return _checked_graph(b, colors, rotation, declared, repeats)
 
     def to_json_obj(self):
         rotation = {}
@@ -606,57 +599,64 @@ def _number_darts(b, colors, rot, keys, shift, ids=None) -> PlabicGraph:
     return PlabicGraph._from_parts(b, dict(colors), rot_out, dv, edge_ids)
 
 
-def _checked_graph(b, colors, rotation):
-    """``(report, graph)`` for rotation lists of edge ids, as decoded from
-    JSON; the report lists every violation of the encoding found.
+def _checked_graph(b, colors, rotation, declared=(), repeats=(0, 0)) -> PlabicGraph:
+    """The graph of rotation lists of edge ids, marked checked, or InvalidGraph
+    listing every violation found; ``from_json`` also passes the declared
+    edge ids and how many vertex ids repeat.  Each stage runs once the one
+    before passes; the Euler count runs on the built graph, so the faces it
+    traces stay in its cache."""
+    tail = [f"{n} {where} repeat a vertex id"
+            for n, where in zip(repeats, ("entries of 'vertices'", "keys of 'rotation'")) if n]
 
-    The graph is built once the checks on the raw lists pass (else it is
-    None); connectivity and the Euler count then run on it, so the faces
-    traced for the count stay in its cache.
-    """
-    try:  # the shape ``_checked_json`` decodes JSON to: int ids, a list per vertex
-        for v in [v for v in [*colors.keys(), *rotation.keys()] if type(v) is not int]:
-            _int_id(v)  # passes only a subclass of int other than bool
+    def fail(*problems):
+        raise InvalidGraph([*problems, *tail])
+
+    try:  # plain ints are passed first: only the rest can fail the integer test
+        _ints([v for v in [*colors.keys(), *rotation.keys(), *declared] if type(v) is not int],
+              TypeError, "ids must be integers, got {}")
         if bad := [v for v, es in rotation.items() if type(es) is not list]:
             raise TypeError(f"the rotation of vertex {bad[0]} is not a list")
     except (AttributeError, TypeError) as exc:
-        return ValidationReport([f"malformed graph object: {exc}"]), None
-    rep = ValidationReport()
-    if isinstance(b, bool) or not isinstance(b, int) or b < 0:
-        rep.add(f"b must be a nonnegative integer, got {b!r}")
-        return rep, None
+        fail(f"malformed graph object: {exc}")
+    _ints((b,), fail, "b must be a nonnegative integer, got {}")
+    if b < 0:
+        fail(f"b must be a nonnegative integer, got {_show(b)}")
+    rep = []
     for v, c in colors.items():
         if v < 0:
-            rep.add(f"internal vertex id {v} must be nonnegative")
+            rep.append(f"internal vertex id {v} must be nonnegative")
         if c not in (BLACK, WHITE):
-            rep.add(f"vertex {v} has invalid color {c!r}")
+            rep.append(f"vertex {v} has invalid color {c!r}")
     # b is not bounded by the input's size: at most len(rotation) boundary
     # vertices have entries, and only the first 20 missing ones are named
     boundary = sorted([v for v in rotation if -b <= v < 0], reverse=True)
     listed = list(islice((v for v in range(-b, 0) if v not in rotation), 20))
     for v in sorted({v for v in colors if v not in rotation and not -b <= v < 0}.union(listed)):
-        rep.add(f"vertex {v} has no rotation entry")
+        rep.append(f"vertex {v} has no rotation entry")
     if rest := b - len(boundary) - len(listed):
-        rep.add(f"{rest} more boundary vertices have no rotation entry")
+        rep.append(f"{rest} more boundary vertices have no rotation entry")
     for v in sorted([v for v in rotation if v not in colors and not -b <= v < 0]):
-        rep.add(f"rotation entry for undeclared vertex {v}")
+        rep.append(f"rotation entry for undeclared vertex {v}")
     counts = {}
-    for v, ds in rotation.items():
-        for e in ds:
-            if isinstance(e, bool) or not isinstance(e, int):
-                rep.add(f"vertex {v} lists edge id {e!r}, which is not an integer")
-            else:
-                counts[e] = counts.get(e, 0) + 1
+    for v, es in rotation.items():
+        for e in es:
+            if type(e) is not int:
+                try:
+                    _ints((e,), TypeError)
+                except TypeError:
+                    rep.append(f"vertex {v} lists edge id {_show(e)}, which is not an integer")
+                    continue
+            counts[e] = counts.get(e, 0) + 1
     for e, c in sorted(counts.items()):
         if c == 1:
-            rep.add(f"edge {e} has only one dart (twin involution violated)")
+            rep.append(f"edge {e} has only one dart (twin involution violated)")
         elif c != 2:
-            rep.add(f"edge {e} appears {c} times in rotations (expected 2)")
+            rep.append(f"edge {e} appears {c} times in rotations (expected 2)")
     for v in boundary:
         if len(rotation[v]) != 1:
-            rep.add(f"boundary vertex {-v} has degree {len(rotation[v])} (expected 1)")
-    if not rep.ok:
-        return rep, None
+            rep.append(f"boundary vertex {-v} has degree {len(rotation[v])} (expected 1)")
+    if rep:
+        fail(*rep)
     g = _number_darts(b, colors, rotation, sorted(counts), 0)
     # connectivity to the boundary
     rot, dv = g._rot, g._dart_vertex
@@ -668,52 +668,35 @@ def _checked_graph(b, colors, rotation):
             if u not in reached:
                 reached.add(u)
                 stack.append(u)
-    for v in sorted(colors):
-        if v not in reached:
-            rep.add(f"internal vertex {v} has no path to the boundary")
-    if rep.ok and not g.euler_ok():
-        rep.add("rim-augmented Euler check V - E + F = 2 failed (graph not planar as drawn)")
-    return rep, g
-
-
-def _checked_json(obj):
-    """``(report, graph)`` for a graph JSON object: the format's shape, the
-    rotation lists, then the declared edges, each checked once the one
-    before passes."""
-    try:
-        b, vertices, rot = obj["b"], obj.get("vertices", []), obj.get("rotation", {})
-        colors = {_int_id(v["id"]): v["color"] for v in vertices}
-        rotation = {int(v): list(es) for v, es in rot.items()}
-        declared = {_int_id(e["id"]) for e in obj.get("edges", [])}
-        repeats = len(vertices) - len(colors), len(rot) - len(rotation)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        return ValidationReport([f"malformed graph object: {exc}"]), None
-    rep, g = _checked_graph(b, colors, rotation)
-    for n, where in zip(repeats, ("entries of 'vertices'", "keys of 'rotation'")):
-        if n:
-            rep.add(f"{n} {where} repeat a vertex id")
-    if rep.ok:
-        extra = sorted(declared - set(g.edge_ids))
-        if extra:
-            rep.add(f"declared edges never used in rotation: {extra}")
-    return rep, g
+    rep = [f"internal vertex {v} has no path to the boundary" for v in sorted(colors)
+           if v not in reached]
+    if not rep and not g.euler_ok():
+        rep.append("rim-augmented Euler check V - E + F = 2 failed (graph not planar as drawn)")
+    if rep or tail:
+        fail(*rep)
+    if extra := sorted(set(declared) - set(g.edge_ids)):
+        fail(f"declared edges never used in rotation: {extra}")
+    g._cache["valid"] = True
+    return g
 
 
 def validate(g) -> ValidationReport:
-    """Validate a graph (or raw JSON-style dict); every call returns a new
-    report.
+    """Validate a graph, graph JSON text or its object: the report lists
+    exactly the problems ``from_json`` raises on it, and every call returns
+    a new report.
 
-    A graph that ``from_rotation`` or ``from_json`` returned passed these
-    checks when it was built, so its report is empty without checking
+    A graph that ``from_rotation`` or ``from_json`` returned passed the
+    check when it was built, so its report is empty without checking
     again.  Any other graph (from the raw constructor or ``Builder.freeze``)
-    is checked in full through its JSON object, so the checks stay
+    is checked in full through its JSON object, so the check stays
     independent of the code that built it.
     """
-    if isinstance(g, PlabicGraph):
-        if g._cache.get("valid"):
-            return ValidationReport()
-        g = g.to_json_obj()
-    return _checked_json(g)[0]
+    if not (isinstance(g, PlabicGraph) and g._cache.get("valid")):
+        try:
+            PlabicGraph.from_json(g.to_json_obj() if isinstance(g, PlabicGraph) else g)
+        except InvalidGraph as exc:
+            return ValidationReport(exc.problems)
+    return ValidationReport()
 
 
 # ----------------------------------------------------------------------
@@ -1141,13 +1124,13 @@ _PATCHES = dict(faces=PlabicGraph._patch_faces)
 
 def lollipop_graph(decorations) -> PlabicGraph:
     """A graph of b lollipops; ``decorations`` is a string over {'w','b'}."""
-    if set(decorations) - {"w", "b"}:
-        raise InvalidGraph([f"lollipop colors must be 'w' or 'b', got {decorations!r}"])
-    b = len(decorations)
-    colors = {}
-    rotation = {}
-    for i, c in enumerate(decorations, start=1):
-        colors[i - 1] = WHITE if c == "w" else BLACK
-        rotation[i - 1] = [i - 1]
-        rotation[-i] = [i - 1]
-    return PlabicGraph.from_rotation(b, colors, rotation)
+    colors, rotation = {}, {}
+    try:
+        for i, c in enumerate(decorations, start=1):
+            colors[i - 1] = {"w": WHITE, "b": BLACK}[c]
+            rotation[i - 1] = [i - 1]
+            rotation[-i] = [i - 1]
+    except (KeyError, TypeError):  # another color, or no sequence
+        problem = f"lollipop colors must be 'w' or 'b', got {_show(decorations)}"
+        raise InvalidGraph([problem]) from None
+    return PlabicGraph.from_rotation(len(colors), colors, rotation)

@@ -19,7 +19,7 @@ from itertools import combinations
 
 from . import normalize  # registers the fact "is_reduced"
 from .bridges import bridge_graph
-from .errors import BadBudget, NotReducedError, TooLarge
+from .errors import BadBudget, NotReducedError, TooLarge, _ints, _show
 from .graph import _FACTS, PlabicGraph
 from .perms import (
     DecoratedPermutation,
@@ -189,8 +189,9 @@ def enumerate_ws(p: DecoratedPermutation, limit: int = None):
     ``limit`` is exceeded (the seed counts), and BadBudget for a ``limit``
     that is not a non-negative integer.
     """
-    if limit is not None and (not isinstance(limit, int) or isinstance(limit, bool) or limit < 0):
-        raise BadBudget(f"limit must be a non-negative integer, got {limit!r}")
+    message = "limit must be a non-negative integer, got {}"
+    if limit is not None and _ints((limit,), BadBudget, message)[0] < 0:
+        raise BadBudget(message.format(_show(limit)))
     b = p.b
     a = p.anti_excedances()
     nk = necklace_from_perm(p)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import BadBudget, IllegalMove
+from .errors import BadBudget, IllegalMove, _ints, _show
 from .graph import _FACTS, _PATCHES, BLACK, WHITE, Builder, PlabicGraph, other_color
 
 # kinds explored by the bounded search (inserts kept: they are needed to
@@ -80,8 +80,8 @@ def _checked(m: MoveSpec) -> MoveSpec:
         raise IllegalMove(f"unknown move kind {m.kind!r}")
     for k, v in zip(("face", "vertex", "edge", "start", "length"),
                     (m.face, m.vertex, m.edge, m.start, m.length)):
-        if v is not None and (not isinstance(v, int) or isinstance(v, bool)):
-            raise IllegalMove(f"move field {k!r} must be an integer, got {v!r}")
+        if v is not None and type(v) is not int:  # plain ints pass at once
+            _ints((v,), IllegalMove, f"move field {k!r} must be an integer, got {{}}")
     if m.color is not None and not isinstance(m.color, str):
         raise IllegalMove(f"move field 'color' must be a string, got {m.color!r}")
     if m.condition_ok is not None and not isinstance(m.condition_ok, bool):
@@ -616,8 +616,9 @@ def move_equivalent(
     from . import normalize  # registers the fact "is_reduced"
     from .trips import decorated_trip_permutation, trip_permutation
 
-    if not isinstance(budget, int) or isinstance(budget, bool) or budget < 0:
-        raise BadBudget(f"budget must be a non-negative integer, got {budget!r}")
+    message = "budget must be a non-negative integer, got {}"
+    if _ints((budget,), BadBudget, message)[0] < 0:
+        raise BadBudget(message.format(_show(budget)))
     if trip_permutation(g1) != trip_permutation(g2):
         return EquivalenceResult(
             "not_equivalent", reason="trip permutations differ"

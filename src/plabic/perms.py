@@ -21,35 +21,11 @@ from .errors import (
     MalformedWindow,
     NotANecklace,
     SizeMismatch,
+    _ints,
+    _parse_int,
+    _show,
+    _text,
 )
-
-
-def _show(x) -> str:
-    """``repr(x)``, or x's type where that holds an int past Python's digit limit."""
-    try:
-        return repr(x)
-    except ValueError:
-        return f"<{type(x).__name__} too long to print>"
-
-
-def _ints(xs, error) -> tuple:
-    """``xs`` as a tuple; ``error`` unless it is an iterable of ints, no bool among them."""
-    try:
-        xs = tuple(xs)
-        bad = [x for x in xs if isinstance(x, bool) or not isinstance(x, int)]
-    except TypeError:  # not iterable
-        bad = [xs]
-    if bad:
-        raise error(f"expected integers, got {_show(bad[0])}")
-    return xs
-
-
-def _parse_int(tok: str, error) -> int:
-    """``int(tok)``; ``error`` for a token that is no integer or is past Python's digit limit."""
-    try:
-        return int(tok)
-    except ValueError:
-        raise error(f"bad token {tok!r}") from None
 
 
 def _check_ab(a, b):
@@ -129,7 +105,7 @@ class DecoratedPermutation:
     def parse(text: str) -> "DecoratedPermutation":
         values = []
         decorations = {}
-        for pos, tok in enumerate(text.split(), start=1):
+        for pos, tok in enumerate(_text(text, MalformedPermutation).split(), start=1):
             mark = None
             if tok.endswith("^"):
                 mark, tok = "over", tok[:-1]
@@ -468,25 +444,8 @@ def weakly_separated(I, J, b: int) -> bool:
 
 def is_ws_collection(sets, b: int) -> bool:
     """Whether the sets are pairwise weakly separated; BadLabel for an
-    element outside 1..b, SizeMismatch for sets of unequal sizes.
-
-    Each set is masked once and tested against the first set as it is
-    masked, which is the order in which a scan of the pairs (i, j), i < j,
-    meets them, so an input fails the same way as in that scan.
-    """
-    sets = list(sets)
-    if len(sets) < 2:
-        return True
-    first = _mask(sets[0], b)
-    masks = []
-    for s in sets[1:]:
-        x = _mask(s, b)
-        if x.bit_count() != first.bit_count():
-            raise SizeMismatch(f"|{sorted(set(sets[0]))}| != |{sorted(set(s))}|")
-        if not _separated(x, (first,)):
-            return False
-        masks.append(x)
-    return all(_separated(x, masks[k + 1:]) for k, x in enumerate(masks))
+    element outside 1..b, SizeMismatch for sets of unequal sizes."""
+    return all(weakly_separated(x, y, b) for x, y in combinations(list(sets), 2))
 
 
 def format_subset(s, b: int) -> str:
@@ -497,7 +456,6 @@ def format_subset(s, b: int) -> str:
 
 
 def parse_subset(text: str):
-    text = text.strip()
-    if "," in text:
-        return frozenset(int(t) for t in text.split(","))
-    return frozenset(int(c) for c in text)
+    """The labels of ``format_subset``'s text; BadLabel for text that is none."""
+    text = _text(text, BadLabel).strip()
+    return frozenset(_parse_int(t, BadLabel) for t in (text.split(",") if "," in text else text))

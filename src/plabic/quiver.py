@@ -6,8 +6,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BadLabel, BadWord, FrozenVertex, NotATriangulation
-from .graph import BLACK, WHITE, PlabicGraph, _int_id
+from .errors import (BadLabel, BadWord, FrozenVertex, NotATriangulation, _ints, _parse_int,
+                     _show, _text)
+from .graph import BLACK, WHITE, PlabicGraph
 
 
 @dataclass
@@ -157,11 +158,12 @@ def _triangulation_sides(m):
 
 def check_triangulation(m: int, triangles):
     """Validate a triangulation of a convex m-gon given as vertex triples."""
+    message = "m and the triangle corners must be integers, got {}"
+    (m,) = _ints((m,), NotATriangulation, message)
     try:
-        m = _int_id(m)
-        tris = [tuple(sorted(_int_id(x) for x in t)) for t in triangles]
-    except TypeError as exc:
-        raise NotATriangulation(f"m and the triangle corners must be integers: {exc}")
+        tris = [tuple(sorted(_ints(t, NotATriangulation, message))) for t in triangles]
+    except TypeError:  # not iterable
+        raise NotATriangulation(f"expected a list of triangles, got {_show(triangles)}") from None
     if len(tris) != m - 2:
         raise NotATriangulation(f"expected {m - 2} triangles, got {len(tris)}")
     for t in tris:
@@ -280,10 +282,10 @@ def quiver_of_triangulation(m: int, triangles) -> Quiver:
 def parse_word(text: str):
     """Tokens like "s2 s3 s2"; capital S marks a thick crossing."""
     word = []
-    for tok in text.split():
+    for tok in _text(text, BadWord).split():
         if len(tok) < 2 or tok[0] not in "sS" or not tok[1:].isdigit():
             raise BadWord(f"bad token {tok!r}")
-        word.append((int(tok[1:]), tok[0] == "S"))
+        word.append((_parse_int(tok[1:], BadWord), tok[0] == "S"))
     return word
 
 
@@ -299,17 +301,15 @@ def from_wiring(word, n: int, kind: str = "single") -> PlabicGraph:
     """
     if kind not in ("single", "double"):
         raise ValueError(f"kind must be 'single' or 'double', got {kind!r}")
-    if n < 1:
-        raise BadWord(f"a wiring diagram needs at least one wire, got {n}")
-    letters = []
-    for w in word:
-        if isinstance(w, tuple):
-            letters.append(w)
-        else:
-            letters.append((w, True))
-    for i, _ in letters:
-        if not 1 <= i < n:
-            raise BadWord(f"letter s{i} out of range for {n} wires")
+    if _ints((n,), BadWord, "the number of wires must be an integer, got {}")[0] < 1:
+        raise BadWord(f"a wiring diagram needs at least one wire, got {_show(n)}")
+    try:
+        letters = [w if isinstance(w, tuple) else (w, True) for w in word]
+        for i in _ints([i for i, _ in letters], BadWord, "letters must be integers, got {}"):
+            if not 1 <= i < n:
+                raise BadWord(f"letter s{_show(i)} out of range for {n} wires")
+    except (TypeError, ValueError):  # no sequence, or a tuple that is no pair
+        raise BadWord(f"not a word of letters i or pairs (i, thick): {_show(word)}") from None
     if kind == "single":
         letters = [(i, True) for i, _ in letters]
     colors = {}

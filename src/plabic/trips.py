@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BadLabel, HasInternalLeaf, NotNormal, UndecoratableFixedPoint
+from .errors import BadLabel, HasInternalLeaf, NotNormal, UndecoratableFixedPoint, _ints, _show
 from .graph import _FACTS, WHITE, PlabicGraph, _orbit
 from .perms import DecoratedPermutation
 
@@ -42,8 +42,9 @@ class Trip:
 
 def trip_from(g: PlabicGraph, i: int) -> Trip:
     """The trip entering the disk at boundary label i."""
-    if isinstance(i, bool) or not isinstance(i, int) or not 1 <= i <= g.b:
-        raise BadLabel(f"boundary label {i!r} not in 1..{g.b}")
+    message = f"boundary label {{}} not in 1..{g.b}"
+    if not 1 <= _ints((i,), BadLabel, message)[0] <= g.b:
+        raise BadLabel(message.format(_show(i)))
     return g._fact("trips")[0][i - 1]
 
 

@@ -6,9 +6,13 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plabic import (
+    DecoratedPermutation,
     InvalidGraph,
+    PlabicError,
     PlabicGraph,
     apply_move,
     bad_features,
@@ -16,11 +20,14 @@ from plabic import (
     classify,
     collapse_trees,
     face_labels,
+    from_triangulation,
     from_wiring,
     legal_moves,
     normalize,
     lollipop_graph,
+    parse_word,
     quiver_of,
+    quiver_of_triangulation,
     trip_permutation,
     validate,
 )
@@ -312,9 +319,13 @@ def test_rotation_start_does_not_matter():
          "rotation": {"-1": [0], " 0": [1], "0": [0]}},
         {"b": 1, "vertices": [{"id": 0, "color": "white"}],
          "rotation": {"-1": [0], 0.0: [1], "0": [0]}},
+        {"b": 1, "vertices": [{"id": 1, "color": "white"}], "rotation": {"-1": [0], True: [0]}},
+        {"b": 1, "vertices": [{"id": 0, "color": "white"}], "rotation": {"-1": [0], 0.7: [0]}},
+        {"b": 1, "vertices": [{"id": 0, "color": "white"}], "rotation": {"-1": [0], 0.0: [0]}},
     ],
     ids=["vertex-without-id", "vertex-id-bool", "b-bool", "edge-id-str", "vertex-id-twice",
-         "rotation-key-zero-padded", "rotation-key-spaced", "rotation-key-float"],
+         "rotation-key-zero-padded", "rotation-key-spaced", "rotation-key-float",
+         "rotation-key-bool-alone", "rotation-key-fraction-alone", "rotation-key-float-alone"],
 )
 def test_malformed_json_objects_are_reported_not_raised(raw):
     assert not validate(raw).ok
@@ -349,6 +360,99 @@ def test_json_python_cannot_parse_is_an_invalid_graph(text):
         PlabicGraph.from_json(text)
     (problem,) = err.value.problems
     assert problem.startswith("malformed graph JSON: ")
+
+
+# where the graph-side entry points expect ints or text: small ints,
+# floats, bools and short strings, alone or in short lists.  Sizes (b, n,
+# m) stay small: ``from_wiring`` and the boundary checks grow with them.
+SCALARS = st.one_of(st.integers(-3, 12), st.floats(), st.booleans(), st.text(max_size=3))
+JUNK = st.one_of(SCALARS, st.lists(st.one_of(SCALARS, st.lists(SCALARS, max_size=3)),
+                                    max_size=3))
+COLORS = st.one_of(st.sampled_from(["white", "black"]), SCALARS)
+ROTATIONS = st.dictionaries(SCALARS, st.one_of(st.lists(SCALARS, max_size=4), SCALARS),
+                            max_size=5)
+ENTRIES = st.lists(st.dictionaries(st.sampled_from(["id", "color"]), COLORS), max_size=3)
+JUNK_OBJECTS = st.dictionaries(st.sampled_from(["b", "vertices", "edges", "rotation"]),
+                               st.one_of(JUNK, ROTATIONS, ENTRIES))
+BASES = [g.to_json_obj() for g in (F.square_fan_b5(), lollipop_graph("wb"),
+                                   from_wiring([1, 2, 1], 3))]
+
+
+@st.composite
+def graph_objects(draw):
+    """A graph JSON object: junk, or a valid one with up to three parts
+    replaced, reordered, renamed or dropped."""
+    if draw(st.booleans()):
+        return draw(st.one_of(JUNK, JUNK_OBJECTS))
+    obj = json.loads(json.dumps(draw(st.sampled_from(BASES))))
+    ids = st.one_of(st.integers(-6, 8), SCALARS)  # ints in range about half the time
+    for _ in range(draw(st.integers(0, 3))):
+        part = draw(st.sampled_from(["b", "vertices", "edges", "rotation"]))
+        where = obj[part]
+        if part == "b" or not where:
+            obj[part] = draw(st.one_of(ids, JUNK))
+        elif part == "rotation":
+            key = draw(st.sampled_from(list(where)))
+            value = where.pop(key)
+            if draw(st.booleans()):  # else the entry is dropped
+                where[draw(st.one_of(st.just(key), ids))] = draw(st.one_of(
+                    st.permutations(value), st.lists(ids, max_size=4), JUNK))
+        else:
+            entry = draw(st.sampled_from(where))
+            field = draw(st.sampled_from(["id", "color"] if part == "vertices" else ["id"]))
+            if draw(st.booleans()):
+                entry[field] = draw(COLORS if field == "color" else ids)
+            else:
+                entry.pop(field, None)
+    return obj
+
+
+GRAPH_ENTRY_POINTS = {
+    "from_rotation": (PlabicGraph.from_rotation, st.tuples(
+        SCALARS, st.one_of(st.dictionaries(SCALARS, COLORS, max_size=4), JUNK),
+        st.one_of(ROTATIONS, JUNK))),
+    "from_json": (PlabicGraph.from_json, st.tuples(graph_objects())),
+    "validate": (validate, st.tuples(graph_objects())),
+    "from_wiring": (from_wiring, st.tuples(
+        st.one_of(JUNK, st.lists(st.one_of(SCALARS, st.tuples(SCALARS, SCALARS)), max_size=4)),
+        SCALARS, st.sampled_from(["single", "double"]))),
+    "from_triangulation": (from_triangulation, st.tuples(
+        SCALARS, st.one_of(JUNK, st.lists(st.lists(SCALARS, max_size=4), max_size=4)))),
+    "quiver_of_triangulation": (quiver_of_triangulation, st.tuples(
+        SCALARS, st.one_of(JUNK, st.lists(st.lists(SCALARS, max_size=4), max_size=4)))),
+    "lollipop_graph": (lollipop_graph, st.tuples(st.one_of(st.text("wbx", max_size=6), JUNK))),
+    "parse_word": (parse_word, st.tuples(st.one_of(st.text("sS12 \N{SUPERSCRIPT TWO}",
+                                                           max_size=8), JUNK))),
+    "DecoratedPermutation.parse": (DecoratedPermutation.parse, st.tuples(
+        st.one_of(st.text("1234^_ ", max_size=10), JUNK))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRAPH_ENTRY_POINTS))
+def test_graph_entry_points_return_or_raise_a_plabic_error(name):
+    call, arguments = GRAPH_ENTRY_POINTS[name]
+
+    @settings(max_examples=200)
+    @given(arguments)
+    def inner(args):
+        try:
+            call(*args)
+        except PlabicError:
+            pass
+
+    inner()
+
+
+@settings(max_examples=300)
+@given(graph_objects())
+def test_validate_reports_exactly_what_from_json_raises(obj):
+    try:
+        PlabicGraph.from_json(obj)
+        problems = []
+    except InvalidGraph as exc:
+        problems = exc.problems
+        assert problems
+    assert validate(obj).problems == problems
 
 
 def test_a_move_keeps_untouched_darts_and_rotations():

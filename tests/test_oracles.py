@@ -1180,16 +1180,17 @@ def test_from_json_numbers_darts_once(monkeypatch):
 
 def test_validate_trusts_only_the_graphs_it_checked(mixed_graphs, monkeypatch):
     """``validate`` of a graph that ``from_json``/``from_rotation`` returned
-    equals the report of the full JSON round trip and runs no check; a
-    graph from ``Builder.freeze`` or the raw constructor is checked in full."""
-    real = graph_module._checked_json
+    is ok and equals the report of the full JSON round trip, and runs no
+    check; a graph from ``Builder.freeze`` or the raw constructor is checked
+    in full, once."""
+    real = graph_module._checked_graph
     calls = []
 
-    def counted(obj):
+    def counted(*args):
         calls.append(1)
-        return real(obj)
+        return real(*args)
 
-    monkeypatch.setattr(graph_module, "_checked_json", counted)
+    monkeypatch.setattr(graph_module, "_checked_graph", counted)
     for g in [make() for make in F.ALL_NAMED.values()] + mixed_graphs:
         for h, checks in ((PlabicGraph.from_json(g.to_json()), 0),
                           (PlabicGraph.from_rotation(g.b, g._colors, _rotation_of(g)), 0),
@@ -1198,7 +1199,7 @@ def test_validate_trusts_only_the_graphs_it_checked(mixed_graphs, monkeypatch):
             calls.clear()
             rep = validate(h)
             assert len(calls) == checks
-            assert rep == real(h.to_json_obj())[0] and rep.ok, g.to_json()
+            assert rep.ok and rep == validate(h.to_json_obj()), g.to_json()
 
 
 def _dense_parts(g):

@@ -25,6 +25,7 @@ from plabic import (
     positroid,
     weakly_separated,
 )
+from plabic import BadWord, InvalidGraph, lollipop_graph, parse_word
 from plabic.perms import format_subset, gale_leq, is_ws_collection, parse_subset
 
 
@@ -281,6 +282,20 @@ def test_subset_formatting():
          "gale-mixed-unequal", "gale-str-start"],
 )
 def test_entry_points_take_only_integers(make, error):
+    with pytest.raises(error):
+        make()
+
+
+@pytest.mark.parametrize(
+    "make, error",
+    [(lambda: DecoratedPermutation.parse(5), MalformedPermutation),
+     (lambda: parse_word(5), BadWord),
+     (lambda: parse_subset(12), BadLabel),
+     (lambda: parse_subset("ab"), BadLabel),
+     (lambda: lollipop_graph(5), InvalidGraph)],
+    ids=["perm-parse-int", "word-int", "subset-int", "subset-letters", "lollipops-int"],
+)
+def test_text_entry_points_take_only_text(make, error):
     with pytest.raises(error):
         make()
 

@@ -239,6 +239,25 @@ def test_bad_word():
         from_wiring(parse_word("s5"), 3)
 
 
+@pytest.mark.parametrize(
+    "word, n",
+    [([], 2.0), ([], "3"), ([1.5], 3), ([(1,)], 3), (None, 3), ([], True), ([True], 3),
+     ([(1.0, True)], 3)],
+    ids=["n-float", "n-str", "letter-float", "letter-short-tuple", "word-none", "n-bool",
+         "letter-bool", "letter-float-in-pair"],
+)
+def test_from_wiring_takes_only_integer_letters_and_wires(word, n):
+    with pytest.raises(BadWord):
+        from_wiring(word, n)
+
+
+@pytest.mark.parametrize("text", ["s\N{SUPERSCRIPT TWO}", "s" + "9" * 5000],
+                         ids=["unicode-digit", "past-the-digit-limit"])
+def test_parse_word_rejects_digits_int_cannot_read(text):
+    with pytest.raises(BadWord):
+        parse_word(text)
+
+
 def test_double_shuffle_wiring_valid():
     g = from_wiring(parse_word("s2 S1 s2 S1 s1"), 3, kind="double")
     from plabic import validate
