@@ -13,8 +13,10 @@ Graphs are immutable values; every operation returns a new graph.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import islice
+from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import InvalidGraph, TripDoesNotTerminate, _ints, _show
 
@@ -180,7 +182,22 @@ class PlabicGraph:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True)
+        """The text of ``json.dumps(self.to_json_obj(), sort_keys=True)``,
+        written in one pass with no dict built: the keys in sorted order,
+        rotation keys in string order ("-10" before "-2"), ints written by
+        ``int.__repr__``, ", " between items and ": " after keys."""
+        r, rot = int.__repr__, self._rot
+        names = [None if e is None else r(e) for e in self._edge_ids]
+        dart_names = names + names  # dart d has edge index d >> 1
+        dart_names[::2] = dart_names[1::2] = names
+        rotation = ", ".join([f'"{k}": [{", ".join([dart_names[d] for d in rot[v]])}]'
+                              for k, v in sorted([(r(v), v) for v in rot])])
+        ids = sorted(self.edge_ids)
+        edges = '{"id": ' + '}, {"id": '.join(map(r, ids)) + "}" if ids else ""
+        vertices = ", ".join([f'{{"color": {_quote(c)}, "id": {r(v)}}}'
+                              for v, c in sorted(self._colors.items())])
+        return (f'{{"b": {r(self.b)}, "edges": [{edges}], "rotation": {{{rotation}}}, '
+                f'"vertices": [{vertices}]}}')
 
     def _fact(self, name):
         """The fact ``name`` of ``_FACTS``, derived on the first read and
@@ -435,13 +452,32 @@ class PlabicGraph:
         rim[1::2] = [face_of[rot[-(i % b) - 1][0] ^ 1] for i in range(1, b + 1)]
         return face_of + rim
 
+    def _face_count(self) -> int:
+        """The number of faces: read off the cached faces, or else counted
+        as the orbits of a fresh face-successor table, each marked by
+        emptying its entries, with no ``Face`` built and nothing cached."""
+        faces = self._cache.get("faces")
+        if faces is not None:
+            return len(faces[0])
+        nxt = [-1] * self._dart_bound()
+        self._fill_successors(nxt, self._rot)
+        count = 1  # the outer face has no graph dart
+        for d in range(len(nxt)):
+            if nxt[d] >= 0:  # a dart of a face not counted yet
+                count += 1
+                while d >= 0:  # mark the orbit by emptying its entries
+                    nxt[d], d = -1, nxt[d]
+        return count
+
     def euler_ok(self) -> bool:
+        """Whether V - E + F = 2 holds for the rim-augmented graph.  F is
+        only counted (``_face_count``); the faces are traced when first
+        read."""
         if self.b == 0:
             return not self._colors and not self._dart_vertex
         v = len(self._colors) + self.b
         e = len(self._dart_vertex) // 2 + self.b
-        f = len(self._fact("faces")[0])
-        return v - e + f == 2
+        return v - e + self._face_count() == 2
 
     # ------------------------------------------------------------------
     # equality and canonical form
@@ -570,25 +606,26 @@ def _canonical_key(b, colors, rot, dv):
     return tuple(out)
 
 
-def _number_darts(b, colors, rot, keys, shift, ids=None) -> PlabicGraph:
+def _number_darts(b, colors, rot, order, keys, shift, ids=None) -> PlabicGraph:
     """The graph of per-vertex clockwise entries with dense dart numbers:
     the one place that numbers darts from scratch, for ``_checked_graph``
     and ``Builder._number_afresh``.
 
-    ``rot`` maps vertices to clockwise lists of entries, entry ``x`` lies on
-    the edge with key ``x >> shift``, and ``keys`` lists the edge keys in
-    increasing order, which must be the order of the public ids: ``ids[key]``,
-    or the key itself when ``ids`` is None.  The edge of key rank r gets
-    darts ``2r`` and ``2r + 1``, and of its two entries the first met in
-    (vertex id, rotation position) order takes ``2r``, so the numbering
-    depends only on the ids and rotations.
+    ``rot`` maps vertices to clockwise lists of entries, ``order`` lists its
+    keys in increasing order, entry ``x`` lies on the edge with key
+    ``x >> shift``, and ``keys`` lists the edge keys in increasing order,
+    which must be the order of the public ids: ``ids[key]``, or the key
+    itself when ``ids`` is None.  The edge of key rank r gets darts ``2r``
+    and ``2r + 1``, and of its two entries the first met in (vertex id,
+    rotation position) order takes ``2r``, so the numbering depends only on
+    the ids and rotations.
     """
     slot = {k: 2 * r for r, k in enumerate(keys)}  # edge -> next dart to hand out
     rot_out = {}
     dv = {}
-    for v in sorted(rot.keys() | range(-b, 0)):
+    for v in order:
         darts = []
-        for x in rot.get(v, ()):
+        for x in rot[v]:
             k = x >> shift
             nd = slot[k]
             slot[k] = nd + 1
@@ -603,8 +640,14 @@ def _checked_graph(b, colors, rotation, declared=(), repeats=(0, 0)) -> PlabicGr
     """The graph of rotation lists of edge ids, marked checked, or InvalidGraph
     listing every violation found; ``from_json`` also passes the declared
     edge ids and how many vertex ids repeat.  Each stage runs once the one
-    before passes; the Euler count runs on the built graph, so the faces it
-    traces stay in its cache."""
+    before passes.  The rotation lists are walked once to count the edge
+    ids, once to number the darts and once to reach the boundary; the
+    boundary, missing and undeclared vertices are read off the sorted
+    vertex ids and the differences of the key sets.  Problem texts print
+    ids with ``_show``, and a graph is refused when its smallest or largest
+    vertex or edge id is past Python's integer digit limit, so that its
+    JSON can be written.  The Euler check only counts the faces
+    (``euler_ok``); they are traced when first read."""
     tail = [f"{n} {where} repeat a vertex id"
             for n, where in zip(repeats, ("entries of 'vertices'", "keys of 'rotation'")) if n]
 
@@ -615,7 +658,7 @@ def _checked_graph(b, colors, rotation, declared=(), repeats=(0, 0)) -> PlabicGr
         _ints([v for v in [*colors.keys(), *rotation.keys(), *declared] if type(v) is not int],
               TypeError, "ids must be integers, got {}")
         if bad := [v for v, es in rotation.items() if type(es) is not list]:
-            raise TypeError(f"the rotation of vertex {bad[0]} is not a list")
+            raise TypeError(f"the rotation of vertex {_show(bad[0])} is not a list")
     except (AttributeError, TypeError) as exc:
         fail(f"malformed graph object: {exc}")
     _ints((b,), fail, "b must be a nonnegative integer, got {}")
@@ -624,19 +667,21 @@ def _checked_graph(b, colors, rotation, declared=(), repeats=(0, 0)) -> PlabicGr
     rep = []
     for v, c in colors.items():
         if v < 0:
-            rep.append(f"internal vertex id {v} must be nonnegative")
+            rep.append(f"internal vertex id {_show(v)} must be nonnegative")
         if c not in (BLACK, WHITE):
-            rep.append(f"vertex {v} has invalid color {c!r}")
+            rep.append(f"vertex {_show(v)} has invalid color {_show(c)}")
+    order = sorted(rotation)
+    lo = bisect_left(order, -b)
+    boundary = order[lo:bisect_left(order, 0, lo)][::-1]
     # b is not bounded by the input's size: at most len(rotation) boundary
     # vertices have entries, and only the first 20 missing ones are named
-    boundary = sorted([v for v in rotation if -b <= v < 0], reverse=True)
     listed = list(islice((v for v in range(-b, 0) if v not in rotation), 20))
-    for v in sorted({v for v in colors if v not in rotation and not -b <= v < 0}.union(listed)):
-        rep.append(f"vertex {v} has no rotation entry")
+    for v in sorted({v for v in colors.keys() - rotation.keys() if not -b <= v < 0}.union(listed)):
+        rep.append(f"vertex {_show(v)} has no rotation entry")
     if rest := b - len(boundary) - len(listed):
-        rep.append(f"{rest} more boundary vertices have no rotation entry")
-    for v in sorted([v for v in rotation if v not in colors and not -b <= v < 0]):
-        rep.append(f"rotation entry for undeclared vertex {v}")
+        rep.append(f"{_show(rest)} more boundary vertices have no rotation entry")
+    for v in sorted([v for v in rotation.keys() - colors.keys() if not -b <= v < 0]):
+        rep.append(f"rotation entry for undeclared vertex {_show(v)}")
     counts = {}
     for v, es in rotation.items():
         for e in es:
@@ -644,20 +689,28 @@ def _checked_graph(b, colors, rotation, declared=(), repeats=(0, 0)) -> PlabicGr
                 try:
                     _ints((e,), TypeError)
                 except TypeError:
-                    rep.append(f"vertex {v} lists edge id {_show(e)}, which is not an integer")
+                    rep.append(f"vertex {_show(v)} lists edge id {_show(e)}, which is not an integer")
                     continue
             counts[e] = counts.get(e, 0) + 1
-    for e, c in sorted(counts.items()):
-        if c == 1:
-            rep.append(f"edge {e} has only one dart (twin involution violated)")
-        elif c != 2:
-            rep.append(f"edge {e} appears {c} times in rotations (expected 2)")
+    if {*counts.values()} - {2}:
+        for e, c in sorted(counts.items()):
+            if c == 1:
+                rep.append(f"edge {_show(e)} has only one dart (twin involution violated)")
+            elif c != 2:
+                rep.append(f"edge {_show(e)} appears {c} times in rotations (expected 2)")
     for v in boundary:
         if len(rotation[v]) != 1:
-            rep.append(f"boundary vertex {-v} has degree {len(rotation[v])} (expected 1)")
+            rep.append(f"boundary vertex {_show(-v)} has degree {len(rotation[v])} (expected 1)")
+    keys = sorted(counts)
+    for what, ids in (("vertex", order), ("edge", keys)):
+        for x in ids[:1] + ids[1:][-1:]:  # the smallest and largest hold the longest
+            try:
+                int.__repr__(x)
+            except ValueError:
+                rep.append(f"{what} id {_show(x)} is past Python's integer digit limit")
     if rep:
         fail(*rep)
-    g = _number_darts(b, colors, rotation, sorted(counts), 0)
+    g = _number_darts(b, colors, rotation, order, keys, 0)
     # connectivity to the boundary
     rot, dv = g._rot, g._dart_vertex
     reached = set(range(-b, 0))
@@ -668,14 +721,14 @@ def _checked_graph(b, colors, rotation, declared=(), repeats=(0, 0)) -> PlabicGr
             if u not in reached:
                 reached.add(u)
                 stack.append(u)
-    rep = [f"internal vertex {v} has no path to the boundary" for v in sorted(colors)
+    rep = [f"internal vertex {_show(v)} has no path to the boundary" for v in sorted(colors)
            if v not in reached]
     if not rep and not g.euler_ok():
         rep.append("rim-augmented Euler check V - E + F = 2 failed (graph not planar as drawn)")
     if rep or tail:
         fail(*rep)
-    if extra := sorted(set(declared) - set(g.edge_ids)):
-        fail(f"declared edges never used in rotation: {extra}")
+    if extra := sorted(set(declared).difference(counts)):
+        fail(f"declared edges never used in rotation: [{', '.join(map(_show, extra))}]")
     g._cache["valid"] = True
     return g
 
@@ -923,7 +976,7 @@ class Builder:
         with the live edge indices ranked by id; for ``freeze`` and ``normalize``."""
         ids = self.ids
         keys = sorted((k for k, e in enumerate(ids) if e is not None), key=ids.__getitem__)
-        return _number_darts(b, self.colors, rot, keys, 1, ids)
+        return _number_darts(b, self.colors, rot, sorted(rot), keys, 1, ids)
 
     def freeze(self) -> PlabicGraph:
         """Produce the immutable graph; public ids are preserved.

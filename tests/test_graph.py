@@ -345,6 +345,51 @@ def test_malformed_rotation_systems_are_invalid_graphs(colors, rotation):
     assert problem.startswith("malformed graph object: ")
 
 
+HUGE = 10**5000  # past Python's integer digit limit: repr() raises ValueError
+TOO_LONG = "<int too long to print>"
+
+
+@pytest.mark.parametrize(
+    "colors, rotation, problems",
+    [({-HUGE: "white"}, {-1: [0], -HUGE: [0]},
+      [f"internal vertex id {TOO_LONG} must be nonnegative",
+       f"vertex id {TOO_LONG} is past Python's integer digit limit"]),
+     ({0: "white"}, {-1: [HUGE], 0: [HUGE]},
+      [f"edge id {TOO_LONG} is past Python's integer digit limit"]),
+     ({HUGE: "white"}, {-1: [0], HUGE: [0]},
+      [f"vertex id {TOO_LONG} is past Python's integer digit limit"]),
+     ({0: "white"}, {-1: [0], 0: [0, HUGE]},
+      [f"edge {TOO_LONG} has only one dart (twin involution violated)",
+       f"edge id {TOO_LONG} is past Python's integer digit limit"]),
+     ({0: "white", HUGE: "black"}, {-1: [0], 0: [0]},
+      [f"vertex {TOO_LONG} has no rotation entry"]),
+     ({0: "white"}, {-1: [0], 0: [0], -HUGE: [1, 1]},
+      [f"rotation entry for undeclared vertex {TOO_LONG}",
+       f"vertex id {TOO_LONG} is past Python's integer digit limit"])],
+    ids=["negative-vertex", "edge", "vertex", "edge-one-dart", "vertex-no-entry",
+         "undeclared-vertex"],
+)
+def test_ids_past_the_digit_limit_are_named_and_refused(colors, rotation, problems):
+    """Such ids reach the graph check only from Python (JSON text cannot
+    carry them): each problem text names them, and a graph with one is
+    refused, since its JSON could not be written."""
+    with pytest.raises(InvalidGraph) as err:
+        PlabicGraph.from_rotation(1, colors, rotation)
+    assert err.value.problems == problems
+    obj = {"b": 1, "vertices": [{"id": v, "color": c} for v, c in colors.items()],
+           "edges": [{"id": e} for e in {e for es in rotation.values() for e in es}],
+           "rotation": rotation}
+    assert validate(obj).problems == problems
+
+
+def test_declared_edge_ids_past_the_digit_limit_are_named():
+    obj = {"b": 1, "vertices": [{"id": 0, "color": "white"}],
+           "edges": [{"id": 0}, {"id": HUGE}, {"id": 7}], "rotation": {"-1": [0], "0": [0]}}
+    with pytest.raises(InvalidGraph) as err:
+        PlabicGraph.from_json(obj)
+    assert err.value.problems == [f"declared edges never used in rotation: [7, {TOO_LONG}]"]
+
+
 @pytest.mark.parametrize("text", ["{", "", "not json", '{"b": 1,}'])
 def test_text_that_is_not_json_is_an_invalid_graph(text):
     with pytest.raises(InvalidGraph) as err:
@@ -365,12 +410,13 @@ def test_json_python_cannot_parse_is_an_invalid_graph(text):
 # where the graph-side entry points expect ints or text: small ints,
 # floats, bools and short strings, alone or in short lists.  Sizes (b, n,
 # m) stay small: ``from_wiring`` and the boundary checks grow with them.
+# Vertex and edge ids may also be ints past Python's digit limit.
 SCALARS = st.one_of(st.integers(-3, 12), st.floats(), st.booleans(), st.text(max_size=3))
+IDS = st.one_of(SCALARS, st.sampled_from([1, -1]).map(lambda sign: sign * HUGE))  # no repr
 JUNK = st.one_of(SCALARS, st.lists(st.one_of(SCALARS, st.lists(SCALARS, max_size=3)),
                                     max_size=3))
 COLORS = st.one_of(st.sampled_from(["white", "black"]), SCALARS)
-ROTATIONS = st.dictionaries(SCALARS, st.one_of(st.lists(SCALARS, max_size=4), SCALARS),
-                            max_size=5)
+ROTATIONS = st.dictionaries(IDS, st.one_of(st.lists(IDS, max_size=4), SCALARS), max_size=5)
 ENTRIES = st.lists(st.dictionaries(st.sampled_from(["id", "color"]), COLORS), max_size=3)
 JUNK_OBJECTS = st.dictionaries(st.sampled_from(["b", "vertices", "edges", "rotation"]),
                                st.one_of(JUNK, ROTATIONS, ENTRIES))
@@ -385,12 +431,13 @@ def graph_objects(draw):
     if draw(st.booleans()):
         return draw(st.one_of(JUNK, JUNK_OBJECTS))
     obj = json.loads(json.dumps(draw(st.sampled_from(BASES))))
-    ids = st.one_of(st.integers(-6, 8), SCALARS)  # ints in range about half the time
+    small = st.one_of(st.integers(-6, 8), SCALARS)  # ints in range about half the time
+    ids = st.one_of(small, IDS)
     for _ in range(draw(st.integers(0, 3))):
         part = draw(st.sampled_from(["b", "vertices", "edges", "rotation"]))
         where = obj[part]
         if part == "b" or not where:
-            obj[part] = draw(st.one_of(ids, JUNK))
+            obj[part] = draw(st.one_of(small, JUNK))
         elif part == "rotation":
             key = draw(st.sampled_from(list(where)))
             value = where.pop(key)
@@ -409,7 +456,7 @@ def graph_objects(draw):
 
 GRAPH_ENTRY_POINTS = {
     "from_rotation": (PlabicGraph.from_rotation, st.tuples(
-        SCALARS, st.one_of(st.dictionaries(SCALARS, COLORS, max_size=4), JUNK),
+        SCALARS, st.one_of(st.dictionaries(IDS, COLORS, max_size=4), JUNK),
         st.one_of(ROTATIONS, JUNK))),
     "from_json": (PlabicGraph.from_json, st.tuples(graph_objects())),
     "validate": (validate, st.tuples(graph_objects())),

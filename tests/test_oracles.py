@@ -26,6 +26,7 @@ pendant trees, and on the weakly separated collections and positroids of
 many permutations.
 """
 
+import json
 import random
 from collections import Counter
 from itertools import combinations
@@ -1174,8 +1175,52 @@ def test_from_json_numbers_darts_once(monkeypatch):
         calls.clear()
         g = PlabicGraph.from_json(text)
         assert len(calls) == 1
-        g.faces()  # traced by the Euler check, so already cached
+        assert "faces" not in g._cache  # the Euler check only counts them
+        g.faces()  # traced on this first read, on the darts already numbered
         assert len(calls) == 1 and "faces" in g._cache
+
+
+@pytest.fixture(scope="module")
+def io_corpus(mixed_graphs, pendant_tree_graphs):
+    """The fixtures, the mixed and pendant-tree graphs, graphs with b >= 10
+    and vertex ids >= 10 (where the string order of the rotation keys is
+    not their int order), move-walk children of those and of the fixtures,
+    which have holes in their edge indices, and the normal forms of all."""
+    rng = random.Random(74)
+    fixtures = [make() for make in F.ALL_NAMED.values()]
+    wide = [bridge_graph(random_decorated_permutation(rng.randint(10, 14), rng))
+            for _ in range(12)]
+    walked = [h for g in wide[:4] + fixtures for h in _walk(g, 8, rng, PRIMITIVE)]
+    assert any(g.b >= 10 and max(g.internal_vertices()) >= 10 for g in wide)
+    assert any(None in g._edge_ids for g in walked)
+    graphs = fixtures + mixed_graphs + pendant_tree_graphs + wide + walked
+    return graphs + [res.normal for res in map(normalize, graphs) if res.ok]
+
+
+def test_to_json_writes_what_json_dumps_writes(io_corpus):
+    for g in io_corpus:
+        assert g.to_json() == json.dumps(g.to_json_obj(), sort_keys=True), g.to_json_obj()
+
+
+def test_face_count_matches_traced_faces(io_corpus):
+    """The Euler check's face count equals the number of traced faces, also
+    on rotation systems with one vertex's rotation shuffled, which the
+    Euler check may reject: the count and the trace reject the same
+    graphs."""
+    rng = random.Random(75)
+    rejected = 0
+    for g in io_corpus:
+        rot = dict(g._rot)
+        hubs = [v for v in sorted(rot) if len(rot[v]) >= 3]  # where a shuffle can matter
+        for v in rng.sample(hubs, min(len(hubs), 1)):
+            rot[v] = tuple(rng.sample(rot[v], len(rot[v])))
+        shuffled = PlabicGraph._from_parts(g.b, g._colors, rot, g._dart_vertex, g._edge_ids)
+        for h in (g, shuffled):
+            fresh = _traced_afresh(h)
+            assert fresh._face_count() == len(h.faces()), h.to_json()
+            assert "faces" not in fresh._cache
+        rejected += not _traced_afresh(shuffled).euler_ok()
+    assert rejected >= 500
 
 
 def test_validate_trusts_only_the_graphs_it_checked(mixed_graphs, monkeypatch):
