@@ -161,7 +161,8 @@ class PlabicGraph:
         try:
             b, vertices, rot = obj["b"], obj.get("vertices", []), obj.get("rotation", {})
             colors = {v["id"]: v["color"] for v in vertices}
-            rotation = {int(v) if isinstance(v, str) else v: list(es) for v, es in rot.items()}
+            rotation = {int(v) if isinstance(v, str) else v: es if type(es) is list else list(es)
+                        for v, es in rot.items()}
             declared = [e["id"] for e in obj.get("edges", [])]
             repeats = len(vertices) - len(colors), len(rot) - len(rotation)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -374,13 +375,16 @@ class PlabicGraph:
 
         A cut is a dart whose successor differs from the parent's, which
         makes it an in-dart of a touched vertex.  A face of the parent
-        with no cut and no removed dart is kept, since it keeps its dart
-        numbers; the others are dirty, and their darts lie on the new
-        walks, each an orbit from a cut.  The new walks take the places of
-        the dirty faces, in sorted order.  When they are not as many as
-        the dirty faces, or a new walk would not fall between the kept
-        faces around its place, some kept face changes index, and the
-        faces are traced afresh instead (``_trace_faces``).
+        with no cut is kept, since it keeps its dart numbers; the others
+        are dirty, and their darts lie on the new walks, each an orbit from
+        a cut.  A face with a removed dart holds a cut, a kept dart whose
+        successor was removed: no edit removes every dart of a face, which
+        would take a removed loop, a digon of two removed edges or a whole
+        tree.  The new walks take the places of the dirty faces, in sorted
+        order.  When they are not as many as the dirty faces, or a new walk
+        would not fall between the kept faces around its place, some kept
+        face changes index, and the faces are traced afresh instead
+        (``_trace_faces``).
         """
         b, rot, dv = self.b, self._rot, self._dart_vertex
         pfaces, pface_of, pnxt = tables
@@ -389,18 +393,15 @@ class PlabicGraph:
             nxt, face_of = pnxt[:n], pface_of[:n]
         else:
             nxt, face_of = pnxt + [-1] * (n - pn), pface_of + [-1] * (n - pn)
-        dirty = set()  # the indices of the dirty faces in the parent
         for v in edited:  # the removed darts become holes
             for x in prot.get(v, ()):
-                if x not in dv:
-                    dirty.add(pface_of[x])
-                    if x < n:
-                        nxt[x] = face_of[x] = -1
+                if x < n and x not in dv:
+                    nxt[x] = face_of[x] = -1
         if touched and min(touched) < 0:
             # the dart into label i goes on along the dart of label i - 1
             touched = {*touched, *[-(-v % b) - 1 for v in touched if v < 0]}
         self._fill_successors(nxt, touched)
-        cuts = []
+        cuts, dirty = [], set()  # dirty: the indices of the dirty faces in the parent
         for v in touched:
             for x in rot[v]:
                 y = x ^ 1

@@ -3,8 +3,9 @@
 ``normalize`` turns an arbitrary plabic graph into a normal one (bipartite,
 trivalent white vertices, boundary attached to black) that is
 move-equivalent to the input up to lollipop bookkeeping, or else certifies
-that the input is not reduced.  ``is_reduced`` runs the pipeline and then
-looks for bad features.
+that the input is not reduced.  ``is_reduced`` reads a resonant graph
+whose only leaves are lollipops as reduced (Kodama–Williams); for any other
+graph it runs the pipeline and then looks for bad features.
 """
 
 from __future__ import annotations
@@ -148,16 +149,19 @@ class ReducednessResult:
 
 
 def is_reduced(g: PlabicGraph) -> ReducednessResult:
-    """Whether the graph is reduced: normalize, then look for bad features.
-
-    Decided once per graph, from the graph's cached normal form; every call
-    returns a new result, which shares the (immutable) witness."""
+    """Whether the graph is reduced, with a witness if not: a resonant graph
+    (``trips.resonance``) is reduced by Kodama–Williams, and any other graph
+    is normalized and its normal form scanned for bad features.  Decided
+    once per graph; every call returns a new result, which shares the
+    (immutable) witness."""
     res = g._fact("is_reduced")
     return ReducednessResult(res.reduced, res.witness)
 
 
 def _decide_reduced(g: PlabicGraph) -> ReducednessResult:
     """The fact "is_reduced", the result ``is_reduced`` copies."""
+    if g._fact("resonance"):
+        return ReducednessResult(True)
     res = g._fact("normalize")
     if not res.ok:
         return ReducednessResult(False, res.witness)

@@ -180,13 +180,20 @@ def edge_labels(g: PlabicGraph) -> dict:
 def resonance(g: PlabicGraph) -> bool:
     """Whether clockwise edge labels around every internal non-lollipop
     vertex form a chain {i1,i2},{i2,i3},...,{i(m-1),im},{i1,im} with
-    i1 < ... < im.  For leafless graphs this is equivalent to reducedness.
-
-    A ring lists the trip sources of each edge's two darts as a pair; the
-    vertices of degree 1 are then all lollipops."""
+    i1 < ... < im; HasInternalLeaf when a leaf is not a lollipop.  By
+    Kodama–Williams (arXiv:1106.0023) this is equivalent to reducedness
+    for graphs whose only leaves are lollipops.  Decided once per graph
+    and kept, and ``is_reduced`` reads the same verdict."""
     info = g._fact("classify")
     if len(info["internal_leaves"]) != len(info["lollipops"]):
         raise HasInternalLeaf("resonance requires no internal leaves other than lollipops")
+    return g._fact("resonance")
+
+
+def _resonate(g: PlabicGraph) -> bool:
+    """The fact "resonance".  A ring pairs the trip sources of each edge's
+    two darts.  A trip turns back at a leaf, so a leaf that is not a lollipop
+    puts a pair (s, s) in its neighbour's ring: such a graph is never resonant."""
     source = g._fact("trips")[1]
     return all(_is_resonant_ring([(source[d], source[d ^ 1]) for d in ds])
                for v, ds in g._rot.items() if v >= 0 and len(ds) != 1)
@@ -263,4 +270,5 @@ def _scan_bad_features(g: PlabicGraph):
     return tuple(feats + crossings)
 
 
-_FACTS.update(trips=_trace_trips, decorated=_decorate, bad_features=_scan_bad_features)
+_FACTS.update(trips=_trace_trips, decorated=_decorate, bad_features=_scan_bad_features,
+              resonance=_resonate)

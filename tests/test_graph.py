@@ -151,6 +151,29 @@ def test_json_roundtrip_preserves_ids():
     assert sorted(h.edge_ids) == sorted(g.edge_ids)
 
 
+def test_from_json_keeps_no_reference_to_the_rotation_lists():
+    """The caller's rotation lists are read, not kept: changing them after
+    ``from_json`` changes neither the graph nor its JSON.  A tuple is read
+    like a list, and a string as a list of its characters."""
+    text = F.two_trees_b6().to_json()
+    obj = json.loads(text)
+    g = PlabicGraph.from_json(obj)
+    rotation = g.rotation(0)
+    for es in obj["rotation"].values():
+        es.reverse()
+        es.append(99)
+    obj["rotation"]["0"].clear()
+    assert g.rotation(0) == rotation and g.to_json() == text
+    obj = json.loads(text)
+    obj["rotation"] = {v: tuple(es) for v, es in obj["rotation"].items()}
+    assert PlabicGraph.from_json(obj).to_json() == text
+    obj["rotation"]["-1"] = "0"
+    with pytest.raises(InvalidGraph) as err:
+        PlabicGraph.from_json(obj)
+    assert err.value.problems == ["vertex -1 lists edge id '0', which is not an integer",
+                                  "edge 0 has only one dart (twin involution violated)"]
+
+
 def test_collapse_tree_onto_internal_root():
     g = F.collapsible_tree_b3()
     assert collapse_trees(g) == F.collapsed_tree_b3()

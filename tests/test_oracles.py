@@ -9,7 +9,9 @@ site-by-site move enumeration, the dart numbering of edge-id rotation
 lists, which also checks ``Builder.freeze`` up to an order-preserving dart
 map, a face trace from scratch of each graph whose faces a move patched, fixed-point decorations read
 off the fully collapsed graph, the bad-feature scan over every ordered edge
-pair, the resonance test over every rotation of a ring, and the tree
+pair, the resonance test over every rotation of a ring, reducedness by
+normalization and the bad-feature scan (which ``is_reduced`` skips on
+resonant graphs), and the tree
 collapse over all builder darts, normalization from a frozen collapse,
 classification over edge ids, and the square moves of a weakly separated
 collection found from a core-to-pairs index and a scan of every quad, and
@@ -1528,6 +1530,45 @@ def test_resonance_matches_label_set_reference(mixed_graphs, pendant_tree_graphs
         assert verdict == resonance_reference(g), g.to_json()
         verdicts[verdict] += 1
     assert min(verdicts.values()) >= 200, verdicts
+
+
+def _not_normal_shape(g):
+    """Whether g has a bivalent vertex or an edge between two internal
+    vertices of one colour."""
+    return any(g.degree(v) == 2 for v in g.internal_vertices()) or any(
+        u >= 0 and v >= 0 and g.color(u) == g.color(v)
+        for u, v in map(g.edge_endpoints, g.edge_ids))
+
+
+def test_is_reduced_matches_normalize_and_bad_features(mixed_graphs, pendant_tree_graphs):
+    """``is_reduced`` gives the verdict and witness of the public pipeline
+    (normalize, then the first bad feature of the normal form), on graphs
+    it reads as resonant, on eligible graphs that are not resonant, and on
+    graphs with a leaf that is not a lollipop."""
+    graphs = mixed_graphs + pendant_tree_graphs
+    graphs += [n for n in (normalize(g).normal for g in graphs) if n is not None]
+    paths = {"resonant": 0, "not_resonant": 0, "leaf": 0, "resonant_not_normal": 0}
+    for g in graphs:
+        red = is_reduced(g)
+        res = normalize(g)
+        feats = bad_features(res.normal) if res.ok else []
+        if not res.ok:
+            expected = (False, res.witness)
+        elif feats:
+            expected = (False, Witness(feats[0].kind, edges=feats[0].edges))
+        else:
+            expected = (True, None)
+        assert (red.reduced, red.witness) == expected, g.to_json()
+        info = classify(g)
+        if set(info["internal_leaves"]) - set(info["lollipops"]):
+            paths["leaf"] += 1
+        elif resonance(g):
+            paths["resonant"] += 1
+            paths["resonant_not_normal"] += _not_normal_shape(g)
+        else:
+            paths["not_resonant"] += 1
+    assert min(paths["resonant"], paths["not_resonant"], paths["leaf"]) >= 200, paths
+    assert paths["resonant_not_normal"] >= 50, paths
 
 
 def _normalize_fields(res):

@@ -132,8 +132,13 @@ def test_resonance_on_fixtures():
 
 
 def test_resonance_needs_leafless():
-    with pytest.raises(HasInternalLeaf):
-        resonance(F.bad_leaf_b2())
+    from plabic import is_reduced
+
+    g = F.bad_leaf_b2()
+    for _ in range(2):  # the second time after is_reduced has read the fact
+        with pytest.raises(HasInternalLeaf):
+            resonance(g)
+        assert not is_reduced(g).reduced
 
 
 def test_resonance_on_bridge_graphs(rng):
