@@ -24,7 +24,7 @@ from .graph import _FACTS, PlabicGraph
 from .perms import (
     DecoratedPermutation,
     _mask,
-    _positroid_members,
+    _member_test,
     _separated,
     affinize,
     length,
@@ -120,16 +120,20 @@ def strongly_equivalent(g1: PlabicGraph, g2: PlabicGraph) -> bool:
 # ----------------------------------------------------------------------
 # enumeration of maximal weakly separated collections, on positroid bitsets
 #
-# The members of the positroid are numbered 0..N-1 in ``_positroid_members``
-# order, and a collection is the int with bit t set for each member t it
-# holds.  The square moves that remove member t are read off the positroid
-# into one row (``_square_row``) the first time t appears in a collection;
-# necklace members lie in every collection and get an empty row.  A move is
-# legal in a collection exactly when the collection holds its four sides and
-# not the member it brings in, which is one AND and one comparison.  Its
-# result is tested for weak separation only when it has not been seen
-# before.  Each collection travels with the list of its member numbers, and
-# a result's list is its parent's with one number replaced.
+# The members of the positroid are numbered 0, 1, ... as the search meets
+# them: a mask's membership (Oh's threshold test against the necklace) is
+# found once and remembered, so nothing is paid for members the search
+# never reaches.  A collection is the int with bit t set for each member t
+# it holds.  The square moves that remove member t are read off the
+# positroid into one row (``_square_row``) the first time t appears in a
+# collection; necklace members lie in every collection and get an empty
+# row.  A move is legal in a collection exactly when the collection holds
+# its four sides and not the member it brings in, which is one AND and one
+# comparison.  Only the seed is tested for weak separation: a square move
+# inside the positroid takes a maximal weakly separated collection to
+# another one (Oh--Postnikov--Speyer).  Each collection travels with the
+# list of its member numbers, and a result's list is its parent's with one
+# number replaced.
 
 
 def _bits(m):
@@ -142,22 +146,23 @@ def _bits(m):
     return out
 
 
-def _square_row(t, m, b, index):
+def _square_row(t, m, b, lookup):
     """The square moves that remove member t, of mask m, from a collection,
-    as (look, need, flip, v) with the bit numbers of ``index``.
+    as (look, need, flip, v) with the member numbers ``lookup`` gives.
 
     A move flips m to u = m - {i, j} + {c2, c4}, for i < c2 < j and c4
     outside [i, j], and its sides are m - j + c2, m - i + c2, m - i + c4 and
-    m - j + c4.  It is listed when u and all four sides lie in the positroid
-    ``index``; v is the number of u, ``need`` the bits of the sides, ``look``
-    those plus v's bit and ``flip`` the bits of t and v.  Sorted,
-    {i, c2, j, c4} is the cyclic quad of the sides, so each move of a
-    collection is found once, from the member it removes.
+    m - j + c4.  It is listed when u and all four sides lie in the positroid,
+    that is when ``lookup`` gives them a number and not None; v is the
+    number of u, ``need`` the bits of the sides, ``look`` those plus v's bit
+    and ``flip`` the bits of t and v.  Sorted, {i, c2, j, c4} is the cyclic
+    quad of the sides, so each move of a collection is found once, from the
+    member it removes.
     """
     labels = _bits(m)
     free = [c for c in range(1, b + 1) if not m >> c & 1]
     # side[i]: for each c outside m, the number of m - i + c, or None
-    side = {i: [index.get(m ^ 1 << i | 1 << c) for c in free] for i in labels}
+    side = {i: [lookup(m ^ 1 << i | 1 << c) for c in free] for i in labels}
     out = []
     for i, j in combinations(labels, 2):
         inner, outer = [], []  # (bit of c, bits of m - i + c and m - j + c)
@@ -168,7 +173,7 @@ def _square_row(t, m, b, index):
         for c2, need2 in inner:
             for c4, need4 in outer:
                 u = core | c2 | c4
-                v = index.get(u)
+                v = lookup(u)
                 if v is not None:
                     need = need2 | need4
                     out.append((need | 1 << v, need, 1 << t | 1 << v, v))
@@ -181,13 +186,15 @@ def enumerate_ws(p: DecoratedPermutation, limit: int = None):
     Starts from the target labels of a bridge graph and closes under square
     moves; every collection returned contains the Grassmann necklace, lies
     inside the positroid, has size a(b-a) - length + 1 and is pairwise
-    weakly separated.  The search holds each collection as a bitset over
-    the positroid's members and reads the square moves of each member from
-    a table row, built the first time the member appears; a move costs a
-    few integer operations, and its result is tested for weak separation
-    only when it is a collection not seen before.  Raises TooLarge when
-    ``limit`` is exceeded (the seed counts), and BadBudget for a ``limit``
-    that is not a non-negative integer.
+    weakly separated.  The seed is tested for all four; its square moves
+    inside the positroid keep them (Oh--Postnikov--Speyer), so no later
+    collection is tested for weak separation.  The search holds each
+    collection as a bitset over the positroid members it has met, numbered
+    as it meets them, and reads the square moves of each member from a
+    table row, built the first time the member appears; a move costs a few
+    integer operations.  Raises TooLarge when ``limit`` is exceeded (the
+    seed counts), and BadBudget for a ``limit`` that is not a non-negative
+    integer.
     """
     message = "limit must be a non-negative integer, got {}"
     if limit is not None and _ints((limit,), BadBudget, message)[0] < 0:
@@ -195,16 +202,24 @@ def enumerate_ws(p: DecoratedPermutation, limit: int = None):
     b = p.b
     a = p.anti_excedances()
     nk = necklace_from_perm(p)
-    index = {_mask(J, b): t for t, J in enumerate(_positroid_members(nk))}  # mask -> number
+    member = _member_test(nk)
+    number = {}  # mask -> its member number, or None outside the positroid
+    masks = []  # member number -> mask
+
+    def lookup(m):
+        v = number.get(m, -1)
+        if v == -1:
+            v = number[m] = len(masks) if member(tuple(_bits(m))) else None
+            if v is not None:
+                masks.append(m)
+        return v
+
     necklace = {_mask(s, b) for s in nk.sets}
     size = a * (b - a) - length(affinize(p)) + 1
     seed = frozenset(_mask(s, b) for s in label_collection(bridge_graph(p), "target"))
-    _check_collection(seed, necklace, index, size)
-    masks = list(index)
-    rows = [None] * len(masks)  # member number -> its square moves
-    for m in necklace:  # in every collection, so never moved
-        rows[index[m]] = ()
-    sets = [None] * len(masks)  # member number -> its labels, as returned
+    _check_collection(seed, necklace, lookup, size)
+    rows = {number[m]: () for m in necklace}  # member number -> its square moves
+    sets = {}  # member number -> its labels, as returned
     seen = set()
     queue = deque()  # breadth first: (bitset, its member numbers)
 
@@ -214,33 +229,33 @@ def enumerate_ws(p: DecoratedPermutation, limit: int = None):
         if limit is not None and len(seen) > limit:
             raise TooLarge(f"more than {limit} collections; raise the limit")
 
-    ts = [index[m] for m in seed]
+    ts = [number[m] for m in seed]
     for t in ts:
         sets[t] = frozenset(_bits(masks[t]))
     visit(sum(1 << t for t in ts), ts)
     out = set()
     while queue:
         coll, ts = queue.popleft()
-        held = [masks[t] for t in ts]
         for k, t in enumerate(ts):
-            row = rows[t]
+            row = rows.get(t)
             if row is None:
-                row = rows[t] = _square_row(t, masks[t], b, index)
+                row = rows[t] = _square_row(t, masks[t], b, lookup)
             for look, need, flip, v in row:
                 if coll & look != need or coll ^ flip in seen:
                     continue
-                u = masks[v]
-                if _separated(u, held[:k] + held[k + 1:]):
-                    if sets[v] is None:
-                        sets[v] = frozenset(_bits(u))
-                    child = ts.copy()
-                    child[k] = v
-                    visit(coll ^ flip, child)
+                if v not in sets:
+                    sets[v] = frozenset(_bits(masks[v]))
+                child = ts.copy()
+                child[k] = v
+                visit(coll ^ flip, child)
         out.add(frozenset(map(sets.__getitem__, ts)))
     return out
 
 
-def _check_collection(coll, necklace, index, size):
+def _check_collection(coll, necklace, lookup, size):
+    """AssertionError unless the masks of coll are ``size`` many, hold the
+    necklace, lie in the positroid (``lookup`` numbers them) and are
+    pairwise weakly separated."""
     if len(coll) != size:
         raise AssertionError(
             f"seed collection has {len(coll)} labels, expected {size}"
@@ -249,5 +264,10 @@ def _check_collection(coll, necklace, index, size):
         if s not in coll:
             raise AssertionError(f"necklace member {_bits(s)} missing from seed")
     for s in coll:
-        if s not in index:
+        if lookup(s) is None:
             raise AssertionError(f"seed label {_bits(s)} outside the positroid")
+    for s, y in combinations(coll, 2):
+        if not _separated(s, (y,)):
+            raise AssertionError(
+                f"seed label {_bits(s)} not weakly separated from {_bits(y)}"
+            )

@@ -369,14 +369,16 @@ def gale_leq(ell: int, b: int, I, J) -> bool:
     return all(key(x) <= key(y) for x, y in zip(si, sj))
 
 
-def _positroid_members(nk: GrassmannNecklace):
-    """Each a-subset J (a sorted tuple) with I_ell <= J in every shifted Gale order.
+def _member_test(nk: GrassmannNecklace):
+    """The test of whether an a-subset J (a sorted tuple) lies in the
+    positroid of nk: I_ell <= J in every shifted Gale order (Oh).
 
     In the ell-shifted order, a sorted J reads J[r:] then J[:r] + b, where
     r = bisect_left(J, ell); so J passes at ell when its window
     (J + (J + b))[r:r + a] is componentwise at least I_ell's thresholds,
     the ell-shifted keys of I_ell plus ell.  An I_ell equal to
-    {ell, ..., ell + a - 1} (keys 0..a-1) bounds nothing and is skipped.
+    {ell, ..., ell + a - 1} (keys 0..a-1) bounds nothing and is skipped,
+    and J's window is built only when some I_ell bounds something.
     """
     b, a = nk.b, nk.a
     tests = []
@@ -384,14 +386,22 @@ def _positroid_members(nk: GrassmannNecklace):
         keys = sorted((x - ell) % b for x in nk[ell - 1])
         if keys != list(range(a)):
             tests.append((ell, [k + ell for k in keys]))
-    for J in combinations(range(1, b + 1), a):
-        J2 = J + tuple(x + b for x in J)
-        for ell, t in tests:
-            r = bisect_left(J, ell)
-            if not all(map(le, t, J2[r:r + a])):
-                break
-        else:
-            yield J
+
+    def member(J) -> bool:
+        if tests:
+            J2 = J + tuple(x + b for x in J)
+            for ell, t in tests:
+                r = bisect_left(J, ell)
+                if not all(map(le, t, J2[r:r + a])):
+                    return False
+        return True
+
+    return member
+
+
+def _positroid_members(nk: GrassmannNecklace):
+    """Each a-subset J (a sorted tuple) that passes ``_member_test``."""
+    return filter(_member_test(nk), combinations(range(1, nk.b + 1), nk.a))
 
 
 def positroid(nk: GrassmannNecklace):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from plabic import (
@@ -18,6 +20,7 @@ from plabic import (
 )
 from plabic import DecoratedPermutation
 from plabic import fixtures as F
+from plabic import labels as labels_module
 from plabic.perms import is_ws_collection
 from conftest import random_decorated_permutation
 
@@ -171,10 +174,39 @@ def test_enumerate_limit_counts_the_seed():
 
 def test_enumerate_limit_on_a_large_positroid():
     """Gr(8,16) has 12,870 positroid members; a small limit stops the search
-    after a few collections, with move rows and label sets built only for
-    the members those collections hold."""
+    after a few collections.  Members are numbered as the search meets
+    them, and move rows and label sets are built only for the members those
+    collections hold."""
     with pytest.raises(TooLarge, match="more than 50 collections"):
         enumerate_ws(cyclic_rotation(8, 16), limit=50)
+
+
+def test_enumerate_limit_pays_only_for_what_it_visits():
+    """Gr(10,20) has 184,756 positroid members.  Stopping after the seed
+    numbers only the members its square moves reach, so the search stays
+    far below the memory of numbering them all (over 200 MB)."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match="more than 1 collections"):
+            enumerate_ws(cyclic_rotation(10, 20), limit=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
+
+
+def test_enumerate_checks_the_seed_for_weak_separation(monkeypatch):
+    """Only the seed is tested for weak separation, so a seed of the right
+    size, holding the necklace and inside the positroid, with one pair that
+    is not weakly separated, is refused, and the message names that pair."""
+    p = cyclic_rotation(2, 5)
+    nk = necklace_from_perm(p)
+    bad = frozenset(nk.sets) | {frozenset({1, 3}), frozenset({2, 4})}
+    assert len(bad) == 7 and bad <= positroid(nk) and not is_ws_collection(bad, 5)
+    monkeypatch.setattr(labels_module, "label_collection", lambda g, mode: bad)
+    with pytest.raises(AssertionError, match="not weakly separated") as exc:
+        enumerate_ws(p)
+    assert "[1, 3]" in str(exc.value) and "[2, 4]" in str(exc.value)
 
 
 def test_enumerate_rejects_a_negative_limit():

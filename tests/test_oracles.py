@@ -16,11 +16,11 @@ collapse over all builder darts, normalization from a frozen collapse,
 classification over edge ids, and the square moves of a weakly separated
 collection found from a core-to-pairs index and a scan of every quad, and
 from a table of each label mask's one-label completions, weak
-separation by counting cyclic blocks of marks, the positroid through
-``gale_leq``, the square-move closure of weakly separated collections on
-frozensets, the canonical key in two passes (edges numbered at dequeue,
-rows written after the search), move equivalence by a one-way
-breadth-first search on those keys, the validation of a graph's JSON
+separation by counting cyclic blocks of marks, the positroid and its
+member test through ``gale_leq``, the square-move closure of weakly
+separated collections on frozensets, the canonical key in two passes
+(edges numbered at dequeue, rows written after the search), move
+equivalence by a one-way breadth-first search on those keys, the validation of a graph's JSON
 round trip, and the checked
 ``DecoratedPermutation`` constructor.  The tests require the library to agree with them exactly on the
 fixtures and on many bridge and move-walk graphs, some with loops, digons and
@@ -82,7 +82,9 @@ from plabic.graph import Builder, PlabicGraph, _pendant_vertices, collapse_trees
 from plabic.moves import KINDS, EquivalenceResult, _apply, _build, _frozen, _search_moves
 from plabic.labels import _bits
 from plabic.normalize import NormalizeResult, Witness
-from plabic.perms import _mask, _positroid_members, _separated, is_ws_collection, shifted_key
+from plabic.perms import (
+    _mask, _member_test, _positroid_members, _separated, is_ws_collection, shifted_key,
+)
 from plabic.trips import BadFeature, Trip, _hanging_tree, _is_resonant_ring
 from conftest import (
     insert_loop,
@@ -1631,7 +1633,7 @@ def test_square_moves_read_off_members_match_quad_scan():
             for m in held:
                 t = index[m]
                 if t not in rows:
-                    rows[t] = labels_module._square_row(t, m, p.b, index)
+                    rows[t] = labels_module._square_row(t, m, p.b, index.get)
                 got += [(m, masks[v]) for look, need, _, v in rows[t] if bitset & look == need]
             labels = {m: _bits(m) for m in held}
             on_masks = [(old, new) for old, new in mutation_steps_on_masks(held, labels)
@@ -1685,6 +1687,47 @@ def test_positroid_matches_reference():
         assert positroid(nk) == want, str(p)
         sizes[len(want) > 1] += 1
     assert min(sizes.values()) >= 50, sizes
+
+
+def test_member_test_matches_reference_positroid(monkeypatch):
+    """The threshold test accepts an a-subset exactly when the Gale-order
+    reference positroid holds it, and every member ``enumerate_ws`` numbers
+    (each subset its test accepts) lies in that positroid; on random
+    permutations and on the uniform positroids of ``cyclic_rotation``."""
+    tested = []  # (J, verdict) for each subset the search tests
+
+    def recording(nk):
+        member = _member_test(nk)
+
+        def record(J):
+            verdict = member(J)
+            tested.append((J, verdict))
+            return verdict
+
+        return record
+
+    monkeypatch.setattr(labels_module, "_member_test", recording)
+    rng = random.Random(94)
+    perms = [random_decorated_permutation(rng.randint(1, 9), rng) for _ in range(300)]
+    perms += [cyclic_rotation(a, b) for b in range(1, 10) for a in range(b + 1)]
+    bounding = numbered = 0
+    for p in perms:
+        nk = necklace_from_perm(p)
+        b, a = nk.b, nk.a
+        want = positroid_reference(nk)
+        member = _member_test(nk)
+        for J in combinations(range(1, b + 1), a):
+            assert member(J) == (frozenset(J) in want), (str(p), J)
+        bounding += any(nk[ell - 1] != {(ell + k - 1) % b + 1 for k in range(a)}
+                        for ell in range(1, b + 1))
+        tested.clear()
+        _limit_outcome(enumerate_ws, p, 50)
+        assert tested, str(p)
+        for J, verdict in tested:
+            assert verdict == (frozenset(J) in want), (str(p), J)
+            numbered += verdict
+    assert bounding >= 200 and len(perms) - bounding >= 100, bounding
+    assert numbered >= 3000, numbered
 
 
 def _ws_outcome(fn, sets, b):
