@@ -104,6 +104,14 @@ class PlabicGraph:
     even one is the first met in (vertex id, rotation position) order, so
     the order of the darts depends only on the ids and rotations.
 
+    The id order holds by construction and is not checked: the raw
+    constructor takes edge ids in any order, say ``(5, 3, 2)``.  So the
+    largest edge id is never read off ``_edge_ids[-1]``.  The fact
+    "maxima" finds it once by a scan and then follows it by its index,
+    which needs only what every move keeps: each id the move does not
+    remove stays at its edge index, and each new edge takes a new index
+    past the parent's, with an id larger than every id before it.
+
     Facts derived from a graph are read through ``_fact`` and kept in
     ``_cache``, which is safe because the graph never changes.  The cache
     also holds the flag "valid" (``from_rotation``/``from_json`` accepted
@@ -233,7 +241,7 @@ class PlabicGraph:
 
     def darts_of_edge(self, edge_id: int):
         """The two darts of an edge; ValueError for an unknown edge id."""
-        k = self._fact("edge_index").get(edge_id)
+        k = self._fact("edge_index")[0].get(edge_id)
         if k is None:
             raise ValueError(f"no edge with id {edge_id!r}")
         return 2 * k, 2 * k + 1
@@ -767,8 +775,14 @@ class Builder:
     that the pairing stays ``d ^ 1``.  A new edge takes the next index and a
     fresh id, larger than every id, so indices follow id order; a removed
     edge leaves a hole, and the one edge that ``remove_bivalent`` gives a
-    smaller id returns to that id's index when frozen.  Rotations are shared
-    with the graph until
+    smaller id returns to that id's index when frozen.
+
+    Fresh ids are ``max(current ids) + 1``, for vertices and for edges.
+    The builder starts from the graph's fact "maxima" and keeps both
+    maxima as it adds; only removing the current maximum forgets it, and
+    the next fresh id of that kind then takes a scan.
+
+    Rotations are shared with the graph until
     surgery edits them: ``_edit`` hands out a vertex's rotation as a list
     and records the vertex as touched.  ``freeze`` produces an immutable
     PlabicGraph with the public ids and hands it the builder's dicts, so a
@@ -794,7 +808,8 @@ class Builder:
         self._graph = g  # whose facts a frozen result may patch
         self._touched = set()  # vertices recoloured, edited or removed
         self._homes = {}  # edge index -> the index of its id, when they differ
-        self._max_vertex = self._max_edge_id = None  # None: not known yet
+        # the largest vertex and edge ids, None once the largest is removed
+        self._max_vertex, self._max_edge_id, _ = g._fact("maxima")
 
     # -- fresh ids ------------------------------------------------------
 
@@ -805,7 +820,7 @@ class Builder:
 
     def fresh_edge_id(self) -> int:
         if self._max_edge_id is None:
-            self._max_edge_id = max(set(self.ids) - {None}, default=-1)
+            self._max_edge_id = _largest_edge(self.ids)[0]
         return self._max_edge_id + 1
 
     def _new_dart_pair(self, eid):
@@ -1163,17 +1178,87 @@ def _classify(g: PlabicGraph) -> dict:
     }
 
 
+def _largest_edge(ids):
+    """The largest edge id of ``ids`` (edge index -> id, None at a hole)
+    and its index, or (-1, -1) with no edge."""
+    live = [e for e in ids if e is not None]
+    if not live:
+        return -1, -1
+    e = max(live)
+    return e, ids.index(e)
+
+
+def _maxima(g):
+    """The fact "maxima": ``(largest vertex id, largest edge id, its edge
+    index)``, -1 for a vertex or edge id when there is none."""
+    return max(g._colors, default=-1), *_largest_edge(g._edge_ids)
+
+
+def _patch_maxima(g, maxima, prot, edited, touched):
+    """The fact "maxima" from the parent's, in O(touched).  A new vertex is
+    touched, and larger than every vertex of the parent when the parent's
+    largest stays.  The edges follow the id order that ``PlabicGraph``
+    describes: when the last edge index holds an id larger than the
+    parent's largest, that index is new, and the largest; otherwise the
+    parent's largest is looked up at its index.  A scan is left only when
+    the move removed the largest vertex, or the largest edge with no new
+    edge past it."""
+    v, e, k = maxima
+    colors, ids = g._colors, g._edge_ids
+    if v < 0 or v in colors:
+        v = max(v, max(touched, default=v))
+    else:
+        v = max(colors, default=-1)
+    if ids and (k < 0 or ids[-1] > e):  # the last edge is new
+        return v, ids[-1], len(ids) - 1
+    if 0 <= k < len(ids) and ids[k] == e:
+        return v, e, k
+    return v, *_largest_edge(ids)
+
+
+def _edge_index(g):
+    """The fact "edge_index": ``(index, ids)``, the dict from each edge id
+    to its edge index and the edge ids it was made from."""
+    ids = g._edge_ids
+    return {e: k for k, e in enumerate(ids) if e is not None}, ids
+
+
+def _patch_edge_index(g, fact, prot, edited, touched):
+    """The fact "edge_index" from the parent's: a copy of its dict, less
+    the ids whose index the move left empty (the parent's darts at edited
+    vertices find them), plus the edges at indices past the parent's
+    (their darts lie at touched vertices).  Every other id stays at its
+    index, so the copy holds it already."""
+    index, pids = fact
+    index = index.copy()
+    ids, rot = g._edge_ids, g._rot
+    n, pn = len(ids), len(pids)
+    for v in edited:
+        for x in prot.get(v, ()):
+            k = x >> 1
+            if k >= n or ids[k] is None:
+                index.pop(pids[k], None)
+    for v in touched:  # after the removals: a new edge may reuse a removed id
+        for x in rot[v]:
+            k = x >> 1
+            if k >= pn:
+                index[ids[k]] = k
+    return index, ids
+
+
 # The facts derived from a graph, registered by the modules that own them:
 # ``_FACTS[name](g)`` derives a fact (never None) from g alone, and
 # ``_PATCHES[name](g, parent value, parent rotations, edited, touched)``
 # from the value of the graph a move made g from (``Builder.freeze``).
 _FACTS = dict(
     faces=PlabicGraph._trace_faces,
-    edge_index=lambda g: {e: k for k, e in enumerate(g._edge_ids) if e is not None},
+    maxima=_maxima,
+    edge_index=_edge_index,
     ckey=lambda g: _canonical_key(g.b, g._colors, g._rot, g._dart_vertex),
     classify=_classify,
 )
-_PATCHES = dict(faces=PlabicGraph._patch_faces)
+_PATCHES = dict(faces=PlabicGraph._patch_faces, maxima=_patch_maxima,
+                edge_index=_patch_edge_index)
 
 
 def lollipop_graph(decorations) -> PlabicGraph:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from plabic import (
     DecoratedPermutation,
     InvalidGraph,
+    MoveSpec,
     PlabicError,
     PlabicGraph,
     apply_move,
@@ -573,6 +574,28 @@ def test_remove_bivalent_moves_the_survivor_to_its_ids_index():
     assert validate(h).ok
 
 
+def test_maxima_are_exact_on_raw_graphs_whose_ids_do_not_ascend():
+    """The raw constructor takes edge ids in any order: with ids (5, 3, 2)
+    the last index holds 2, and reading the largest id there would hand
+    out the existing id 3.  The fact "maxima" and each move's patch of it
+    give the largest vertex and edge ids exactly."""
+    path = PlabicGraph.from_rotation(2, {0: "white", 1: "black"},
+                                     {-1: [0], 0: [0, 1], 1: [1, 2], -2: [2]})
+    g = PlabicGraph(2, path._colors, path._rot, (5, 3, 2))
+    assert g._fact("maxima") == (1, 5, 0)
+    bld = Builder(g)
+    assert bld.fresh_edge_id() == 6 and bld.fresh_vertex() == 2
+    inserted = apply_move(g, MoveSpec("InsertBivalentM2", edge=3, color="white"))
+    assert inserted._fact("maxima") == (2, 6, 3)  # the new edge takes index 3
+    assert Builder(inserted).fresh_edge_id() == 7
+    removed = apply_move(g, MoveSpec("RemoveBivalentM2", vertex=0))  # frees id 5
+    assert removed._edge_ids == (None, 3, 2) and removed._fact("maxima") == (1, 3, 1)
+    assert Builder(removed).fresh_edge_id() == 4
+    for h in (inserted, removed):
+        assert h._fact("edge_index")[0] == {e: k for k, e in enumerate(h._edge_ids)
+                                            if e is not None}
+
+
 def _recolored_builder():
     bld = Builder(F.square_fan_b5())
     bld.recolor(0, "black" if bld.colors[0] == "white" else "white")
@@ -687,12 +710,13 @@ def test_face_order_does_not_depend_on_how_a_graph_was_built():
 def test_a_move_child_inherits_only_face_tables():
     """The facts cached on a graph hold for it alone.  A move's result
     starts only with its hand-down record, which holds its parent's values
-    of the facts that have a patch, the face tables and move sites; once
-    those are read the record is gone, and nothing keeps the parent alive.
+    of the facts that have a patch: the face tables, the move sites, the
+    id maxima (read by the move's builder) and the edge index; once those
+    are read the record is gone, and nothing keeps the parent alive.
     UrbanRenewal reads its result's faces to find the inverse move, so
     that result has its faces too, patched from the record."""
     patched = set(graph_module._PATCHES)
-    assert patched == {"faces", "sites"}
+    assert patched == {"faces", "sites", "maxima", "edge_index"}
     hand_down = graph_module._HAND_DOWN
     kinds = set()
     for make in (F.square_fan_b5, F.normal_b5, F.urban_left_b7):
@@ -713,12 +737,15 @@ def test_a_move_child_inherits_only_face_tables():
             kinds.add(m.kind)
             own = {"faces"} if m.kind == "UrbanRenewal" else set()
             assert set(h._cache) == {hand_down} | own, (m, set(h._cache))
-            assert set(h._cache[hand_down][0]) <= patched - own, m
+            assert set(h._cache[hand_down][0]) == patched - own, m
             parent = weakref.ref(g)
             del g
             h.faces()
             legal_moves(h)
-            assert set(h._cache) == {"faces", "sites"}, (m, set(h._cache))
+            h.darts_of_edge(h.edge_ids[0])
+            assert set(h._cache) == {hand_down, "faces", "sites", "edge_index"}, m
+            Builder(h).fresh_vertex()
+            assert set(h._cache) == patched, (m, set(h._cache))
             assert parent() is None, m
     assert {"SquareM1", "UrbanRenewal", "NormalFlip"} <= kinds, kinds
 

@@ -1879,13 +1879,12 @@ def test_meet_in_the_middle_matches_one_way_search(pendant_tree_graphs):
     assert verdicts["equivalent"] >= 40 and verdicts["unknown"] >= 10, verdicts
 
 
-def test_one_pass_keys_match_two_pass_reference(reduced_walk_graphs):
-    """Every state of seeded criterion-7 walks and of kind-balanced walks
-    over all eight kinds has the reference key, and so has every search
-    child: keyed on what ``_build`` returns (a builder for most moves) and
-    again once frozen."""
+def _kind_balanced_walks(visit=lambda g: None):
+    """The states of 20 seeded walks of 15 steps from trivalent bridge
+    graphs, each step a move of a kind drawn evenly from the kinds with a
+    site; ``visit`` sees each state before a move is made from it."""
     rng = random.Random(14)
-    states = list(reduced_walk_graphs)
+    states = []
     for _ in range(20):
         g = trivalentize(bridge_graph(random_decorated_permutation(rng.randint(4, 7), rng)))
         for _ in range(15):
@@ -1893,7 +1892,17 @@ def test_one_pass_keys_match_two_pass_reference(reduced_walk_graphs):
             for m in legal_moves(g):
                 sites.setdefault(m.kind, []).append(m)
             g = apply_move(g, rng.choice(sites[rng.choice(sorted(sites))]))
+            visit(g)
             states.append(g)
+    return states
+
+
+def test_one_pass_keys_match_two_pass_reference(reduced_walk_graphs):
+    """Every state of seeded criterion-7 walks and of kind-balanced walks
+    over all eight kinds has the reference key, and so has every search
+    child: keyed on what ``_build`` returns (a builder for most moves) and
+    again once frozen."""
+    states = list(reduced_walk_graphs) + _kind_balanced_walks()
     children = Counter()
     for g in states:
         assert g.canonical_key() == canonical_key_reference(g), g.to_json()
@@ -1906,3 +1915,30 @@ def test_one_pass_keys_match_two_pass_reference(reduced_walk_graphs):
             assert type(h) is Builder, mv
             children[mv.kind] += 1
     assert sum(children.values()) >= 10_000 and children["SquareM1"] >= 30, children
+
+
+def test_handed_down_maxima_and_edge_index_match_a_scan():
+    """On every state of the kind-balanced walks, the id maxima and the
+    edge index patched from the parent's equal those derived by a scan,
+    and every search child's builder hands out the fresh ids a scan of its
+    own ids gives."""
+    kinds, patched = Counter(), Counter()
+
+    def visit(g):
+        handed = g._cache.get(graph_module._HAND_DOWN, ({},))[0]
+        patched.update(name for name in ("maxima", "edge_index") if name in handed)
+        ids = g._edge_ids
+        index = {e: k for k, e in enumerate(ids) if e is not None}
+        top = max(index, default=-1)
+        assert g._fact("maxima") == (max(g._colors, default=-1), top, index.get(top, -1))
+        assert g._fact("edge_index") == (index, ids)
+        for mv in _search_moves(g):
+            h = _build(g, mv)[0]
+            assert (h.fresh_vertex(), h.fresh_edge_id()) == (
+                max(h.colors, default=-1) + 1, max(set(h.ids) - {None}, default=-1) + 1), mv
+            kinds[mv.kind] += 1
+
+    states = _kind_balanced_walks(visit)
+    # all but a walk's first state or a state whose darts were numbered afresh
+    assert min(patched["maxima"], patched["edge_index"]) >= len(states) - 20, patched
+    assert len(kinds) == 5 and min(kinds.values()) >= 15, kinds  # every search kind
