@@ -106,11 +106,7 @@ class PlabicGraph:
 
     The id order holds by construction and is not checked: the raw
     constructor takes edge ids in any order, say ``(5, 3, 2)``.  So the
-    largest edge id is never read off ``_edge_ids[-1]``.  The fact
-    "maxima" finds it once by a scan and then follows it by its index,
-    which needs only what every move keeps: each id the move does not
-    remove stays at its edge index, and each new edge takes a new index
-    past the parent's, with an id larger than every id before it.
+    largest edge id is never read off ``_edge_ids[-1]``.
 
     Facts derived from a graph are read through ``_fact`` and kept in
     ``_cache``, which is safe because the graph never changes.  The cache
@@ -210,9 +206,10 @@ class PlabicGraph:
 
     def _fact(self, name):
         """The fact ``name`` of ``_FACTS``, derived on the first read and
-        kept; callers must not change it.  It is patched from the parent's
-        value when the hand-down record holds one, and the record goes once
-        it is empty."""
+        kept; callers must not change it.  On a move's result it is patched
+        from the parent's value in the hand-down record ``(handed, gone,
+        edited, touched)`` when ``handed`` holds it, and the record goes once
+        ``handed`` is empty; "maxima" may be there from ``freeze``."""
         cache = self._cache
         value = cache.get(name)
         if value is None:
@@ -375,11 +372,12 @@ class PlabicGraph:
         faces.append(Face("outer", (), tuple(range(1, self.b + 1))))
         return faces, face_of, nxt
 
-    def _patch_faces(self, tables, prot, edited, touched):
+    def _patch_faces(self, tables, gone, edited, touched):
         """The fact "faces" from the tables of the graph this one was made
-        from by a local edit, and its rotations ``prot``.  ``touched`` are
-        the vertices of this graph whose rotations differ from ``prot``,
-        and ``edited`` those and the vertices the edit removed.
+        from by a local edit.  ``gone`` are the edge indices the edit
+        emptied, whose darts become holes, and ``touched`` the vertices of
+        this graph whose rotations or colours changed; every other dart of
+        the parent keeps its vertex and its successor's.
 
         A cut is a dart whose successor differs from the parent's, which
         makes it an in-dart of a touched vertex.  A face of the parent
@@ -401,10 +399,9 @@ class PlabicGraph:
             nxt, face_of = pnxt[:n], pface_of[:n]
         else:
             nxt, face_of = pnxt + [-1] * (n - pn), pface_of + [-1] * (n - pn)
-        for v in edited:  # the removed darts become holes
-            for x in prot.get(v, ()):
-                if x < n and x not in dv:
-                    nxt[x] = face_of[x] = -1
+        for k in gone:
+            if 2 * k < n:
+                nxt[2 * k] = nxt[2 * k + 1] = face_of[2 * k] = face_of[2 * k + 1] = -1
         if touched and min(touched) < 0:
             # the dart into label i goes on along the dart of label i - 1
             touched = {*touched, *[-(-v % b) - 1 for v in touched if v < 0]}
@@ -780,7 +777,8 @@ class Builder:
     Fresh ids are ``max(current ids) + 1``, for vertices and for edges.
     The builder starts from the graph's fact "maxima" and keeps both
     maxima as it adds; only removing the current maximum forgets it, and
-    the next fresh id of that kind then takes a scan.
+    the next fresh id of that kind then takes a scan.  It records the edge
+    indices it empties, and ``freeze`` hands both to the graph.
 
     Rotations are shared with the graph until
     surgery edits them: ``_edit`` hands out a vertex's rotation as a list
@@ -808,8 +806,9 @@ class Builder:
         self._graph = g  # whose facts a frozen result may patch
         self._touched = set()  # vertices recoloured, edited or removed
         self._homes = {}  # edge index -> the index of its id, when they differ
+        self._gone = set()  # edge indices emptied by ``_drop_edge``
         # the largest vertex and edge ids, None once the largest is removed
-        self._max_vertex, self._max_edge_id, _ = g._fact("maxima")
+        self._max_vertex, self._max_edge_id = g._fact("maxima")
 
     # -- fresh ids ------------------------------------------------------
 
@@ -820,7 +819,7 @@ class Builder:
 
     def fresh_edge_id(self) -> int:
         if self._max_edge_id is None:
-            self._max_edge_id = _largest_edge(self.ids)[0]
+            self._max_edge_id = max(set(self.ids) - {None}, default=-1)
         return self._max_edge_id + 1
 
     def _new_dart_pair(self, eid):
@@ -982,6 +981,7 @@ class Builder:
         del self.dv[d]
         del self.dv[d ^ 1]
         k = d >> 1
+        self._gone.add(k)
         self._homes.pop(k, None)
         if self.ids[k] == self._max_edge_id:
             self._max_edge_id = None
@@ -1005,10 +1005,12 @@ class Builder:
         half the index space, darts are numbered afresh by
         ``_number_afresh``.  Otherwise the result gets a hand-down record
         for ``PlabicGraph._fact``: the starting graph's values of the facts
-        with a patch, its rotations, and the vertices edited (touched or
-        removed) and touched.  It holds no graph, so no ancestor stays alive.
-        The builder then holds None in place of the dicts the graph took
-        over, so an edit after freezing fails at once.
+        with a patch, the edge indices left empty (dropped, or moved to a
+        home), and the vertices edited (touched or removed) and touched; it
+        keeps no ancestor alive.  Either way the builder's maxima become
+        the fact "maxima" when it still knows both.  The builder then holds
+        None in place of the dicts the graph took over, so an edit after
+        freezing fails at once.
         """
         ids = self.ids
         n = len(ids)
@@ -1016,46 +1018,49 @@ class Builder:
             n -= 1
         if len(self.dv) < n:  # more holes than edges
             g = self._number_afresh(self.b, self.rot)
-            self.rot = self.dv = self.colors = None
-            return g
-        rot, dv, colors = self.rot, self.dv, self.colors
+        else:
+            rot, dv, colors = self.rot, self.dv, self.colors
+            touched = {v for v in self._touched if v in rot}
+            moved = {}  # builder dart -> its number in the graph
+            for k, h in self._homes.items():
+                ids[h], ids[k] = ids[k], None
+                for side in (0, 1):
+                    moved[2 * k + side] = 2 * h + side
+                    v = dv[2 * h + side] = dv.pop(2 * k + side)
+                    touched.add(v)
+            n = len(ids)  # a home may lie past the last edge
+            while n and ids[n - 1] is None:
+                n -= 1
+            swap = set()  # edges whose darts trade numbers
+            for v in touched:
+                for x in rot[v]:
+                    k = moved.get(x, x) >> 1
+                    a, c = dv[2 * k], dv[2 * k + 1]
+                    if a == c:  # a loop: compare positions
+                        ds = [moved.get(y, y) for y in rot[a]]
+                        a, c = ds.index(2 * k), ds.index(2 * k + 1)
+                    if a > c:
+                        swap.add(k)
+            for k in swap:
+                dv[2 * k], dv[2 * k + 1] = dv[2 * k + 1], dv[2 * k]
+                touched.add(dv[2 * k])
+                touched.add(dv[2 * k + 1])
+            for v in touched:
+                if moved or swap:
+                    rot[v] = tuple([y ^ 1 if y >> 1 in swap else y
+                                    for y in [moved.get(x, x) for x in rot[v]]])
+                else:
+                    rot[v] = tuple(rot[v])
+            g = PlabicGraph._from_parts(self.b, colors, rot, dv, tuple(ids[:n]))
+            pc = self._graph._cache
+            handed = {name: pc[name] for name in _PATCHES if name in pc}
+            if handed:
+                gone = {k for k in self._gone.union(self._homes) if ids[k] is None}
+                g._cache[_HAND_DOWN] = (handed, gone, self._touched | touched, touched)
         self.rot = self.dv = self.colors = None
-        touched = {v for v in self._touched if v in rot}
-        ids = ids[:n]
-        moved = {}  # builder dart -> its number in the graph
-        for k, h in self._homes.items():
-            ids[h], ids[k] = ids[k], None
-            for side in (0, 1):
-                moved[2 * k + side] = 2 * h + side
-                v = dv[2 * h + side] = dv.pop(2 * k + side)
-                touched.add(v)
-        while n and ids[n - 1] is None:
-            n -= 1
-        swap = set()  # edges whose darts trade numbers
-        for v in touched:
-            for x in rot[v]:
-                k = moved.get(x, x) >> 1
-                a, c = dv[2 * k], dv[2 * k + 1]
-                if a == c:  # a loop: compare positions
-                    ds = [moved.get(y, y) for y in rot[a]]
-                    a, c = ds.index(2 * k), ds.index(2 * k + 1)
-                if a > c:
-                    swap.add(k)
-        for k in swap:
-            dv[2 * k], dv[2 * k + 1] = dv[2 * k + 1], dv[2 * k]
-            touched.add(dv[2 * k])
-            touched.add(dv[2 * k + 1])
-        for v in touched:
-            if moved or swap:
-                rot[v] = tuple([y ^ 1 if y >> 1 in swap else y
-                                for y in [moved.get(x, x) for x in rot[v]]])
-            else:
-                rot[v] = tuple(rot[v])
-        g = PlabicGraph._from_parts(self.b, colors, rot, dv, tuple(ids[:n]))
-        pc = self._graph._cache
-        handed = {name: pc[name] for name in _PATCHES if name in pc}
-        if handed:
-            g._cache[_HAND_DOWN] = (handed, self._graph._rot, self._touched | touched, touched)
+        maxima = self._max_vertex, self._max_edge_id
+        if None not in maxima:
+            g._cache["maxima"] = maxima
         return g
 
 
@@ -1178,42 +1183,11 @@ def _classify(g: PlabicGraph) -> dict:
     }
 
 
-def _largest_edge(ids):
-    """The largest edge id of ``ids`` (edge index -> id, None at a hole)
-    and its index, or (-1, -1) with no edge."""
-    live = [e for e in ids if e is not None]
-    if not live:
-        return -1, -1
-    e = max(live)
-    return e, ids.index(e)
-
-
 def _maxima(g):
-    """The fact "maxima": ``(largest vertex id, largest edge id, its edge
-    index)``, -1 for a vertex or edge id when there is none."""
-    return max(g._colors, default=-1), *_largest_edge(g._edge_ids)
-
-
-def _patch_maxima(g, maxima, prot, edited, touched):
-    """The fact "maxima" from the parent's, in O(touched).  A new vertex is
-    touched, and larger than every vertex of the parent when the parent's
-    largest stays.  The edges follow the id order that ``PlabicGraph``
-    describes: when the last edge index holds an id larger than the
-    parent's largest, that index is new, and the largest; otherwise the
-    parent's largest is looked up at its index.  A scan is left only when
-    the move removed the largest vertex, or the largest edge with no new
-    edge past it."""
-    v, e, k = maxima
-    colors, ids = g._colors, g._edge_ids
-    if v < 0 or v in colors:
-        v = max(v, max(touched, default=v))
-    else:
-        v = max(colors, default=-1)
-    if ids and (k < 0 or ids[-1] > e):  # the last edge is new
-        return v, ids[-1], len(ids) - 1
-    if 0 <= k < len(ids) and ids[k] == e:
-        return v, e, k
-    return v, *_largest_edge(ids)
+    """The fact "maxima": ``(largest vertex id, largest edge id)``, -1 when
+    there is none; a move's builder hands it to its graph (``freeze``)
+    unless the move removed either largest id."""
+    return max(g._colors, default=-1), max(set(g._edge_ids) - {None}, default=-1)
 
 
 def _edge_index(g):
@@ -1223,33 +1197,31 @@ def _edge_index(g):
     return {e: k for k, e in enumerate(ids) if e is not None}, ids
 
 
-def _patch_edge_index(g, fact, prot, edited, touched):
+def _patch_edge_index(g, fact, gone, edited, touched):
     """The fact "edge_index" from the parent's: a copy of its dict, less
-    the ids whose index the move left empty (the parent's darts at edited
-    vertices find them), plus the edges at indices past the parent's
-    (their darts lie at touched vertices).  Every other id stays at its
-    index, so the copy holds it already."""
+    the ids at the parent's indices in ``gone``, which the move emptied,
+    plus the edges at indices past the parent's.  Every other id stays at
+    its index, so the copy holds it already.  The patch is kept although
+    the bench does not see it: it costs O(change) where a scan costs O(E),
+    which shows only on graphs larger than the bench walks."""
     index, pids = fact
     index = index.copy()
-    ids, rot = g._edge_ids, g._rot
-    n, pn = len(ids), len(pids)
-    for v in edited:
-        for x in prot.get(v, ()):
-            k = x >> 1
-            if k >= n or ids[k] is None:
-                index.pop(pids[k], None)
-    for v in touched:  # after the removals: a new edge may reuse a removed id
-        for x in rot[v]:
-            k = x >> 1
-            if k >= pn:
-                index[ids[k]] = k
+    ids = g._edge_ids
+    pn = len(pids)
+    for k in gone:
+        if k < pn:
+            index.pop(pids[k], None)
+    for k in range(pn, len(ids)):  # after the removals: a new edge may reuse a removed id
+        if ids[k] is not None:
+            index[ids[k]] = k
     return index, ids
 
 
 # The facts derived from a graph, registered by the modules that own them:
 # ``_FACTS[name](g)`` derives a fact (never None) from g alone, and
-# ``_PATCHES[name](g, parent value, parent rotations, edited, touched)``
-# from the value of the graph a move made g from (``Builder.freeze``).
+# ``_PATCHES[name](g, parent value, gone, edited, touched)`` from the value
+# of the graph a move made g from (``Builder.freeze``); ``gone`` holds the
+# edge indices the move emptied.
 _FACTS = dict(
     faces=PlabicGraph._trace_faces,
     maxima=_maxima,
@@ -1257,8 +1229,7 @@ _FACTS = dict(
     ckey=lambda g: _canonical_key(g.b, g._colors, g._rot, g._dart_vertex),
     classify=_classify,
 )
-_PATCHES = dict(faces=PlabicGraph._patch_faces, maxima=_patch_maxima,
-                edge_index=_patch_edge_index)
+_PATCHES = dict(faces=PlabicGraph._patch_faces, edge_index=_patch_edge_index)
 
 
 def lollipop_graph(decorations) -> PlabicGraph:

@@ -257,20 +257,18 @@ def _derive_sites(g: PlabicGraph):
     return vertex_sites, [_edge_sites(g, k) for k in range(len(g._edge_ids))]
 
 
-def _patch_sites(g: PlabicGraph, sites, prot, edited, touched):
+def _patch_sites(g: PlabicGraph, sites, gone, edited, touched):
     """The fact "sites" from the sites of the graph g was made from by a
     move: only the sites a move can change are derived again, at the
     vertices whose rotations changed, at their neighbours (a NormalFlip
     site reads its neighbours' colours and degrees) and on the edges at
-    the former or at removed vertices."""
+    the former or in ``gone``, the edge indices the move emptied.  A
+    parent's edge at an edited vertex is one or the other."""
     pvertex, pedge = sites
     rot, dv, colors = g._rot, g._dart_vertex, g._colors
     vertex_sites = pvertex.copy()
-    redo = set()  # edge indices
+    redo = set(gone)  # edge indices
     near = set(edited)
-    for v in edited:
-        for x in prot.get(v, ()):
-            redo.add(x >> 1)
     for v in touched:
         for x in rot[v]:
             redo.add(x >> 1)

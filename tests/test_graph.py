@@ -577,21 +577,30 @@ def test_remove_bivalent_moves_the_survivor_to_its_ids_index():
 def test_maxima_are_exact_on_raw_graphs_whose_ids_do_not_ascend():
     """The raw constructor takes edge ids in any order: with ids (5, 3, 2)
     the last index holds 2, and reading the largest id there would hand
-    out the existing id 3.  The fact "maxima" and each move's patch of it
-    give the largest vertex and edge ids exactly."""
+    out the existing id 3.  The fact "maxima", scanned or handed to a
+    move's result by its builder, gives the largest vertex and edge ids
+    exactly.  With ids (5, 3) the id a removal keeps goes home to an index
+    past the last edge."""
     path = PlabicGraph.from_rotation(2, {0: "white", 1: "black"},
                                      {-1: [0], 0: [0, 1], 1: [1, 2], -2: [2]})
     g = PlabicGraph(2, path._colors, path._rot, (5, 3, 2))
-    assert g._fact("maxima") == (1, 5, 0)
+    assert g._fact("maxima") == (1, 5)
     bld = Builder(g)
     assert bld.fresh_edge_id() == 6 and bld.fresh_vertex() == 2
     inserted = apply_move(g, MoveSpec("InsertBivalentM2", edge=3, color="white"))
-    assert inserted._fact("maxima") == (2, 6, 3)  # the new edge takes index 3
+    assert inserted._cache["maxima"] == (2, 6)  # handed down by the builder
+    assert inserted._edge_ids.index(6) == 3  # the new edge takes index 3
     assert Builder(inserted).fresh_edge_id() == 7
     removed = apply_move(g, MoveSpec("RemoveBivalentM2", vertex=0))  # frees id 5
-    assert removed._edge_ids == (None, 3, 2) and removed._fact("maxima") == (1, 3, 1)
+    assert "maxima" not in removed._cache  # the builder forgot the largest edge
+    assert removed._edge_ids == (None, 3, 2) and removed._fact("maxima") == (1, 3)
     assert Builder(removed).fresh_edge_id() == 4
-    for h in (inserted, removed):
+    pair = PlabicGraph.from_rotation(2, {0: "white"}, {-1: [0], 0: [0, 1], -2: [1]})
+    pair = PlabicGraph(2, pair._colors, pair._rot, (5, 3))
+    merged = apply_move(pair, MoveSpec("RemoveBivalentM2", vertex=0))
+    assert merged._edge_ids == (None, 3) and validate(merged).ok
+    assert merged.to_json_obj()["rotation"] == {"-2": [3], "-1": [3]}
+    for h in (inserted, removed, merged):
         assert h._fact("edge_index")[0] == {e: k for k, e in enumerate(h._edge_ids)
                                             if e is not None}
 
@@ -710,13 +719,16 @@ def test_face_order_does_not_depend_on_how_a_graph_was_built():
 def test_a_move_child_inherits_only_face_tables():
     """The facts cached on a graph hold for it alone.  A move's result
     starts only with its hand-down record, which holds its parent's values
-    of the facts that have a patch: the face tables, the move sites, the
-    id maxima (read by the move's builder) and the edge index; once those
-    are read the record is gone, and nothing keeps the parent alive.
-    UrbanRenewal reads its result's faces to find the inverse move, so
-    that result has its faces too, patched from the record."""
+    of the facts that have a patch: the face tables, the move sites and
+    the edge index, and with the id maxima its builder kept, unless the
+    move removed the largest vertex or edge id.  The record holds no
+    rotations of the parent, only sets of edge indices and vertices; once
+    the patched facts are read the record is gone, and nothing keeps the
+    parent alive.  UrbanRenewal reads its result's faces to find the
+    inverse move, so that result has its faces too, patched from the
+    record."""
     patched = set(graph_module._PATCHES)
-    assert patched == {"faces", "sites", "maxima", "edge_index"}
+    assert patched == {"faces", "sites", "edge_index"}
     hand_down = graph_module._HAND_DOWN
     kinds = set()
     for make in (F.square_fan_b5, F.normal_b5, F.urban_left_b7):
@@ -736,16 +748,18 @@ def test_a_move_child_inherits_only_face_tables():
             h = apply_move(g, m)
             kinds.add(m.kind)
             own = {"faces"} if m.kind == "UrbanRenewal" else set()
-            assert set(h._cache) == {hand_down} | own, (m, set(h._cache))
-            assert set(h._cache[hand_down][0]) == patched - own, m
+            assert set(h._cache) - {"maxima"} == {hand_down} | own, (m, set(h._cache))
+            handed, *sets = h._cache[hand_down]
+            assert set(handed) == patched - own, m
+            assert [type(part) for part in sets] == [set, set, set], m
             parent = weakref.ref(g)
             del g
             h.faces()
             legal_moves(h)
             h.darts_of_edge(h.edge_ids[0])
-            assert set(h._cache) == {hand_down, "faces", "sites", "edge_index"}, m
+            assert set(h._cache) - {"maxima"} == patched, (m, set(h._cache))
             Builder(h).fresh_vertex()
-            assert set(h._cache) == patched, (m, set(h._cache))
+            assert set(h._cache) == patched | {"maxima"}, (m, set(h._cache))
             assert parent() is None, m
     assert {"SquareM1", "UrbanRenewal", "NormalFlip"} <= kinds, kinds
 
