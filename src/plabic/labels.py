@@ -73,14 +73,14 @@ def _label_faces(g: PlabicGraph, mode: str) -> dict:
         return {}
     b = g.b
     arc = faces[start].rim_arcs[0]
-    trips, source, _ = g._fact("trips")
+    targets, source = g._fact("trips")
     mark = [None] * (b + 1)
     seed = {i for i, dec in decorated.decorations.items() if dec == "over"}
-    for t in trips[:b]:
-        if t.source == t.target:
+    for i, t in enumerate(targets, 1):
+        if i == t:
             continue
-        m = mark[t.source] = t.source if mode == "source" else t.target
-        if (arc - t.source) % b < (t.target - t.source) % b:
+        m = mark[i] = i if mode == "source" else t
+        if (arc - i) % b < (t - i) % b:
             seed.add(m)
     found = {start: frozenset(seed)}
     queue = [start]

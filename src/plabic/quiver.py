@@ -40,34 +40,34 @@ class Quiver:
     def mutate(self, k) -> "Quiver":
         """Standard quiver mutation at a mutable vertex:
         m'[u][v] = -m[u][v] if k in {u, v}, else
-        m[u][v] + sign(m[u][k]) * max(0, m[u][k] * m[k][v])."""
+        m[u][v] + sign(m[u][k]) * max(0, m[u][k] * m[k][v]).
+
+        In O(arrows + in-degree * out-degree of k): the arrows at k turn
+        round and each path u -> k -> v adds its product to u -> v.  Like
+        the formula over all pairs of keys, it drops arrows between two
+        frozen vertices and those at a key the quiver lacks."""
         if self.frozen(k):
             raise FrozenVertex(f"vertex {k!r} is frozen")
-        keys = self.keys()
         frozen = dict(self.vertices)
-        out = {}
-        for u in keys:
-            for v in keys:
-                if u == v or (frozen[u] and frozen[v]):
-                    continue
-                if k in (u, v):
-                    val = -self.m(u, v)
-                else:
-                    uk, kv = self.m(u, k), self.m(k, v)
-                    sign = 1 if uk > 0 else -1 if uk < 0 else 0
-                    val = self.m(u, v) + sign * max(0, uk * kv)
-                if val > 0:
-                    out[(u, v)] = val
-        return Quiver(list(self.vertices), out)
+        net = _signed(self.arrows, frozen)
+        ins = [(u, a) for (u, v), a in net.items() if v == k and a > 0]
+        outs = [(v, c) for (u, v), c in net.items() if u == k and c > 0]
+        for pair, a in net.items():
+            if k in pair:
+                net[pair] = -a
+        for u, a in ins:
+            for v, c in outs:
+                net[u, v] = net.get((u, v), 0) + a * c
+                net[v, u] = net.get((v, u), 0) - a * c
+        return Quiver(list(self.vertices), {
+            (u, v): a for (u, v), a in net.items() if a > 0 and not (frozen[u] and frozen[v])})
 
     def is_isomorphic(self, other: "Quiver") -> bool:
         """Equality matching vertex keys (not positions)."""
         if set(self.vertices) != set(other.vertices):
             return False
-        keys = self.keys()
-        return all(
-            self.m(u, v) == other.m(u, v) for u in keys for v in keys if u != v
-        )
+        keys = set(self.keys())
+        return _signed(self.arrows, keys) == _signed(other.arrows, keys)
 
     def to_dot(self) -> str:
         lines = ["digraph quiver {"]
@@ -81,6 +81,17 @@ class Quiver:
                 lines.append(f"  {names[u]} -> {names[v]};")
         lines.append("}")
         return "\n".join(lines)
+
+
+def _signed(arrows, keys) -> dict:
+    """The nonzero signed multiplicities m[u][v] of the pairs of distinct
+    ``keys`` that ``arrows`` joins, in both orders."""
+    net = {}
+    for (u, v), a in arrows.items():
+        if u != v and u in keys and v in keys:
+            net[u, v] = net.get((u, v), 0) + a
+            net[v, u] = net.get((v, u), 0) - a
+    return {pair: a for pair, a in net.items() if a}
 
 
 def _key_label(k):

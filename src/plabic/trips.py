@@ -11,13 +11,21 @@ trip came from.  Bivalent vertices pass trips straight through (both rules
 agree), and a leaf produces a U-turn.  Trips are thus orbits of the same
 successor fill as faces (``PlabicGraph._fill_successors``), which turns
 the other way at black vertices only.
+
+Two facts hold the trips.  "trips" walks only the one-way trips and keeps
+their targets and the source of the trip on each dart: the trip
+permutation, its decorations, edge labels, resonance and face labels read
+nothing else.  "trip_walks" builds the ``Trip`` objects, roundtrips
+included, and each dart's place on its trip, for ``all_trips``,
+``trip_from`` and the bad-feature scan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BadLabel, HasInternalLeaf, NotNormal, UndecoratableFixedPoint, _ints, _show
+from .errors import (BadLabel, HasInternalLeaf, NotNormal, TripDoesNotTerminate,
+                     UndecoratableFixedPoint, _ints, _show)
 from .graph import _FACTS, WHITE, PlabicGraph, _orbit
 from .perms import DecoratedPermutation
 
@@ -45,28 +53,59 @@ def trip_from(g: PlabicGraph, i: int) -> Trip:
     message = f"boundary label {{}} not in 1..{g.b}"
     if not 1 <= _ints((i,), BadLabel, message)[0] <= g.b:
         raise BadLabel(message.format(_show(i)))
-    return g._fact("trips")[0][i - 1]
+    return g._fact("trip_walks")[0][i - 1]
 
 
 def all_trips(g: PlabicGraph):
     """Every trip: the b one-way trips followed by all roundtrips.
 
     All of them are traced from one trip-successor table, in O(darts),
-    once per graph; every call returns a new list.
+    once per graph and only when asked for (the fact "trip_walks"); every
+    call returns a new list.
     """
-    return list(g._fact("trips")[0])
+    return list(g._fact("trip_walks")[0])
+
+
+def _trip_successors(g: PlabicGraph):
+    """The trip-successor table by dart: the successor fill over the
+    internal vertices with ``black=-1``.  A dart into the boundary keeps -1,
+    and a trip ends there."""
+    nxt = [-1] * g._dart_bound()
+    g._fill_successors(nxt, g._colors, -1)
+    return nxt
 
 
 def _trace_trips(g: PlabicGraph):
-    """The fact "trips": ``(trips, source, place)``, the tuple ``all_trips``
-    lists and, by dart, the source of its one-way trip and its place on it
-    (0 and 0 elsewhere).  Trips are orbits of the successor fill over the
-    internal vertices with ``black=-1``, where a dart into the boundary has
-    no successor and so ends its trip."""
-    limit = g._dart_bound()
-    nxt = [-1] * limit  # the darts into the boundary keep -1: trips end there
-    g._fill_successors(nxt, g._colors, -1)
-    rot, dv = g._rot, g._dart_vertex
+    """The fact "trips": ``(targets, source)``, the target of each one-way
+    trip in order of source, and by dart the source of its one-way trip, 0
+    on roundtrips and at the holes.  One walk per boundary label along the
+    successor fill writes only the sources: no ``Trip``, no places and no
+    search for roundtrips.  A walk longer than the darts means a corrupt
+    rotation."""
+    nxt = _trip_successors(g)
+    limit, rot, dv = len(nxt), g._rot, g._dart_vertex
+    source, targets = [0] * limit, []
+    for i in range(1, g.b + 1):
+        d = rot[-i][0]
+        for _ in range(limit):
+            source[d] = i
+            e = nxt[d]
+            if e < 0:
+                break
+            d = e
+        else:
+            raise TripDoesNotTerminate(f"trip from label {i} runs past {limit} darts")
+        targets.append(-dv[d ^ 1])
+    return tuple(targets), source
+
+
+def _walk_trips(g: PlabicGraph):
+    """The fact "trip_walks": ``(trips, source, place)``, the tuple
+    ``all_trips`` lists and, by dart, the source of its one-way trip and its
+    place on it (0 and 0 elsewhere): the orbits of ``_trip_successors``,
+    roundtrips by least dart."""
+    nxt = _trip_successors(g)
+    limit, rot, dv = len(nxt), g._rot, g._dart_vertex
     source, place = [0] * limit, [0] * limit
     trips = []
     traced = 0
@@ -89,7 +128,7 @@ def _trace_trips(g: PlabicGraph):
 
 def trip_permutation(g: PlabicGraph):
     """The boundary connectivity of one-way trips, as a list of targets."""
-    return [t.target for t in g._fact("trips")[0][: g.b]]
+    return list(g._fact("trips")[0])
 
 
 def decorated_trip_permutation(g: PlabicGraph) -> DecoratedPermutation:
@@ -112,7 +151,7 @@ def decorated_trip_permutation(g: PlabicGraph) -> DecoratedPermutation:
 
 def _decorate(g: PlabicGraph):
     """The fact "decorated": the values and the fixed-point decorations."""
-    values = trip_permutation(g)
+    values = g._fact("trips")[0]
     decorations = {}
     for i in range(1, g.b + 1):
         if values[i - 1] != i:
@@ -122,7 +161,7 @@ def _decorate(g: PlabicGraph):
         if color is None:
             raise UndecoratableFixedPoint(i)
         decorations[i] = "over" if color == WHITE else "under"
-    return tuple(values), decorations
+    return values, decorations
 
 
 def _hanging_tree(g: PlabicGraph, entry: int):
@@ -183,7 +222,8 @@ def resonance(g: PlabicGraph) -> bool:
     i1 < ... < im; HasInternalLeaf when a leaf is not a lollipop.  By
     Kodama–Williams (arXiv:1106.0023) this is equivalent to reducedness
     for graphs whose only leaves are lollipops.  Decided once per graph
-    and kept, and ``is_reduced`` reads the same verdict."""
+    and kept, on the trip sources of the fact "trips" alone (no ``Trip``
+    is built), and ``is_reduced`` reads the same verdict."""
     info = g._fact("classify")
     if len(info["internal_leaves"]) != len(info["lollipops"]):
         raise HasInternalLeaf("resonance requires no internal leaves other than lollipops")
@@ -236,9 +276,10 @@ def bad_features(g: PlabicGraph):
     reduced.
 
     The scan runs once per graph on the per-dart tables of the fact
-    "trips": a trip on both darts of an edge, and two trips that meet two
-    shared edges in the same order, are read off the sources and places of
-    a dart and its twin.  Every call returns a new list.
+    "trip_walks", the one fact that builds the trips and places: a trip on
+    both darts of an edge, and two trips that meet two shared edges in the
+    same order, are read off the sources and places of a dart and its twin.
+    Every call returns a new list.
     """
     return list(g._fact("bad_features"))
 
@@ -246,7 +287,7 @@ def bad_features(g: PlabicGraph):
 def _scan_bad_features(g: PlabicGraph):
     if not g._fact("classify")["normal"]:
         raise NotNormal("bad feature detection requires a normal plabic graph")
-    (trips, source, place), eid = g._fact("trips"), g._edge_ids
+    (trips, source, place), eid = g._fact("trip_walks"), g._edge_ids
     feats = [BadFeature("roundtrip", tuple(sorted({eid[d >> 1] for d in t.darts})))
              for t in trips[g.b :]]
     crossings = []
@@ -270,5 +311,5 @@ def _scan_bad_features(g: PlabicGraph):
     return tuple(feats + crossings)
 
 
-_FACTS.update(trips=_trace_trips, decorated=_decorate, bad_features=_scan_bad_features,
-              resonance=_resonate)
+_FACTS.update(trips=_trace_trips, trip_walks=_walk_trips, decorated=_decorate,
+              bad_features=_scan_bad_features, resonance=_resonate)

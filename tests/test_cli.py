@@ -366,6 +366,22 @@ def test_usage_error_exit_2():
     assert e.value.code == 2
 
 
+def test_fixture_prints_every_named_graph(capsys):
+    for name, make in sorted(fixtures.ALL_NAMED.items()):
+        code, out, err = run(["fixture", name], capsys=capsys)
+        assert code == 0 and err == "", name
+        assert json.loads(out) == json.loads(make().to_json()), name
+
+
+def test_fixture_with_an_unknown_name_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["fixture", "no_such_fixture"])
+    assert e.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: plabic fixture") and "invalid choice: 'no_such_fixture'" in err
+
+
 @pytest.mark.parametrize("name", sorted(fixtures.ALL_NAMED))
 def test_every_fixture_roundtrips_through_info(name, capsys, fixture_path):
     code, out, _ = run(["info", fixture_path(name)], capsys=capsys)

@@ -745,6 +745,8 @@ def test_a_move_child_inherits_only_face_tables():
             legal_moves(g)
             assert {"valid", "classify", "ckey", "edge_index", "trips", "decorated",
                     "normalize", "is_reduced", "faces", "sites"} <= set(g._cache)
+            if classify(g)["normal"]:
+                assert {"trip_walks", "bad_features"} <= set(g._cache)
             h = apply_move(g, m)
             kinds.add(m.kind)
             own = {"faces"} if m.kind == "UrbanRenewal" else set()

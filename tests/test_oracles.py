@@ -43,10 +43,12 @@ from plabic import (
     BadLabel,
     DecoratedPermutation,
     Face,
+    FrozenVertex,
     HasInternalLeaf,
     IllegalMove,
     MoveSpec,
     NotNormal,
+    Quiver,
     SizeMismatch,
     TooLarge,
     UndecoratableFixedPoint,
@@ -71,6 +73,7 @@ from plabic import (
     positroid,
     quiver_of,
     resonance,
+    trip_from,
     trip_permutation,
     validate,
     weakly_separated,
@@ -1104,16 +1107,43 @@ def test_faces_match_tuple_rim_walker(mixed_graphs):
             x for i in range(1, g.b + 1) for x in (*outer, crossing[i])], g.to_json()
 
 
+def _uncached(g):
+    """A graph on the same parts as g, dart numbers and holes included, with
+    no fact derived yet."""
+    return PlabicGraph._from_parts(g.b, g._colors, g._rot, g._dart_vertex, g._edge_ids)
+
+
 def test_trips_match_stepwise_tracer(mixed_graphs, pendant_tree_graphs):
-    """The trips, roundtrips in the same order, and the per-dart tables of
-    the fact "trips", 0 on roundtrips and at the holes, on graphs with
-    both."""
+    """The fact "trips", derived on its own: the targets of the one-way
+    trips and the source of the trip on each dart, 0 on roundtrips and at
+    the holes, on graphs with both.  It builds no trip walks."""
     holes = roundtrips = 0
     for g in mixed_graphs + pendant_tree_graphs:
         expected = trips_stepwise(g)
-        assert all_trips(g) == expected, g.to_json()
-        assert trip_permutation(g) == [t.target for t in expected[: g.b]]
-        assert g._fact("trips")[1:] == dart_trips_reference(g, expected), g.to_json()
+        targets = [t.target for t in expected[: g.b]]
+        h = _uncached(g)
+        assert h._fact("trips") == (tuple(targets), dart_trips_reference(g, expected)[0]), \
+            g.to_json()
+        assert trip_permutation(h) == targets
+        assert set(h._cache) == {"trips"}
+        holes += g._dart_bound() > g.num_darts()
+        roundtrips += len(expected) > g.b
+    assert holes >= 200 and roundtrips >= 300, (holes, roundtrips)
+
+
+def test_trip_walks_match_stepwise_tracer(mixed_graphs, pendant_tree_graphs):
+    """The fact "trip_walks", derived on its own: the trips, roundtrips in
+    the same order, and the per-dart sources and places, 0 on roundtrips
+    and at the holes, on graphs with both."""
+    holes = roundtrips = 0
+    for g in mixed_graphs + pendant_tree_graphs:
+        expected = trips_stepwise(g)
+        h = _uncached(g)
+        assert h._fact("trip_walks") == (tuple(expected), *dart_trips_reference(g, expected)), \
+            g.to_json()
+        assert all_trips(h) == expected, g.to_json()
+        assert [trip_from(h, i) for i in range(1, g.b + 1)] == expected[: g.b]
+        assert set(h._cache) == {"trip_walks"}
         holes += g._dart_bound() > g.num_darts()
         roundtrips += len(expected) > g.b
     assert holes >= 200 and roundtrips >= 300, (holes, roundtrips)
@@ -1945,3 +1975,96 @@ def test_handed_down_maxima_and_edge_index_match_a_scan():
     assert paths["edge_index patched"] >= len(states) - 20, paths
     assert paths["maxima handed"] >= 200 and paths["maxima scanned"] >= 80, paths  # 214, 86
     assert len(kinds) == 5 and min(kinds.values()) >= 15, kinds  # every search kind
+
+
+# ----------------------------------------------------------------------
+# quiver mutation: the formula over every pair of keys as the reference
+
+
+def mutate_dense(q, k):
+    """Quiver mutation at k by the formula, over every ordered pair of keys:
+    m'[u][v] = -m[u][v] if k in {u, v}, else
+    m[u][v] + sign(m[u][k]) * max(0, m[u][k] * m[k][v]); frozen pairs and
+    keys the quiver lacks are left out."""
+    if q.frozen(k):
+        raise FrozenVertex(f"vertex {k!r} is frozen")
+    keys, frozen = q.keys(), dict(q.vertices)
+    out = {}
+    for u in keys:
+        for v in keys:
+            if u == v or (frozen[u] and frozen[v]):
+                continue
+            if k in (u, v):
+                val = -q.m(u, v)
+            else:
+                uk, kv = q.m(u, k), q.m(k, v)
+                sign = 1 if uk > 0 else -1 if uk < 0 else 0
+                val = q.m(u, v) + sign * max(0, uk * kv)
+            if val > 0:
+                out[(u, v)] = val
+    return Quiver(list(q.vertices), out)
+
+
+def is_isomorphic_dense(q, r):
+    """Whether q and r have the same vertices and the same signed arrow
+    count between every ordered pair of distinct keys."""
+    if set(q.vertices) != set(r.vertices):
+        return False
+    keys = q.keys()
+    return all(q.m(u, v) == r.m(u, v) for u in keys for v in keys if u != v)
+
+
+def random_quiver(rng):
+    """Up to 8 integer keys, some frozen, with arrows in both directions
+    between a pair, between frozen keys, at a key of its own and at keys
+    the quiver lacks (-1 and n): all outside the contract ``quiver_of``
+    keeps."""
+    n = rng.randint(2, 8)
+    vertices = [(k, rng.random() < 0.3) for k in range(n)]
+    rng.shuffle(vertices)
+    arrows = {}
+    for _ in range(rng.randint(0, 3 * n)):
+        pair = (rng.randint(-1, n), rng.randint(-1, n))
+        arrows[pair] = arrows.get(pair, 0) + rng.randint(1, 3)
+    return Quiver(vertices, arrows)
+
+
+def test_sparse_mutation_matches_dense_formula_on_bridge_quivers():
+    """Up to 10 mutations per bridge quiver, keyed by face labels, from
+    Gr(2,4) to Gr(10,20), and the mutated quivers compared both ways."""
+    mutations = 0
+    for a, b in [(2, 4), (2, 5), (3, 6), (3, 8), (4, 9), (5, 12), (8, 16), (10, 20)]:
+        q = quiver_of(bridge_graph(cyclic_rotation(a, b)))
+        mutable = [k for k, fr in q.vertices if not fr]
+        for k in mutable[:: max(1, len(mutable) // 10)][:10]:
+            got, want = q.mutate(k), mutate_dense(q, k)
+            assert got == want, (a, b, k)
+            assert got.is_isomorphic(want) and is_isomorphic_dense(got, want)
+            assert got.is_isomorphic(q) is is_isomorphic_dense(got, q) is False, (a, b, k)
+            back = got.mutate(k)
+            assert back.is_isomorphic(q) and is_isomorphic_dense(back, q), (a, b, k)
+            mutations += 1
+    assert mutations >= 55, mutations  # 55
+
+
+def test_sparse_mutation_matches_dense_formula_on_random_quivers():
+    rng = random.Random(15)
+    mutations = compared = 0
+    for _ in range(300):
+        q = random_quiver(rng)
+        r = random_quiver(rng) if rng.random() < 0.5 else Quiver(
+            q.vertices[::-1], {**q.arrows, (0, 1): q.arrows.get((0, 1), 0) + 1,
+                               (1, 0): q.arrows.get((1, 0), 0) + 1})
+        for x, y in [(q, r), (r, q), (q, q)]:
+            assert x.is_isomorphic(y) is is_isomorphic_dense(x, y), (x, y)
+            compared += 1
+        for k, frozen in q.vertices:
+            if frozen:
+                with pytest.raises(FrozenVertex):
+                    q.mutate(k)
+                continue
+            got = q.mutate(k)
+            assert got == mutate_dense(q, k), (q, k)
+            assert got.mutate(k).is_isomorphic(q) is is_isomorphic_dense(got.mutate(k), q)
+            mutations += 1
+    assert mutations >= 1000 and compared == 900, (mutations, compared)

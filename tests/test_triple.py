@@ -70,13 +70,14 @@ def test_tikz_overlay():
 
 
 def test_minimality_after_is_reduced_scans_no_more(monkeypatch):
-    """``is_reduced`` decides a resonant graph on its own trips: it neither
-    normalizes nor scans for bad features, and the minimality of the normal
-    form then traces that form's trips and scans them once.  Any other
-    graph is normalized and its normal form scanned once, and the
+    """``is_reduced`` decides a resonant graph on its own one-way trips
+    (the fact "trips"): it neither normalizes, nor walks the trips in full,
+    nor scans for bad features, and the minimality of the normal form then
+    walks that form's trips (the fact "trip_walks") and scans them once.
+    Any other graph is normalized and its normal form scanned once, and the
     minimality of that normal form reads the same scan.  Every read of a
     fact is recorded, cache hits too, and so is every derivation of the
-    normal form, the trips and the scan."""
+    normal form, either trip fact and the scan."""
     real_fact = graph_module.PlabicGraph._fact
     read, derived = [], []
 
@@ -85,7 +86,7 @@ def test_minimality_after_is_reduced_scans_no_more(monkeypatch):
         return real_fact(g, name)
 
     monkeypatch.setattr(graph_module.PlabicGraph, "_fact", fact)
-    for name in ("normalize", "trips", "bad_features"):
+    for name in ("normalize", "trips", "trip_walks", "bad_features"):
         real = graph_module._FACTS[name]
         monkeypatch.setitem(graph_module._FACTS, name,
                             lambda g, real=real, name=name: derived.append((name, g)) or real(g))
@@ -100,14 +101,16 @@ def test_minimality_after_is_reduced_scans_no_more(monkeypatch):
             assert reduced and derived == [("trips", g)], (name, derived)
         normal = normalize(g).normal
         if name not in resonant:
-            assert [fact for fact, h in read if h is normal].count("trips") == 1
-            assert [fact for fact, h in derived if h is normal] == ["bad_features", "trips"]
+            on_normal = [fact for fact, h in read if h is normal]
+            assert on_normal.count("trip_walks") == 1 and "trips" not in on_normal
+            assert [fact for fact, h in derived if h is normal] == ["bad_features", "trip_walks"]
         read.clear()
         derived.clear()
         assert TripleView(normal).minimality().minimal is reduced
         facts = [fact for fact, _ in read]
         if name in resonant:
-            assert derived == [("bad_features", normal), ("trips", normal)], (name, derived)
+            assert derived == [("bad_features", normal), ("trip_walks", normal)], (name, derived)
         else:
-            assert facts.count("bad_features") == 1 and "trips" not in facts, facts
+            assert facts.count("bad_features") == 1, facts
+            assert "trips" not in facts and "trip_walks" not in facts, facts
             assert derived == []

@@ -45,11 +45,13 @@ def test_a_label_that_is_not_an_int_is_a_bad_label(label):
 
 def test_corrupt_rotation_stops_the_trip_tracer():
     # dart 2 listed twice at white vertex 0: the trip from label 1 is
-    # sent into a cycle that never returns to the boundary
-    g = PlabicGraph(1, {0: WHITE}, {-1: (0,), 0: (1, 2, 3, 2)}, (0, 1))
-    with pytest.raises(TripDoesNotTerminate) as err:
-        trip_permutation(g)
-    assert isinstance(err.value, PlabicError)
+    # sent into a cycle that never returns to the boundary; the one-way
+    # walk of trip_permutation and the full trace of all_trips both stop
+    for read in (trip_permutation, all_trips):
+        g = PlabicGraph(1, {0: WHITE}, {-1: (0,), 0: (1, 2, 3, 2)}, (0, 1))
+        with pytest.raises(TripDoesNotTerminate) as err:
+            read(g)
+        assert isinstance(err.value, PlabicError), read
 
 
 def test_decorated_permutation_is_a_fresh_object():
