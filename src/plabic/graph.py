@@ -340,9 +340,7 @@ class PlabicGraph:
         ``black`` places at a black vertex, and for the dart into boundary
         label i the dart of label i - 1, across arc i - 1.  Faces turn the
         same way everywhere (``black=1``); trips turn back at black
-        vertices (``black=-1``, over internal vertices only).  At a
-        bivalent vertex the two turns agree, loop or not, and both darts
-        pass straight through."""
+        vertices (``black=-1``, over internal vertices only)."""
         b, rot, colors = self.b, self._rot, self._colors
         for v in vertices:
             ds = rot[v]
@@ -350,10 +348,6 @@ class PlabicGraph:
                 nxt[ds[0] ^ 1] = rot[-((-v - 2) % b) - 1][0]
                 continue
             m = len(ds)
-            if m == 2:
-                x, y = ds
-                nxt[x ^ 1], nxt[y ^ 1] = y, x
-                continue
             k = -1 if black < 0 and colors[v] == BLACK else 1 - m  # ds[j + k] wraps around
             for j in range(m):
                 nxt[ds[j] ^ 1] = ds[j + k]

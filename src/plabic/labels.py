@@ -73,7 +73,7 @@ def _label_faces(g: PlabicGraph, mode: str) -> dict:
         return {}
     b = g.b
     arc = faces[start].rim_arcs[0]
-    targets, source = g._fact("trips")
+    targets, source, _ = g._fact("trips")
     mark = [None] * (b + 1)
     seed = {i for i, dec in decorated.decorations.items() if dec == "over"}
     for i, t in enumerate(targets, 1):

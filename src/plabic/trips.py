@@ -15,9 +15,10 @@ the other way at black vertices only.
 Two facts hold the trips.  "trips" walks only the one-way trips and keeps
 their targets and the source of the trip on each dart: the trip
 permutation, its decorations, edge labels, resonance and face labels read
-nothing else.  "trip_walks" builds the ``Trip`` objects, roundtrips
-included, and each dart's place on its trip, for ``all_trips``,
-``trip_from`` and the bad-feature scan.
+nothing else.  It also keeps the trip-successor table, from which
+"trip_walks" builds the ``Trip`` objects, roundtrips included, and each
+dart's place on its trip, for ``all_trips``, ``trip_from`` and the
+bad-feature scan; so a graph fills that table once whatever it reads.
 """
 
 from __future__ import annotations
@@ -59,31 +60,25 @@ def trip_from(g: PlabicGraph, i: int) -> Trip:
 def all_trips(g: PlabicGraph):
     """Every trip: the b one-way trips followed by all roundtrips.
 
-    All of them are traced from one trip-successor table, in O(darts),
-    once per graph and only when asked for (the fact "trip_walks"); every
-    call returns a new list.
+    All of them are traced from the trip-successor table of the fact
+    "trips", in O(darts), once per graph and only when asked for (the fact
+    "trip_walks"); every call returns a new list.
     """
     return list(g._fact("trip_walks")[0])
 
 
-def _trip_successors(g: PlabicGraph):
-    """The trip-successor table by dart: the successor fill over the
-    internal vertices with ``black=-1``.  A dart into the boundary keeps -1,
-    and a trip ends there."""
-    nxt = [-1] * g._dart_bound()
-    g._fill_successors(nxt, g._colors, -1)
-    return nxt
-
-
 def _trace_trips(g: PlabicGraph):
-    """The fact "trips": ``(targets, source)``, the target of each one-way
-    trip in order of source, and by dart the source of its one-way trip, 0
-    on roundtrips and at the holes.  One walk per boundary label along the
-    successor fill writes only the sources: no ``Trip``, no places and no
+    """The fact "trips": ``(targets, source, nxt)``, the target of each
+    one-way trip in order of source, by dart the source of its one-way
+    trip (0 on roundtrips and at the holes), and the trip-successor table:
+    the successor fill over the internal vertices with ``black=-1``, where
+    a dart into the boundary keeps -1 and a trip ends.  One walk per
+    boundary label writes only the sources: no ``Trip``, no places and no
     search for roundtrips.  A walk longer than the darts means a corrupt
     rotation."""
-    nxt = _trip_successors(g)
-    limit, rot, dv = len(nxt), g._rot, g._dart_vertex
+    limit, rot, dv = g._dart_bound(), g._rot, g._dart_vertex
+    nxt = [-1] * limit
+    g._fill_successors(nxt, g._colors, -1)
     source, targets = [0] * limit, []
     for i in range(1, g.b + 1):
         d = rot[-i][0]
@@ -96,34 +91,36 @@ def _trace_trips(g: PlabicGraph):
         else:
             raise TripDoesNotTerminate(f"trip from label {i} runs past {limit} darts")
         targets.append(-dv[d ^ 1])
-    return tuple(targets), source
+    return tuple(targets), source, nxt
 
 
 def _walk_trips(g: PlabicGraph):
-    """The fact "trip_walks": ``(trips, source, place)``, the tuple
-    ``all_trips`` lists and, by dart, the source of its one-way trip and its
-    place on it (0 and 0 elsewhere): the orbits of ``_trip_successors``,
-    roundtrips by least dart."""
-    nxt = _trip_successors(g)
+    """The fact "trip_walks": ``(trips, place)``, the tuple ``all_trips``
+    lists and by dart its place on its one-way trip (0 elsewhere): the
+    orbits of the successor table of the fact "trips", roundtrips by least
+    dart, which are the darts that fact left at source 0.  That fact's
+    walks ended within the dart bound, so the one-way walks here need no
+    guard."""
+    _, source, nxt = g._fact("trips")
     limit, rot, dv = len(nxt), g._rot, g._dart_vertex
-    source, place = [0] * limit, [0] * limit
-    trips = []
-    traced = 0
+    place, trips, traced = [0] * limit, [], 0
     for i in range(1, g.b + 1):
-        darts = _orbit(nxt, rot[-i][0], limit)
+        d, darts = rot[-i][0], []
+        while d >= 0:
+            place[d] = len(darts)
+            darts.append(d)
+            d = nxt[d]
         traced += len(darts)
-        for p, d in enumerate(darts):
-            source[d] = i
-            place[d] = p
         trips.append(Trip("oneway", i, -dv[darts[-1] ^ 1], tuple(darts)))
     if traced < len(dv):  # one-way trips are disjoint: some darts are left
-        for d0 in range(limit):  # roundtrips by least dart; a traced one leaves nxt -1
+        nxt = nxt[:]  # a traced roundtrip leaves -1 here, not in the fact "trips"
+        for d0 in range(limit):  # roundtrips by least dart
             if not source[d0] and nxt[d0] >= 0:
                 cyc = _orbit(nxt, d0, limit)
                 for d in cyc:
                     nxt[d] = -1
                 trips.append(Trip("roundtrip", None, None, tuple(cyc)))
-    return tuple(trips), source, place
+    return tuple(trips), place
 
 
 def trip_permutation(g: PlabicGraph):
@@ -275,10 +272,10 @@ def bad_features(g: PlabicGraph):
     double crossings.  Requires a normal graph; empty iff the graph is
     reduced.
 
-    The scan runs once per graph on the per-dart tables of the fact
-    "trip_walks", the one fact that builds the trips and places: a trip on
-    both darts of an edge, and two trips that meet two shared edges in the
-    same order, are read off the sources and places of a dart and its twin.
+    The scan runs once per graph on the trips and places of the fact
+    "trip_walks" and the sources of the fact "trips": a trip on both darts
+    of an edge, and two trips that meet two shared edges in the same order,
+    are read off the sources and places of a dart and its twin.
     Every call returns a new list.
     """
     return list(g._fact("bad_features"))
@@ -287,7 +284,7 @@ def bad_features(g: PlabicGraph):
 def _scan_bad_features(g: PlabicGraph):
     if not g._fact("classify")["normal"]:
         raise NotNormal("bad feature detection requires a normal plabic graph")
-    (trips, source, place), eid = g._fact("trip_walks"), g._edge_ids
+    (trips, place), source, eid = g._fact("trip_walks"), g._fact("trips")[1], g._edge_ids
     feats = [BadFeature("roundtrip", tuple(sorted({eid[d >> 1] for d in t.darts})))
              for t in trips[g.b :]]
     crossings = []

@@ -211,6 +211,18 @@ def dart_trips_reference(g, trips):
     return source, place
 
 
+def trip_successors_reference(g, trips):
+    """The trip-successor table indexed by dart, read off ``trips``: each
+    dart maps to the next dart of its trip, the last dart of a one-way trip
+    and the holes to -1."""
+    nxt = [-1] * g._dart_bound()
+    for t in trips:
+        darts = t.darts + (t.darts[:1] if t.kind == "roundtrip" else ())
+        for d, e in zip(darts, darts[1:]):
+            nxt[d] = e
+    return nxt
+
+
 def pendant_vertices_fixed_point(g):
     """Peel internal vertices with at most one live neighbor until stable."""
     adj = {v: g.neighbors(v) for v in g.internal_vertices()}
@@ -1115,15 +1127,16 @@ def _uncached(g):
 
 def test_trips_match_stepwise_tracer(mixed_graphs, pendant_tree_graphs):
     """The fact "trips", derived on its own: the targets of the one-way
-    trips and the source of the trip on each dart, 0 on roundtrips and at
-    the holes, on graphs with both.  It builds no trip walks."""
+    trips, the source of the trip on each dart, 0 on roundtrips and at the
+    holes, and the trip-successor table, on graphs with both.  It builds no
+    trip walks."""
     holes = roundtrips = 0
     for g in mixed_graphs + pendant_tree_graphs:
         expected = trips_stepwise(g)
         targets = [t.target for t in expected[: g.b]]
         h = _uncached(g)
-        assert h._fact("trips") == (tuple(targets), dart_trips_reference(g, expected)[0]), \
-            g.to_json()
+        assert h._fact("trips") == (tuple(targets), dart_trips_reference(g, expected)[0],
+                                    trip_successors_reference(g, expected)), g.to_json()
         assert trip_permutation(h) == targets
         assert set(h._cache) == {"trips"}
         holes += g._dart_bound() > g.num_darts()
@@ -1132,18 +1145,20 @@ def test_trips_match_stepwise_tracer(mixed_graphs, pendant_tree_graphs):
 
 
 def test_trip_walks_match_stepwise_tracer(mixed_graphs, pendant_tree_graphs):
-    """The fact "trip_walks", derived on its own: the trips, roundtrips in
-    the same order, and the per-dart sources and places, 0 on roundtrips
-    and at the holes, on graphs with both."""
+    """The fact "trip_walks", derived on a graph with no fact yet: the
+    trips, roundtrips in the same order, and the per-dart places, 0 on
+    roundtrips and at the holes, on graphs with both.  It reads the fact
+    "trips" and leaves that fact's successor table as it was."""
     holes = roundtrips = 0
     for g in mixed_graphs + pendant_tree_graphs:
         expected = trips_stepwise(g)
         h = _uncached(g)
-        assert h._fact("trip_walks") == (tuple(expected), *dart_trips_reference(g, expected)), \
+        assert h._fact("trip_walks") == (tuple(expected), dart_trips_reference(g, expected)[1]), \
             g.to_json()
+        assert h._fact("trips")[2] == trip_successors_reference(g, expected), g.to_json()
         assert all_trips(h) == expected, g.to_json()
         assert [trip_from(h, i) for i in range(1, g.b + 1)] == expected[: g.b]
-        assert set(h._cache) == {"trip_walks"}
+        assert set(h._cache) == {"trips", "trip_walks"}
         holes += g._dart_bound() > g.num_darts()
         roundtrips += len(expected) > g.b
     assert holes >= 200 and roundtrips >= 300, (holes, roundtrips)

@@ -73,9 +73,10 @@ def test_minimality_after_is_reduced_scans_no_more(monkeypatch):
     """``is_reduced`` decides a resonant graph on its own one-way trips
     (the fact "trips"): it neither normalizes, nor walks the trips in full,
     nor scans for bad features, and the minimality of the normal form then
-    walks that form's trips (the fact "trip_walks") and scans them once.
-    Any other graph is normalized and its normal form scanned once, and the
-    minimality of that normal form reads the same scan.  Every read of a
+    walks that form's trips (the fact "trip_walks", which starts from that
+    form's "trips") and scans them once.  Any other graph is normalized and
+    its normal form scanned once, and the minimality of that normal form
+    reads the same scan.  Every read of a
     fact is recorded, cache hits too, and so is every derivation of the
     normal form, either trip fact and the scan."""
     real_fact = graph_module.PlabicGraph._fact
@@ -102,14 +103,16 @@ def test_minimality_after_is_reduced_scans_no_more(monkeypatch):
         normal = normalize(g).normal
         if name not in resonant:
             on_normal = [fact for fact, h in read if h is normal]
-            assert on_normal.count("trip_walks") == 1 and "trips" not in on_normal
-            assert [fact for fact, h in derived if h is normal] == ["bad_features", "trip_walks"]
+            assert on_normal.count("trip_walks") == 1 and on_normal.count("trips") == 2
+            assert [fact for fact, h in derived if h is normal] == [
+                "bad_features", "trip_walks", "trips"]
         read.clear()
         derived.clear()
         assert TripleView(normal).minimality().minimal is reduced
         facts = [fact for fact, _ in read]
         if name in resonant:
-            assert derived == [("bad_features", normal), ("trip_walks", normal)], (name, derived)
+            assert derived == [("bad_features", normal), ("trip_walks", normal),
+                               ("trips", normal)], (name, derived)
         else:
             assert facts.count("bad_features") == 1, facts
             assert "trips" not in facts and "trip_walks" not in facts, facts

@@ -45,13 +45,16 @@ def test_a_label_that_is_not_an_int_is_a_bad_label(label):
 
 def test_corrupt_rotation_stops_the_trip_tracer():
     # dart 2 listed twice at white vertex 0: the trip from label 1 is
-    # sent into a cycle that never returns to the boundary; the one-way
-    # walk of trip_permutation and the full trace of all_trips both stop
-    for read in (trip_permutation, all_trips):
-        g = PlabicGraph(1, {0: WHITE}, {-1: (0,), 0: (1, 2, 3, 2)}, (0, 1))
-        with pytest.raises(TripDoesNotTerminate) as err:
-            read(g)
-        assert isinstance(err.value, PlabicError), read
+    # sent into a cycle that never returns to the boundary; and boundary
+    # dart 0 listed at vertex 0 too: the trip goes round and round it.
+    # The one-way walk of trip_permutation and the full trace of all_trips
+    # both stop
+    for rot in ({-1: (0,), 0: (1, 2, 3, 2)}, {-1: (0,), 0: (1, 0)}):
+        for read in (trip_permutation, all_trips):
+            g = PlabicGraph(1, {0: WHITE}, rot, (0, 1))
+            with pytest.raises(TripDoesNotTerminate) as err:
+                read(g)
+            assert isinstance(err.value, PlabicError), (rot, read)
 
 
 def test_decorated_permutation_is_a_fresh_object():
