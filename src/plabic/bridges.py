@@ -50,26 +50,38 @@ def bcfw_factorize(f: BoundedAffinePermutation) -> BridgeSequence:
     Among all admissible pairs (i, j) -- 1 <= i < j <= b, f(i) < f(j),
     neither endpoint fixed, every position strictly between them fixed --
     the one with the smallest i, then the smallest j, is chosen.
+
+    It walks a plain list copy of the window and the sorted list of its
+    moved positions, those i with f(i) != i mod b.  The admissible pairs
+    are the consecutive moved pairs carrying increasing values, and a swap
+    exchanges two window entries in place, dropping an endpoint that it
+    fixes.  A swap at the k-th consecutive pair leaves every pair before
+    the (k-1)-th as it was, so the next search starts there.  The whole
+    factorization costs O(b + swaps * b) list steps and builds no
+    permutation object.
     """
     b = f.b
+    w = list(f.window)
+    moved = [i for i in range(1, b + 1) if w[i - 1] % b != i % b]
     transpositions = []
-    cur = f
-    while not cur.is_identity_mod_b():
-        pair = None
-        for i in range(1, b + 1):
-            if cur.is_fixed(i):
-                continue
-            j = i + 1
-            while j <= b and cur.is_fixed(j):
-                j += 1
-            if j <= b and cur(i) < cur(j):
-                pair = (i, j)
+    k = 0
+    while moved:
+        for k in range(max(k - 1, 0), len(moved) - 1):
+            i, j = moved[k], moved[k + 1]
+            if w[i - 1] < w[j - 1]:
                 break
-        if pair is None:  # pragma: no cover
-            raise RuntimeError("factorization stuck; window invalid?")
-        transpositions.append(pair)
-        cur = cur.swap(*pair)
-    decor = {i: ("under" if cur(i) == i else "over") for i in range(1, b + 1)}
+        else:  # pragma: no cover
+            raise AssertionError(f"window {f.window} has no admissible pair at {w}")
+        fi, fj = w[i - 1], w[j - 1]
+        if not (i <= fj <= i + b and j <= fi <= j + b):  # pragma: no cover
+            raise AssertionError(f"swapping {i} and {j} leaves the bounds of {w}")
+        w[i - 1], w[j - 1] = fj, fi
+        transpositions.append((i, j))
+        if fi % b == j % b:
+            del moved[k + 1]
+        if fj % b == i % b:
+            del moved[k]
+    decor = {i: ("under" if w[i - 1] == i else "over") for i in range(1, b + 1)}
     return BridgeSequence(b, transpositions, decor)
 
 
@@ -79,10 +91,11 @@ def bridge_graph(p: DecoratedPermutation) -> PlabicGraph:
     Strand i hangs from boundary vertex i; each transposition (i, j) adds a
     white vertex on strand i and a black vertex on strand j joined by a
     rung.  Clockwise rotations read (up, east, down) at a white rung end
-    and (up, down, west) at a black one.
+    and (up, down, west) at a black one.  For b = 0 it is the empty graph.
     """
     b = p.b
-    seq = bcfw_factorize(affinize(p))
+    # b = 0 has no bounded affine window; its graph is the empty one
+    transpositions = bcfw_factorize(affinize(p)).transpositions if b else []
     colors = {}
     rotation = {}
     edge_count = 0
@@ -100,7 +113,7 @@ def bridge_graph(p: DecoratedPermutation) -> PlabicGraph:
         return vid - 1
 
     strands = {i: [] for i in range(1, b + 1)}  # (vertex, rung edge, white?)
-    for i, j in seq.transpositions:
+    for i, j in transpositions:
         w = fresh_vertex(WHITE)
         bk = fresh_vertex(BLACK)
         rung = fresh_edge()

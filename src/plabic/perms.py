@@ -203,14 +203,14 @@ class BoundedAffinePermutation:
 
 def length(f: BoundedAffinePermutation) -> int:
     """Number of inversion classes, counted over representatives
-    (i, j) with 1 <= i <= b and i < j < i + b."""
+    (i, j) with 1 <= i <= b and i < j < i + b.
+
+    Counts on the window extended by one period, f(1)..f(2b), with b(b-1)
+    comparisons of plain ints."""
     b = f.b
-    n = 0
-    for i in range(1, b + 1):
-        for j in range(i + 1, i + b):
-            if f(i) > f(j):
-                n += 1
-    return n
+    w = f.window
+    ext = w + tuple(v + b for v in w)
+    return sum(1 for i in range(b) for y in ext[i + 1:i + b] if ext[i] > y)
 
 
 def affinize(p: DecoratedPermutation) -> BoundedAffinePermutation:

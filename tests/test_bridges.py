@@ -1,3 +1,5 @@
+import json
+
 from plabic import (
     BoundedAffinePermutation,
     DecoratedPermutation,
@@ -10,6 +12,7 @@ from plabic import (
     length,
     trip_permutation,
 )
+from plabic.graph import lollipop_graph
 from conftest import random_decorated_permutation
 
 
@@ -30,6 +33,17 @@ def test_factorization_of_worked_window():
     assert len(seq.transpositions) == 8
     assert compose_right_to_left(seq.transpositions, 6) == [4, 6, 5, 1, 2, 3]
     assert seq.replay().window == f.window
+
+
+def test_bridge_sequence_json_of_worked_window():
+    obj = bcfw_factorize(BoundedAffinePermutation((4, 6, 5, 7, 8, 9))).to_json_obj()
+    assert obj == {
+        "b": 6,
+        "transpositions": [[1, 2], [2, 3], [3, 4], [2, 3], [1, 2], [3, 5], [2, 3], [3, 6]],
+        "base_decorations": {"1": "over", "2": "over", "3": "over",
+                             "4": "under", "5": "under", "6": "under"},
+    }
+    assert json.loads(json.dumps(obj)) == obj
 
 
 def test_factorization_identity_empty():
@@ -75,6 +89,14 @@ def test_bridge_graph_lollipops_only():
     faces = g.faces()
     assert sum(1 for f in faces if f.kind == "boundary") == 1
     assert sum(1 for f in faces if f.kind == "internal") == 0
+
+
+def test_bridge_graph_of_the_empty_permutation():
+    p = DecoratedPermutation([])
+    g = bridge_graph(p)
+    assert g.to_json() == lollipop_graph("").to_json()
+    assert decorated_trip_permutation(g) == p
+    assert is_reduced(g).reduced
 
 
 def test_bridge_graph_rotation_max_faces():

@@ -69,6 +69,12 @@ def test_gen_bridge_info_pipeline(capsys, monkeypatch):
     assert info["decorated_trip_permutation"] == "4 6 5 1 2 3"
 
 
+def test_gen_bridge_of_the_empty_permutation(capsys):
+    code, out, _ = run(["gen", "bridge", ""], capsys=capsys)
+    assert code == 0
+    assert json.loads(out) == {"b": 0, "edges": [], "rotation": {}, "vertices": []}
+
+
 def test_gen_lollipops_info(capsys, monkeypatch):
     code, out, _ = run(["gen", "lollipops", "wb"], capsys=capsys)
     code, out2, _ = run(["info", "-"], stdin_text=out, capsys=capsys, monkeypatch=monkeypatch)

@@ -21,8 +21,9 @@ member test through ``gale_leq``, the square-move closure of weakly
 separated collections on frozensets, the canonical key in two passes
 (edges numbered at dequeue, rows written after the search), move
 equivalence by a one-way breadth-first search on those keys, the validation of a graph's JSON
-round trip, and the checked
-``DecoratedPermutation`` constructor.  The tests require the library to agree with them exactly on the
+round trip, the checked
+``DecoratedPermutation`` constructor, and the BCFW factorization and the
+length over validated ``BoundedAffinePermutation`` objects.  The tests require the library to agree with them exactly on the
 fixtures and on many bridge and move-walk graphs, some with loops, digons and
 pendant trees, and on the weakly separated collections and positroids of
 many permutations.
@@ -31,7 +32,7 @@ many permutations.
 import json
 import random
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -56,6 +57,7 @@ from plabic import (
     all_trips,
     apply_move,
     bad_features,
+    bcfw_factorize,
     bridge_graph,
     classify,
     cyclic_rotation,
@@ -1990,6 +1992,70 @@ def test_handed_down_maxima_and_edge_index_match_a_scan():
     assert paths["edge_index patched"] >= len(states) - 20, paths
     assert paths["maxima handed"] >= 200 and paths["maxima scanned"] >= 80, paths  # 214, 86
     assert len(kinds) == 5 and min(kinds.values()) >= 15, kinds  # every search kind
+
+
+# ----------------------------------------------------------------------
+# BCFW factorization and length: validated window objects as the reference
+
+
+def bcfw_factorize_reference(f):
+    """The factorization over a fresh validated window after every swap:
+    scan from position 1 for the first non-fixed i whose next non-fixed j
+    carries a larger value."""
+    b = f.b
+    transpositions = []
+    cur = f
+    while not cur.is_identity_mod_b():
+        pair = None
+        for i in range(1, b + 1):
+            if cur.is_fixed(i):
+                continue
+            j = i + 1
+            while j <= b and cur.is_fixed(j):
+                j += 1
+            if j <= b and cur(i) < cur(j):
+                pair = (i, j)
+                break
+        assert pair is not None, f"factorization of {f.window} stuck at {cur.window}"
+        transpositions.append(pair)
+        cur = cur.swap(*pair)
+    decor = {i: ("under" if cur(i) == i else "over") for i in range(1, b + 1)}
+    return transpositions, decor
+
+
+def length_reference(f):
+    """The pairs (i, j) with f(i) > f(j), 1 <= i <= b and i < j < i + b."""
+    b = f.b
+    return sum(1 for i in range(1, b + 1) for j in range(i + 1, i + b) if f(i) > f(j))
+
+
+def _all_decorated_permutations(b):
+    for values in permutations(range(1, b + 1)):
+        fixed = [i for i in range(1, b + 1) if values[i - 1] == i]
+        for marks in product(("over", "under"), repeat=len(fixed)):
+            yield DecoratedPermutation(values, dict(zip(fixed, marks)))
+
+
+def test_window_factorization_and_length_match_references():
+    """On every decorated permutation with 1 <= b <= 6, 300 seeded ones with b in
+    7..30 and the rotations Gr(a, 2a) for a in 2..15, the factorization on
+    the plain window makes the reference's swaps in the same order, ends
+    on its decorations and replays to the input, and the length on the
+    extended window equals the count over f(i) > f(j)."""
+    rng = random.Random(93)
+    perms = [p for b in range(1, 7) for p in _all_decorated_permutations(b)]
+    perms += [random_decorated_permutation(rng.randint(7, 30), rng) for _ in range(300)]
+    perms += [cyclic_rotation(a, 2 * a) for a in range(2, 16)]
+    swaps = 0
+    for p in perms:
+        f = affinize(p)
+        seq = bcfw_factorize(f)
+        assert (seq.transpositions, seq.base_decorations) == bcfw_factorize_reference(f), str(p)
+        assert seq.replay().window == f.window, str(p)
+        assert length(f) == length_reference(f), str(p)
+        swaps += len(seq.transpositions)
+    # 2 + 5 + 16 + 65 + 326 + 1957 decorated permutations with 1 <= b <= 6
+    assert len(perms) == 2371 + 300 + 14 and swaps >= 19_000, (len(perms), swaps)  # 19068
 
 
 # ----------------------------------------------------------------------
