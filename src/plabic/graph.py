@@ -206,10 +206,11 @@ class PlabicGraph:
 
     def _fact(self, name):
         """The fact ``name`` of ``_FACTS``, derived on the first read and
-        kept; callers must not change it.  On a move's result it is patched
-        from the parent's value in the hand-down record ``(handed, gone,
-        edited, touched)`` when ``handed`` holds it, and the record goes once
-        ``handed`` is empty; "maxima" may be there from ``freeze``."""
+        kept; callers must not change it.  On a move's result the faces and
+        the move sites are patched from the parent's values in the hand-down
+        record ``(handed, gone, edited, touched)`` when ``handed`` holds them,
+        and the record goes once ``handed`` is empty; "maxima" may be there
+        from ``freeze``."""
         cache = self._cache
         value = cache.get(name)
         if value is None:
@@ -237,11 +238,16 @@ class PlabicGraph:
         return self._edge_ids[d >> 1]
 
     def darts_of_edge(self, edge_id: int):
-        """The two darts of an edge; ValueError for an unknown edge id."""
-        k = self._fact("edge_index")[0].get(edge_id)
-        if k is None:
-            raise ValueError(f"no edge with id {edge_id!r}")
-        return 2 * k, 2 * k + 1
+        """The two darts of an edge, found by a scan of ``_edge_ids``;
+        ValueError for an id the graph does not hold: unknown, removed by
+        the move that made the graph, or None, which marks a hole."""
+        if edge_id is not None:
+            try:
+                k = self._edge_ids.index(edge_id)
+                return 2 * k, 2 * k + 1
+            except ValueError:
+                pass
+        raise ValueError(f"no edge with id {edge_id!r}")
 
     def edge_endpoints(self, edge_id: int):
         d0, d1 = self.darts_of_edge(edge_id)
@@ -1004,13 +1010,13 @@ class Builder:
         rule; the two darts of such an edge trade numbers.  Once holes pass
         half the index space, darts are numbered afresh by
         ``_number_afresh``.  Otherwise the result gets a hand-down record
-        for ``PlabicGraph._fact``: the starting graph's values of the facts
-        with a patch, the edge indices left empty (dropped, or moved to a
-        home), and the vertices edited (touched or removed) and touched; it
-        keeps no ancestor alive.  Either way the builder's maxima become
-        the fact "maxima" when it still knows both.  The builder then holds
-        None in place of the dicts the graph took over, so an edit after
-        freezing fails at once.
+        for ``PlabicGraph._fact``: the starting graph's faces and move
+        sites, when it has read them, the edge indices left empty
+        (dropped, or moved to a home), and the vertices edited (touched or
+        removed) and touched; it keeps no ancestor alive.  Either way the
+        builder's maxima become the fact "maxima" when it still knows both.
+        The builder then holds None in place of the dicts the graph took
+        over, so an edit after freezing fails at once.
         """
         ids = self.ids
         n = len(ids)
@@ -1190,46 +1196,19 @@ def _maxima(g):
     return max(g._colors, default=-1), max(set(g._edge_ids) - {None}, default=-1)
 
 
-def _edge_index(g):
-    """The fact "edge_index": ``(index, ids)``, the dict from each edge id
-    to its edge index and the edge ids it was made from."""
-    ids = g._edge_ids
-    return {e: k for k, e in enumerate(ids) if e is not None}, ids
-
-
-def _patch_edge_index(g, fact, gone, edited, touched):
-    """The fact "edge_index" from the parent's: a copy of its dict, less
-    the ids at the parent's indices in ``gone``, which the move emptied,
-    plus the edges at indices past the parent's.  Every other id stays at
-    its index, so the copy holds it already.  The patch is kept although
-    the bench does not see it: it costs O(change) where a scan costs O(E),
-    which shows only on graphs larger than the bench walks."""
-    index, pids = fact
-    index = index.copy()
-    ids = g._edge_ids
-    pn = len(pids)
-    for k in gone:
-        if k < pn:
-            index.pop(pids[k], None)
-    for k in range(pn, len(ids)):  # after the removals: a new edge may reuse a removed id
-        if ids[k] is not None:
-            index[ids[k]] = k
-    return index, ids
-
-
 # The facts derived from a graph, registered by the modules that own them:
 # ``_FACTS[name](g)`` derives a fact (never None) from g alone, and
 # ``_PATCHES[name](g, parent value, gone, edited, touched)`` from the value
 # of the graph a move made g from (``Builder.freeze``); ``gone`` holds the
-# edge indices the move emptied.
+# edge indices the move emptied.  Only "faces" and "sites" (``moves.py``)
+# have a patch; an edge id is found by a scan (``darts_of_edge``).
 _FACTS = dict(
     faces=PlabicGraph._trace_faces,
     maxima=_maxima,
-    edge_index=_edge_index,
     ckey=lambda g: _canonical_key(g.b, g._colors, g._rot, g._dart_vertex),
     classify=_classify,
 )
-_PATCHES = dict(faces=PlabicGraph._patch_faces, edge_index=_patch_edge_index)
+_PATCHES = dict(faces=PlabicGraph._patch_faces)
 
 
 def lollipop_graph(decorations) -> PlabicGraph:

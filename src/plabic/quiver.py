@@ -85,13 +85,16 @@ class Quiver:
 
 def _signed(arrows, keys) -> dict:
     """The nonzero signed multiplicities m[u][v] of the pairs of distinct
-    ``keys`` that ``arrows`` joins, in both orders."""
+    ``keys`` that ``arrows`` joins, in both orders; the positive ones are
+    the arrows left once opposite arrows cancel."""
     net = {}
     for (u, v), a in arrows.items():
         if u != v and u in keys and v in keys:
-            net[u, v] = net.get((u, v), 0) + a
-            net[v, u] = net.get((v, u), 0) - a
-    return {pair: a for pair, a in net.items() if a}
+            m = a - arrows.get((v, u), 0)
+            if m:
+                net[u, v] = m
+                net[v, u] = -m
+    return net
 
 
 def _key_label(k):
@@ -139,20 +142,9 @@ def quiver_of(g: PlabicGraph, keys: str = "auto") -> Quiver:
         if frozen_of[left] and frozen_of[right]:
             continue
         raw[(right, left)] = raw.get((right, left), 0) + 1
-    arrows = {(key_of[u], key_of[v]): net for (u, v), net in _net_arrows(raw).items()}
+    arrows = {(key_of[u], key_of[v]): a for (u, v), a in _signed(raw, frozen_of).items() if a > 0}
     vertices = [(key_of[idx], frozen_of[idx]) for idx in nonouter]
     return Quiver(vertices, arrows)
-
-
-def _net_arrows(raw) -> dict:
-    """Arrow counts ``(u, v) -> m`` with opposite arrows cancelled: the
-    positive net counts."""
-    arrows = {}
-    for (u, v), mult in raw.items():
-        net = mult - raw.get((v, u), 0)
-        if net > 0:
-            arrows[(u, v)] = net
-    return arrows
 
 
 def mutate(q: Quiver, k) -> Quiver:
@@ -283,7 +275,7 @@ def quiver_of_triangulation(m: int, triangles) -> Quiver:
             if u in sides and v in sides:
                 continue
             raw[(u, v)] = raw.get((u, v), 0) + 1
-    return Quiver(vertices, _net_arrows(raw))
+    return Quiver(vertices, {pair: a for pair, a in _signed(raw, dict(vertices)).items() if a > 0})
 
 
 # ----------------------------------------------------------------------

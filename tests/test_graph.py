@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from plabic import (
     DecoratedPermutation,
+    IllegalMove,
     InvalidGraph,
     MoveSpec,
     PlabicError,
@@ -253,6 +254,90 @@ def test_exporters_run():
     g = F.square_fan_b5()
     assert "graph plabic" in g.to_dot()
     assert "tikzpicture" in g.to_tikz()
+
+
+def _children_with_holes():
+    """``(parent, move, child)`` for every legal move of every fixture whose
+    result keeps None at an edge index the move emptied."""
+    out = []
+    for name in sorted(F.ALL_NAMED):
+        g = F.ALL_NAMED[name]()
+        for m in legal_moves(g):
+            h = apply_move(g, m)
+            if None in h._edge_ids:
+                out.append((g, m, h))
+    return out
+
+
+def _endpoints_from_json(g):
+    """Each edge id's two endpoints read off ``to_json_obj()``: the first
+    and second vertex whose rotation lists hold the id, in (vertex id,
+    position) order."""
+    ends = {}
+    rotation = g.to_json_obj()["rotation"]
+    for v in sorted(rotation, key=int):
+        for e in rotation[v]:
+            ends.setdefault(e, []).append(int(v))
+    return [(e, *ends[e]) for e in sorted(ends)]
+
+
+def test_exporters_draw_each_edge_between_its_endpoints():
+    """``to_dot`` and ``to_tikz`` draw the edges in id order, each from its
+    first endpoint to its second, on the fixtures and on move results with
+    holes; the tikz coordinates of each vertex are read off its own node
+    line."""
+    def name(v):
+        return f"b{-v}" if v < 0 else f"v{v}"
+
+    graphs = [F.ALL_NAMED[fixture]() for fixture in sorted(F.ALL_NAMED)]
+    children = [h for _, _, h in _children_with_holes()]
+    assert len(children) >= 30
+    for g in graphs + children:
+        edges = _endpoints_from_json(g)
+        assert len(edges) == len(g.edge_ids)
+        dot = [line for line in g.to_dot().splitlines() if " -- " in line]
+        assert dot == [f"  {name(u)} -- {name(v)} [label={e}];" for e, u, v in edges]
+        tikz = g.to_tikz()
+        at = {-int(i): xy for i, xy in re.findall(r"\\node\[label=(\d+)\] \S+ at (\S+)", tikz)}
+        internal = re.findall(r"\\(?:fill|draw) (\S+) circle \(2\.5pt\)", tikz)
+        at.update(zip(g.internal_vertices(), internal, strict=True))
+        assert len(at) == g.b + len(g.internal_vertices())
+        drawn = re.findall(r"\\draw (\S+) -- (\S+);", tikz)
+        assert drawn == [(at[u], at[v]) for _, u, v in edges]
+
+
+def test_darts_of_edge_refuses_ids_a_child_with_holes_lacks():
+    """A move's result keeps None at the edge indices the move emptied, so
+    a scan of its edge ids meets None.  ``darts_of_edge`` refuses None, an
+    id the move removed and an unhashable id with ValueError, and an
+    edge-id move on None or on a removed id is an IllegalMove."""
+    children = _children_with_holes()
+    assert len(children) >= 30
+    removals = 0
+    for g, m, h in children:
+        removed = set(g.edge_ids) - set(h.edge_ids)  # a flip keeps its edge's id
+        removals += bool(removed)
+        for bad in [None, [1], *sorted(removed)]:
+            with pytest.raises(ValueError, match="no edge with id"):
+                h.darts_of_edge(bad)
+            if bad != [1]:
+                for spec in (MoveSpec("InsertBivalentM2", edge=bad, color="white"),
+                             MoveSpec("ContractM3", edge=bad), MoveSpec("FlipM4", edge=bad)):
+                    with pytest.raises(IllegalMove, match="no edge with id"):
+                        apply_move(h, spec)
+    assert removals >= 30, removals  # 38 of 39
+
+
+def test_is_boundary_and_repr_count_live_parts():
+    """Boundary vertices have negative ids; ``repr`` counts internal
+    vertices and live edges, so a move's holes are not edges."""
+    g = F.square_fan_b5()
+    assert g.is_boundary(-1) and not g.is_boundary(0)
+    children = [h for _, _, h in _children_with_holes()]
+    assert len(children[0].edge_ids) < len(children[0]._edge_ids)
+    for h in [g] + children:
+        assert repr(h) == (f"PlabicGraph(b={h.b}, vertices={len(h.internal_vertices())}, "
+                           f"edges={len(h.edge_ids)})")
 
 
 def test_nonplanar_rotation_rejected():
@@ -600,9 +685,10 @@ def test_maxima_are_exact_on_raw_graphs_whose_ids_do_not_ascend():
     merged = apply_move(pair, MoveSpec("RemoveBivalentM2", vertex=0))
     assert merged._edge_ids == (None, 3) and validate(merged).ok
     assert merged.to_json_obj()["rotation"] == {"-2": [3], "-1": [3]}
-    for h in (inserted, removed, merged):
-        assert h._fact("edge_index")[0] == {e: k for k, e in enumerate(h._edge_ids)
-                                            if e is not None}
+    for h in (g, inserted, removed, merged):
+        for k, e in enumerate(h._edge_ids):
+            if e is not None:
+                assert h.darts_of_edge(e) == (2 * k, 2 * k + 1)
 
 
 def _recolored_builder():
@@ -719,16 +805,15 @@ def test_face_order_does_not_depend_on_how_a_graph_was_built():
 def test_a_move_child_inherits_only_face_tables():
     """The facts cached on a graph hold for it alone.  A move's result
     starts only with its hand-down record, which holds its parent's values
-    of the facts that have a patch: the face tables, the move sites and
-    the edge index, and with the id maxima its builder kept, unless the
-    move removed the largest vertex or edge id.  The record holds no
-    rotations of the parent, only sets of edge indices and vertices; once
-    the patched facts are read the record is gone, and nothing keeps the
-    parent alive.  UrbanRenewal reads its result's faces to find the
+    of the facts that have a patch, the face tables and the move sites,
+    and with the id maxima its builder kept, unless the move removed the
+    largest vertex or edge id.  The record holds no rotations of the
+    parent, only sets of edge indices and vertices; once the patched facts
+    are read the record is gone, and nothing keeps the parent alive.  UrbanRenewal reads its result's faces to find the
     inverse move, so that result has its faces too, patched from the
     record."""
     patched = set(graph_module._PATCHES)
-    assert patched == {"faces", "sites", "edge_index"}
+    assert patched == {"faces", "sites"}
     hand_down = graph_module._HAND_DOWN
     kinds = set()
     for make in (F.square_fan_b5, F.normal_b5, F.urban_left_b7):
@@ -737,13 +822,12 @@ def test_a_move_child_inherits_only_face_tables():
             validate(g)
             classify(g)
             g.canonical_key()
-            g.darts_of_edge(g.edge_ids[0])
             face_labels(g, "target")
             normalize(g)
             if classify(g)["normal"]:
                 bad_features(g)
             legal_moves(g)
-            assert {"valid", "classify", "ckey", "edge_index", "trips", "decorated",
+            assert {"valid", "classify", "ckey", "trips", "decorated",
                     "normalize", "is_reduced", "faces", "sites"} <= set(g._cache)
             if classify(g)["normal"]:
                 assert {"trip_walks", "bad_features"} <= set(g._cache)
@@ -758,7 +842,7 @@ def test_a_move_child_inherits_only_face_tables():
             del g
             h.faces()
             legal_moves(h)
-            h.darts_of_edge(h.edge_ids[0])
+            h.darts_of_edge(h.edge_ids[0])  # reads no fact
             assert set(h._cache) - {"maxima"} == patched, (m, set(h._cache))
             Builder(h).fresh_vertex()
             assert set(h._cache) == patched | {"maxima"}, (m, set(h._cache))

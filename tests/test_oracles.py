@@ -1965,31 +1965,33 @@ def test_one_pass_keys_match_two_pass_reference(reduced_walk_graphs):
 
 
 def test_handed_down_maxima_and_edge_index_match_a_scan():
-    """On every state of the kind-balanced walks, the id maxima and the
-    edge index equal those derived by a scan, and every search child's
-    builder hands out the fresh ids a scan of its own ids gives.  The
-    maxima come by both paths: handed to the state by its move's builder,
-    or scanned when the move removed the largest vertex or edge id; the
-    edge index is patched from the parent's."""
+    """On every state of the kind-balanced walks, the id maxima equal
+    those derived by a scan, ``darts_of_edge`` gives the darts of every
+    live edge index and refuses None, and every search child's builder
+    hands out the fresh ids a scan of its own ids gives.  The maxima come
+    by both paths: handed to the state by its move's builder, or scanned
+    when the move removed the largest vertex or edge id."""
     kinds, paths = Counter(), Counter()
 
     def visit(g):
-        handed = g._cache.get(graph_module._HAND_DOWN, ({},))[0]
         paths["maxima handed" if "maxima" in g._cache else "maxima scanned"] += 1
-        paths["edge_index patched"] += "edge_index" in handed
         ids = g._edge_ids
-        index = {e: k for k, e in enumerate(ids) if e is not None}
-        assert g._fact("maxima") == (max(g._colors, default=-1), max(index, default=-1))
-        assert g._fact("edge_index") == (index, ids)
+        paths["with holes"] += None in ids
+        live = [(k, e) for k, e in enumerate(ids) if e is not None]
+        assert g._fact("maxima") == (max(g._colors, default=-1),
+                                     max((e for _, e in live), default=-1))
+        for k, e in live:
+            assert g.darts_of_edge(e) == (2 * k, 2 * k + 1)
+        with pytest.raises(ValueError):
+            g.darts_of_edge(None)
         for mv in _search_moves(g):
             h = _build(g, mv)[0]
             assert (h.fresh_vertex(), h.fresh_edge_id()) == (
                 max(h.colors, default=-1) + 1, max(set(h.ids) - {None}, default=-1) + 1), mv
             kinds[mv.kind] += 1
 
-    states = _kind_balanced_walks(visit)
-    # all but a walk's first state or a state whose darts were numbered afresh
-    assert paths["edge_index patched"] >= len(states) - 20, paths
+    _kind_balanced_walks(visit)
+    assert paths["with holes"] >= 200, paths  # 264 of 300
     assert paths["maxima handed"] >= 200 and paths["maxima scanned"] >= 80, paths  # 214, 86
     assert len(kinds) == 5 and min(kinds.values()) >= 15, kinds  # every search kind
 

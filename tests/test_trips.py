@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from plabic import (
@@ -173,6 +175,17 @@ def test_bad_features_self_intersection():
     res = normalize(F.ALL_NAMED["mixed_digon_b2"]())
     kinds = {f.kind for f in bad_features(res.normal)}
     assert kinds & {"essential_self_intersection", "roundtrip"}
+
+
+def test_bad_features_write_plain_json():
+    """Each bad feature of a non-reduced normal graph is its kind and its
+    edge ids as a JSON object."""
+    feats = bad_features(normalize(F.ALL_NAMED["mixed_digon_b2"]()).normal)
+    assert feats
+    for f in feats:
+        obj = f.to_json_obj()
+        assert obj == {"kind": f.kind, "edges": list(f.edges)}
+        assert json.loads(json.dumps(obj)) == obj
 
 
 def test_black_lollipop_not_a_bad_feature():
