@@ -393,10 +393,10 @@ class PlabicGraph:
         successor was removed: no edit removes every dart of a face, which
         would take a removed loop, a digon of two removed edges or a whole
         tree.  The new walks take the places of the dirty faces, in sorted
-        order.  When they are not as many as the dirty faces, or a new walk
-        would not fall between the kept faces around its place, some kept
-        face changes index, and the faces are traced afresh instead
-        (``_trace_faces``).
+        order, and are as many, since no edit changes V - E, the genus or the
+        components.  When a new walk would not fall between the kept faces
+        around its place, some kept face changes index, and the faces are
+        traced afresh instead (``_trace_faces``).
         """
         b, rot, dv = self.b, self._rot, self._dart_vertex
         pfaces, pface_of, pnxt = tables
@@ -432,8 +432,6 @@ class PlabicGraph:
                 walks.append(walk[i:] + walk[:i])
         walks.sort()
         places = sorted(dirty)
-        if len(places) != len(walks):  # a face split or two merged
-            return self._trace_faces()
         faces = pfaces[:-1]  # the outer face goes last
         for idx, walk in zip(places, walks):  # sorted walks in sorted places
             w0 = walk[0]
@@ -1122,9 +1120,6 @@ def _collapse_pendant(bld: Builder, peeled: set) -> None:
         # bivalent removals within the pendant forest
         for v in sorted(peeled):
             if bld.degree(v) == 2:
-                d1, d2 = bld.rot[v]
-                if bld.other_end(d1) == v or bld.other_end(d2) == v:
-                    continue  # loop through v: not a tree situation
                 bld.remove_bivalent(v)
                 peeled.discard(v)
                 changed = True

@@ -25,8 +25,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
+from . import normalize  # registers the fact "is_reduced"
 from .errors import BadBudget, IllegalMove, _ints, _show
 from .graph import _FACTS, _PATCHES, BLACK, WHITE, Builder, PlabicGraph, other_color
+from .trips import decorated_trip_permutation, trip_permutation
 
 # kinds explored by the bounded search (inserts kept: they are needed to
 # undo contractions performed on the other side)
@@ -164,10 +166,9 @@ def _urban_corners_ok(g: PlabicGraph, face, vs) -> bool:
             continue
         if g.degree(v) != 3:
             return False
-        outside = [d for d in g.rotation(v) if (d >> 1) not in side_edges]
-        if len(outside) != 1:
-            return False
-        x = dv[outside[0] ^ 1]
+        # a trivalent corner lies on two sides: one dart leaves the square
+        (od,) = [d for d in g.rotation(v) if (d >> 1) not in side_edges]
+        x = dv[od ^ 1]
         if x < 0 or x in vs or g.color(x) != BLACK:
             return False
     return True
@@ -351,14 +352,10 @@ def _build(g: PlabicGraph, m: MoveSpec):
     MoveSpec).  The result is the ``Builder`` the move edited, or, for
     UrbanRenewal, which reads the new faces, the frozen graph; so every
     search move gives a builder.  Either has ``canonical_key``, so a
-    caller may key the result and drop it unfrozen.  The spec's fields
-    are not type-checked here (``apply_move`` checks them).
+    caller may key the result and drop it unfrozen.  ``apply_move`` checks
+    the spec; the search builds only specs that ``legal_moves`` listed.
     """
-    try:
-        build = _BUILD[m.kind]
-    except (KeyError, TypeError):  # TypeError: an unhashable kind
-        raise IllegalMove(f"unknown move kind {m.kind!r}")
-    return build(g, m)
+    return _BUILD[m.kind](g, m)
 
 
 def _frozen(h):
@@ -611,9 +608,6 @@ def move_equivalent(
     candidate is keyed unfrozen, and only the match is frozen).  The state
     cap counts both sides.
     """
-    from . import normalize  # registers the fact "is_reduced"
-    from .trips import decorated_trip_permutation, trip_permutation
-
     message = "budget must be a non-negative integer, got {}"
     if _ints((budget,), BadBudget, message)[0] < 0:
         raise BadBudget(message.format(_show(budget)))

@@ -165,8 +165,6 @@ class BoundedAffinePermutation:
                 raise MalformedWindow(f"f({i}) = {_show(v)} outside [{i}, {i + b}]")
         if sorted(v % b for v in window) != sorted(range(b)):
             raise MalformedWindow(f"window {window} not a bijection mod {b}")
-        if sum(window) % b != sum(range(1, b + 1)) % b:
-            raise MalformedWindow(f"window {window} displacement not a multiple of b")
         object.__setattr__(self, "window", window)
 
     @property
@@ -311,62 +309,44 @@ class GrassmannNecklace:
         return self.sets[i]
 
 
-def shifted_key(ell: int, b: int):
-    """Sort key for the linear order starting at ell: ell < ell+1 < ... < ell-1."""
-
-    def key(x):
-        return (x - ell) % b
-
-    return key
-
-
 def necklace_from_perm(p: DecoratedPermutation) -> GrassmannNecklace:
-    """I_ell = the set of ell-anti-excedances of the permutation."""
-    b = p.b
-    inv = p.inverse()
+    """The necklace by its recurrence: I_1 holds the values p(j) < j and the
+    fixed points decorated "over", and I_{i+1} = I_i - {i} + {p(i)}, or I_i
+    when i is fixed.  ``perm_from_necklace`` reads p back by the same rule."""
+    cur = frozenset(v for j, v in enumerate(p.values, start=1)
+                    if v < j or v == j and p.decorations[j] == "over")
     sets = []
-    for ell in range(1, b + 1):
-        key = shifted_key(ell, b)
-        s = set()
-        for i in range(1, b + 1):
-            if p.is_fixed(i):
-                if p.decorations[i] == "over":
-                    s.add(i)
-            elif key(inv(i)) > key(i):
-                s.add(i)
-        sets.append(s)
+    for i, v in enumerate(p.values, start=1):
+        sets.append(cur)
+        if v != i:
+            cur = cur - {i} | {v}
     return GrassmannNecklace(sets)
 
 
 def perm_from_necklace(nk: GrassmannNecklace) -> DecoratedPermutation:
-    """Inverse of necklace_from_perm."""
-    b = nk.b
+    """Inverse of necklace_from_perm: i is fixed, "over" when in I_i, where
+    I_{i+1} = I_i, and else p(i) is the one label of I_{i+1} not in I_i (the
+    necklace's own check makes I_{i+1} = I_i - {i} + {p(i)})."""
     values = []
     decorations = {}
-    for i in range(1, b + 1):
-        cur, nxt = nk[i - 1], nk[i % b]
+    for i, (cur, nxt) in enumerate(zip(nk.sets, nk.sets[1:] + nk.sets[:1]), start=1):
         if cur == nxt:
             values.append(i)
             decorations[i] = "over" if i in cur else "under"
         else:
-            added = nxt - (cur - {i})
-            if len(added) != 1 or i not in cur:
-                raise NotANecklace(f"cannot read a permutation value at position {i}")
-            values.append(next(iter(added)))
+            values.extend(nxt - cur)
     return DecoratedPermutation(values, decorations)
 
 
 def gale_leq(ell: int, b: int, I, J) -> bool:
-    """Componentwise comparison after sorting both sets in the ell-shifted order."""
+    """Whether I <= J in the ell-shifted Gale order: componentwise on the
+    sorted keys (x - ell) mod b, as in ``_member_test``."""
     _ints((ell,), BadLabel)
-    _mask(I, b)  # BadLabel for a label outside 1..b or not an int, before sorted() sees it
+    _mask(I, b)  # BadLabel for a label outside 1..b or not an int, before the keys are read
     _mask(J, b)
     if len(I) != len(J):
         raise SizeMismatch(f"|{sorted(I)}| != |{sorted(J)}|")
-    key = shifted_key(ell, b)
-    si = sorted(I, key=key)
-    sj = sorted(J, key=key)
-    return all(key(x) <= key(y) for x, y in zip(si, sj))
+    return all(map(le, sorted((x - ell) % b for x in I), sorted((y - ell) % b for y in J)))
 
 
 def _member_test(nk: GrassmannNecklace):

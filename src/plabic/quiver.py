@@ -6,9 +6,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import normalize  # registers the fact "is_reduced"
 from .errors import (BadLabel, BadWord, FrozenVertex, NotATriangulation, _ints, _parse_int,
                      _show, _text)
 from .graph import BLACK, WHITE, PlabicGraph
+from .labels import _face_labels
 
 
 @dataclass
@@ -112,9 +114,6 @@ def quiver_of(g: PlabicGraph, keys: str = "auto") -> Quiver:
     the graph is reduced (``keys="labels"``), or raw face indices
     (``keys="ids"``); ``"auto"`` picks labels exactly when reduced.
     """
-    from . import normalize  # registers the fact "is_reduced"
-    from .labels import _face_labels
-
     if keys not in ("auto", "labels", "ids"):
         raise ValueError(f"keys must be 'auto', 'labels' or 'ids', got {keys!r}")
     faces, fmap, _ = g._fact("faces")

@@ -396,6 +396,16 @@ def test_every_fixture_roundtrips_through_info(name, capsys, fixture_path):
     assert info["valid"] is True
 
 
+def test_trips_of_a_graph_without_decorations(capsys, fixture_path):
+    """``fork_b1`` is not reduced and its fixed point has no decoration,
+    so ``trips`` leaves that key out and still exits 0."""
+    code, out, _ = run(["trips", fixture_path("fork_b1")], capsys=capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert data["trip_permutation"] == [1]
+    assert "decorated_trip_permutation" not in data
+
+
 def test_cli_entry_point_subprocess():
     # the child imports the same plabic as this test, installed or not
     src = os.path.dirname(os.path.dirname(fixtures.__file__))

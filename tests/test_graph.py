@@ -340,6 +340,26 @@ def test_is_boundary_and_repr_count_live_parts():
                            f"edges={len(h.edge_ids)})")
 
 
+def test_a_graph_leaves_comparison_with_a_non_graph_to_the_other_side():
+    g = F.square_fan_b5()
+    assert g.__eq__(g.to_json_obj()) is NotImplemented
+    assert g != g.to_json_obj()
+
+
+def test_every_fact_name_read_is_registered():
+    """Each literal ``_fact("...")`` name in the package, and the two
+    label facts read as ``mode + "_labels"``, is a key of ``_FACTS`` once
+    ``plabic`` is imported; every patched fact is a fact."""
+    import plabic
+
+    names = {"source_labels", "target_labels"}
+    for path in Path(plabic.__file__).parent.glob("*.py"):
+        names.update(re.findall(r'_fact\("([^"]+)"\)', path.read_text()))
+    assert {"faces", "trips", "is_reduced", "sites"} <= names
+    assert names <= set(graph_module._FACTS), names - set(graph_module._FACTS)
+    assert set(graph_module._PATCHES) <= set(graph_module._FACTS)
+
+
 def test_nonplanar_rotation_rejected():
     raw = {
         "b": 4,

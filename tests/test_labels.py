@@ -85,6 +85,11 @@ def test_labels_require_reduced():
         face_labels(F.fork_b1())
 
 
+def test_face_labels_rejects_an_unknown_mode():
+    with pytest.raises(ValueError, match="^mode must be 'source' or 'target', got 'sideways'$"):
+        face_labels(F.square_fan_b5(), "sideways")
+
+
 def test_label_cardinality_and_ws(rng):
     from plabic import weakly_separated
 

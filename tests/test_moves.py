@@ -11,6 +11,7 @@ from plabic import (
     WHITE,
     IllegalMove,
     MoveSpec,
+    PlabicGraph,
     apply_move,
     bridge_graph,
     classify,
@@ -207,6 +208,36 @@ def test_urban_renewal_rejects_a_face_that_is_not_a_site(face):
     # face 5 of the fan is its SquareM1 square, face 0 a boundary face
     with pytest.raises(IllegalMove, match=f"^face {face} is not an urban renewal site$"):
         apply_move(F.square_fan_b5(), MoveSpec("UrbanRenewal", face=face))
+
+
+def test_a_four_dart_face_with_a_repeated_corner_is_no_square_site():
+    """A digon with a leaf inside: its internal face walks four darts
+    through three corners, so it is no SquareM1 or UrbanRenewal site."""
+    g = PlabicGraph.from_rotation(
+        2, {0: WHITE, 1: BLACK, 2: BLACK},
+        {-1: [0], -2: [1], 0: [0, 2, 4, 3], 1: [1, 3, 2], 2: [4]})
+    faces = g.faces()
+    (idx,) = [i for i, f in enumerate(faces) if f.kind == "internal" and len(f.darts) == 4]
+    assert len({g.dart_vertex(d) for d in faces[idx].darts}) == 3
+    assert not [m for m in legal_moves(g) if m.kind in ("SquareM1", "UrbanRenewal")]
+    for kind in ("SquareM1", "UrbanRenewal"):
+        with pytest.raises(IllegalMove, match=f"^face {idx} is not a"):
+            apply_move(g, MoveSpec(kind, face=idx))
+
+
+def test_a_bivalent_vertex_carrying_only_a_loop_is_no_removal_site():
+    """A raw graph: a black vertex whose two darts are one loop's, floating
+    beside ``fork_b1``."""
+    bld = Builder(F.fork_b1())
+    w = bld.add_vertex(BLACK)
+    e0, e1 = bld._new_dart_pair(bld.fresh_edge_id())
+    bld._edit(w)[:] = [e0, e1]
+    bld.dv[e0] = bld.dv[e1] = w
+    g = bld.freeze()
+    assert g.degree(w) == 2
+    assert not [m for m in legal_moves(g) if m.kind == "RemoveBivalentM2"]
+    with pytest.raises(IllegalMove, match=f"^vertex {w} carries only a loop$"):
+        apply_move(g, MoveSpec("RemoveBivalentM2", vertex=w))
 
 
 def test_normal_flip_keeps_normal():

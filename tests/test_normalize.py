@@ -1,6 +1,8 @@
 import random
 
 from plabic import (
+    BLACK,
+    WHITE,
     PlabicGraph,
     bridge_graph,
     classify,
@@ -195,6 +197,20 @@ def test_is_reduced_invariant_under_moves(rng):
         mv = rng.choice(legal_moves(g))
         g = apply_move(g, mv)
         assert not is_reduced(g).reduced
+
+
+def test_a_floating_digon_of_bivalent_vertices_is_a_loop():
+    """A raw graph: two bivalent vertices joined by two edges, beside
+    ``fork_b1``.  Removing the first leaves a loop on the second."""
+    bld = Builder(F.fork_b1())
+    u, v = bld.add_vertex(WHITE), bld.add_vertex(BLACK)
+    a0, a1 = bld._new_dart_pair(bld.fresh_edge_id())
+    c0, c1 = bld._new_dart_pair(bld.fresh_edge_id())
+    bld._edit(u)[:] = [a0, c0]
+    bld._edit(v)[:] = [c1, a1]
+    bld.dv.update({a0: u, c0: u, a1: v, c1: v})
+    res = normalize(bld.freeze())
+    assert not res.ok and res.witness == Witness("loop", vertices=(v,))
 
 
 def test_is_reduced_returns_a_new_result_each_call():

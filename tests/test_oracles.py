@@ -16,7 +16,8 @@ collapse over all builder darts, normalization from a frozen collapse,
 classification over edge ids, and the square moves of a weakly separated
 collection found from a core-to-pairs index and a scan of every quad, and
 from a table of each label mask's one-label completions, weak
-separation by counting cyclic blocks of marks, the positroid and its
+separation by counting cyclic blocks of marks, the Grassmann necklace
+read afresh as anti-excedances, the positroid and its
 member test through ``gale_leq``, the square-move closure of weakly
 separated collections on frozensets, the canonical key in two passes
 (edges numbered at dequeue, rows written after the search), move
@@ -72,6 +73,7 @@ from plabic import (
     move_equivalent,
     necklace_from_perm,
     normalize,
+    perm_from_necklace,
     positroid,
     quiver_of,
     resonance,
@@ -88,7 +90,7 @@ from plabic.moves import KINDS, EquivalenceResult, _apply, _build, _frozen, _sea
 from plabic.labels import _bits
 from plabic.normalize import NormalizeResult, Witness
 from plabic.perms import (
-    _mask, _member_test, _positroid_members, _separated, is_ws_collection, shifted_key,
+    _mask, _member_test, _positroid_members, _separated, gale_leq, is_ws_collection,
 )
 from plabic.trips import BadFeature, Trip, _hanging_tree, _is_resonant_ring
 from conftest import (
@@ -765,11 +767,41 @@ def is_ws_collection_pairwise(sets, b):
                for i in range(len(sets)) for j in range(i + 1, len(sets)))
 
 
+def shifted_key_reference(ell, b):
+    """Sort key for the linear order starting at ell: ell < ell+1 < ... < ell-1."""
+
+    def key(x):
+        return (x - ell) % b
+
+    return key
+
+
+def necklace_reference(p):
+    """The sets I_ell of p's Grassmann necklace, each read afresh as the
+    ell-anti-excedances: the labels i = p(j) that j passes in the
+    ell-shifted order, read through the inverse, and the fixed points
+    decorated "over"."""
+    b = p.b
+    inv = p.inverse()
+    sets = []
+    for ell in range(1, b + 1):
+        key = shifted_key_reference(ell, b)
+        s = set()
+        for i in range(1, b + 1):
+            if p.is_fixed(i):
+                if p.decorations[i] == "over":
+                    s.add(i)
+            elif key(inv(i)) > key(i):
+                s.add(i)
+        sets.append(frozenset(s))
+    return tuple(sets)
+
+
 def gale_leq_reference(ell, b, I, J):
     """Componentwise comparison after sorting both sets in the ell-shifted order."""
     if len(I) != len(J):
         raise SizeMismatch(f"|{sorted(I)}| != |{sorted(J)}|")
-    key = shifted_key(ell, b)
+    key = shifted_key_reference(ell, b)
     si = sorted(I, key=key)
     sj = sorted(J, key=key)
     return all(key(x) <= key(y) for x, y in zip(si, sj))
@@ -1734,6 +1766,45 @@ def test_positroid_matches_reference():
         assert positroid(nk) == want, str(p)
         sizes[len(want) > 1] += 1
     assert min(sizes.values()) >= 50, sizes
+
+
+def all_decorated_permutations(b):
+    """Every decorated permutation of 1..b."""
+    for values in permutations(range(1, b + 1)):
+        fixed = [i for i, v in enumerate(values, start=1) if v == i]
+        for marks in product(("over", "under"), repeat=len(fixed)):
+            yield DecoratedPermutation(values, dict(zip(fixed, marks)))
+
+
+def test_necklace_recurrence_matches_anti_excedances():
+    """``necklace_from_perm`` by its recurrence gives the sets of
+    ell-anti-excedances, and ``perm_from_necklace`` reads the permutation
+    back with its decorations: on every decorated permutation with b <= 6,
+    on seeded ones with b in 7..30 and on the rotations by a of 2a."""
+    perms = [p for b in range(1, 7) for p in all_decorated_permutations(b)]
+    assert len(perms) == 2371
+    rng = random.Random(95)
+    perms += [random_decorated_permutation(rng.randint(7, 30), rng) for _ in range(300)]
+    perms += [cyclic_rotation(a, 2 * a) for a in range(1, 16)]
+    for p in perms:
+        nk = necklace_from_perm(p)
+        assert nk.sets == necklace_reference(p), str(p)
+        back = perm_from_necklace(nk)
+        assert back == p and back.decorations == p.decorations, str(p)
+
+
+def test_gale_leq_matches_reference():
+    """On every (ell, I, J) with |I| = |J| and b <= 6."""
+    seen = 0
+    for b in range(1, 7):
+        for a in range(b + 1):
+            subsets = list(combinations(range(1, b + 1), a))
+            for ell in range(1, b + 1):
+                for I in subsets:
+                    for J in subsets:
+                        assert gale_leq(ell, b, I, J) == gale_leq_reference(ell, b, I, J)
+                        seen += 1
+    assert seen == 7158
 
 
 def test_member_test_matches_reference_positroid(monkeypatch):

@@ -101,6 +101,21 @@ def test_malformed_windows():
         BoundedAffinePermutation(())
 
 
+@pytest.mark.parametrize(
+    "make, error, message",
+    [(lambda: DecoratedPermutation([1], {1: "sideways"}), MalformedPermutation,
+      r"^decorations must be 'over' or 'under'$"),
+     (lambda: BoundedAffinePermutation([2, 2]), MalformedWindow,  # in bounds
+      r"^window \(2, 2\) not a bijection mod 2$"),
+     (lambda: GrassmannNecklace([{0}]), NotANecklace, r"^subset \[0\] not within 1\.\.1$"),
+     (lambda: gale_leq(1, 3, {1}, {1, 2}), SizeMismatch, r"^\|\[1\]\| != \|\[1, 2\]\|$")],
+    ids=["decoration-sideways", "window-not-bijective", "necklace-label-0", "gale-sizes"],
+)
+def test_each_input_check_raises_its_error(make, error, message):
+    with pytest.raises(error, match=message):
+        make()
+
+
 def test_length_brute_force_window():
     assert length(BoundedAffinePermutation((4, 2, 3))) == 2
     assert length(BoundedAffinePermutation((2, 3, 4))) == 0

@@ -24,6 +24,7 @@ from plabic import (
     trip_permutation,
 )
 from plabic import fixtures as F
+from plabic.quiver import check_triangulation
 from conftest import random_decorated_permutation, trivalentize
 
 
@@ -61,6 +62,16 @@ def test_lollipop_quiver_isolated_frozen():
 def test_quiver_of_rejects_an_unknown_key_mode():
     with pytest.raises(ValueError, match="'auto', 'labels' or 'ids'"):
         quiver_of(F.square_fan_b5(), keys="labelz")
+
+
+def test_quiver_with_face_index_keys_writes_dot():
+    q = quiver_of(F.grid_fragment_b4(), keys="ids")
+    assert q.arrows and all(type(k) is int for k in q.keys())
+    dot = q.to_dot()
+    for idx, (k, fr) in enumerate(q.vertices):
+        shape = "box" if fr else "ellipse"
+        assert f'  n{idx} [shape={shape}, label="{k}"];' in dot
+    assert dot.count(" -> ") == sum(q.arrows.values())
 
 
 def test_mutation_involutive_and_antisymmetric():
@@ -140,6 +151,13 @@ def test_triangulation_checks():
         from_triangulation(5, [(1, 2, 3)])
     with pytest.raises(NotATriangulation):
         from_triangulation(4, [(1, 2, 3), (1, 2, 4)])
+
+
+def test_triangulation_checks_count_each_diagonal_and_all_of_them():
+    with pytest.raises(NotATriangulation, match=r"^diagonal \[1, 3\] used 3 times$"):
+        from_triangulation(5, [(1, 2, 3), (1, 3, 4), (1, 3, 5)])
+    with pytest.raises(NotATriangulation, match="^wrong number of diagonals$"):
+        check_triangulation(6, [(1, 3, 5), (1, 3, 5), (2, 4, 6), (2, 4, 6)])
 
 
 def test_octagon_quiver_matches_direct_construction():

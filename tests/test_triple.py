@@ -1,6 +1,7 @@
 import pytest
 
-from plabic import NotNormal, TripleView, is_reduced, legal_moves, normalize, trip_permutation
+from plabic import (IllegalMove, MoveSpec, NotNormal, TripleView, is_reduced, legal_moves, normalize,
+                    trip_permutation)
 from plabic import fixtures as F
 from plabic import graph as graph_module
 from conftest import random_decorated_permutation
@@ -67,6 +68,16 @@ def test_bridge_views_minimal(rng):
 def test_tikz_overlay():
     text = TripleView(F.normal_b5()).to_tikz()
     assert "strand" in text and "tikzpicture" in text
+
+
+def test_digon_view_draws_its_closed_strand_and_swivels_no_square():
+    tv = TripleView(normalize(F.ALL_NAMED["white_digon_b2"]()).normal)
+    closed = [t for t in tv.strands if t.kind != "oneway"]
+    assert closed
+    lines = tv.to_tikz().splitlines()
+    assert len([ln for ln in lines if ln.startswith("% closed strand: edges ")]) == len(closed)
+    with pytest.raises(IllegalMove, match="^SquareM1 is not a swivel site$"):
+        tv.swivel(MoveSpec("SquareM1", face=0))
 
 
 def test_minimality_after_is_reduced_scans_no_more(monkeypatch):
