@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .errors import MalformedWindow, _show
 from .graph import BLACK, WHITE, PlabicGraph
-from .perms import BoundedAffinePermutation, DecoratedPermutation, affinize
+from .perms import BoundedAffinePermutation, DecoratedPermutation, _check_perm, affinize
 
 
 @dataclass
@@ -60,6 +61,8 @@ def bcfw_factorize(f: BoundedAffinePermutation) -> BridgeSequence:
     factorization costs O(b + swaps * b) list steps and builds no
     permutation object.
     """
+    if not isinstance(f, BoundedAffinePermutation):
+        raise MalformedWindow(f"expected a BoundedAffinePermutation, got {_show(f)}")
     b = f.b
     w = list(f.window)
     moved = [i for i in range(1, b + 1) if w[i - 1] % b != i % b]
@@ -92,49 +95,52 @@ def bridge_graph(p: DecoratedPermutation) -> PlabicGraph:
     white vertex on strand i and a black vertex on strand j joined by a
     rung.  Clockwise rotations read (up, east, down) at a white rung end
     and (up, down, west) at a black one.  For b = 0 it is the empty graph.
+
+    The graph is valid by construction, so its dart tables are written
+    here, unchecked, in the numbering ``_number_darts`` gives a checked
+    graph.  Edge ids are 0..E-1 and edge k has darts 2k and 2k + 1.  Rung
+    k (0-based) joins white vertex 2k and black vertex 2k + 1; it is edge
+    k, with dart 2k at the white end and 2k + 1 at the black end.  Strands
+    1..b then take the next edge ids from top to bottom, each strand edge
+    with its even dart at its upper end (boundary vertex -i, or the earlier
+    vertex) and its odd dart at its lower end.  A strand with no rung ends
+    in a lollipop, the next vertex id, white when its fixed point is
+    decorated "over".  Rotations are keyed in increasing vertex order.  The
+    graph is not flagged "valid", so ``validate`` checks it in full.
     """
+    _check_perm(p)
     b = p.b
     # b = 0 has no bounded affine window; its graph is the empty one
     transpositions = bcfw_factorize(affinize(p)).transpositions if b else []
-    colors = {}
-    rotation = {}
-    edge_count = 0
-    vid = 0
-
-    def fresh_edge():
-        nonlocal edge_count
-        edge_count += 1
-        return edge_count - 1
-
-    def fresh_vertex(color):
-        nonlocal vid
-        colors[vid] = color
-        vid += 1
-        return vid - 1
-
-    strands = {i: [] for i in range(1, b + 1)}  # (vertex, rung edge, white?)
-    for i, j in transpositions:
-        w = fresh_vertex(WHITE)
-        bk = fresh_vertex(BLACK)
-        rung = fresh_edge()
-        strands[i].append((w, rung, True))
-        strands[j].append((bk, rung, False))
+    # each strand lists its rung ends top to bottom; a rung end's vertex id
+    # is also its rung dart, even at a white vertex and odd at a black one
+    strands = [[] for _ in range(b + 1)]
+    for k, (i, j) in enumerate(transpositions):
+        strands[i].append(2 * k)
+        strands[j].append(2 * k + 1)
+    colors = {v: BLACK if v & 1 else WHITE for v in range(2 * len(transpositions))}
+    inner = [None] * len(colors)
+    top = []  # the dart of boundary vertex -i at top[i - 1]
+    d = 2 * len(transpositions)  # the even dart of the next edge
     for i in range(1, b + 1):
+        top.append(d)
         chain = strands[i]
         if not chain:
-            v = fresh_vertex(WHITE if p.decorations[i] == "over" else BLACK)
-            e = fresh_edge()
-            rotation[v] = [e]
-            rotation[-i] = [e]
+            colors[len(inner)] = WHITE if p.decorations[i] == "over" else BLACK
+            inner.append((d + 1,))
+            d += 2
             continue
-        ups = [fresh_edge() for _ in chain]
-        rotation[-i] = [ups[0]]
-        for k, (v, rung, is_white) in enumerate(chain):
-            up = ups[k]
-            down = ups[k + 1] if k + 1 < len(chain) else None
-            if is_white:  # rung leaves eastward
-                rot = [up, rung] + ([down] if down is not None else [])
-            else:  # rung leaves westward
-                rot = [up] + ([down] if down is not None else []) + [rung]
-            rotation[v] = rot
-    return PlabicGraph.from_rotation(b, colors, rotation)
+        last = chain[-1]
+        for v in chain:
+            up, down = d + 1, d + 2
+            d += 2
+            if v == last:
+                inner[v] = (up, v)
+            elif v & 1:
+                inner[v] = (up, down, v)
+            else:
+                inner[v] = (up, v, down)
+    rot = {-i: (top[i - 1],) for i in range(b, 0, -1)}
+    rot.update(enumerate(inner))
+    dv = {x: v for v, ds in rot.items() for x in ds}
+    return PlabicGraph._from_parts(b, colors, rot, dv, tuple(range(d >> 1)))

@@ -110,9 +110,12 @@ class PlabicGraph:
 
     Facts derived from a graph are read through ``_fact`` and kept in
     ``_cache``, which is safe because the graph never changes.  The cache
-    also holds the flag "valid" (``from_rotation``/``from_json`` accepted
-    the graph) and, on a graph made by a move, the hand-down record that
-    ``Builder.freeze`` stores until the facts it holds are read.
+    also holds the flag "valid", which only ``from_rotation`` and
+    ``from_json`` set, after their full check; a graph from the raw
+    constructor, ``Builder.freeze`` or ``bridges.bridge_graph``, which
+    writes its dart tables itself, never carries it.  On a graph made by a
+    move the cache holds the hand-down record that ``Builder.freeze``
+    stores until the facts it holds are read.
     """
 
     __slots__ = ("b", "_colors", "_rot", "_dart_vertex", "_edge_ids", "_cache",
@@ -618,8 +621,10 @@ def _canonical_key(b, colors, rot, dv):
 
 def _number_darts(b, colors, rot, order, keys, shift, ids=None) -> PlabicGraph:
     """The graph of per-vertex clockwise entries with dense dart numbers:
-    the one place that numbers darts from scratch, for ``_checked_graph``
-    and ``Builder._number_afresh``.
+    the one place that numbers darts from scratch for checked graphs and
+    builders, ``_checked_graph`` and ``Builder._number_afresh``.
+    ``bridges.bridge_graph`` writes the same numbering for its own graphs
+    directly.
 
     ``rot`` maps vertices to clockwise lists of entries, ``order`` lists its
     keys in increasing order, entry ``x`` lies on the edge with key
@@ -749,10 +754,11 @@ def validate(g) -> ValidationReport:
     a new report.
 
     A graph that ``from_rotation`` or ``from_json`` returned passed the
-    check when it was built, so its report is empty without checking
-    again.  Any other graph (from the raw constructor or ``Builder.freeze``)
-    is checked in full through its JSON object, so the check stays
-    independent of the code that built it.
+    check when it was built (they alone set the flag "valid"), so its
+    report is empty without checking again.  Any other graph (from the raw
+    constructor, ``Builder.freeze`` or ``bridge_graph``) is checked in full
+    through its JSON object, so the check stays independent of the code
+    that built it.
     """
     if not (isinstance(g, PlabicGraph) and g._cache.get("valid")):
         try:

@@ -167,6 +167,14 @@ class BoundedAffinePermutation:
             raise MalformedWindow(f"window {window} not a bijection mod {b}")
         object.__setattr__(self, "window", window)
 
+    @classmethod
+    def _trusted(cls, window: tuple) -> "BoundedAffinePermutation":
+        """A window of ints the caller knows to be valid and non-empty,
+        skipping the checks."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "window", window)
+        return f
+
     @property
     def b(self) -> int:
         return len(self.window)
@@ -211,9 +219,19 @@ def length(f: BoundedAffinePermutation) -> int:
     return sum(1 for i in range(b) for y in ext[i + 1:i + b] if ext[i] > y)
 
 
+def _check_perm(p) -> None:
+    """MalformedPermutation unless p is a DecoratedPermutation."""
+    if not isinstance(p, DecoratedPermutation):
+        raise MalformedPermutation(f"expected a DecoratedPermutation, got {_show(p)}")
+
+
 def affinize(p: DecoratedPermutation) -> BoundedAffinePermutation:
-    """Lift a decorated permutation to its bounded affine window."""
+    """Lift a decorated permutation to its bounded affine window, which is
+    valid because p is, so it is not checked again."""
+    _check_perm(p)
     b = p.b
+    if not b:  # the checked constructor refuses the empty window
+        return BoundedAffinePermutation(())
     w = []
     for i in range(1, b + 1):
         v = p(i)
@@ -225,7 +243,7 @@ def affinize(p: DecoratedPermutation) -> BoundedAffinePermutation:
             w.append(i)
         else:
             w.append(i + b)
-    return BoundedAffinePermutation(w)
+    return BoundedAffinePermutation._trusted(tuple(w))
 
 
 def deaffinize(f: BoundedAffinePermutation) -> DecoratedPermutation:
@@ -297,6 +315,14 @@ class GrassmannNecklace:
                 )
         object.__setattr__(self, "sets", sets)
 
+    @classmethod
+    def _trusted(cls, sets) -> "GrassmannNecklace":
+        """A necklace of frozensets the caller knows to be one, with b >= 1,
+        skipping the checks."""
+        nk = object.__new__(cls)
+        object.__setattr__(nk, "sets", tuple(sets))
+        return nk
+
     @property
     def b(self) -> int:
         return len(self.sets)
@@ -312,7 +338,12 @@ class GrassmannNecklace:
 def necklace_from_perm(p: DecoratedPermutation) -> GrassmannNecklace:
     """The necklace by its recurrence: I_1 holds the values p(j) < j and the
     fixed points decorated "over", and I_{i+1} = I_i - {i} + {p(i)}, or I_i
-    when i is fixed.  ``perm_from_necklace`` reads p back by the same rule."""
+    when i is fixed.  ``perm_from_necklace`` reads p back by the same rule.
+    The sets form a necklace because p is a permutation, so they are not
+    checked again."""
+    _check_perm(p)
+    if not p.values:  # the checked constructor refuses the empty necklace
+        return GrassmannNecklace(())
     cur = frozenset(v for j, v in enumerate(p.values, start=1)
                     if v < j or v == j and p.decorations[j] == "over")
     sets = []
@@ -320,7 +351,7 @@ def necklace_from_perm(p: DecoratedPermutation) -> GrassmannNecklace:
         sets.append(cur)
         if v != i:
             cur = cur - {i} | {v}
-    return GrassmannNecklace(sets)
+    return GrassmannNecklace._trusted(sets)
 
 
 def perm_from_necklace(nk: GrassmannNecklace) -> DecoratedPermutation:

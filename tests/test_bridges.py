@@ -1,8 +1,12 @@
 import json
 
+import pytest
+
 from plabic import (
     BoundedAffinePermutation,
     DecoratedPermutation,
+    MalformedPermutation,
+    MalformedWindow,
     affinize,
     bcfw_factorize,
     bridge_graph,
@@ -10,6 +14,7 @@ from plabic import (
     decorated_trip_permutation,
     is_reduced,
     length,
+    necklace_from_perm,
     trip_permutation,
 )
 from plabic.graph import lollipop_graph
@@ -115,3 +120,23 @@ def test_bridge_graph_random_properties(rng):
         a = p.anti_excedances()
         ell = length(affinize(p))
         assert len(g.nonouter_faces()) == a * (b - a) - ell + 1
+
+
+NOT_A_PERMUTATION = {"string": "3 1 2", "none": None, "list": [3, 1, 2],
+                     "window": BoundedAffinePermutation((2, 3, 4))}
+
+
+@pytest.mark.parametrize("arg", list(NOT_A_PERMUTATION.values()), ids=list(NOT_A_PERMUTATION))
+@pytest.mark.parametrize("entry", [bridge_graph, affinize, necklace_from_perm],
+                         ids=["bridge_graph", "affinize", "necklace_from_perm"])
+def test_permutation_entry_points_refuse_other_values(entry, arg):
+    with pytest.raises(MalformedPermutation, match=r"^expected a DecoratedPermutation, got "):
+        entry(arg)
+
+
+@pytest.mark.parametrize("arg", ["2 3 4", None, [2, 3, 4], (2, 3, 4),
+                                 DecoratedPermutation.parse("2 3 1")],
+                         ids=["string", "none", "list", "tuple", "permutation"])
+def test_factorization_refuses_what_is_no_window(arg):
+    with pytest.raises(MalformedWindow, match=r"^expected a BoundedAffinePermutation, got "):
+        bcfw_factorize(arg)

@@ -24,7 +24,9 @@ separated collections on frozensets, the canonical key in two passes
 equivalence by a one-way breadth-first search on those keys, the validation of a graph's JSON
 round trip, the checked
 ``DecoratedPermutation`` constructor, and the BCFW factorization and the
-length over validated ``BoundedAffinePermutation`` objects.  The tests require the library to agree with them exactly on the
+length over validated ``BoundedAffinePermutation`` objects, the checked
+window and necklace constructors, and the full check of a bridge graph's
+JSON round trip.  The tests require the library to agree with them exactly on the
 fixtures and on many bridge and move-walk graphs, some with loops, digons and
 pendant trees, and on the weakly separated collections and positroids of
 many permutations.
@@ -43,12 +45,16 @@ from plabic import (
     BLACK,
     WHITE,
     BadLabel,
+    BoundedAffinePermutation,
     DecoratedPermutation,
     Face,
     FrozenVertex,
+    GrassmannNecklace,
     HasInternalLeaf,
     IllegalMove,
+    MalformedWindow,
     MoveSpec,
+    NotANecklace,
     NotNormal,
     Quiver,
     SizeMismatch,
@@ -2129,6 +2135,54 @@ def test_window_factorization_and_length_match_references():
         swaps += len(seq.transpositions)
     # 2 + 5 + 16 + 65 + 326 + 1957 decorated permutations with 1 <= b <= 6
     assert len(perms) == 2371 + 300 + 14 and swaps >= 19_000, (len(perms), swaps)  # 19068
+
+
+def test_trusted_window_and_necklace_equal_checked_constructors():
+    """``affinize`` and ``necklace_from_perm`` skip the checks of their
+    values' constructors; on seeded permutations with b in 1..16 each value
+    equals the checked constructor's on its own parts, and at b = 0 both
+    keep the checked refusals."""
+    rng = random.Random(35)
+    perms = [random_decorated_permutation(b, rng) for b in range(1, 17) for _ in range(20)]
+    perms += [cyclic_rotation(a, b) for b in range(1, 17) for a in (0, b // 2, b)]
+    for p in perms:
+        f = affinize(p)
+        assert type(f.window) is tuple and f == BoundedAffinePermutation(f.window), str(p)
+        nk = necklace_from_perm(p)
+        assert type(nk.sets) is tuple and nk == GrassmannNecklace(nk.sets), str(p)
+        assert all(type(s) is frozenset for s in nk.sets), str(p)
+    with pytest.raises(MalformedWindow, match=r"^empty window$"):
+        affinize(DecoratedPermutation([]))
+    with pytest.raises(NotANecklace, match=r"needs b >= 1 sets, got none$"):
+        necklace_from_perm(DecoratedPermutation([]))
+
+
+# ----------------------------------------------------------------------
+# bridge graphs: the checked JSON round trip as the reference
+
+
+def test_bridge_graph_darts_match_json_round_trip():
+    """``bridge_graph`` writes its dart tables without a check; reading its
+    JSON back through the full check gives the same colours, rotations (in
+    the same key order), dart vertices and edge ids, hence the same faces
+    and legal moves, on 1,020 seeded permutations with b in 0..16, every
+    rotation with b <= 8 and the rotations Gr(a, 2a) up to Gr(15,30).  The graph is not flagged "valid", so
+    ``validate`` checks it in full."""
+    rng = random.Random(36)
+    perms = [random_decorated_permutation(b, rng) for b in range(17) for _ in range(60)]
+    perms += [cyclic_rotation(a, b) for b in range(9) for a in range(b + 1)]
+    perms += [cyclic_rotation(a, 2 * a) for a in range(5, 16)]
+    rungs = 0
+    for p in perms:
+        g = bridge_graph(p)
+        h = PlabicGraph.from_json(g.to_json())
+        assert "valid" not in g._cache and validate(g).ok, str(p)
+        assert list(g._colors.items()) == list(h._colors.items()), str(p)
+        assert list(g._rot.items()) == list(h._rot.items()), str(p)
+        assert g._dart_vertex == h._dart_vertex and g._edge_ids == h._edge_ids, str(p)
+        assert g.faces() == h.faces() and legal_moves(g) == legal_moves(h), str(p)
+        rungs += sum(1 for v in g._colors if not g.is_lollipop(v)) // 2
+    assert len(perms) == 1020 + 45 + 11 and rungs >= 10_000, (len(perms), rungs)  # 10657
 
 
 # ----------------------------------------------------------------------
