@@ -30,7 +30,6 @@ from .perms import (
     length,
     necklace_from_perm,
 )
-from .trips import decorated_trip_permutation
 
 
 def face_labels(g: PlabicGraph, mode: str = "target", check: bool = True) -> dict:
@@ -66,7 +65,6 @@ def _face_labels(g: PlabicGraph, mode: str, check: bool) -> dict:
 def _label_faces(g: PlabicGraph, mode: str) -> dict:
     """The labeling of ``face_labels`` in ``mode``, found afresh: the trip on
     dart d marks ``mark[source[d]]``, None for a roundtrip or fixed point."""
-    decorated = decorated_trip_permutation(g)
     faces, fmap, _ = g._fact("faces")
     start = next((idx for idx, f in enumerate(faces) if f.kind == "boundary"), None)
     if start is None:
@@ -75,7 +73,7 @@ def _label_faces(g: PlabicGraph, mode: str) -> dict:
     arc = faces[start].rim_arcs[0]
     targets, source, _ = g._fact("trips")
     mark = [None] * (b + 1)
-    seed = {i for i, dec in decorated.decorations.items() if dec == "over"}
+    seed = {i for i, dec in g._fact("decorated")[1].items() if dec == "over"}
     for i, t in enumerate(targets, 1):
         if i == t:
             continue

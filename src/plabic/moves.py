@@ -337,6 +337,8 @@ def legal_moves(g: PlabicGraph):
 def apply_move(g: PlabicGraph, m: MoveSpec) -> PlabicGraph:
     """Rewrite the graph by one move; raises IllegalMove on a malformed
     spec or a bad site."""
+    if not isinstance(m, MoveSpec):
+        raise IllegalMove(f"a move must be a MoveSpec, got {_show(m)}")
     return _apply(g, _checked(m))[0]
 
 
@@ -456,44 +458,35 @@ def _apply_urban(g, m):
     vs = _alternating_quad(g, face)
     if vs is None or not _urban_corners_ok(g, face, vs):
         raise IllegalMove(f"face {m.face} is not an urban renewal site")
-    side_darts = set()
-    for d in face.darts:
-        side_darts.add(d)
-        side_darts.add(g.twin(d))
-    walk = list(face.darts)
+    dv, colors, walk = g._dart_vertex, g._colors, face.darts
+    sides = {d >> 1 for d in walk}
     bld = Builder(g)
     # push out the black corners
-    new_whites = []
     for k, d in enumerate(walk):
-        bq = g.dart_vertex(g.twin(d))  # vertex the walk enters after dart d
-        if g.color(bq) != BLACK:
+        bq = dv[d ^ 1]  # vertex the walk enters after dart d
+        if colors[bq] != BLACK:
             continue
         rot = bld.rot[bq]
-        i = rot.index(g.twin(d))
+        i = rot.index(d ^ 1)
         assert rot[(i + 1) % len(rot)] == walk[(k + 1) % 4]
         # split the adjacent pair (twin(d), next walk dart) off to a new white
-        link = bld.split(bq, i, 2, WHITE)
-        new_whites.append(bld.other_end(link))
+        bld.split(bq, i, 2, WHITE)
     # recolor the white corners black and absorb their outside neighbors
-    merged = []
     for v in vs:
-        if g.color(v) != WHITE:
+        if colors[v] != WHITE:
             continue
         bld.recolor(v, BLACK)
-        outside = [d for d in bld.rot[v] if d not in side_darts]
-        (od,) = outside
+        (od,) = [d for d in bld.rot[v] if d >> 1 not in sides]
         # far end black: _urban_corners_ok checked it; splits move only side darts
         bld.contract(od)
-        merged.append(v)
     out = bld.freeze()
-    new_square = set(new_whites) | set(merged)
-    inv_face = None
-    for idx, f in enumerate(out._fact("faces")[0]):
-        if f.kind == "internal" and len(f.darts) == 4:
-            if {out.dart_vertex(d) for d in f.darts} == new_square:
-                inv_face = idx
-                break
-    return out, MoveSpec("UrbanRenewal", face=inv_face)
+    # the new square lies left of the side dart that leaves a former white
+    # corner; ``freeze`` may renumber darts, but not edge ids
+    d = walk[0] if colors[vs[0]] == WHITE else walk[1]
+    x, y = out.darts_of_edge(g._edge_ids[d >> 1])
+    if out._dart_vertex[x] != dv[d]:
+        x = y
+    return out, MoveSpec("UrbanRenewal", face=out._fact("faces")[1][x])
 
 
 def _apply_normal_flip(g, m):
@@ -654,10 +647,7 @@ def move_equivalent(
             g = _frozen(state)
             moves = _search_moves(g) if s == 0 else _backward_moves(g, _leaves(g) < leaves)
             for mv in moves:
-                try:
-                    h, inv = _build(g, mv)
-                except IllegalMove:  # pragma: no cover
-                    continue
+                h, inv = _build(g, mv)
                 if s == 1 and not _undoable(h, inv):
                     continue
                 key = h.canonical_key()

@@ -87,19 +87,17 @@ def _normalize(g: PlabicGraph) -> NormalizeResult:
             if d in bld.dv and bld.dv[d] == bld.other_end(d):
                 return NormalizeResult(witness=Witness("loop", edges=(bld.ids[d >> 1],)))
 
-    # stage 3: remove lollipops, leaving their boundary vertices edgeless
+    # stages 3 and 4: remove lollipops, leaving their boundary vertices
+    # edgeless, and reject on the first other leaf; a removal changes no
+    # internal vertex's degree, so one pass finds the smallest such leaf
     removed = []
     for v in sorted(bld.colors):
         if bld.degree(v) == 1:
             u = bld.other_end(bld.rot[v][0])
-            if u < 0:
-                removed.append((-u, bld.colors[v]))
-                bld.delete_leaf_edge(v)
-
-    # stage 4: leftover internal leaves certify non-reducedness
-    for v in sorted(bld.colors):
-        if bld.degree(v) == 1:
-            return NormalizeResult(witness=Witness("internal_leaf", vertices=(v,)))
+            if u >= 0:
+                return NormalizeResult(witness=Witness("internal_leaf", vertices=(v,)))
+            removed.append((-u, bld.colors[v]))
+            bld.delete_leaf_edge(v)
 
     # stage 5: contract black-black edges in one pass.  Only a black-black edge
     # can become a loop, and each one the scan passed was contracted, so a loop

@@ -476,7 +476,11 @@ def format_subset(s, b: int) -> str:
     return ",".join(str(x) for x in xs)
 
 
-def parse_subset(text: str):
-    """The labels of ``format_subset``'s text; BadLabel for text that is none."""
+def parse_subset(text: str, b: int):
+    """The labels of ``format_subset(s, b)``'s text; BadLabel for text that
+    is none or names a label outside 1..b."""
     text = _text(text, BadLabel).strip()
-    return frozenset(_parse_int(t, BadLabel) for t in (text.split(",") if "," in text else text))
+    tokens = text.split(",") if _ints((b,), BadLabel)[0] > 9 and text else text
+    labels = frozenset(_parse_int(t, BadLabel) for t in tokens)
+    _mask(labels, b)
+    return labels

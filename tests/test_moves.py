@@ -203,6 +203,32 @@ def test_urban_renewal_preserves_trips_and_faces():
     assert len(h.nonouter_faces()) == len(g.nonouter_faces())
 
 
+def test_urban_renewal_inverse_gives_back_the_input():
+    """The inverse face is read off the new square's side dart at a former
+    white corner; at every site it is a listed site of the result, and
+    applying it gives back the input."""
+    rng = random.Random(36)
+    graphs = [make() for make in F.ALL_NAMED.values()]
+    graphs += [normalize(bridge_graph(random_decorated_permutation(b, rng))).normal
+               for b in range(4, 9) for _ in range(10)]
+    sites = 0
+    for g in graphs:
+        for m in legal_moves(g):
+            if m.kind == "UrbanRenewal":
+                h, inv = _apply(g, m)
+                assert inv in legal_moves(h), (g.to_json(), m)
+                assert apply_move(h, inv) == g, (g.to_json(), m)
+                sites += 1
+    assert sites >= 20, sites
+
+
+@pytest.mark.parametrize("m", [{"kind": "SquareM1", "face": 5}, None, ("SquareM1", 5),
+                               "SquareM1"], ids=["dict", "none", "tuple", "str"])
+def test_apply_move_refuses_what_is_no_move_spec(m):
+    with pytest.raises(IllegalMove, match="^a move must be a MoveSpec, got "):
+        apply_move(F.square_fan_b5(), m)
+
+
 @pytest.mark.parametrize("face", [5, 0], ids=["square", "boundary"])
 def test_urban_renewal_rejects_a_face_that_is_not_a_site(face):
     # face 5 of the fan is its SquareM1 square, face 0 a boundary face

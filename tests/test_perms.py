@@ -274,8 +274,22 @@ def test_weak_separation_symmetry_and_shift(b, data):
 def test_subset_formatting():
     assert format_subset({3, 1, 2}, 6) == "123"
     assert format_subset({10, 2}, 12) == "2,10"
-    assert parse_subset("123") == frozenset({1, 2, 3})
-    assert parse_subset("2,10") == frozenset({2, 10})
+    assert parse_subset("123", 6) == frozenset({1, 2, 3})
+    assert parse_subset("2,10", 12) == frozenset({2, 10})
+
+
+@pytest.mark.parametrize("b", range(1, 13))
+def test_parse_subset_inverts_format_subset(b):
+    """Every subset of 1..b comes back from its text, {10} and {12} too."""
+    for m in range(1 << b):
+        s = frozenset(x for x in range(1, b + 1) if m >> (x - 1) & 1)
+        assert parse_subset(format_subset(s, b), b) == s
+
+
+@pytest.mark.parametrize("text, b", [("0", 5), ("6", 5), ("1,13", 12), ("0", 12)])
+def test_parse_subset_refuses_labels_outside_1_to_b(text, b):
+    with pytest.raises(BadLabel, match="not in 1.."):
+        parse_subset(text, b)
 
 
 @pytest.mark.parametrize(
@@ -305,8 +319,8 @@ def test_entry_points_take_only_integers(make, error):
     "make, error",
     [(lambda: DecoratedPermutation.parse(5), MalformedPermutation),
      (lambda: parse_word(5), BadWord),
-     (lambda: parse_subset(12), BadLabel),
-     (lambda: parse_subset("ab"), BadLabel),
+     (lambda: parse_subset(12, 12), BadLabel),
+     (lambda: parse_subset("ab", 6), BadLabel),
      (lambda: lollipop_graph(5), InvalidGraph)],
     ids=["perm-parse-int", "word-int", "subset-int", "subset-letters", "lollipops-int"],
 )
