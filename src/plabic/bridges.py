@@ -28,11 +28,8 @@ class BridgeSequence:
 
     def replay(self) -> BoundedAffinePermutation:
         """Rebuild the input window from the identity-mod-b base window."""
-        w = [
-            i if self.base_decorations[i] == "under" else i + self.b
-            for i in range(1, self.b + 1)
-        ]
-        f = BoundedAffinePermutation(w)
+        f = BoundedAffinePermutation([i if self.base_decorations[i] == "under" else i + self.b
+                                      for i in range(1, self.b + 1)])
         for i, j in reversed(self.transpositions):
             f = f.swap(i, j)
         return f
@@ -89,31 +86,26 @@ def bcfw_factorize(f: BoundedAffinePermutation) -> BridgeSequence:
 
 
 def bridge_graph(p: DecoratedPermutation) -> PlabicGraph:
-    """A reduced plabic graph with the given decorated trip permutation.
+    """A reduced plabic graph with the given decorated trip permutation;
+    the empty graph for b = 0.
 
     Strand i hangs from boundary vertex i; each transposition (i, j) adds a
     white vertex on strand i and a black vertex on strand j joined by a
     rung.  Clockwise rotations read (up, east, down) at a white rung end
-    and (up, down, west) at a black one.  For b = 0 it is the empty graph.
+    and (up, down, west) at a black one.  A strand with no rung ends in a
+    lollipop, white when its fixed point is decorated "over".
 
-    The graph is valid by construction, so its dart tables are written
-    here, unchecked, in the numbering ``_number_darts`` gives a checked
-    graph.  Edge ids are 0..E-1 and edge k has darts 2k and 2k + 1.  Rung
-    k (0-based) joins white vertex 2k and black vertex 2k + 1; it is edge
-    k, with dart 2k at the white end and 2k + 1 at the black end.  Strands
-    1..b then take the next edge ids from top to bottom, each strand edge
-    with its even dart at its upper end (boundary vertex -i, or the earlier
-    vertex) and its odd dart at its lower end.  A strand with no rung ends
-    in a lollipop, the next vertex id, white when its fixed point is
-    decorated "over".  Rotations are keyed in increasing vertex order.  The
-    graph is not flagged "valid", so ``validate`` checks it in full.
+    The graph is valid by construction, so its darts are written here,
+    numbered as ``PlabicGraph`` says: rung k is edge k, joining vertices 2k
+    and 2k + 1, and the strand edges follow, top to bottom.  It is not
+    flagged "valid", so ``validate`` checks it in full.
     """
     _check_perm(p)
     b = p.b
     # b = 0 has no bounded affine window; its graph is the empty one
     transpositions = bcfw_factorize(affinize(p)).transpositions if b else []
     # each strand lists its rung ends top to bottom; a rung end's vertex id
-    # is also its rung dart, even at a white vertex and odd at a black one
+    # is also its rung dart
     strands = [[] for _ in range(b + 1)]
     for k, (i, j) in enumerate(transpositions):
         strands[i].append(2 * k)
@@ -121,7 +113,7 @@ def bridge_graph(p: DecoratedPermutation) -> PlabicGraph:
     colors = {v: BLACK if v & 1 else WHITE for v in range(2 * len(transpositions))}
     inner = [None] * len(colors)
     top = []  # the dart of boundary vertex -i at top[i - 1]
-    d = 2 * len(transpositions)  # the even dart of the next edge
+    d = 2 * len(transpositions)  # dart 2k of the next edge k
     for i in range(1, b + 1):
         top.append(d)
         chain = strands[i]

@@ -127,16 +127,8 @@ def cmd_labels(args) -> None:
     g = _read_graph(args.graph)
     labeling = face_labels(g, args.mode)
     faces = g.faces()
-    rows = []
-    for idx in sorted(labeling):
-        rows.append(
-            {
-                "face": idx,
-                "kind": faces[idx].kind,
-                "rim_arcs": list(faces[idx].rim_arcs),
-                "label": format_subset(labeling[idx], g.b),
-            }
-        )
+    rows = [{"face": idx, "kind": faces[idx].kind, "rim_arcs": list(faces[idx].rim_arcs),
+             "label": format_subset(labeling[idx], g.b)} for idx in sorted(labeling)]
     print(json.dumps({"mode": args.mode, "labels": rows}, sort_keys=True))
 
 

@@ -1,14 +1,6 @@
-"""Plabic graphs as rotation systems in a disk.
-
-A plabic graph is stored as a half-edge (dart) structure: every edge
-contributes two darts that are twins of each other, and every vertex holds
-the cyclic list of its incident darts in *clockwise* order as drawn.
-Boundary vertices are uncolored, carry ids ``-1 .. -b`` (id ``-i`` is the
-boundary vertex labeled ``i``), and are incident to exactly one edge.
-Internal vertices have nonnegative ids and are black or white.
-
-Graphs are immutable values; every operation returns a new graph.
-"""
+"""Plabic graphs as clockwise rotation systems of darts in a disk (the
+README's "Graph JSON format"), the ``Builder`` that moves edit, and tree
+collapsing.  Graphs are immutable values."""
 
 from __future__ import annotations
 
@@ -39,11 +31,8 @@ def _loads(text, error):
 
 
 def _orbit(nxt, d0, limit):
-    """Darts from d0 along ``nxt`` until it returns to d0 or reaches -1.
-
-    Faces and trips are both orbits of a successor table over darts; an
-    orbit longer than ``limit`` means the table is corrupt.
-    """
+    """Darts from d0 along ``nxt`` until it returns to d0 or reaches -1;
+    TripDoesNotTerminate past ``limit`` darts, a corrupt table."""
     darts = [d0]
     d = nxt[d0]
     while d != -1 and d != d0:
@@ -94,28 +83,19 @@ _HAND_DOWN = "hand_down"  # the cache key of a graph's hand-down record
 class PlabicGraph:
     """Immutable plabic graph.
 
-    Darts are integers ``2k`` and ``2k+1`` for edge index ``k``; the twin of
-    dart ``d`` is ``d ^ 1``.  Edge index ``k`` carries the public edge id
-    ``_edge_ids[k]`` used by the JSON format.  Edge indices follow edge-id
-    order but may have holes: a graph made by a move keeps the dart numbers
-    of its parent, so the indices of removed edges hold ``None`` and their
-    darts are unused.  ``_dart_bound()`` is the index bound; the rim
-    entries of ``face_of_dart()`` start there.  Of an edge's two darts the
-    even one is the first met in (vertex id, rotation position) order, so
-    the order of the darts depends only on the ids and rotations.
+    Darts are integers ``2k`` and ``2k+1`` for edge index ``k``, which
+    carries the public edge id ``_edge_ids[k]``; the twin of dart ``d`` is
+    ``d ^ 1``.  Of an edge's two darts the even one is the first met in
+    (vertex id, rotation position) order, so the numbering depends only on
+    the ids and rotations.  Edge indices follow edge-id order, by
+    construction and unchecked (the raw constructor takes any order, so the
+    largest id is never read off ``_edge_ids[-1]``), and may have holes: a
+    graph made by a move keeps its parent's dart numbers, with None at the
+    indices of removed edges.
 
-    The id order holds by construction and is not checked: the raw
-    constructor takes edge ids in any order, say ``(5, 3, 2)``.  So the
-    largest edge id is never read off ``_edge_ids[-1]``.
-
-    Facts derived from a graph are read through ``_fact`` and kept in
-    ``_cache``, which is safe because the graph never changes.  The cache
-    also holds the flag "valid", which only ``from_rotation`` and
-    ``from_json`` set, after their full check; a graph from the raw
-    constructor, ``Builder.freeze`` or ``bridges.bridge_graph``, which
-    writes its dart tables itself, never carries it.  On a graph made by a
-    move the cache holds the hand-down record that ``Builder.freeze``
-    stores until the facts it holds are read.
+    Derived facts are read through ``_fact``.  The flag "valid" in
+    ``_cache`` is set only by ``from_rotation`` and ``from_json``, after
+    their full check.
     """
 
     __slots__ = ("b", "_colors", "_rot", "_dart_vertex", "_edge_ids", "_cache",
@@ -152,12 +132,8 @@ class PlabicGraph:
 
     @staticmethod
     def from_rotation(b, colors, rotation):
-        """Build a graph from rotation lists of *edge ids*.
-
-        ``rotation`` maps every vertex id (boundary ids ``-1..-b`` included)
-        to its clockwise list of incident edge ids; a loop's id appears twice
-        in its vertex's list.
-        """
+        """The checked graph of clockwise rotation lists of edge ids, as in
+        the JSON format."""
         return _checked_graph(b, colors, rotation)
 
     @staticmethod
@@ -191,9 +167,7 @@ class PlabicGraph:
 
     def to_json(self) -> str:
         """The text of ``json.dumps(self.to_json_obj(), sort_keys=True)``,
-        written in one pass with no dict built: the keys in sorted order,
-        rotation keys in string order ("-10" before "-2"), ints written by
-        ``int.__repr__``, ", " between items and ": " after keys."""
+        written in one pass with no dict built."""
         r, rot = int.__repr__, self._rot
         names = [None if e is None else r(e) for e in self._edge_ids]
         dart_names = names + names  # dart d has edge index d >> 1
@@ -209,11 +183,16 @@ class PlabicGraph:
 
     def _fact(self, name):
         """The fact ``name`` of ``_FACTS``, derived on the first read and
-        kept; callers must not change it.  On a move's result the faces and
-        the move sites are patched from the parent's values in the hand-down
-        record ``(handed, gone, edited, touched)`` when ``handed`` holds them,
-        and the record goes once ``handed`` is empty; "maxima" may be there
-        from ``freeze``."""
+        kept; callers must not change it.
+
+        ``Builder.freeze`` leaves on a move's result the hand-down record
+        ``(handed, gone, edited, touched)``: the parent's values of the
+        facts in ``_PATCHES`` that it had read, the edge indices the move
+        emptied, the vertices it changed or removed, and the live vertices
+        whose rotations or colours changed.  A fact in ``handed`` is
+        patched by ``_PATCHES[name](g, value, gone, edited, touched)``, and
+        the record goes once ``handed`` is empty, so no ancestor is kept
+        alive."""
         cache = self._cache
         value = cache.get(name)
         if value is None:
@@ -320,36 +299,17 @@ class PlabicGraph:
     # faces
 
     def faces(self):
-        """All faces of the rim-augmented graph, deterministic order, in a
-        new list on every call.
-
-        The rim adds one arc per boundary label i, joining labels i and
-        i+1, and clockwise at label i come: arc i, the graph dart, arc
-        i-1.  Faces are the orbits of ``next(d) = clockwise successor of
-        d ^ 1``, which keeps the traced face on the left of every dart
-        (``_fill_successors``, which fills the trip table too).
-        The arcs are not darts of the successor table: a walk into label
-        i crosses arc i-1 and goes on along the dart of label i-1, so the
-        table maps graph darts to graph darts, and the outer face, the
-        one face without graph darts, holds the arcs in increasing order.
-        Orbits are started from every graph dart in increasing order, so
-        faces come in the order of their smallest darts, which fixes the
-        order that ``MoveSpec.face`` indexes into; the outer face is last.
-
-        A graph made by a move from a graph whose faces were traced starts
-        from that graph's tables: it keeps the faces the move did not
-        change and walks the others afresh from the darts whose
-        successors changed (``_patch_faces``).
-        """
+        """All faces of the rim-augmented graph, in a new list on every
+        call.  The rim adds arc i from label i to label i+1.  Faces are
+        traced from every graph dart in increasing order, so they come in
+        the order of their smallest darts, which ``MoveSpec.face`` indexes;
+        the outer face, with no graph dart, is last."""
         return list(self._fact("faces")[0])
 
     def _fill_successors(self, nxt, vertices, black=1):
         """Set ``nxt[d]`` for the darts d whose twins are based at
-        ``vertices``: the dart one place clockwise from ``d ^ 1``, or
-        ``black`` places at a black vertex, and for the dart into boundary
-        label i the dart of label i - 1, across arc i - 1.  Faces turn the
-        same way everywhere (``black=1``); trips turn back at black
-        vertices (``black=-1``, over internal vertices only)."""
+        ``vertices``, turning as the README's "Conventions" says for faces,
+        or for trips with ``black=-1``."""
         b, rot, colors = self.b, self._rot, self._colors
         for v in vertices:
             ds = rot[v]
@@ -382,24 +342,15 @@ class PlabicGraph:
         return faces, face_of, nxt
 
     def _patch_faces(self, tables, gone, edited, touched):
-        """The fact "faces" from the tables of the graph this one was made
-        from by a local edit.  ``gone`` are the edge indices the edit
-        emptied, whose darts become holes, and ``touched`` the vertices of
-        this graph whose rotations or colours changed; every other dart of
-        the parent keeps its vertex and its successor's.
+        """The fact "faces" patched from the parent's ``tables`` (``_fact``).
 
-        A cut is a dart whose successor differs from the parent's, which
-        makes it an in-dart of a touched vertex.  A face of the parent
-        with no cut is kept, since it keeps its dart numbers; the others
-        are dirty, and their darts lie on the new walks, each an orbit from
-        a cut.  A face with a removed dart holds a cut, a kept dart whose
-        successor was removed: no edit removes every dart of a face, which
-        would take a removed loop, a digon of two removed edges or a whole
-        tree.  The new walks take the places of the dirty faces, in sorted
-        order, and are as many, since no edit changes V - E, the genus or the
-        components.  When a new walk would not fall between the kept faces
-        around its place, some kept face changes index, and the faces are
-        traced afresh instead (``_trace_faces``).
+        A cut is a dart whose successor differs from the parent's: an
+        in-dart of a touched vertex.  A parent face with no cut is kept;
+        the others are dirty, and the new walks from the cuts take their
+        places in sorted order.  They are as many, since no edit removes
+        every dart of a face or changes V - E, the genus or the components.
+        When a walk would not fall between the kept faces around its place,
+        a kept face would change index, and the faces are traced afresh.
         """
         b, rot, dv = self.b, self._rot, self._dart_vertex
         pfaces, pface_of, pnxt = tables
@@ -466,9 +417,8 @@ class PlabicGraph:
         return face_of + rim
 
     def _face_count(self) -> int:
-        """The number of faces: read off the cached faces, or else counted
-        as the orbits of a fresh face-successor table, each marked by
-        emptying its entries, with no ``Face`` built and nothing cached."""
+        """The number of faces, cached or counted as the orbits of a fresh
+        successor table, with no ``Face`` built and nothing cached."""
         faces = self._cache.get("faces")
         if faces is not None:
             return len(faces[0])
@@ -483,9 +433,7 @@ class PlabicGraph:
         return count
 
     def euler_ok(self) -> bool:
-        """Whether V - E + F = 2 holds for the rim-augmented graph.  F is
-        only counted (``_face_count``); the faces are traced when first
-        read."""
+        """Whether V - E + F = 2 holds for the rim-augmented graph."""
         if self.b == 0:
             return not self._colors and not self._dart_vertex
         v = len(self._colors) + self.b
@@ -496,13 +444,8 @@ class PlabicGraph:
     # equality and canonical form
 
     def canonical_key(self):
-        """Canonical serialization, invariant under internal relabeling.
-
-        Internal vertices and edges are renumbered by a deterministic
-        traversal anchored at the boundary labels, so two graphs have equal
-        keys iff they are isomorphic by a boundary-label-preserving map that
-        respects rotations.
-        """
+        """Canonical serialization: equal keys iff the graphs are isomorphic
+        by a boundary-label-preserving map that respects rotations."""
         return self._fact("ckey")
 
     def __eq__(self, other):
@@ -582,16 +525,12 @@ class PlabicGraph:
 
 
 def _canonical_key(b, colors, rot, dv):
-    """The canonical key of a rotation system, in one breadth-first pass.
-
-    The queue starts with the boundary darts in label order.  Dequeuing a
-    dart d reaches the vertex w of ``d ^ 1``; the first time w is reached
-    it writes the row (colour, edge numbers of its darts clockwise from
-    ``d ^ 1``) and queues its other darts.  An edge is numbered when its
-    first dart is queued, which, the queue being FIFO, gives the numbers
-    that numbering at dequeue would.  The key reads only rotations and the
-    ``d ^ 1`` pairing, so it does not depend on the dart numbers.
-    """
+    """The canonical key of a rotation system, in one breadth-first pass
+    from the boundary darts in label order.  The first dart d to reach a
+    vertex w writes w's row (colour, edge numbers of its darts clockwise
+    from ``d ^ 1``) and queues its other darts; an edge is numbered when
+    its first dart is queued.  Only rotations and the ``d ^ 1`` pairing are
+    read, so the key does not depend on the dart numbers."""
     edge_new = {}
     queue = []
     for label in range(1, b + 1):
@@ -620,21 +559,11 @@ def _canonical_key(b, colors, rot, dv):
 
 
 def _number_darts(b, colors, rot, order, keys, shift, ids=None) -> PlabicGraph:
-    """The graph of per-vertex clockwise entries with dense dart numbers:
-    the one place that numbers darts from scratch for checked graphs and
-    builders, ``_checked_graph`` and ``Builder._number_afresh``.
-    ``bridges.bridge_graph`` writes the same numbering for its own graphs
-    directly.
-
-    ``rot`` maps vertices to clockwise lists of entries, ``order`` lists its
-    keys in increasing order, entry ``x`` lies on the edge with key
-    ``x >> shift``, and ``keys`` lists the edge keys in increasing order,
-    which must be the order of the public ids: ``ids[key]``, or the key
-    itself when ``ids`` is None.  The edge of key rank r gets darts ``2r``
-    and ``2r + 1``, and of its two entries the first met in (vertex id,
-    rotation position) order takes ``2r``, so the numbering depends only on
-    the ids and rotations.
-    """
+    """The graph of the clockwise entries ``rot``, its darts numbered
+    densely as ``PlabicGraph`` says.  ``order`` lists the vertices in
+    increasing order, entry ``x`` lies on the edge with key ``x >> shift``,
+    and ``keys`` lists the edge keys in the order of their public ids,
+    ``ids[key]``, or the key itself when ``ids`` is None."""
     slot = {k: 2 * r for r, k in enumerate(keys)}  # edge -> next dart to hand out
     rot_out = {}
     dv = {}
@@ -652,17 +581,10 @@ def _number_darts(b, colors, rot, order, keys, shift, ids=None) -> PlabicGraph:
 
 
 def _checked_graph(b, colors, rotation, declared=(), repeats=(0, 0)) -> PlabicGraph:
-    """The graph of rotation lists of edge ids, marked checked, or InvalidGraph
-    listing every violation found; ``from_json`` also passes the declared
-    edge ids and how many vertex ids repeat.  Each stage runs once the one
-    before passes.  The rotation lists are walked once to count the edge
-    ids, once to number the darts and once to reach the boundary; the
-    boundary, missing and undeclared vertices are read off the sorted
-    vertex ids and the differences of the key sets.  Problem texts print
-    ids with ``_show``, and a graph is refused when its smallest or largest
-    vertex or edge id is past Python's integer digit limit, so that its
-    JSON can be written.  The Euler check only counts the faces
-    (``euler_ok``); they are traced when first read."""
+    """The graph of rotation lists of edge ids, flagged "valid", or
+    InvalidGraph listing every violation found; ``from_json`` also passes
+    the declared edge ids and how many vertex ids repeat.  Each stage runs
+    once the one before passes."""
     tail = [f"{n} {where} repeat a vertex id"
             for n, where in zip(repeats, ("entries of 'vertices'", "keys of 'rotation'")) if n]
 
@@ -749,17 +671,10 @@ def _checked_graph(b, colors, rotation, declared=(), repeats=(0, 0)) -> PlabicGr
 
 
 def validate(g) -> ValidationReport:
-    """Validate a graph, graph JSON text or its object: the report lists
-    exactly the problems ``from_json`` raises on it, and every call returns
-    a new report.
-
-    A graph that ``from_rotation`` or ``from_json`` returned passed the
-    check when it was built (they alone set the flag "valid"), so its
-    report is empty without checking again.  Any other graph (from the raw
-    constructor, ``Builder.freeze`` or ``bridge_graph``) is checked in full
-    through its JSON object, so the check stays independent of the code
-    that built it.
-    """
+    """Validate a graph, graph JSON text or its object: a new report of
+    exactly the problems ``from_json`` raises on it.  A graph without the
+    flag "valid" is checked in full through its JSON object, independently
+    of the code that built it."""
     if not (isinstance(g, PlabicGraph) and g._cache.get("valid")):
         try:
             PlabicGraph.from_json(g.to_json_obj() if isinstance(g, PlabicGraph) else g)
@@ -773,38 +688,17 @@ def validate(g) -> ValidationReport:
 
 
 class Builder:
-    """Mutable copy of a graph's rotation system, for graph surgery.
+    """Mutable copy of a graph's rotation system, for graph surgery that
+    keeps each rotation's cyclic order and never changes the boundary.
 
-    Darts follow the frozen graph's convention: dart ``d`` belongs to edge
-    index ``d >> 1`` and its twin is ``d ^ 1``.  A builder starts from a
-    graph's rotations, dart -> vertex map ``dv`` and public edge ids ``ids``
-    (edge index -> id, None at a hole); surgery moves darts between slots so
-    that the pairing stays ``d ^ 1``.  A new edge takes the next index and a
-    fresh id, larger than every id, so indices follow id order; a removed
-    edge leaves a hole, and the one edge that ``remove_bivalent`` gives a
-    smaller id returns to that id's index when frozen.
-
-    Fresh ids are ``max(current ids) + 1``, for vertices and for edges.
-    The builder starts from the graph's fact "maxima" and keeps both
-    maxima as it adds; only removing the current maximum forgets it, and
-    the next fresh id of that kind then takes a scan.  It records the edge
-    indices it empties, and ``freeze`` hands both to the graph.
-
-    Rotations are shared with the graph until
-    surgery edits them: ``_edit`` hands out a vertex's rotation as a list
-    and records the vertex as touched.  ``freeze`` produces an immutable
-    PlabicGraph with the public ids and hands it the builder's dicts, so a
-    builder is frozen once and then dropped.  All operations keep rotations
-    planar-consistent (splices preserve the cyclic order).
-
-    ``canonical_key`` equals the key of the frozen graph, so a builder may
-    be keyed and then dropped without ever being frozen; the equivalence
-    search keys every child this way and freezes only those it expands.
-    A builder keeps the graph it started from alive until it is dropped.
-    ``recolor`` records the vertex as touched, like an edit of its
-    rotation, so the frozen graph re-derives the move sites around it.
-    A builder never changes the boundary (b and the labels), so the
-    frozen graph may patch the facts of the graph it started from.
+    It holds the graph's darts (``PlabicGraph``), with ``dv`` mapping darts
+    to vertices and ``ids`` edge indices to public ids, None at a hole.  A
+    new edge takes the next index and a fresh id, one past the largest; the
+    builder keeps both maxima from the fact "maxima" and scans only after
+    removing a largest id.  Rotations are shared with the graph until
+    ``_edit`` or ``_set`` changes them; that, ``recolor`` and a removal
+    mark the vertex touched.  ``canonical_key`` equals the frozen graph's,
+    so a builder may be keyed and dropped unfrozen.  It is frozen once.
     """
 
     def __init__(self, g: PlabicGraph):
@@ -948,7 +842,7 @@ class Builder:
         t = d ^ 1
         x = self.dv[t]
         w = self.add_vertex(color)
-        # the far dart is even: x's id is below the new vertex's
+        # x's id is below the new vertex's, so x takes the first dart
         n1, n0 = self._new_dart_pair(self.fresh_edge_id())
         rx = self._edit(x)
         rx[rx.index(t)] = n1
@@ -998,30 +892,19 @@ class Builder:
         self.ids[k] = None
 
     def _number_afresh(self, b, rot) -> PlabicGraph:
-        """Rotations ``rot`` of these darts and b labels, numbered by ``_number_darts``
-        with the live edge indices ranked by id; for ``freeze`` and ``normalize``."""
+        """Rotations ``rot`` of these darts and b labels, numbered afresh."""
         ids = self.ids
         keys = sorted((k for k, e in enumerate(ids) if e is not None), key=ids.__getitem__)
         return _number_darts(b, self.colors, rot, sorted(rot), keys, 1, ids)
 
     def freeze(self) -> PlabicGraph:
-        """Produce the immutable graph; public ids are preserved.
-
-        Untouched darts keep their numbers and untouched vertices share
-        their rotations with the graph the builder started from.  An edge
-        that ``remove_bivalent`` gave a smaller id moves to that id's
-        index.  Only edges at touched vertices can then break the even-dart
-        rule; the two darts of such an edge trade numbers.  Once holes pass
-        half the index space, darts are numbered afresh by
-        ``_number_afresh``.  Otherwise the result gets a hand-down record
-        for ``PlabicGraph._fact``: the starting graph's faces and move
-        sites, when it has read them, the edge indices left empty
-        (dropped, or moved to a home), and the vertices edited (touched or
-        removed) and touched; it keeps no ancestor alive.  Either way the
-        builder's maxima become the fact "maxima" when it still knows both.
-        The builder then holds None in place of the dicts the graph took
-        over, so an edit after freezing fails at once.
-        """
+        """The immutable graph, with the public ids kept.  Once holes
+        outnumber edges, darts are numbered afresh.  Otherwise untouched
+        darts keep their numbers, an edge in ``_homes`` moves to its id's
+        index, an edge at a touched vertex that breaks the even-dart rule
+        trades its darts' numbers, and the graph gets the hand-down record
+        (``PlabicGraph._fact``).  The builder's dicts go to the graph, so
+        an edit after freezing fails at once."""
         ids = self.ids
         n = len(ids)
         while n and ids[n - 1] is None:
@@ -1079,12 +962,8 @@ class Builder:
 
 
 def _pendant_vertices(g: PlabicGraph) -> set:
-    """Internal vertices that lie on no cycle and hang off the core.
-
-    Peels leaves with a queue: a vertex goes once at most one of its darts
-    still leads to the boundary or to an internal vertex not yet peeled.
-    A vertex with a loop keeps both loop darts and is never peeled.
-    """
+    """Internal vertices that lie on no cycle and hang off the core: peeled
+    once at most one dart leads to the boundary or an unpeeled vertex."""
     live = {v: g.degree(v) for v in g.internal_vertices()}
     queue = [v for v, n in live.items() if n <= 1]
     peeled = set(queue)
@@ -1100,14 +979,9 @@ def _pendant_vertices(g: PlabicGraph) -> set:
 
 
 def collapse_trees(g: PlabicGraph) -> PlabicGraph:
-    """Collapse every collapsible pendant tree of the graph.
-
-    A pendant tree hangs off the rest of the graph (or off a boundary
-    vertex) and is collapsed by contracting unicolored edges and removing
-    bivalent vertices; pieces that cannot be collapsed (e.g. a leaf of the
-    opposite color stuck on a trivalent vertex) are left in place.
-    Idempotent, and preserves the trip permutation.
-    """
+    """Collapse every pendant tree by unicolored contractions and bivalent
+    removals, leaving pieces that cannot collapse (say a leaf of the other
+    colour on a trivalent vertex).  Idempotent; keeps the trip permutation."""
     peeled = _pendant_vertices(g)
     if not peeled:
         return g
@@ -1150,11 +1024,8 @@ def _collapse_pendant(bld: Builder, peeled: set) -> None:
 
 
 def classify(g: PlabicGraph) -> dict:
-    """Structural classification: bipartite / trivalent / normal flags plus
-    the lists of lollipops and internal leaves.
-
-    Computed once per graph; every call returns a new dict with new lists.
-    """
+    """Bipartite / trivalent / normal flags and the lists of lollipops and
+    internal leaves, in a new dict with new lists on every call."""
     info = g._fact("classify")
     return {**info, "lollipops": list(info["lollipops"]),
             "internal_leaves": list(info["internal_leaves"])}
@@ -1192,17 +1063,12 @@ def _classify(g: PlabicGraph) -> dict:
 
 def _maxima(g):
     """The fact "maxima": ``(largest vertex id, largest edge id)``, -1 when
-    there is none; a move's builder hands it to its graph (``freeze``)
-    unless the move removed either largest id."""
+    there is none."""
     return max(g._colors, default=-1), max(set(g._edge_ids) - {None}, default=-1)
 
 
-# The facts derived from a graph, registered by the modules that own them:
-# ``_FACTS[name](g)`` derives a fact (never None) from g alone, and
-# ``_PATCHES[name](g, parent value, gone, edited, touched)`` from the value
-# of the graph a move made g from (``Builder.freeze``); ``gone`` holds the
-# edge indices the move emptied.  Only "faces" and "sites" (``moves.py``)
-# have a patch; an edge id is found by a scan (``darts_of_edge``).
+# The facts read by ``PlabicGraph._fact``, registered by the modules that
+# own them: ``_FACTS[name](g)`` derives one (never None) from g alone.
 _FACTS = dict(
     faces=PlabicGraph._trace_faces,
     maxima=_maxima,

@@ -1,15 +1,12 @@
 """Face labelings of reduced plabic graphs and weakly separated collections.
 
-A face picks up the source label i (resp. target label i) when it lies to
-the left of the trip starting (resp. ending) at boundary vertex i.  Trips
-in a reduced graph cut the disk in two, and every dart lies on exactly one
-trip, with its face on the trip's left.  So two faces across an edge differ
-only in the marks of the two trips on that edge (Oh--Postnikov--Speyer):
-crossing from the face of dart d to the face of its twin drops the mark of
-the trip on d and adds the mark of the trip on the twin.  All labels
-follow from one boundary face by a breadth-first search across edges.
-Fixed-point trips contribute to every face when their lollipop is white
-and to none when it is black.
+A face's source (target) label holds i when the face lies left of the trip
+starting (ending) at boundary vertex i, or when i is a fixed point with a
+white lollipop.  In a reduced graph every dart lies on one trip, with its
+face on the trip's left, so crossing from the face of dart d to that of
+``d ^ 1`` swaps the mark of the trip on d for the mark of the trip on
+``d ^ 1`` (Oh--Postnikov--Speyer).  All labels follow from one boundary
+face by a breadth-first search across edges.
 """
 
 from __future__ import annotations
@@ -33,20 +30,11 @@ from .perms import (
 
 
 def face_labels(g: PlabicGraph, mode: str = "target", check: bool = True) -> dict:
-    """Map each non-outer face index to its label set, in face-index order.
-
-    The search starts at the first boundary face, holding rim arc i (which
-    joins boundary labels i and i+1).  That face lies left of the trip
-    s -> t, s != t, exactly when ``(i - s) mod b < (t - s) mod b``, and of
-    no roundtrip; fixed points decorated "over" mark every face.  Crossing
-    an edge from the face of dart d to the face of ``d ^ 1`` then swaps the
-    mark of the trip on d for the mark of the trip on ``d ^ 1``.
-
-    Requires a reduced graph (labels are only well-sized there); pass
-    ``check=False`` to skip the reducedness test when the caller already
-    guarantees it.  The labels are found once per graph and mode; every
-    call returns a new dict.
-    """
+    """Map each non-outer face index to its label set, in face-index order,
+    in a new dict.  The search starts at the first boundary face, holding
+    rim arc i, which lies left of the trip s -> t, s != t, exactly when
+    ``(i - s) mod b < (t - s) mod b``.  Requires a reduced graph; pass
+    ``check=False`` when the caller already guarantees it."""
     return dict(_face_labels(g, mode, check))
 
 
@@ -117,21 +105,6 @@ def strongly_equivalent(g1: PlabicGraph, g2: PlabicGraph) -> bool:
 
 # ----------------------------------------------------------------------
 # enumeration of maximal weakly separated collections, on positroid bitsets
-#
-# The members of the positroid are numbered 0, 1, ... as the search meets
-# them: a mask's membership (Oh's threshold test against the necklace) is
-# found once and remembered, so nothing is paid for members the search
-# never reaches.  A collection is the int with bit t set for each member t
-# it holds.  The square moves that remove member t are read off the
-# positroid into one row (``_square_row``) the first time t appears in a
-# collection; necklace members lie in every collection and get an empty
-# row.  A move is legal in a collection exactly when the collection holds
-# its four sides and not the member it brings in, which is one AND and one
-# comparison.  Only the seed is tested for weak separation: a square move
-# inside the positroid takes a maximal weakly separated collection to
-# another one (Oh--Postnikov--Speyer).  Each collection travels with the
-# list of its member numbers, and a result's list is its parent's with one
-# number replaced.
 
 
 def _bits(m):
@@ -179,20 +152,21 @@ def _square_row(t, m, b, lookup):
 
 
 def enumerate_ws(p: DecoratedPermutation, limit: int = None):
-    """All maximal weakly separated collections attached to the permutation.
+    """All maximal weakly separated collections attached to the permutation:
+    the target labels of a bridge graph, closed under square moves.
 
-    Starts from the target labels of a bridge graph and closes under square
-    moves; every collection returned contains the Grassmann necklace, lies
-    inside the positroid, has size a(b-a) - length + 1 and is pairwise
-    weakly separated.  The seed is tested for all four; its square moves
-    inside the positroid keep them (Oh--Postnikov--Speyer), so no later
-    collection is tested for weak separation.  The search holds each
-    collection as a bitset over the positroid members it has met, numbered
-    as it meets them, and reads the square moves of each member from a
-    table row, built the first time the member appears; a move costs a few
-    integer operations.  Raises TooLarge when ``limit`` is exceeded (the
-    seed counts), and BadBudget for a ``limit`` that is not a non-negative
-    integer.
+    Each holds the Grassmann necklace, lies in the positroid, has size
+    a(b-a) - length + 1 and is pairwise weakly separated.  Only the seed is
+    tested: a square move inside the positroid keeps all four
+    (Oh--Postnikov--Speyer).  Positroid members are numbered as the search
+    meets them, each mask tested once (Oh's test against the necklace), and
+    a collection is the bitset of its members' numbers, with the list of
+    those numbers beside it.  The square moves that remove a member are
+    read into a row (``_square_row``) the first time it appears, empty for
+    necklace members; a move is legal when the collection holds its four
+    sides and not the member it brings in, one AND and one comparison.
+    TooLarge past ``limit`` collections, the seed counted; BadBudget for a
+    ``limit`` that is not a non-negative integer.
     """
     message = "limit must be a non-negative integer, got {}"
     if limit is not None and _ints((limit,), BadBudget, message)[0] < 0:
@@ -255,9 +229,7 @@ def _check_collection(coll, necklace, lookup, size):
     necklace, lie in the positroid (``lookup`` numbers them) and are
     pairwise weakly separated."""
     if len(coll) != size:
-        raise AssertionError(
-            f"seed collection has {len(coll)} labels, expected {size}"
-        )
+        raise AssertionError(f"seed collection has {len(coll)} labels, expected {size}")
     for s in necklace:
         if s not in coll:
             raise AssertionError(f"necklace member {_bits(s)} missing from seed")
@@ -266,6 +238,4 @@ def _check_collection(coll, necklace, lookup, size):
             raise AssertionError(f"seed label {_bits(s)} outside the positroid")
     for s, y in combinations(coll, 2):
         if not _separated(s, (y,)):
-            raise AssertionError(
-                f"seed label {_bits(s)} not weakly separated from {_bits(y)}"
-            )
+            raise AssertionError(f"seed label {_bits(s)} not weakly separated from {_bits(y)}")

@@ -259,12 +259,10 @@ def _derive_sites(g: PlabicGraph):
 
 
 def _patch_sites(g: PlabicGraph, sites, gone, edited, touched):
-    """The fact "sites" from the sites of the graph g was made from by a
-    move: only the sites a move can change are derived again, at the
-    vertices whose rotations changed, at their neighbours (a NormalFlip
+    """The fact "sites" patched from the parent's ``sites`` (``_fact``):
+    derived again at the edited vertices, at their neighbours (a NormalFlip
     site reads its neighbours' colours and degrees) and on the edges at
-    the former or in ``gone``, the edge indices the move emptied.  A
-    parent's edge at an edited vertex is one or the other."""
+    touched vertices or in ``gone``."""
     pvertex, pedge = sites
     rot, dv, colors = g._rot, g._dart_vertex, g._colors
     vertex_sites = pvertex.copy()
@@ -296,21 +294,15 @@ _FACTS["sites"], _PATCHES["sites"] = _derive_sites, _patch_sites
 
 
 def legal_moves(g: PlabicGraph):
-    """All applicable move sites, in a new list on every call.
+    """All applicable move sites, in a new list on every call: face sites
+    by face index, then vertex sites by vertex id, then edge sites by edge
+    index.
 
-    SplitM3 sites are enumerated for arcs of length 2..deg-2 (splits that
-    keep both parts at degree >= 3); other arc lengths are still accepted by
-    ``apply_move`` when given explicitly.  SquareM1 specs carry a
-    ``condition_ok`` flag telling whether the four surrounding faces are
-    consecutively distinct (square moves violating it are still legal, but
-    they do not commute with quiver mutation).
-
-    Specs come in a fixed order: face sites by face index, then vertex
-    sites by vertex id, then edge sites by edge index.  The face sites are
-    found on every call.  The vertex and edge sites are derived once per
-    graph, and a graph made by a move re-derives only those at the
-    vertices the move touched, at their neighbours and on their edges,
-    keeping its parent's others (``_patch_sites``).
+    SplitM3 sites are listed for arcs of length 2..deg-2, which keep both
+    parts at degree >= 3; ``apply_move`` takes any length.  A SquareM1
+    spec's ``condition_ok`` tells whether the four surrounding faces are
+    consecutively distinct; a square move without it is legal, but does
+    not commute with quiver mutation.
     """
     rot = g._rot
     out = []
@@ -350,13 +342,10 @@ def _apply(g: PlabicGraph, m: MoveSpec):
 
 
 def _build(g: PlabicGraph, m: MoveSpec):
-    """Apply a move without freezing its result; returns (result, inverse
-    MoveSpec).  The result is the ``Builder`` the move edited, or, for
-    UrbanRenewal, which reads the new faces, the frozen graph; so every
-    search move gives a builder.  Either has ``canonical_key``, so a
-    caller may key the result and drop it unfrozen.  ``apply_move`` checks
-    the spec; the search builds only specs that ``legal_moves`` listed.
-    """
+    """Apply a checked or listed move without freezing its result;
+    returns (result, inverse MoveSpec).  The result is the ``Builder`` the
+    move edited, or the frozen graph for UrbanRenewal, which reads the new
+    faces; either has ``canonical_key``."""
     return _BUILD[m.kind](g, m)
 
 
@@ -522,9 +511,8 @@ class EquivalenceResult:
     verdict: str  # "equivalent" | "not_equivalent" | "unknown"
     certificate: list = None
     reason: str = ""
-    # set when the search ran: states recorded and layers grown, each as
-    # (g1's side, g2's side); a layer cut short by a meeting or by the
-    # state cap counts as grown
+    # when the search ran: states recorded and layers grown (a layer cut
+    # short counts), each as (g1's side, g2's side)
     states: tuple = None
     depth: tuple = None
 
@@ -550,7 +538,8 @@ def _leaves(g: PlabicGraph) -> int:
 def _backward_moves(g: PlabicGraph, grow_leaves: bool):
     """Candidate moves from a state on g2's side: the search moves, plus,
     when ``grow_leaves``, a leaf of the vertex's own colour at every
-    rotation slot (undone by a ContractM3 search move)."""
+    rotation slot.  No search move adds a leaf or undoes contracting one,
+    so g1 reaches only states with at most its own number of leaves."""
     moves = _search_moves(g)
     if grow_leaves:
         moves += [
@@ -572,62 +561,37 @@ def _undoable(h, inv: MoveSpec) -> bool:
 def move_equivalent(
     g1: PlabicGraph, g2: PlabicGraph, budget: int = 6, want_certificate: bool = False
 ):
-    """Decide move equivalence.
+    """Decide move equivalence: "equivalent", "not_equivalent" or
+    "unknown", with the reason.
 
-    Reduced graphs are decided instantly by comparing decorated trip
-    permutations (no certificate, unless ``want_certificate`` forces the
-    search).  Otherwise a bidirectional breadth-first search over the
-    search moves (square, bivalent insertion and removal, contraction and
-    split) looks for a chain of at most ``budget`` moves from g1 to g2 and
-    either returns it as a certificate or gives up with "unknown".
-
-    Each side maps canonical keys to (parent key, move), and its frontier
-    holds (key, state) pairs.  A child is keyed before it is frozen: its
-    state is the ``Builder`` that ``_build`` returns, and it is frozen
-    only when its layer is expanded, so children on a side's last layer
-    and children already seen are never frozen.  The shallower side grows
-    one layer at a time, g1's side first, so g1's side reaches depth
-    ceil(budget/2) and g2's side floor(budget/2); a new key is
-    checked against the other side before its own, so the first meeting
-    gives a shortest chain.  g2's side must hold only graphs that reach g2
-    by search moves, and all of those within its depth.  So it keeps a
-    move only when the inverse ``_build`` returns is a search move (see
-    ``_undoable``), and while it holds fewer leaves than g1 it also hangs
-    new leaves: contracting a leaf into a vertex of degree >= 3 is a
-    search move that no search move undoes, and since no search move adds
-    a leaf, a state with more leaves than g1 is out of g1's reach.  The
-    certificate is g1's path to the meeting state, then at each step back
-    to g2 the first search move whose result has the next key (each
-    candidate is keyed unfrozen, and only the match is frozen).  The state
-    cap counts both sides.
+    Different trip permutations, or exactly one side reduced, mean not
+    equivalent; two reduced graphs are decided by their decorated trip
+    permutations, with no certificate unless ``want_certificate``.
+    Otherwise a bidirectional breadth-first search over ``_SEARCH_KINDS``
+    grows g1's side to depth ceil(budget/2) and g2's to floor(budget/2).
+    The first meeting gives a shortest certificate: moves that replay from
+    g1 to g2.  It gives up with "unknown" at the budget, or past
+    ``_STATE_CAP`` states on both sides together.
     """
     message = "budget must be a non-negative integer, got {}"
     if _ints((budget,), BadBudget, message)[0] < 0:
         raise BadBudget(message.format(_show(budget)))
     if trip_permutation(g1) != trip_permutation(g2):
-        return EquivalenceResult(
-            "not_equivalent", reason="trip permutations differ"
-        )
+        return EquivalenceResult("not_equivalent", reason="trip permutations differ")
     r1, r2 = g1._fact("is_reduced"), g2._fact("is_reduced")
     if r1.reduced != r2.reduced:
-        return EquivalenceResult(
-            "not_equivalent", reason="exactly one side is reduced"
-        )
+        return EquivalenceResult("not_equivalent", reason="exactly one side is reduced")
     if r1.reduced and r2.reduced:
         if decorated_trip_permutation(g1) != decorated_trip_permutation(g2):
-            return EquivalenceResult(
-                "not_equivalent", reason="decorated trip permutations differ"
-            )
+            return EquivalenceResult("not_equivalent",
+                                     reason="decorated trip permutations differ")
         if not want_certificate:
             return EquivalenceResult(
-                "equivalent",
-                certificate=None,
-                reason="both reduced with equal decorated trip permutations",
-            )
+                "equivalent", reason="both reduced with equal decorated trip permutations")
     if g1 == g2:
         return EquivalenceResult("equivalent", certificate=[], reason="isomorphic")
-    # key -> (parent key, move applied to the parent's graph); the roots
-    # map to None
+    # key -> (parent key, move), None at the roots; a child is keyed as
+    # ``_build`` returns it and frozen only when its layer is expanded
     k1, k2 = g1.canonical_key(), g2.canonical_key()
     sides = ({k1: None}, {k2: None})
     frontiers = [[(k1, g1)], [(k2, g2)]]

@@ -23,11 +23,7 @@ class Witness:
     edges: tuple = ()
 
     def to_json_obj(self):
-        return {
-            "kind": self.kind,
-            "vertices": list(self.vertices),
-            "edges": list(self.edges),
-        }
+        return {"kind": self.kind, "vertices": list(self.vertices), "edges": list(self.edges)}
 
 
 @dataclass

@@ -1,25 +1,6 @@
-"""Trips: directed walks obeying the rules of the road.
-
-A trip turns as sharply as possible: rightward at black vertices and
-leftward at white ones.  With clockwise rotation lists this reads as
-
-* black vertex: leave along the clockwise *predecessor* of the in-dart,
-* white vertex: leave along the clockwise *successor* of the in-dart,
-
-where the in-dart is the dart based at the vertex pointing back where the
-trip came from.  Bivalent vertices pass trips straight through (both rules
-agree), and a leaf produces a U-turn.  Trips are thus orbits of the same
-successor fill as faces (``PlabicGraph._fill_successors``), which turns
-the other way at black vertices only.
-
-Two facts hold the trips.  "trips" walks only the one-way trips and keeps
-their targets and the source of the trip on each dart: the trip
-permutation, its decorations, edge labels, resonance and face labels read
-nothing else.  It also keeps the trip-successor table, from which
-"trip_walks" builds the ``Trip`` objects, roundtrips included, and each
-dart's place on its trip, for ``all_trips``, ``trip_from`` and the
-bad-feature scan; so a graph fills that table once whatever it reads.
-"""
+"""Trips: walks that turn sharpest right at black vertices and sharpest
+left at white ones (README, "Conventions"), their permutations, edge
+labels, resonance and bad features."""
 
 from __future__ import annotations
 
@@ -41,12 +22,8 @@ class Trip:
     darts: tuple
 
     def to_json_obj(self, g: PlabicGraph):
-        return {
-            "kind": self.kind,
-            "source": self.source,
-            "target": self.target,
-            "edges": [g.edge_id(d) for d in self.darts],
-        }
+        return {"kind": self.kind, "source": self.source, "target": self.target,
+                "edges": [g.edge_id(d) for d in self.darts]}
 
 
 def trip_from(g: PlabicGraph, i: int) -> Trip:
@@ -58,24 +35,16 @@ def trip_from(g: PlabicGraph, i: int) -> Trip:
 
 
 def all_trips(g: PlabicGraph):
-    """Every trip: the b one-way trips followed by all roundtrips.
-
-    All of them are traced from the trip-successor table of the fact
-    "trips", in O(darts), once per graph and only when asked for (the fact
-    "trip_walks"); every call returns a new list.
-    """
+    """Every trip, in a new list: the b one-way trips, then all
+    roundtrips."""
     return list(g._fact("trip_walks")[0])
 
 
 def _trace_trips(g: PlabicGraph):
     """The fact "trips": ``(targets, source, nxt)``, the target of each
     one-way trip in order of source, by dart the source of its one-way
-    trip (0 on roundtrips and at the holes), and the trip-successor table:
-    the successor fill over the internal vertices with ``black=-1``, where
-    a dart into the boundary keeps -1 and a trip ends.  One walk per
-    boundary label writes only the sources: no ``Trip``, no places and no
-    search for roundtrips.  A walk longer than the darts means a corrupt
-    rotation."""
+    trip (0 elsewhere), and the trip-successor table, -1 on darts into the
+    boundary.  It builds no ``Trip`` and seeks no roundtrip."""
     limit, rot, dv = g._dart_bound(), g._rot, g._dart_vertex
     nxt = [-1] * limit
     g._fill_successors(nxt, g._colors, -1)
@@ -96,11 +65,8 @@ def _trace_trips(g: PlabicGraph):
 
 def _walk_trips(g: PlabicGraph):
     """The fact "trip_walks": ``(trips, place)``, the tuple ``all_trips``
-    lists and by dart its place on its one-way trip (0 elsewhere): the
-    orbits of the successor table of the fact "trips", roundtrips by least
-    dart, which are the darts that fact left at source 0.  That fact's
-    walks ended within the dart bound, so the one-way walks here need no
-    guard."""
+    lists and by dart its place on its one-way trip (0 elsewhere), walked
+    on the table of the fact "trips", roundtrips by least dart."""
     _, source, nxt = g._fact("trips")
     limit, rot, dv = len(nxt), g._rot, g._dart_vertex
     place, trips, traced = [0] * limit, [], 0
@@ -130,19 +96,9 @@ def trip_permutation(g: PlabicGraph):
 
 def decorated_trip_permutation(g: PlabicGraph) -> DecoratedPermutation:
     """Trip permutation with each fixed point decorated by the colour of
-    the lollipop its pendant tree collapses to: "over" for white, "under"
-    for black.
-
-    The tree at fixed point i hangs from boundary i alone
-    (``_hanging_tree``) and folds bottom up: a vertex keeps its own colour
-    when no child subtree folded to the other colour, takes the other
-    colour when exactly one did, and is stuck when two or more did or a
-    child is stuck.  A stuck root, or a root that is not pendant, raises
-    UndecoratableFixedPoint (which signals a non-reduced graph); fixed
-    points are checked in increasing order.  The values and decorations
-    are computed once per graph; every call returns a new permutation
-    object with its own ``decorations`` dict.
-    """
+    the lollipop its pendant tree folds to: "over" for white, "under" for
+    black; UndecoratableFixedPoint at the first fixed point that does not
+    fold.  Every call returns a new permutation."""
     return DecoratedPermutation._trusted(*g._fact("decorated"))
 
 
@@ -187,8 +143,8 @@ def _hanging_tree(g: PlabicGraph, entry: int):
 
 
 def _fold_tree(g: PlabicGraph, order, kids):
-    """The colour the tree ``_hanging_tree`` found collapses to, or None
-    when it is stuck."""
+    """The colour the tree ``_hanging_tree`` found folds to, or None when it
+    is stuck (``UndecoratableFixedPoint``)."""
     colors = g._colors
     fold = {}
     for v in reversed(order):
@@ -203,8 +159,8 @@ def _fold_tree(g: PlabicGraph, order, kids):
 
 
 def edge_labels(g: PlabicGraph) -> dict:
-    """Map each edge id to the set of boundary labels whose trip uses it:
-    the nonzero trip sources of its two darts.  Every call returns new sets."""
+    """Map each edge id to a new set of the boundary labels whose trip
+    uses it."""
     source, ids = g._fact("trips")[1], g._edge_ids
     labels = {e: set() for e in g.edge_ids}
     for d, s in enumerate(source):
@@ -218,9 +174,7 @@ def resonance(g: PlabicGraph) -> bool:
     vertex form a chain {i1,i2},{i2,i3},...,{i(m-1),im},{i1,im} with
     i1 < ... < im; HasInternalLeaf when a leaf is not a lollipop.  By
     Kodama–Williams (arXiv:1106.0023) this is equivalent to reducedness
-    for graphs whose only leaves are lollipops.  Decided once per graph
-    and kept, on the trip sources of the fact "trips" alone (no ``Trip``
-    is built), and ``is_reduced`` reads the same verdict."""
+    for graphs whose only leaves are lollipops."""
     info = g._fact("classify")
     if len(info["internal_leaves"]) != len(info["lollipops"]):
         raise HasInternalLeaf("resonance requires no internal leaves other than lollipops")
@@ -268,16 +222,10 @@ class BadFeature:
 
 
 def bad_features(g: PlabicGraph):
-    """Exhaustive list of roundtrips, essential self-intersections and bad
-    double crossings.  Requires a normal graph; empty iff the graph is
-    reduced.
-
-    The scan runs once per graph on the trips and places of the fact
-    "trip_walks" and the sources of the fact "trips": a trip on both darts
-    of an edge, and two trips that meet two shared edges in the same order,
-    are read off the sources and places of a dart and its twin.
-    Every call returns a new list.
-    """
+    """Every roundtrip, essential self-intersection and bad double
+    crossing, in a new list; NotNormal unless the graph is normal.  Empty
+    iff the graph is reduced.  Both kinds of crossing are read off the
+    sources and places of a dart and its twin."""
     return list(g._fact("bad_features"))
 
 
