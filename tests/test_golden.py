@@ -5,6 +5,7 @@ edge ids.  These digests do not: they hash the JSON of every legal move's
 result and of its inverse spec, the normal forms ``normalize`` returns,
 the witnesses of ``is_reduced`` and the ``plabic info`` output, so any
 change in how moves or normalization number vertices and edges shows up.
+One more digest pins the same normal forms up to a renaming of their ids.
 """
 
 import hashlib
@@ -22,6 +23,7 @@ FIXTURE_MOVES = "2136c9eff7ee6b57eefea91fed36cd95126bc46f9dfd41b232b7b1d865ed5e4
 BRIDGE_MOVES = "4871efb5edf7e886d7f6961e91b5d6ef21e6c40f9056c64ace211fa9db0cf273"
 FIXTURE_INFO = "8775d6f80f6bc54873b555cabe294ba8fc4315524b3f95632a2c3e93f70bde25"
 NORMAL_FORMS = "dfc03125e4e9edfe6f117e9e468ab7a67544cbd4d81552e9e472e8e844396112"
+NORMAL_FORM_SHAPES = "cf7b62680d418c9343a50902acbc8bb6f4d699c050c7e7a189a9c830b5f4d174"
 
 
 def _bridge_graphs():
@@ -76,17 +78,62 @@ def test_fixture_info_output_is_pinned(tmp_path, capsys):
     assert h.hexdigest() == FIXTURE_INFO
 
 
-def test_normal_forms_and_witnesses_are_pinned():
-    """The ids in ``normalize``'s normal forms and in ``is_reduced``'s
-    witnesses, on the fixtures, the bridge graphs and a copy of each with
-    a parallel digon, which normalization must contract."""
+def _normal_form_corpus():
+    """The fixtures, the bridge graphs and a copy of each with a parallel
+    digon, which normalization must contract."""
     rng = random.Random(7)
     graphs = [F.ALL_NAMED[name]() for name in sorted(F.ALL_NAMED)] + _bridge_graphs()
-    graphs += [insert_parallel_digon(g, rng) for g in graphs]
+    return graphs + [insert_parallel_digon(g, rng) for g in graphs]
+
+
+def test_normal_forms_and_witnesses_are_pinned():
+    """The ids in ``normalize``'s normal forms and in ``is_reduced``'s
+    witnesses."""
     h = hashlib.sha256()
-    for g in graphs:
+    for g in _normal_form_corpus():
         normal = normalize(g).normal
         witness = is_reduced(g).witness
         line = [g.to_json(), normal and normal.to_json(), witness and witness.to_json_obj()]
         h.update(json.dumps(line, sort_keys=True).encode() + b"\n")
     assert h.hexdigest() == NORMAL_FORMS
+
+
+def _bfs_edge_numbers(g):
+    """Edge id -> its number in ``canonical_key``'s breadth-first search."""
+    number, seen = {}, set()
+    queue = [g.rotation(-i)[0] for i in range(1, g.b + 1)]
+    for d in queue:
+        number.setdefault(g.edge_id(d), len(number))
+    for d in queue:  # grows while it is read
+        w = g.dart_vertex(d ^ 1)
+        if w < 0 or w in seen:
+            continue
+        seen.add(w)
+        ds = g.rotation(w)
+        i = ds.index(d ^ 1)
+        for dd in ds[i + 1:] + ds[:i]:
+            number.setdefault(g.edge_id(dd), len(number))
+            queue.append(dd)
+    return number
+
+
+def test_normal_forms_and_witnesses_are_pinned_up_to_ids():
+    """The normal forms by ``canonical_key``, and the ``is_reduced``
+    witnesses with each edge given by its number in the normal form's
+    canonical search, so that a renaming of normal-form ids leaves the
+    digest as it is."""
+    h = hashlib.sha256()
+    for g in _normal_form_corpus():
+        res = normalize(g)
+        witness = is_reduced(g).witness
+        if witness is not None:
+            edges = witness.edges
+            if res.normal is not None:
+                number = _bfs_edge_numbers(res.normal)
+                edges = [number[e] for e in edges]
+            witness = [witness.kind, list(witness.vertices), list(edges)]
+        line = [g.to_json(), res.normal and res.normal.canonical_key(),
+                res.witness and res.witness.to_json_obj(), res.lollipops_removed,
+                sorted(res.label_map.items()), witness]
+        h.update(json.dumps(line, sort_keys=True).encode() + b"\n")
+    assert h.hexdigest() == NORMAL_FORM_SHAPES
