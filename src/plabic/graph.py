@@ -693,7 +693,8 @@ class Builder:
 
     It holds the graph's darts (``PlabicGraph``), with ``dv`` mapping darts
     to vertices and ``ids`` edge indices to public ids, None at a hole.  A
-    new edge takes the next index and a fresh id, one past the largest; the
+    new edge takes the next index and a fresh id, one past the largest, and
+    no edge changes its index, so indices follow ids as in the graph; the
     builder keeps both maxima from the fact "maxima" and scans only after
     removing a largest id.  Rotations are shared with the graph until
     ``_edit`` or ``_set`` changes them; that, ``recolor`` and a removal
@@ -709,7 +710,6 @@ class Builder:
         self.ids = list(g._edge_ids)
         self._graph = g  # whose facts a frozen result may patch
         self._touched = set()  # vertices recoloured, edited or removed
-        self._homes = {}  # edge index -> the index of its id, when they differ
         self._gone = set()  # edge indices emptied by ``_drop_edge``
         # the largest vertex and edge ids, None once the largest is removed
         self._max_vertex, self._max_edge_id = g._fact("maxima")
@@ -808,25 +808,19 @@ class Builder:
     def remove_bivalent(self, v):
         """Remove a degree-2 vertex, merging its two edges into one.
 
-        The edge of v's first dart survives: that dart moves into the far
-        slot of the other edge, which is dropped, and the survivor keeps the
-        smaller of the two public ids.  If both edges join v to the same
-        vertex, the merged edge is a loop.  Returns the moved dart.
+        The edge with the smaller public id survives at its own index: its
+        dart at v moves into the far slot of the other edge, which is
+        dropped.  If both edges join v to the same vertex, the merged edge
+        is a loop.  Returns the moved dart.
         """
         d1, d2 = self.rot[v]
+        if self.ids[d2 >> 1] < self.ids[d1 >> 1]:
+            d1, d2 = d2, d1
         t2 = d2 ^ 1
         y = self.dv[t2]
         ry = self._edit(y)
         ry[ry.index(t2)] = d1
         self.dv[d1] = y
-        k1, k2 = d1 >> 1, d2 >> 1
-        if self.ids[k2] < self.ids[k1]:
-            # the survivor takes an id from below its index; ``freeze``
-            # moves it to that id's index, so that indices follow ids
-            if self.ids[k1] == self._max_edge_id:
-                self._max_edge_id = None
-            self.ids[k1] = self.ids[k2]
-            self._homes[k1] = self._homes.get(k2, k2)
         self._drop_vertex(v)
         self._drop_edge(d2)
         return d1
@@ -886,7 +880,6 @@ class Builder:
         del self.dv[d ^ 1]
         k = d >> 1
         self._gone.add(k)
-        self._homes.pop(k, None)
         if self.ids[k] == self._max_edge_id:
             self._max_edge_id = None
         self.ids[k] = None
@@ -899,10 +892,10 @@ class Builder:
 
     def freeze(self) -> PlabicGraph:
         """The immutable graph, with the public ids kept.  Once holes
-        outnumber edges, darts are numbered afresh.  Otherwise untouched
-        darts keep their numbers, an edge in ``_homes`` moves to its id's
-        index, an edge at a touched vertex that breaks the even-dart rule
-        trades its darts' numbers, and the graph gets the hand-down record
+        outnumber edges, darts are numbered afresh.  Otherwise every edge
+        keeps its index, untouched darts keep their numbers, an edge at a
+        touched vertex that breaks the even-dart rule trades its darts'
+        numbers, and the graph gets the hand-down record
         (``PlabicGraph._fact``).  The builder's dicts go to the graph, so
         an edit after freezing fails at once."""
         ids = self.ids
@@ -914,24 +907,13 @@ class Builder:
         else:
             rot, dv, colors = self.rot, self.dv, self.colors
             touched = {v for v in self._touched if v in rot}
-            moved = {}  # builder dart -> its number in the graph
-            for k, h in self._homes.items():
-                ids[h], ids[k] = ids[k], None
-                for side in (0, 1):
-                    moved[2 * k + side] = 2 * h + side
-                    v = dv[2 * h + side] = dv.pop(2 * k + side)
-                    touched.add(v)
-            n = len(ids)  # a home may lie past the last edge
-            while n and ids[n - 1] is None:
-                n -= 1
             swap = set()  # edges whose darts trade numbers
             for v in touched:
                 for x in rot[v]:
-                    k = moved.get(x, x) >> 1
+                    k = x >> 1
                     a, c = dv[2 * k], dv[2 * k + 1]
                     if a == c:  # a loop: compare positions
-                        ds = [moved.get(y, y) for y in rot[a]]
-                        a, c = ds.index(2 * k), ds.index(2 * k + 1)
+                        a, c = rot[a].index(2 * k), rot[a].index(2 * k + 1)
                     if a > c:
                         swap.add(k)
             for k in swap:
@@ -939,17 +921,15 @@ class Builder:
                 touched.add(dv[2 * k])
                 touched.add(dv[2 * k + 1])
             for v in touched:
-                if moved or swap:
-                    rot[v] = tuple([y ^ 1 if y >> 1 in swap else y
-                                    for y in [moved.get(x, x) for x in rot[v]]])
+                if swap:
+                    rot[v] = tuple([y ^ 1 if y >> 1 in swap else y for y in rot[v]])
                 else:
                     rot[v] = tuple(rot[v])
             g = PlabicGraph._from_parts(self.b, colors, rot, dv, tuple(ids[:n]))
             pc = self._graph._cache
             handed = {name: pc[name] for name in _PATCHES if name in pc}
             if handed:
-                gone = {k for k in self._gone.union(self._homes) if ids[k] is None}
-                g._cache[_HAND_DOWN] = (handed, gone, self._touched | touched, touched)
+                g._cache[_HAND_DOWN] = (handed, self._gone, self._touched | touched, touched)
         self.rot = self.dv = self.colors = None
         maxima = self._max_vertex, self._max_edge_id
         if None not in maxima:

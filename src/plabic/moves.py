@@ -470,11 +470,11 @@ def _apply_urban(g, m):
         bld.contract(od)
     out = bld.freeze()
     # the new square lies left of the side dart that leaves a former white
-    # corner; ``freeze`` may renumber darts, but not edge ids
+    # corner; ``freeze`` may renumber darts, but not edge ids.  That dart is
+    # the even one: its twin is at a white vertex split off a black corner,
+    # which has a larger id.
     d = walk[0] if colors[vs[0]] == WHITE else walk[1]
-    x, y = out.darts_of_edge(g._edge_ids[d >> 1])
-    if out._dart_vertex[x] != dv[d]:
-        x = y
+    x = out.darts_of_edge(g._edge_ids[d >> 1])[0]
     return out, MoveSpec("UrbanRenewal", face=out._fact("faces")[1][x])
 
 

@@ -110,14 +110,11 @@ def _normalize(g: PlabicGraph) -> NormalizeResult:
             return NormalizeResult(witness=Witness("loop", edges=(bld.ids[d >> 1],)))
         bld.contract(d if u < v else d ^ 1)
 
-    # stage 6: split white vertices of degree >= 4 into left combs
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(bld.colors):
-            if bld.colors[v] == WHITE and bld.degree(v) >= 4:
-                bld.split(v, 0, 2)
-                changed = True
+    # stage 6: split white vertices of degree >= 4 into left combs in one
+    # pass; a split edits no other vertex's rotation and leaves degree 3
+    for v in sorted(bld.colors):
+        while bld.colors[v] == WHITE and bld.degree(v) >= 4:
+            bld.split(v, 0, 2)
 
     # stage 7: a black bivalent vertex on every edge with no black endpoint
     # (white-white, white-boundary, and boundary-boundary edges)
@@ -145,9 +142,10 @@ class ReducednessResult:
 def is_reduced(g: PlabicGraph) -> ReducednessResult:
     """Whether the graph is reduced, with a witness if not: a resonant graph
     (``trips.resonance``) is reduced by Kodama–Williams, and any other graph
-    is normalized and its normal form scanned for bad features.  Decided
-    once per graph; every call returns a new result, which shares the
-    (immutable) witness."""
+    is normalized and its normal form scanned for bad features.  A
+    bad-feature witness names edges of ``normalize(g).normal``, which may
+    be ids the input lacks.  Decided once per graph; every call returns a
+    new result, which shares the (immutable) witness."""
     res = g._fact("is_reduced")
     return ReducednessResult(res.reduced, res.witness)
 

@@ -146,7 +146,7 @@ PINS = {
              "compute faces": 20, "compute is_reduced": 8, "compute maxima": 33,
              "compute normalize": 3, "compute resonance": 8, "compute sites": 20,
              "compute target_labels": 808, "compute trip_walks": 1, "compute trips": 809,
-             "fill faces": 830, "fill trips": 809, "patch faces": 788, "patch sites": 780},
+             "fill faces": 832, "fill trips": 809, "patch faces": 788, "patch sites": 780},
     "decide": {"compute bad_features": 19, "compute classify": 67, "compute decorated": 33,
                "compute faces": 48, "compute is_reduced": 48, "compute maxima": 80,
                "compute normalize": 48, "compute resonance": 48, "compute sites": 15,

@@ -22,7 +22,7 @@ from conftest import insert_parallel_digon, random_decorated_permutation
 FIXTURE_MOVES = "2136c9eff7ee6b57eefea91fed36cd95126bc46f9dfd41b232b7b1d865ed5e45"
 BRIDGE_MOVES = "4871efb5edf7e886d7f6961e91b5d6ef21e6c40f9056c64ace211fa9db0cf273"
 FIXTURE_INFO = "8775d6f80f6bc54873b555cabe294ba8fc4315524b3f95632a2c3e93f70bde25"
-NORMAL_FORMS = "dfc03125e4e9edfe6f117e9e468ab7a67544cbd4d81552e9e472e8e844396112"
+NORMAL_FORMS = "c3ae9bea9f511eecec178ccba9401ab81304afc83edbe592bb9bb6b315d888d0"
 NORMAL_FORM_SHAPES = "cf7b62680d418c9343a50902acbc8bb6f4d699c050c7e7a189a9c830b5f4d174"
 
 

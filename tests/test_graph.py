@@ -668,7 +668,7 @@ def test_freeze_numbers_darts_afresh_once_holes_pass_half(monkeypatch):
 
 
 def test_remove_bivalent_moves_the_survivor_to_its_ids_index():
-    # vertex 0 lists edge 5 first, so edge 5's dart survives with id 2
+    # vertex 0 lists edge 5 first, yet edge 2, the smaller id, survives at its index
     g = PlabicGraph.from_rotation(2, {0: "white"}, {-1: [5], -2: [2], 0: [5, 2]})
     bld = Builder(g)
     assert bld.fresh_edge_id() == 6 and bld.fresh_vertex() == 1
@@ -684,8 +684,8 @@ def test_maxima_are_exact_on_raw_graphs_whose_ids_do_not_ascend():
     the last index holds 2, and reading the largest id there would hand
     out the existing id 3.  The fact "maxima", scanned or handed to a
     move's result by its builder, gives the largest vertex and edge ids
-    exactly.  With ids (5, 3) the id a removal keeps goes home to an index
-    past the last edge."""
+    exactly.  With ids (5, 3) a removal keeps edge 3 at its own index and
+    leaves a hole at edge 5's."""
     path = PlabicGraph.from_rotation(2, {0: "white", 1: "black"},
                                      {-1: [0], 0: [0, 1], 1: [1, 2], -2: [2]})
     g = PlabicGraph(2, path._colors, path._rot, (5, 3, 2))

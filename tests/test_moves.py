@@ -384,6 +384,15 @@ def test_unknown_says_how_far_the_search_got():
     assert res.states == (601, 30)
 
 
+def test_unknown_at_the_state_cap(monkeypatch):
+    # the search stops on the state that passes the cap, mid-layer
+    monkeypatch.setattr(moves_module, "_STATE_CAP", 100)
+    res = move_equivalent(F.urban_left_b7(), F.urban_right_b7(), budget=3, want_certificate=True)
+    assert (res.verdict, res.reason) == ("unknown", "state budget exhausted")
+    assert res.states == (71, 30) and sum(res.states) == 100 + 1
+    assert res.depth == (2, 1)
+
+
 @pytest.mark.parametrize("g1, g2, budget, states, depth", [
     (F.square_fan_b5_lollipop(), F.square_path_b6(), 4, (507, 46), (2, 2)),
     (F.urban_left_b7(), F.urban_right_b7(), 3, (601, 30), (2, 1)),

@@ -59,6 +59,14 @@ def test_corrupt_rotation_stops_the_trip_tracer():
             assert isinstance(err.value, PlabicError), (rot, read)
 
 
+@pytest.mark.parametrize("read", ["faces", "face_of_dart"])
+def test_corrupt_rotation_stops_the_face_tracer(read):
+    # the face orbit from dart 0 enters the cycle through darts 2 and 3
+    g = PlabicGraph(1, {0: WHITE}, {-1: (0,), 0: (1, 2, 3, 2)}, (0, 1))
+    with pytest.raises(TripDoesNotTerminate, match="orbit from dart 0 runs past 4 darts"):
+        getattr(g, read)()
+
+
 def test_decorated_permutation_is_a_fresh_object():
     g = lollipop_graph("wb")
     p = decorated_trip_permutation(g)
