@@ -111,7 +111,8 @@ def _normalize(g: PlabicGraph) -> NormalizeResult:
         bld.contract(d if u < v else d ^ 1)
 
     # stage 6: split white vertices of degree >= 4 into left combs in one
-    # pass; a split edits no other vertex's rotation and leaves degree 3
+    # pass; a split edits no other vertex's rotation, and the vertex it
+    # makes has degree 3
     for v in sorted(bld.colors):
         while bld.colors[v] == WHITE and bld.degree(v) >= 4:
             bld.split(v, 0, 2)
